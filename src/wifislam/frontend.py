@@ -8,6 +8,10 @@ randomly absent from individual frames) and gates transform estimation on
 true geometric separation. Two *distant* frames that share a scene template
 are perceptual aliases: matching succeeds and returns the transform implied
 by the shared appearance, which is how false loop closures enter the graph.
+
+A candidate that shares no word with the query is rejected before its seeded
+draw is made, yet the pipeline still charges it 1.0 visual-comparison unit;
+rtab candidates are mostly such pairs, so rtab wall time and loop_cost diverge.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +49,8 @@ class MatchParams:
             raise ValueError("match params must be positive")
         if not 0 < self.dropout_keep <= 1:
             raise ValueError("dropout_keep must be in (0, 1]")
+        if self.noise_xy <= 0 or self.noise_theta <= 0:
+            raise ValueError("noise_xy and noise_theta must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,16 +76,21 @@ def match_information(params: MatchParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=8192)
-def _word_counts(words: tuple[int, ...]) -> dict[int, int]:
-    return dict(Counter(words))
+def _word_tokens(words: tuple[int, ...]) -> frozenset:
+    """The bag as a set: the first `w` is `w` itself, its k-th repeat is `(w, k)`,
+    so set intersection size equals multiset intersection size."""
+    seen: dict[int, int] = {}
+    tokens = []
+    for w in words:
+        k = seen.get(w, 0)
+        seen[w] = k + 1
+        tokens.append((w, k) if k else w)
+    return frozenset(tokens)
 
 
 def shared_word_count(a: Appearance, b: Appearance) -> int:
     """Multiset intersection size of the two word bags."""
-    ca, cb = _word_counts(a.words), _word_counts(b.words)
-    if len(cb) < len(ca):
-        ca, cb = cb, ca
-    return sum(n if n <= cb[w] else cb[w] for w, n in ca.items() if w in cb)
+    return len(_word_tokens(a.words) & _word_tokens(b.words))
 
 
 def match_frames(
@@ -101,8 +113,11 @@ def match_frames(
     distant frames share a scene template, and fails otherwise.
     """
     shared = shared_word_count(a, b)
+    if not shared:
+        # the pair's generator depends only on (seed, a_id, b_id): skipping it draws nothing else
+        return MatchResult(num_matches=0, relative=None, accepted=False)
     rng = np.random.default_rng((seed, a_id, b_id))
-    num = int(rng.binomial(shared, params.dropout_keep)) if shared else 0
+    num = int(rng.binomial(shared, params.dropout_keep))
     if num < params.min_matches:
         return MatchResult(num_matches=num, relative=None, accepted=False)
 
@@ -126,55 +141,37 @@ def match_frames(
 
 
 class InvertedIndex:
-    """word id -> keyframes observing it; queries rank by shared-word count."""
+    """word token -> keyframes observing it; queries rank by shared-word count."""
 
     def __init__(self) -> None:
-        # per word: list of (keyframe, multiplicity) in insertion order
-        self._postings: dict[int, list[tuple[int, int]]] = {}
-        self._appearances: dict[int, Appearance] = {}
+        self._postings: dict[object, list[int]] = {}  # keyframes in insertion order
+        self._ids: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._appearances)
+        return len(self._ids)
 
     def __contains__(self, keyframe_id: int) -> bool:
-        return keyframe_id in self._appearances
-
-    def keyframes(self) -> list[int]:
-        return sorted(self._appearances)
-
-    def appearance_of(self, keyframe_id: int) -> Appearance:
-        return self._appearances[keyframe_id]
+        return keyframe_id in self._ids
 
     def insert(self, keyframe_id: int, appearance: Appearance) -> None:
         if not appearance.words:
             raise ValueError("keyframes must carry a non-empty word bag")
-        if keyframe_id in self._appearances:
+        if keyframe_id in self._ids:
             raise ValueError(f"keyframe {keyframe_id} already indexed")
-        self._appearances[keyframe_id] = appearance
-        for w, n in _word_counts(appearance.words).items():
-            self._postings.setdefault(w, []).append((keyframe_id, n))
+        self._ids.add(keyframe_id)
+        for t in _word_tokens(appearance.words):
+            self._postings.setdefault(t, []).append(keyframe_id)
 
     def query_scored(self, appearance: Appearance) -> list[tuple[int, int]]:
         """(keyframe, multiset shared-word count) sharing at least one word,
         ordered by count desc then id asc."""
-        counts: dict[int, int] = {}
-        for w, qn in _word_counts(appearance.words).items():
-            for kf, n in self._postings.get(w, ()):
-                counts[kf] = counts.get(kf, 0) + (qn if qn <= n else n)
-        scored = sorted(counts.items(), key=lambda e: (-e[1], e[0]))
-        return scored
+        postings = self._postings
+        counts = Counter(chain.from_iterable(postings[t] for t in _word_tokens(appearance.words) if t in postings))
+        return sorted(counts.items(), key=lambda e: (-e[1], e[0]))
 
     def query(self, appearance: Appearance) -> list[int]:
         """Keyframes sharing at least one word, by shared count desc then id asc."""
         return [kf for kf, _n in self.query_scored(appearance)]
-
-
-def index_insert(index: InvertedIndex, keyframe_id: int, appearance: Appearance) -> None:
-    index.insert(keyframe_id, appearance)
-
-
-def index_query(index: InvertedIndex, appearance: Appearance) -> list[int]:
-    return index.query(appearance)
 
 
 class Covisibility:
@@ -185,9 +182,6 @@ class Covisibility:
 
     def neighbors(self, keyframe_id: int) -> set[int]:
         return set(self._links.get(keyframe_id, ()))
-
-    def items(self) -> dict[int, set[int]]:
-        return {k: set(v) for k, v in self._links.items()}
 
 
 def covis_update(covis: Covisibility, new_keyframe: int, accepted_matches: Iterable[int]) -> Covisibility:

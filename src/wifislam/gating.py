@@ -112,6 +112,9 @@ class PolicyParams:
                 raise ValueError("counts must be >= 0")
         if self.rtab.real_time_threshold <= 0:
             raise ValueError("real_time_threshold must be positive")
+        self.match_params()  # raises on dropout_keep and noise values MatchParams rejects
+        if min(self.opt_every, self.opt_min_spacing, self.opt_max_iters, self.final_opt_max_iters) < 0:
+            raise ValueError("opt_every, opt_min_spacing, opt_max_iters and final_opt_max_iters must be >= 0")
 
     def match_params(self) -> MatchParams:
         return MatchParams(

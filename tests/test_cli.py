@@ -76,6 +76,19 @@ class TestRun:
         assert rows[0]["policy"] == "rtab" and rows[0]["min_matches"] == "25"
         assert rows[0]["real_time_threshold"] == "inf"
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("noise_xy", 0, "noise_xy"),
+        ("opt_every", -1, "opt_every"),
+    ])
+    def test_bad_config_value_exit_2(self, gen_dir, tmp_path, capsys, key, value, named):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({key: value}))
+        code = run_cli("run", "--dataset", gen_dir, "--out", tmp_path / "o", "--config", cfgf)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad run configuration" in err and named in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweep:
     def test_grid_cardinality_and_resume(self, gen_dir, tmp_path):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifislam.frontend import (
     Appearance,
@@ -11,18 +14,51 @@ from wifislam.frontend import (
     FrameTruth,
     InvertedIndex,
     MatchParams,
+    MatchResult,
     covis_update,
-    index_insert,
-    index_query,
     match_frames,
     match_information,
     shared_word_count,
 )
-from wifislam.posegraph import Pose2
+from wifislam.gating import PolicyParams
+from wifislam.posegraph import Pose2, between
+from wifislam.simworld import template_pose_of
 
 
 def app(words, template=0):
     return Appearance(words=tuple(sorted(words)), place_template=template)
+
+
+def ref_shared(a, b):
+    """Reference multiset intersection size, independent of the frontend's bag encoding."""
+    return sum((Counter(a.words) & Counter(b.words)).values())
+
+
+def brute_scored(q, apps):
+    """(keyframe, shared) for every keyframe sharing a word, by shared desc then id asc."""
+    scored = ((kf, ref_shared(q, a)) for kf, a in apps.items())
+    return sorted(((kf, n) for kf, n in scored if n > 0), key=lambda e: (-e[1], e[0]))
+
+
+def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, params, seed):
+    """match_frames as it was before the zero-share exit: the pair's generator is
+    always built, and a zero-share pair simply draws nothing from it."""
+    shared = ref_shared(a, b)
+    rng = np.random.default_rng((seed, a_id, b_id))
+    num = int(rng.binomial(shared, params.dropout_keep)) if shared else 0
+    if num < params.min_matches:
+        return MatchResult(num_matches=num, relative=None, accepted=False)
+    dx = truth_a.gt_pose.x - truth_b.gt_pose.x
+    dy = truth_a.gt_pose.y - truth_b.gt_pose.y
+    if (dx * dx + dy * dy) ** 0.5 <= params.inlier_distance:
+        rel = between(truth_a.gt_pose, truth_b.gt_pose)
+    elif a.place_template == b.place_template:
+        rel = between(truth_a.template_pose, truth_b.template_pose)
+    else:
+        return MatchResult(num_matches=num, relative=None, accepted=False)
+    nx, ny, nth = rng.normal(0.0, 1.0, size=3)
+    noisy = Pose2(rel.x + params.noise_xy * nx, rel.y + params.noise_xy * ny, rel.theta + params.noise_theta * nth)
+    return MatchResult(num_matches=num, relative=noisy, accepted=True)
 
 
 def truth(x, y, theta=0.0, tx=0.0, ty=0.0, tth=0.0):
@@ -93,43 +129,96 @@ class TestMatchFrames:
         info = match_information(PARAMS)
         assert np.allclose(np.diag(info), [1 / 0.05**2, 1 / 0.05**2, 1 / 0.01**2])
 
+    @pytest.mark.parametrize("field", ["noise_xy", "noise_theta"])
+    def test_rejects_non_positive_noise(self, field):
+        with pytest.raises(ValueError):
+            MatchParams(min_matches=10, inlier_distance=3.0, **{field: 0.0})
+
+    def test_equals_always_draw_reference_on_every_pair(self, dataset_cache):
+        ds = dataset_cache("b_hall", 0)
+        frames = ds.frames
+        truths = [
+            FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
+            for f in frames
+        ]
+        mp = PolicyParams().match_params()
+        zero_share = accepted = 0
+        for fa in frames:
+            for fb in frames:
+                args = (fa.id, fb.id, fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], mp, 0)
+                got = match_frames(*args)
+                assert got == always_draw_match(*args), (fa.id, fb.id)
+                zero_share += ref_shared(fa.appearance, fb.appearance) == 0
+                accepted += got.accepted
+        assert zero_share > 0 and accepted > 0
+
 
 class TestSharedWordCount:
     def test_multiset_semantics(self):
         a = app([1, 1, 2, 3])
         b = app([1, 2, 2, 4])
-        assert shared_word_count(a, b) == 2  # one 1 and one 2
+        assert shared_word_count(a, b) == ref_shared(a, b) == 2  # one 1 and one 2
 
     def test_symmetric(self):
         a, b = app([1, 2, 3, 3]), app([3, 3, 3, 5])
-        assert shared_word_count(a, b) == shared_word_count(b, a) == 2
+        assert shared_word_count(a, b) == shared_word_count(b, a) == ref_shared(a, b) == 2
+
+
+BAGS = st.lists(st.integers(0, 7), min_size=1, max_size=16)  # unsorted; a small vocabulary forces repeats
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=BAGS, b=BAGS, disjoint=st.booleans())
+def test_shared_word_count_matches_reference(a, b, disjoint):
+    if disjoint:
+        b = [w + 100 for w in b]
+    qa, qb = Appearance(tuple(a), 0), Appearance(tuple(b), 0)
+    assert shared_word_count(qa, qb) == ref_shared(qa, qb)
+    if disjoint:
+        assert shared_word_count(qa, qb) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(bags=st.lists(BAGS, min_size=1, max_size=12), q=BAGS, disjoint=st.booleans())
+def test_query_scored_matches_reference_scan(bags, q, disjoint):
+    idx = InvertedIndex()
+    apps = {}
+    for kf, words in enumerate(bags):
+        apps[kf] = Appearance(tuple(words), 0)
+        idx.insert(kf, apps[kf])
+    query = Appearance(tuple(w + 100 for w in q) if disjoint else tuple(q), 0)
+    expected = brute_scored(query, apps)
+    assert idx.query_scored(query) == expected
+    assert idx.query(query) == [kf for kf, _n in expected]
+    if disjoint:
+        assert expected == []
 
 
 class TestInvertedIndex:
     def test_empty_query(self):
-        assert index_query(InvertedIndex(), app([1, 2])) == []
+        assert InvertedIndex().query(app([1, 2])) == []
 
     def test_count_ordering(self):
         idx = InvertedIndex()
-        index_insert(idx, 1, app([1, 2, 3]))
-        index_insert(idx, 2, app([3]))
-        out = index_query(idx, app([1, 2, 3]))
+        idx.insert(1, app([1, 2, 3]))
+        idx.insert(2, app([3]))
+        out = idx.query(app([1, 2, 3]))
         assert out == [1, 2]
 
     def test_zero_overlap_absent(self):
         idx = InvertedIndex()
-        index_insert(idx, 1, app([10, 11]))
-        assert index_query(idx, app([1, 2])) == []
+        idx.insert(1, app([10, 11]))
+        assert idx.query(app([1, 2])) == []
 
     def test_ties_break_by_id(self):
         idx = InvertedIndex()
-        index_insert(idx, 5, app([1, 9]))
-        index_insert(idx, 2, app([1, 8]))
-        assert index_query(idx, app([1])) == [2, 5]
+        idx.insert(5, app([1, 9]))
+        idx.insert(2, app([1, 8]))
+        assert idx.query(app([1])) == [2, 5]
 
     def test_rejects_empty_words(self):
         with pytest.raises(ValueError):
-            index_insert(InvertedIndex(), 1, Appearance(words=(), place_template=0))
+            InvertedIndex().insert(1, Appearance(words=(), place_template=0))
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(4)
@@ -138,15 +227,11 @@ class TestInvertedIndex:
         for kf in range(500):
             words = tuple(sorted(rng.choice(200, size=rng.integers(3, 25), replace=True).tolist()))
             apps[kf] = app(words)
-            index_insert(idx, kf, apps[kf])
+            idx.insert(kf, apps[kf])
         for _ in range(100):
             q = app(rng.choice(200, size=rng.integers(3, 25), replace=True).tolist())
-            got = index_query(idx, q)
-            brute = sorted(
-                ((shared_word_count(q, a), kf) for kf, a in apps.items() if shared_word_count(q, a) > 0),
-                key=lambda e: (-e[0], e[1]),
-            )
-            assert got == [kf for _n, kf in brute]
+            got = idx.query(q)
+            assert got == [kf for kf, _n in brute_scored(q, apps)]
 
 
 class TestCovisibility:

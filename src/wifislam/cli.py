@@ -131,11 +131,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(dataset_dir: str, params_json: dict, match_radius: int) -> dict:
-    dataset = simworld.load_dataset(dataset_dir)
-    params = gating.params_from_json(params_json)
+def _sweep_cell(dataset: simworld.Dataset, params: PolicyParams, match_radius: int) -> dict:
     record = run_pipeline(dataset, params)
     return evaluation.report_row(record, dataset, match_radius=match_radius)
+
+
+_worker_dataset: simworld.Dataset | None = None  # a sweep worker process's dataset, loaded once
+
+
+def _load_worker_dataset(dataset_dir: str) -> None:
+    global _worker_dataset
+    _worker_dataset = simworld.load_dataset(dataset_dir)
+
+
+def _worker_sweep_cell(params_json: dict, match_radius: int) -> dict:
+    return _sweep_cell(_worker_dataset, gating.params_from_json(params_json), match_radius)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -164,11 +174,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     existing = evaluation.read_report(out_path)
     have = {evaluation.row_key(r) for r in existing}
-    dataset_name = simworld.load_dataset(args.dataset).name
+    dataset = simworld.load_dataset(args.dataset)
     pending = []
     for p in cells:
         key = (
-            dataset_name,
+            dataset.name,
             p.policy,
             str(p.gated).lower(),
             str(p.seed),
@@ -183,12 +193,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = list(existing)
     if pending:
         jobs = args.jobs or os.cpu_count() or 1
-        payloads = [(args.dataset, gating.params_to_json(p), args.match_radius) for p in pending]
         if jobs == 1:
-            results = [_sweep_cell(*pl) for pl in payloads]
+            results = [_sweep_cell(dataset, p, args.match_radius) for p in pending]
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                results = list(ex.map(_sweep_cell, *zip(*payloads)))
+            payloads = [gating.params_to_json(p) for p in pending]
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=_load_worker_dataset, initargs=(args.dataset,)
+            ) as ex:
+                results = list(ex.map(_worker_sweep_cell, payloads, [args.match_radius] * len(payloads)))
         rows.extend(results)
     rows.sort(key=evaluation.row_key)
     evaluation.write_report(out_path, rows)

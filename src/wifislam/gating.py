@@ -191,16 +191,12 @@ class RunRecord:
 def _geodesic_neighbors(graph: PoseGraph, start: int, depth: int) -> set[int]:
     if start not in graph.nodes or depth <= 0:
         return set()
-    adj: dict[int, list[int]] = {}
-    for e in graph.edges:
-        adj.setdefault(e.from_id, []).append(e.to_id)
-        adj.setdefault(e.to_id, []).append(e.from_id)
     seen = {start}
     frontier = [start]
     for _ in range(depth):
         nxt = []
         for n in frontier:
-            for m in adj.get(n, ()):
+            for m in graph.neighbors(n):
                 if m not in seen:
                     seen.add(m)
                     nxt.append(m)
@@ -307,10 +303,7 @@ def rtab_step(
 
 
 def _hops_from(graph: PoseGraph, sources: Sequence[int]) -> dict[int, int]:
-    adj: dict[int, list[int]] = {}
-    for e in graph.edges:
-        adj.setdefault(e.from_id, []).append(e.to_id)
-        adj.setdefault(e.to_id, []).append(e.from_id)
+    """Breadth-first hop counts from ``sources``, which must be nodes of ``graph``."""
     hops = {s: 0 for s in sources}
     frontier = list(sources)
     d = 0
@@ -318,7 +311,7 @@ def _hops_from(graph: PoseGraph, sources: Sequence[int]) -> dict[int, int]:
         d += 1
         nxt = []
         for n in frontier:
-            for m in adj.get(n, ()):
+            for m in graph.neighbors(n):
                 if m not in hops:
                     hops[m] = d
                     nxt.append(m)

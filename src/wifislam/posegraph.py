@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,31 +108,199 @@ class GraphEdge:
         object.__setattr__(self, "information", info)
 
 
-class PoseGraph:
-    """Keyframe poses plus odometry/loop constraints."""
+def _reserve(buf: np.ndarray, n: int) -> np.ndarray:
+    """``buf`` itself when it holds ``n`` rows, else a copy with room for at least ``n``."""
+    if n <= len(buf):
+        return buf
+    out = np.empty((max(n, 2 * len(buf)),) + buf.shape[1:], dtype=buf.dtype)
+    out[: len(buf)] = buf
+    return out
+
+
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """`wrap_angle` on each element, bit for bit (``+ 0.0`` turns the -0.0 that
+    ``np.round`` keeps into the 0 that Python's ``round`` returns)."""
+    r = a - math.tau * (np.round(a / math.tau) + 0.0)
+    return np.where(r <= -math.pi, r + math.tau, r)
+
+
+class _NodeView(Mapping):
+    """Read-only ``node id -> Pose2`` view of a graph's node-state array."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "PoseGraph") -> None:
+        self._graph = graph
+
+    def __getitem__(self, node_id: int) -> Pose2:
+        g = self._graph
+        x, y, theta = g._x[g._slot[node_id]].tolist()
+        return Pose2(x, y, theta)
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._graph._slot
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph._slot)
+
+    def __len__(self) -> int:
+        return len(self._graph._slot)
+
+
+_OFF3 = np.arange(3)
+_BLOCK_ROW = np.repeat(_OFF3, 3)  # row offsets of a 3x3 block, row-major
+_BLOCK_COL = np.tile(_OFF3, 3)
+
+
+class _HessianPattern:
+    """COO index pattern of the normal equations, kept across `optimize` calls.
+
+    Values are emitted in four sections: the from-node diagonal blocks of edges
+    whose from-node is free, the to-node diagonal blocks of edges whose to-node
+    is free, and the off-diagonal blocks and their transposes of edges with
+    both ends free. Each section lists its edges in insertion order, so a new
+    edge only appends to the sections. Valid while the variable layout holds,
+    that is until a node arrives with an id below the largest one.
+    """
 
     def __init__(self) -> None:
-        self.nodes: dict[int, Pose2] = {}
-        self.edges: list[GraphEdge] = []
+        self.n_edges = 0
+        empty = np.empty(0, dtype=np.intp)
+        self.sel = [empty, empty, empty]  # edge indices: free from-node, free to-node, both free
+        # int32, the index type scipy picks for these sizes, so that no call converts them
+        self.rows = self.cols = np.empty(0, dtype=np.int32)
+        self.grad = empty  # gradient slots of the first two sections
+
+    def extend(self, vi: np.ndarray, vj: np.ndarray) -> None:
+        """Append the edges with variable indices ``vi``/``vj`` (-1 for the anchor)."""
+        e0 = self.n_edges
+        self.n_edges += len(vi)
+        mi, mj = vi >= 0, vj >= 0
+        new = [np.flatnonzero(m) for m in (mi, mj, mi & mj)]
+        bi, bj = 3 * vi, 3 * vj
+        blocks = ((bi, bi, 0), (bj, bj, 1), (bi, bj, 2), (bj, bi, 2))
+        rows, cols = [], []
+        for rb, cb, s in blocks:
+            rows.append((rb[new[s], None] + _BLOCK_ROW).ravel())
+            cols.append((cb[new[s], None] + _BLOCK_COL).ravel())
+        sizes = [9 * len(self.sel[s]) for _, _, s in blocks]
+        self.rows = _append_sections(self.rows, sizes, rows)
+        self.cols = _append_sections(self.cols, sizes, cols)
+        grad = [(b[new[k], None] + _OFF3).ravel() for k, b in enumerate((bi, bj))]
+        self.grad = _append_sections(self.grad, [3 * len(self.sel[k]) for k in (0, 1)], grad)
+        self.sel = [np.concatenate((old, e + e0)) for old, e in zip(self.sel, new)]
+
+
+def _append_sections(flat: np.ndarray, sizes: Sequence[int], pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """``flat``, made of consecutive sections of ``sizes``, with ``pieces[k]`` appended to section k."""
+    parts: list[np.ndarray] = []
+    start = 0
+    for size, piece in zip(sizes, pieces):
+        parts += (flat[start : start + size], piece)
+        start += size
+    return np.concatenate(parts, dtype=flat.dtype)
+
+
+class PoseGraph:
+    """Keyframe poses plus odometry/loop constraints.
+
+    The graph owns the optimizer's state and grows it in `add_node` and
+    `add_edge`: an (n, 3) node-state array, edge arrays of endpoints,
+    measurements and information matrices, neighbour lists in edge order and
+    a union-find of the connected components. `optimize` validates each edge
+    once and reuses the Hessian's index pattern across calls. ``nodes`` is a
+    read-only view of the state array that iterates in insertion order;
+    ``edges`` and `neighbors` return the graph's own lists, which callers must
+    not modify.
+    """
+
+    def __init__(self) -> None:
+        self._slot: dict[int, int] = {}  # node id -> row of the node arrays, in insertion order
+        self._ids = np.empty(16, dtype=np.int64)
+        self._x = np.empty((16, 3))
+        # sorted position of each row and row at each sorted position; the
+        # optimizer's variable layout follows node ids, as `sorted(nodes)` does
+        self._rank = np.empty(16, dtype=np.intp)
+        self._order = np.empty(16, dtype=np.intp)
+        self._layout_stale = False
+        self._max_id = 0
+        self._adj: dict[int, list[int]] = {}
+        self._parent: list[int] = []  # union-find over rows
+        self._components = 0
+        self._edges: list[GraphEdge] = []
+        self._ii = np.empty(16, dtype=np.intp)
+        self._jj = np.empty(16, dtype=np.intp)
+        self._z = np.empty((16, 3))
+        self._omega = np.empty((16, 3, 3))
+        self._validated = 0  # edges [0, _validated) passed `_check_information`
+        self._pattern = _HessianPattern()
+        self._nodes = _NodeView(self)
+
+    @property
+    def nodes(self) -> Mapping[int, Pose2]:
+        return self._nodes
+
+    @property
+    def edges(self) -> list[GraphEdge]:
+        return self._edges
+
+    def neighbors(self, node_id: int) -> list[int]:
+        """Ids joined to ``node_id`` by an edge, once per edge, in edge order."""
+        return self._adj[node_id]
 
     def add_node(self, node_id: int, pose: Pose2) -> None:
-        if node_id in self.nodes:
+        if node_id in self._slot:
             raise ValueError(f"node {node_id} already present")
-        self.nodes[node_id] = pose
+        s = len(self._slot)
+        if s == len(self._ids):
+            self._ids, self._x, self._rank, self._order = (
+                _reserve(a, s + 1) for a in (self._ids, self._x, self._rank, self._order)
+            )
+        if s and node_id < self._max_id:
+            self._layout_stale = True  # positions shift; `optimize` re-sorts
+        else:
+            self._rank[s] = self._order[s] = s
+            self._max_id = node_id
+        self._slot[node_id] = s
+        self._ids[s] = node_id
+        self._x[s] = (pose.x, pose.y, pose.theta)
+        self._adj[node_id] = []
+        self._parent.append(s)
+        self._components += 1
 
     def add_edge(self, edge: GraphEdge) -> None:
-        if edge.from_id not in self.nodes or edge.to_id not in self.nodes:
+        a = self._slot.get(edge.from_id)
+        b = self._slot.get(edge.to_id)
+        if a is None or b is None:
             raise DanglingEdge(f"edge {edge.from_id}->{edge.to_id} references a missing node")
-        self.edges.append(edge)
+        k = len(self._edges)
+        if k == len(self._ii):
+            self._ii, self._jj, self._z, self._omega = (
+                _reserve(buf, k + 1) for buf in (self._ii, self._jj, self._z, self._omega)
+            )
+        self._ii[k] = a
+        self._jj[k] = b
+        rel = edge.relative
+        self._z[k] = (rel.x, rel.y, rel.theta)
+        # a wrong shape is reported by `optimize`, as it always was
+        self._omega[k] = edge.information if edge.information.shape == (3, 3) else np.nan
+        self._edges.append(edge)
+        self._adj[edge.from_id].append(edge.to_id)
+        self._adj[edge.to_id].append(edge.from_id)
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+            self._components -= 1
 
-    def copy(self) -> "PoseGraph":
-        g = PoseGraph()
-        g.nodes = dict(self.nodes)
-        g.edges = list(self.edges)
-        return g
+    def _find(self, s: int) -> int:
+        parent = self._parent
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
 
 
-def residual(edge: GraphEdge, nodes: dict[int, Pose2]) -> np.ndarray:
+def residual(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> np.ndarray:
     if edge.from_id not in nodes or edge.to_id not in nodes:
         raise DanglingEdge(f"edge {edge.from_id}->{edge.to_id} references a missing node")
     pred = between(nodes[edge.from_id], nodes[edge.to_id])
@@ -145,7 +313,7 @@ def residual(edge: GraphEdge, nodes: dict[int, Pose2]) -> np.ndarray:
     )
 
 
-def residual_jacobians(edge: GraphEdge, nodes: dict[int, Pose2]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def residual_jacobians(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual and its Jacobians wrt the from- and to-node parameters."""
     a = nodes[edge.from_id]
     b = nodes[edge.to_id]
@@ -181,33 +349,18 @@ def _check_information(edges: Sequence[GraphEdge]) -> None:
 
 
 def _check_connected(graph: PoseGraph, anchor: int) -> None:
-    adj: dict[int, list[int]] = {n: [] for n in graph.nodes}
-    for e in graph.edges:
-        adj[e.from_id].append(e.to_id)
-        adj[e.to_id].append(e.from_id)
+    if graph._components == 1:
+        return
     seen = {anchor}
     stack = [anchor]
     while stack:
         n = stack.pop()
-        for m in adj[n]:
+        for m in graph.neighbors(n):
             if m not in seen:
                 seen.add(m)
                 stack.append(m)
-    if len(seen) != len(graph.nodes):
-        missing = sorted(set(graph.nodes) - seen)[:5]
-        raise DisconnectedGraph(f"nodes unreachable from {anchor}: {missing}...")
-
-
-def _stack_state(graph: PoseGraph, order: list[int]) -> np.ndarray:
-    return np.array([[graph.nodes[n].x, graph.nodes[n].y, graph.nodes[n].theta] for n in order])
-
-
-def _edge_arrays(graph: PoseGraph, index: dict[int, int]):
-    ii = np.array([index[e.from_id] for e in graph.edges], dtype=int)
-    jj = np.array([index[e.to_id] for e in graph.edges], dtype=int)
-    z = np.array([[e.relative.x, e.relative.y, e.relative.theta] for e in graph.edges])
-    omega = np.array([e.information for e in graph.edges])
-    return ii, jj, z, omega
+    missing = sorted(set(graph.nodes) - seen)[:5]
+    raise DisconnectedGraph(f"nodes unreachable from {anchor}: {missing}...")
 
 
 def _residuals_vec(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, z: np.ndarray):
@@ -237,36 +390,50 @@ def optimize(
 ) -> PoseGraph:
     """Levenberg-Marquardt over the whole graph; the lowest node id stays fixed.
 
-    Accepted steps strictly decrease the weighted error; rejected steps raise
-    the damping tenfold and are retried. Terminates on max_iters (accepted or
-    rejected) or when the relative error improvement drops below 1e-9. When a
-    ``stats`` dict is supplied it receives the iteration count and the initial
-    and final errors.
+    Optimizes ``graph`` in place and returns it. Accepted steps strictly
+    decrease the weighted error; rejected steps raise the damping tenfold and
+    are retried. Terminates on max_iters (accepted or rejected) or when the
+    relative error improvement drops below 1e-9. When a ``stats`` dict is
+    supplied it receives ``iterations``, ``error_initial``, ``error_final``
+    and ``accepted_errors`` (the initial error, then the error after each
+    accepted step).
+
+    Raises ValueError for a graph without edges, `BadInformation` for an
+    information matrix that is not 3x3 symmetric positive definite (checked
+    once per edge, on the first call that sees it) and `DisconnectedGraph`
+    when a node is unreachable from the fixed one; each leaves the graph as
+    it was.
     """
-    if not graph.edges:
+    edges = graph.edges
+    if not edges:
         raise ValueError("optimize requires at least one edge")
-    _check_information(graph.edges)
-    order = sorted(graph.nodes)
-    anchor = order[0]
+    n_nodes, n_edges = len(graph._slot), len(edges)
+    if graph._validated < n_edges:
+        _check_information(edges[graph._validated:])
+        graph._validated = n_edges
+
+    pattern = graph._pattern
+    if graph._layout_stale:
+        order = np.argsort(graph._ids[:n_nodes])
+        graph._order[:n_nodes] = order
+        graph._rank[order] = np.arange(n_nodes)
+        graph._layout_stale = False
+        pattern = graph._pattern = _HessianPattern()
+    order = graph._order[:n_nodes]
+    anchor = int(graph._ids[order[0]])
     _check_connected(graph, anchor)
 
-    index = {n: k for k, n in enumerate(order)}
-    # variable layout: 3 slots per node, anchor's removed
-    var_of = {}
-    v = 0
-    for n in order:
-        if n == anchor:
-            var_of[n] = -1
-        else:
-            var_of[n] = v
-            v += 1
-    nvars = 3 * v
+    ii, jj = graph._ii[:n_edges], graph._jj[:n_edges]
+    z, omega = graph._z[:n_edges], graph._omega[:n_edges]
+    if pattern.n_edges < n_edges:
+        rank = graph._rank
+        pattern.extend(rank[ii[pattern.n_edges:]] - 1, rank[jj[pattern.n_edges:]] - 1)
+    nvars = 3 * (n_nodes - 1)
+    free = order[1:]  # rows of the free nodes, in variable order
+    sel_i, sel_j, sel_b = pattern.sel
+    diag = None  # slots of the diagonal in the CSR Hessian, whose structure is fixed per call
 
-    ii, jj, z, omega = _edge_arrays(graph, index)
-    vi = np.array([var_of[e.from_id] for e in graph.edges], dtype=int)
-    vj = np.array([var_of[e.to_id] for e in graph.edges], dtype=int)
-
-    x = _stack_state(graph, order)
+    x = graph._x[:n_nodes]
     r, px, py, c, s = _residuals_vec(x, ii, jj, z)
     err = _weighted_error(r, omega)
     lam = damping_init
@@ -274,35 +441,26 @@ def optimize(
     iters_done = 0
     accepted_errors = [err]
 
-    n_edges = len(graph.edges)
-    zeros = np.zeros(n_edges)
-    ones = np.ones(n_edges)
+    # block Jacobians per edge; the constant entries are set once
+    ja = np.zeros((n_edges, 3, 3))
+    ja[:, 2, 2] = -1.0
+    jb = np.zeros((n_edges, 3, 3))
+    jb[:, 2, 2] = 1.0
 
     for _ in range(max_iters):
         if err == 0.0:
             break
         iters_done += 1
-        # block Jacobians per edge
-        ja = np.empty((n_edges, 3, 3))
         ja[:, 0, 0] = -c
         ja[:, 0, 1] = -s
         ja[:, 0, 2] = py
         ja[:, 1, 0] = s
         ja[:, 1, 1] = -c
         ja[:, 1, 2] = -px
-        ja[:, 2, 0] = zeros
-        ja[:, 2, 1] = zeros
-        ja[:, 2, 2] = -ones
-        jb = np.empty((n_edges, 3, 3))
         jb[:, 0, 0] = c
         jb[:, 0, 1] = s
-        jb[:, 0, 2] = zeros
         jb[:, 1, 0] = -s
         jb[:, 1, 1] = c
-        jb[:, 1, 2] = zeros
-        jb[:, 2, 0] = zeros
-        jb[:, 2, 1] = zeros
-        jb[:, 2, 2] = ones
 
         # normal equation blocks
         oa = np.einsum("eij,ejk->eik", omega, ja)
@@ -313,53 +471,29 @@ def optimize(
         ga = np.einsum("eji,ej->ei", oa, r)
         gb = np.einsum("eji,ej->ei", ob, r)
 
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        g = np.zeros(nvars)
-        off = np.arange(3)
-
-        mask_i = vi >= 0
-        mask_j = vj >= 0
-        bi = 3 * vi
-        bj = 3 * vj
-
-        def add_blocks(block: np.ndarray, rbase: np.ndarray, cbase: np.ndarray, mask: np.ndarray) -> None:
-            if not mask.any():
-                return
-            rr = (rbase[mask, None, None] + off[None, :, None]) * np.ones((1, 1, 3), dtype=int)
-            cc = (cbase[mask, None, None] + off[None, None, :]) * np.ones((1, 3, 1), dtype=int)
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(block[mask].ravel())
-
-        add_blocks(haa, bi, bi, mask_i)
-        add_blocks(hbb, bj, bj, mask_j)
-        both = mask_i & mask_j
-        add_blocks(hab, bi, bj, both)
-        add_blocks(np.transpose(hab, (0, 2, 1)), bj, bi, both)
-        np.add.at(g, (bi[mask_i, None] + off[None, :]).ravel(), ga[mask_i].ravel())
-        np.add.at(g, (bj[mask_j, None] + off[None, :]).ravel(), gb[mask_j].ravel())
-
-        h = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nvars, nvars),
-        ).tocsr()
+        vals = np.concatenate(
+            (haa[sel_i].ravel(), hbb[sel_j].ravel(), hab[sel_b].ravel(), np.transpose(hab, (0, 2, 1))[sel_b].ravel())
+        )
+        # one pass in the same order as accumulating ga's terms then gb's
+        g = np.bincount(pattern.grad, np.concatenate((ga[sel_i].ravel(), gb[sel_j].ravel())), minlength=nvars)
+        h = sp.coo_matrix((vals, (pattern.rows, pattern.cols)), shape=(nvars, nvars)).tocsr()
+        if diag is None:
+            entry_rows = np.repeat(np.arange(nvars), np.diff(h.indptr))
+            diag = np.flatnonzero(h.indices == entry_rows)
 
         improved = False
         while True:
-            hd = h + lam * sp.identity(nvars, format="csr")
+            # h + lam * I, which drops the entries that sum to zero
+            hd = h.copy()
+            hd.data[diag] += lam
+            hd.eliminate_zeros()
             try:
                 delta = spsolve(hd, -g)
             except RuntimeError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 xc = x.copy()
-                upd = delta.reshape(-1, 3)
-                free = np.array([k for k, n in enumerate(order) if n != anchor], dtype=int)
-                xc[free, 0] += upd[:, 0]
-                xc[free, 1] += upd[:, 1]
-                xc[free, 2] += upd[:, 2]
+                xc[free] += delta.reshape(-1, 3)
                 rc, pxc, pyc, cc2, sc2 = _residuals_vec(xc, ii, jj, z)
                 errc = _weighted_error(rc, omega)
                 if errc < err:
@@ -384,11 +518,10 @@ def optimize(
         stats["error_final"] = err
         stats["accepted_errors"] = accepted_errors
 
-    out = PoseGraph()
-    for k, n in enumerate(order):
-        out.nodes[n] = Pose2(float(x[k, 0]), float(x[k, 1]), float(x[k, 2]))
-    out.edges = list(graph.edges)
-    return out
+    if len(accepted_errors) > 1:
+        x[:, 2] = _wrap_angles(x[:, 2])  # as a Pose2 stores theta
+        graph._x[:n_nodes] = x
+    return graph
 
 
 def kabsch_align(est: Sequence[Sequence[float]], gt: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -440,18 +573,3 @@ def write_trajectory(path: str | Path, rows: Iterable[tuple[int, float, Pose2]])
         w.writerow(["keyframe_id", "t_s", "x_m", "y_m", "theta_rad"])
         for kf, t, pose in rows:
             w.writerow([kf, repr(float(t)), repr(pose.x), repr(pose.y), repr(pose.theta)])
-
-
-def read_trajectory(path: str | Path) -> list[tuple[int, float, Pose2]]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                (
-                    int(row["keyframe_id"]),
-                    float(row["t_s"]),
-                    Pose2(float(row["x_m"]), float(row["y_m"]), float(row["theta_rad"])),
-                )
-            )
-    return out

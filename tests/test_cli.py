@@ -6,7 +6,9 @@ import subprocess
 import sys
 import pytest
 
+from wifislam import evaluation, simworld
 from wifislam.cli import main
+from wifislam.gating import PolicyParams, run_pipeline
 
 
 def run_cli(*args):
@@ -131,6 +133,26 @@ class TestSweep:
         assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", report, "--jobs", "2") == 0
         rows = list(csv.DictReader(open(report)))
         assert sorted(r["real_time_threshold"] for r in rows) == sorted(["inf", "70.0", "100.0", "200.0"])
+
+    def test_jobs_1_loads_dataset_once(self, gen_dir, tmp_path, monkeypatch):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy": ["rtab"], "gated": [False, True], "seed": [0]}))
+        load = simworld.load_dataset
+        loads = []
+        monkeypatch.setattr(simworld, "load_dataset", lambda path: loads.append(path) or load(path))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", report, "--jobs", "1") == 0
+        assert len(loads) == 1
+
+        rows = evaluation.read_report(report)
+        assert [r["gated"] for r in rows] == ["false", "true"]
+        for row in rows:
+            dataset = load(gen_dir)
+            record = run_pipeline(dataset, PolicyParams(policy="rtab", gated=row["gated"] == "true", seed=0))
+            expected = evaluation.report_row(record, dataset)
+            assert {k: v for k, v in row.items() if k != "wall_ms"} == {
+                k: v for k, v in expected.items() if k != "wall_ms"
+            }
 
     def test_malformed_grid_exit_2(self, gen_dir, tmp_path):
         grid = tmp_path / "bad.json"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wifislam import gating
+from wifislam.gating import PolicyParams
 from wifislam.posegraph import (
     BadInformation,
     DanglingEdge,
@@ -148,10 +150,12 @@ class TestOptimize:
             g.add_node(k, p)
             g.add_edge(GraphEdge(k - 1, k, step, I3))
         assert total_error(g) == pytest.approx(0.0, abs=1e-20)
+        before = dict(g.nodes)
         out = optimize(g)
+        assert out is g  # optimized in place
         assert total_error(out) == pytest.approx(0.0, abs=1e-18)
-        for k in g.nodes:
-            assert g.nodes[k].x == pytest.approx(out.nodes[k].x, abs=1e-12)
+        for k in before:
+            assert before[k].x == pytest.approx(out.nodes[k].x, abs=1e-12)
 
     def test_square_with_loop_edge_improves_10x(self):
         rng = np.random.default_rng(3)
@@ -188,8 +192,10 @@ class TestOptimize:
     def test_anchor_unchanged(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng)
+        before = g.nodes[0]
         out = optimize(g, max_iters=30)
-        assert out.nodes[0] == g.nodes[0]
+        assert out.nodes[0] == before
+        assert out.nodes[1] != random_graph(np.random.default_rng(5)).nodes[1]  # free nodes moved, in place
 
     def test_disconnected_graph(self):
         g = PoseGraph()
@@ -234,6 +240,123 @@ class TestOptimize:
         q = [(moved.nodes[k].x, moved.nodes[k].y) for k in sorted(moved.nodes)]
         rot, t = kabsch_align(p, q)
         assert rmse(apply_rigid(rot, t, p), q) < 1e-9
+
+
+def cold_copy(g: PoseGraph) -> PoseGraph:
+    """The same nodes and edges in a new graph, nodes added in id order: no cached state."""
+    out = PoseGraph()
+    for k in sorted(g.nodes):
+        out.add_node(k, g.nodes[k])
+    for e in g.edges:
+        out.add_edge(e)
+    return out
+
+
+def bits(graph: PoseGraph, stats: dict) -> tuple:
+    """Poses and stats in a form that tells -0.0 from 0.0."""
+    poses = sorted((k, p.x, p.y, p.theta) for k, p in graph.nodes.items())
+    return repr(poses), repr(sorted(stats.items()))
+
+
+@st.composite
+def growth_plans(draw):
+    """Steps of (new node ids, loop-edge pairs, max_iters) over ids in a drawn, non-ascending order."""
+    n_nodes = draw(st.integers(3, 14))
+    ids = draw(st.permutations(range(n_nodes)))
+    cuts = sorted(draw(st.sets(st.integers(2, n_nodes - 1), max_size=4)))
+    bounds = [0, *cuts, n_nodes]
+    steps = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        known = ids[:hi]
+        loops = draw(st.lists(st.tuples(st.sampled_from(known), st.sampled_from(known)), max_size=3))
+        steps.append((ids[lo:hi], [(a, b) for a, b in loops if a != b], draw(st.integers(1, 6))))
+    return steps
+
+
+class TestIncrementalState:
+    """The graph's cached state (arrays, validation watermark, union-find,
+    Hessian pattern) gives the same optimizer output as a cold graph."""
+
+    @given(growth_plans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_equals_cold_between_growth_steps(self, steps, seed):
+        rng = np.random.default_rng(seed)
+        g = PoseGraph()
+        for new_ids, loops, max_iters in steps:
+            for k in new_ids:
+                g.add_node(k, Pose2(*rng.uniform(-5, 5, size=2), rng.uniform(-3.2, 3.2)))
+                if len(g.nodes) > 1:  # join each node to an earlier one, keeping the graph connected
+                    prev = list(g.nodes)[int(rng.integers(len(g.nodes) - 1))]
+                    rel = Pose2(*rng.normal(0, 1, size=2), rng.uniform(-3.2, 3.2))
+                    g.add_edge(GraphEdge(prev, k, rel, np.diag(rng.uniform(0.5, 4.0, size=3))))
+            for a, b in loops:
+                info = np.diag(rng.uniform(0.5, 40.0, size=3))
+                g.add_edge(GraphEdge(a, b, between(g.nodes[a], g.nodes[b]), info, "loop"))
+            cold = cold_copy(g)
+            warm_stats, cold_stats = {}, {}
+            assert optimize(g, max_iters=max_iters, stats=warm_stats) is g
+            optimize(cold, max_iters=max_iters, stats=cold_stats)
+            assert bits(g, warm_stats) == bits(cold, cold_stats)
+
+    def test_bad_information_is_raised_on_every_call(self):
+        g = two_node_graph(Pose2(), Pose2(1, 0, 0), Pose2(1, 0, 0))
+        optimize(g)
+        g.add_node(2, Pose2(2, 0, 0))
+        g.add_edge(GraphEdge(1, 2, Pose2(1, 0, 0), np.diag([1.0, -1.0, 1.0])))
+        for _ in range(2):
+            with pytest.raises(BadInformation, match="positive definite"):
+                optimize(g)
+        g.add_node(3, Pose2(3, 0, 0))
+        g.add_edge(GraphEdge(2, 3, Pose2(1, 0, 0), np.eye(2)))
+        with pytest.raises(BadInformation, match="edge 2->3: information must be 3x3"):
+            optimize(g)
+
+    def test_disconnected_message_then_joined(self):
+        g = PoseGraph()
+        for k, p in enumerate([Pose2(), Pose2(1, 0, 0), Pose2(5, 5, 0), Pose2(6, 5, 0)]):
+            g.add_node(k, p)
+        g.add_edge(GraphEdge(0, 1, Pose2(1, 0, 0), I3))
+        g.add_edge(GraphEdge(2, 3, Pose2(1, 0, 0), I3))
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraph) as info:
+                optimize(g)
+            assert str(info.value) == "nodes unreachable from 0: [2, 3]..."
+        g.add_edge(GraphEdge(1, 2, Pose2(4, 4.5, 0), I3, "loop"))
+        stats = {}
+        optimize(g, max_iters=20, stats=stats)
+        assert stats["error_final"] < stats["error_initial"]
+
+    def test_nodes_view_is_read_only(self):
+        g = two_node_graph(Pose2(), Pose2(1, 0, 0), Pose2(1, 0, 0))
+        with pytest.raises(TypeError):
+            g.nodes[0] = Pose2(5, 5, 0)
+        assert dict(g.nodes) == {0: Pose2(), 1: Pose2(1, 0, 0)}
+        assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
+
+
+def _run_recording(monkeypatch, dataset, params, cold: bool):
+    calls = []
+
+    def recording_optimize(graph, max_iters=50, stats=None):
+        out = optimize(cold_copy(graph) if cold else graph, max_iters=max_iters, stats=stats)
+        calls.append(repr(sorted(stats.items())))
+        return out
+
+    monkeypatch.setattr(gating, "optimize", recording_optimize)
+    rec = gating.run_pipeline(dataset, params)
+    est = repr([(k, t, p.x, p.y, p.theta) for k, t, p in rec.est])
+    return calls, est, rec.events, rec.loop_edges, rec.memory_trace, rec.loop_cost, rec.opt_iterations
+
+
+@pytest.mark.parametrize("policy", ["orb", "rgbd", "rtab"])
+@pytest.mark.parametrize("gated", [False, True])
+def test_pipeline_equals_cold_graph_run(monkeypatch, dataset_cache, policy, gated):
+    ds = dataset_cache("b_hall", 0)
+    params = PolicyParams(policy=policy, gated=gated, seed=0)
+    warm = _run_recording(monkeypatch, ds, params, cold=False)
+    cold = _run_recording(monkeypatch, ds, params, cold=True)
+    assert len(warm[0]) > 1
+    assert warm == cold
 
 
 class TestKabsch:

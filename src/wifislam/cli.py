@@ -16,7 +16,7 @@ from itertools import product
 from pathlib import Path
 
 from . import evaluation, gating, simworld
-from .gating import BadDataset, PolicyParams, RgbdParams, RtabParams, run_pipeline, save_run
+from .gating import PolicyParams, RgbdParams, RtabParams, run_pipeline, save_run
 from .signature import NoSignatures
 
 USAGE_ERROR = 2
@@ -35,28 +35,10 @@ def _world_config(name_or_path: str) -> simworld.WorldConfig:
         return presets[name_or_path]
     p = Path(name_or_path)
     if p.exists() and p.suffix == ".json":
-        with open(p) as fh:
-            return _config_from_json(json.load(fh))
+        return simworld.load_world_config(p)
     raise CliError(
         f"unknown world {name_or_path!r}; valid presets: {', '.join(sorted(presets))}",
         USAGE_ERROR,
-    )
-
-
-def _config_from_json(wj: dict) -> simworld.WorldConfig:
-    return simworld.WorldConfig(
-        name=wj["name"],
-        trajectory=simworld.TrajectorySpec(**wj["trajectory"]),
-        template_of={int(k): v for k, v in wj["template_of"].items()},
-        ap_count=wj["ap_count"],
-        tx_power_at_1m=wj.get("tx_power_at_1m", -30.0),
-        propagation=simworld.PropagationParams(**wj.get("propagation", {})),
-        extra_walls=tuple(simworld.Wall(*w) for w in wj.get("walls", [])),
-        margin=wj.get("margin", 4.0),
-        odom_noise=simworld.OdomNoise(**wj.get("odom_noise", {})),
-        appearance=simworld.AppearanceModel(**wj.get("appearance", {})),
-        scans_per_dwell=wj.get("scans_per_dwell", 5),
-        bssids_per_ap=wj.get("bssids_per_ap", 2),
     )
 
 
@@ -69,12 +51,13 @@ def _parse_threshold(text: str) -> float:
 def _params_from_args(args: argparse.Namespace) -> PolicyParams:
     base: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-    rgbd = dict(base.pop("rgbd", {}))
-    rtab = dict(base.pop("rtab", {}))
-    if isinstance(rtab.get("real_time_threshold"), str):
-        rtab["real_time_threshold"] = _parse_threshold(rtab["real_time_threshold"])
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"bad run configuration {args.config}: {exc}", USAGE_ERROR) from exc
+        if not isinstance(base, dict):
+            raise CliError(f"bad run configuration {args.config}: expected a JSON object", USAGE_ERROR)
     for flag, key in [
         ("policy", "policy"),
         ("gated", "gated"),
@@ -86,9 +69,13 @@ def _params_from_args(args: argparse.Namespace) -> PolicyParams:
         v = getattr(args, flag, None)
         if v is not None:
             base[key] = v
-    if getattr(args, "real_time_threshold", None) is not None:
-        rtab["real_time_threshold"] = _parse_threshold(args.real_time_threshold)
     try:
+        rgbd = dict(base.pop("rgbd", {}))
+        rtab = dict(base.pop("rtab", {}))
+        if isinstance(rtab.get("real_time_threshold"), str):
+            rtab["real_time_threshold"] = _parse_threshold(rtab["real_time_threshold"])
+        if getattr(args, "real_time_threshold", None) is not None:
+            rtab["real_time_threshold"] = _parse_threshold(args.real_time_threshold)
         return PolicyParams(rgbd=RgbdParams(**rgbd), rtab=RtabParams(**rtab), **base)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad run configuration: {exc}", USAGE_ERROR) from exc
@@ -103,8 +90,10 @@ def _bool_flag(text: str) -> bool:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = _world_config(args.world)
-    dataset = simworld.synthesize(config, args.seed)
+    try:
+        dataset = simworld.synthesize(_world_config(args.world), args.seed)
+    except simworld.DataError as exc:  # a world file is configuration, not data
+        raise CliError(f"bad world: {exc}", USAGE_ERROR) from exc
     out = simworld.save_dataset(dataset, args.out)
     n_dwells = len(dataset.dwell_scans)
     print(
@@ -116,11 +105,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    try:
-        dataset = simworld.load_dataset(args.dataset)
-        record = run_pipeline(dataset, params)
-    except (BadDataset, NoSignatures, simworld.BadWorld, FileNotFoundError) as exc:
-        raise CliError(f"bad dataset: {exc}", DATA_ERROR) from exc
+    dataset = simworld.load_dataset(args.dataset)
+    record = run_pipeline(dataset, params)
     out = save_run(record, args.out)
     row = evaluation.report_row(record, dataset, match_radius=args.match_radius)
     evaluation.write_report(out / "report_row.csv", [row])
@@ -177,17 +163,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     dataset = simworld.load_dataset(args.dataset)
     pending = []
     for p in cells:
-        key = (
-            dataset.name,
-            p.policy,
-            str(p.gated).lower(),
-            str(p.seed),
-            str(p.min_matches),
-            repr(float(p.inlier_distance)),
-            repr(float(p.wifi_threshold)),
-            "inf" if math.isinf(p.rtab.real_time_threshold) else repr(float(p.rtab.real_time_threshold)),
-        )
-        if key not in have:
+        if evaluation.row_key(evaluation.key_fields(dataset.name, p)) not in have:
             pending.append(p)
 
     rows = list(existing)
@@ -209,25 +185,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    try:
-        dataset = simworld.load_dataset(args.dataset)
-        sigs = gating.build_signatures(dataset)
-        points, rho = evaluation.similarity_distance_curve(dataset, sigs)
-    except (ValueError, FileNotFoundError) as exc:
-        raise CliError(f"bad dataset: {exc}", DATA_ERROR) from exc
+    dataset = simworld.load_dataset(args.dataset)
+    sigs = gating.build_signatures(dataset)
+    points, rho = evaluation.similarity_distance_curve(dataset, sigs)
     evaluation.write_similarity_curve_csv(args.out, points, rho)
     print(f"wrote {args.out}: {len(points)} dwell pairs, spearman_rho={rho!r}")
     return 0
 
 
 def cmd_localize(args: argparse.Namespace) -> int:
-    try:
-        dataset = simworld.load_dataset(args.dataset)
-        curve, fallbacks, n_map, n_query = evaluation.localize_dataset(
-            dataset, split=args.split, threshold=args.wifi_threshold
-        )
-    except (evaluation.EmptyMap, NoSignatures, FileNotFoundError, simworld.BadWorld) as exc:
-        raise CliError(f"bad dataset: {exc}", DATA_ERROR) from exc
+    dataset = simworld.load_dataset(args.dataset)
+    curve, fallbacks, n_map, n_query = evaluation.localize_dataset(
+        dataset, split=args.split, threshold=args.wifi_threshold
+    )
     evaluation.write_cdf_csv(args.out, curve, fallbacks)
     print(
         f"wrote {args.out}: map={n_map} query={n_query} fallbacks={fallbacks} "
@@ -306,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except BadDataset as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (simworld.DataError, NoSignatures) as exc:  # BadDataset, BadWorld and EmptyMap are DataErrors
+        print(f"error: bad dataset: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -35,12 +35,6 @@ class SimilarClusters:
 
     entries: tuple[tuple[int, float], ...]
 
-    def ids(self) -> list[int]:
-        return [cid for cid, _ in self.entries]
-
-    def best(self) -> tuple[int, float] | None:
-        return self.entries[0] if self.entries else None
-
     def __len__(self) -> int:
         return len(self.entries)
 

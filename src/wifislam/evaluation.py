@@ -23,17 +23,17 @@ from scipy.stats import spearmanr
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters
 from .frontend import shared_word_count
-from .gating import RunRecord
+from .gating import PolicyParams, RunRecord
 from .posegraph import kabsch_align, apply_rigid, rmse
-from .signature import Signature, associate_frames, cosine_similarity
-from .simworld import Dataset, Frame, dwell_positions
+from .signature import NoSignatures, Signature, associate_frames, cosine_similarity
+from .simworld import DataError, Dataset, Frame, dwell_positions
 
 
 class NoCorrespondence(ValueError):
     """Estimate and ground truth share no keyframe ids."""
 
 
-class EmptyMap(ValueError):
+class EmptyMap(DataError):
     """Localization was attempted with an empty map split."""
 
 
@@ -129,7 +129,7 @@ def similarity_distance_curve(
 ) -> tuple[list[tuple[float, float]], float]:
     """All dwell pairs as (gt distance, cosine similarity) plus Spearman rank correlation."""
     if len(signatures) < 2:
-        raise ValueError("need at least 2 dwell signatures")
+        raise NoSignatures(f"need at least 2 dwell signatures, got {len(signatures)}")
     pos = dwell_positions(dataset)
     pts = []
     for i in range(len(signatures)):
@@ -240,7 +240,7 @@ def localize_dataset(
 # report files
 
 
-REPORT_COLUMNS = [
+KEY_COLUMNS = (  # the columns key_fields fills; they identify a run configuration
     "dataset",
     "policy",
     "gated",
@@ -249,6 +249,9 @@ REPORT_COLUMNS = [
     "inlier_distance",
     "wifi_threshold",
     "real_time_threshold",
+)
+REPORT_COLUMNS = [
+    *KEY_COLUMNS,
     "rmse_m",
     "fp",
     "fn",
@@ -260,8 +263,19 @@ REPORT_COLUMNS = [
 ]
 
 
-def _fmt_threshold(v: float) -> str:
-    return "inf" if math.isinf(v) else repr(float(v))
+def key_fields(dataset_name: str, p: PolicyParams) -> dict[str, str]:
+    """The report columns that identify a run configuration, formatted as report rows hold them."""
+    rt = p.rtab.real_time_threshold
+    return {
+        "dataset": dataset_name,
+        "policy": p.policy,
+        "gated": str(p.gated).lower(),
+        "seed": str(p.seed),
+        "min_matches": str(p.min_matches),
+        "inlier_distance": repr(float(p.inlier_distance)),
+        "wifi_threshold": repr(float(p.wifi_threshold)),
+        "real_time_threshold": "inf" if math.isinf(rt) else repr(float(rt)),
+    }
 
 
 def report_row(record: RunRecord, dataset: Dataset, match_radius: int = 5) -> dict[str, str]:
@@ -270,16 +284,8 @@ def report_row(record: RunRecord, dataset: Dataset, match_radius: int = 5) -> di
     )
     err = trajectory_error(record.est, record.gt)
     led = ledger(record)
-    p = record.params
     return {
-        "dataset": record.dataset_name,
-        "policy": p.policy,
-        "gated": str(p.gated).lower(),
-        "seed": str(p.seed),
-        "min_matches": str(p.min_matches),
-        "inlier_distance": repr(float(p.inlier_distance)),
-        "wifi_threshold": repr(float(p.wifi_threshold)),
-        "real_time_threshold": _fmt_threshold(p.rtab.real_time_threshold),
+        **key_fields(record.dataset_name, record.params),
         "rmse_m": repr(float(err)),
         "fp": str(score.false_positives),
         "fn": str(score.false_negatives),
@@ -292,19 +298,7 @@ def report_row(record: RunRecord, dataset: Dataset, match_radius: int = 5) -> di
 
 
 def row_key(row: dict[str, str]) -> tuple:
-    return tuple(
-        row[k]
-        for k in (
-            "dataset",
-            "policy",
-            "gated",
-            "seed",
-            "min_matches",
-            "inlier_distance",
-            "wifi_threshold",
-            "real_time_threshold",
-        )
-    )
+    return tuple(row[k] for k in KEY_COLUMNS)
 
 
 def write_report(path: str | Path, rows: Sequence[dict[str, str]]) -> None:

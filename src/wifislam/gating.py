@@ -49,7 +49,7 @@ from .frontend import (
 )
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
 from .signature import Signature, associate_frames, signature_from_window, EmptyScanWindow
-from .simworld import Dataset, template_pose_of
+from .simworld import DataError, Dataset, template_pose_of
 
 VISUAL_COMPARE_COST = 1.0
 WIFI_COMPARE_COST = 0.02
@@ -58,7 +58,7 @@ OPT_ITERATION_COST = 0.1
 POLICIES = ("rgbd", "rtab", "orb")
 
 
-class BadDataset(ValueError):
+class BadDataset(DataError):
     """The dataset violates the expected schema; message carries a frame index."""
 
 

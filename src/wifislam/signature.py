@@ -10,11 +10,10 @@ similarity queries.
 
 from __future__ import annotations
 
-import csv
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import Mapping, Sequence
 
 # dBm level treated as "no signal"; strengths are dB above this floor.
@@ -34,11 +33,7 @@ class EmptySignature(ValueError):
 
 
 class NoSignatures(ValueError):
-    """Frame association was attempted against an empty signature stream."""
-
-
-class ScanLogError(ValueError):
-    """A scan-log row was malformed; the message names the line number."""
+    """A dataset yields too few signatures: none to associate frames with, or under two to compare."""
 
 
 @lru_cache(maxsize=4096)
@@ -87,12 +82,14 @@ class Signature:
     """Per-AP strength vector collected during one dwell.
 
     ``entries`` maps masked AP ids to strengths and iterates in ascending
-    ApId order so downstream consumers are deterministic.
+    ApId order so downstream consumers are deterministic. ``sum_sq`` is the
+    sum of the squared strengths, kept for similarity queries.
     """
 
     entries: Mapping[str, float]
     collected_at: float
     pause_index: int
+    sum_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = dict(sorted(self.entries.items()))
@@ -100,6 +97,7 @@ class Signature:
             if s < 0:
                 raise ValueError(f"negative strength {s} for {ap}")
         object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "sum_sq", sum(s * s for s in ordered.values()))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -129,6 +127,15 @@ def cosine_similarity(a: Signature, b: Signature) -> float:
     """
     if not a.entries or not b.entries:
         raise EmptySignature("cosine_similarity requires non-empty signatures")
+    if min(a.sum_sq, b.sum_sq) < sys.float_info.min:
+        # squares of strengths below ~1e-154 lose precision or vanish:
+        # divide each vector by its largest strength, which leaves the cosine unchanged
+        ma, mb = max(a.entries.values()), max(b.entries.values())
+        if ma == 0.0 or mb == 0.0:
+            return 0.0
+        a = Signature({ap: s / ma for ap, s in a.entries.items()}, a.collected_at, a.pause_index)
+        b = Signature({ap: s / mb for ap, s in b.entries.items()}, b.collected_at, b.pause_index)
+        return cosine_similarity(a, b)
     dot = 0.0
     for ap, sa in a.entries.items():
         sb = b.entries.get(ap)
@@ -136,11 +143,7 @@ def cosine_similarity(a: Signature, b: Signature) -> float:
             dot += sa * sb
     if dot == 0.0:
         return 0.0
-    na = sum(s * s for s in a.entries.values()) ** 0.5
-    nb = sum(s * s for s in b.entries.values()) ** 0.5
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return min(1.0, dot / (na * nb))
+    return min(1.0, dot / (a.sum_sq**0.5 * b.sum_sq**0.5))
 
 
 def associate_frames(
@@ -161,25 +164,3 @@ def associate_frames(
         k = bisect_right(times, t) - 1
         out[fid] = signatures[max(k, 0)]
     return out
-
-
-def read_scan_log(path: str | Path) -> list[ScanReading]:
-    """Read a `timestamp_s,bssid,rssi_dbm` CSV; errors name the offending line."""
-    readings: list[ScanReading] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["timestamp_s", "bssid", "rssi_dbm"]:
-            raise ScanLogError(f"{path}: line 1: expected header timestamp_s,bssid,rssi_dbm")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ScanLogError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                t = float(row[0])
-                rssi = float(row[2])
-                readings.append(ScanReading(timestamp=t, bssid=row[1].strip(), rssi=rssi))
-            except (ValueError, MacParseError) as exc:
-                raise ScanLogError(f"{path}: line {lineno}: {exc}") from exc
-    return readings

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -34,7 +35,15 @@ _ALIAS_WORD_BASE = 1 << 28
 _JITTER_WORD_BASE = 1 << 29
 
 
-class BadWorld(ValueError):
+class DataError(ValueError):
+    """A dataset or world file read from outside the program is malformed or unusable.
+
+    The loader's message reads ``<file>:<line>: <reason>`` for a fault in a row of a
+    dataset CSV, and ``<file>: <reason>`` for one in a world file.
+    """
+
+
+class BadWorld(DataError):
     """A world configuration violates a structural limit."""
 
 
@@ -645,11 +654,20 @@ def preset_worlds() -> dict[str, WorldConfig]:
 # serialization
 
 
+FRAMES_HEADER = "id,t_s,gt_x,gt_y,gt_theta,odo_dx,odo_dy,odo_dtheta,template_id,words"
+SCANS_HEADER = "timestamp_s,bssid,rssi_dbm,dwell_index"
+LOOPS_HEADER = "id_a,id_b"
+
+MAX_DWELLS = 1 << 20  # dwell indices lie below this; every consumer visits each dwell up to the largest
+
+T = TypeVar("T")
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "frames.csv", "w", newline="") as fh:
-        fh.write("id,t_s,gt_x,gt_y,gt_theta,odo_dx,odo_dy,odo_dtheta,template_id,words\n")
+        fh.write(FRAMES_HEADER + "\n")
         for f in dataset.frames:
             words = "|".join(str(w) for w in f.appearance.words)
             fh.write(
@@ -658,12 +676,12 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
                 f"{f.appearance.place_template},{words}\n"
             )
     with open(out / "scans.csv", "w", newline="") as fh:
-        fh.write("timestamp_s,bssid,rssi_dbm,dwell_index\n")
+        fh.write(SCANS_HEADER + "\n")
         for di, scans in enumerate(dataset.dwell_scans):
             for r in scans:
                 fh.write(f"{r.timestamp!r},{r.bssid},{r.rssi!r},{di}\n")
     with open(out / "loops_gt.csv", "w", newline="") as fh:
-        fh.write("id_a,id_b\n")
+        fh.write(LOOPS_HEADER + "\n")
         for a, b in sorted(dataset.gt_loop_pairs):
             fh.write(f"{a},{b}\n")
     with open(out / "world.json", "w") as fh:
@@ -697,83 +715,123 @@ def _world_to_json(dataset: Dataset) -> dict:
     }
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Load a dataset directory written by save_dataset."""
-    root = Path(path)
-    with open(root / "world.json") as fh:
-        wj = json.load(fh)
-    config = WorldConfig(
+def _config_from_json(wj: dict) -> WorldConfig:
+    """The WorldConfig a world-file object describes: ``name``, ``trajectory``, ``template_of``
+    and ``ap_count`` are required, absent settings take the dataclass defaults, and the keys
+    only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``) are not read."""
+    scalars = ("tx_power_at_1m", "margin", "scans_per_dwell", "bssids_per_ap")
+    return WorldConfig(
         name=wj["name"],
         trajectory=TrajectorySpec(**wj["trajectory"]),
         template_of={int(k): v for k, v in wj["template_of"].items()},
         ap_count=wj["ap_count"],
-        tx_power_at_1m=wj["tx_power_at_1m"],
-        propagation=PropagationParams(**wj["propagation"]),
-        extra_walls=tuple(Wall(*w) for w in wj["walls"]),
-        margin=wj["margin"],
-        odom_noise=OdomNoise(**wj["odom_noise"]),
-        appearance=AppearanceModel(**wj["appearance"]),
-        scans_per_dwell=wj["scans_per_dwell"],
-        bssids_per_ap=wj["bssids_per_ap"],
+        propagation=PropagationParams(**wj.get("propagation", {})),
+        extra_walls=tuple(Wall(*w) for w in wj.get("walls", ())),
+        odom_noise=OdomNoise(**wj.get("odom_noise", {})),
+        appearance=AppearanceModel(**wj.get("appearance", {})),
+        **{k: wj[k] for k in scalars if k in wj},
     )
-    plan = FloorPlan(walls=tuple(Wall(*w) for w in wj["walls"]), bounds=tuple(wj["bounds"]))
+
+
+def _saved_world(wj: dict) -> tuple[World, int]:
+    """The World and seed recorded in a saved dataset's world.json."""
+    config = _config_from_json(wj)
+    plan = FloorPlan(walls=config.extra_walls, bounds=tuple(wj["bounds"]))
     aps = tuple(
         AccessPoint(ap_id=a["mac"], x=a["x"], y=a["y"], tx_power_at_1m=a["tx_power_at_1m"])
         for a in wj["aps"]
     )
     corridors = tuple(Corridor(c["x1"], c["y1"], c["x2"], c["y2"], c["template"]) for c in wj["corridors"])
+    return World(config=config, plan=plan, aps=aps, corridors=corridors), wj["seed"]
 
-    frames: list[Frame] = []
-    with open(root / "frames.csv", newline="") as fh:
-        header = fh.readline()
+
+def _read_world_file(path: Path, build: Callable[[dict], T]) -> T:
+    """Build from the JSON object in a world file; any fault raises DataError naming the file."""
+    try:
+        with open(path) as fh:
+            wj = json.load(fh)
+        if not isinstance(wj, dict):
+            raise TypeError("expected a JSON object")
+        return build(wj)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: bad JSON: {exc.msg}") from exc
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def load_world_config(path: str | Path) -> WorldConfig:
+    """Read a world file: a saved dataset's world.json, or one written by hand."""
+    return _read_world_file(Path(path), _config_from_json)
+
+
+def _read_rows(path: Path, header: str, parse: Callable[[Iterator[list[str]]], T]) -> T:
+    """Check a dataset CSV's header, then ``parse`` its non-blank rows, split into as many fields
+    as the header has. Any fault raises DataError naming the file and the line."""
+    n_fields = header.count(",") + 1
+    lineno = 1
+
+    def rows(fh: TextIO) -> Iterator[list[str]]:
+        nonlocal lineno
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 10:
-                raise BadWorld(f"frames.csv line {lineno}: expected 10 fields")
-            words = tuple(int(x) for x in parts[9].split("|")) if parts[9] else ()
-            frames.append(
-                Frame(
-                    id=int(parts[0]),
-                    t=float(parts[1]),
-                    gt_pose=Pose2(float(parts[2]), float(parts[3]), float(parts[4])),
-                    odom_delta=Pose2(float(parts[5]), float(parts[6]), float(parts[7])),
-                    appearance=Appearance(words=words, place_template=int(parts[8])),
-                )
-            )
+            if line:
+                parts = line.split(",")
+                if len(parts) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
+                yield parts
 
-    groups: dict[int, list[ScanReading]] = {}
-    with open(root / "scans.csv", newline="") as fh:
-        fh.readline()
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t_s, bssid, rssi, dwell = line.split(",")
-            groups.setdefault(int(dwell), []).append(
-                ScanReading(timestamp=float(t_s), bssid=bssid, rssi=float(rssi))
-            )
+    try:
+        with open(path, newline="") as fh:
+            if fh.readline().strip() != header:
+                raise ValueError(f"expected header {header}")
+            return parse(rows(fh))
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        raise DataError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _frames(rows: Iterator[list[str]]) -> tuple[Frame, ...]:
+    return tuple(
+        Frame(
+            id=int(p[0]),
+            t=float(p[1]),
+            gt_pose=Pose2(float(p[2]), float(p[3]), float(p[4])),
+            odom_delta=Pose2(float(p[5]), float(p[6]), float(p[7])),
+            appearance=Appearance(tuple(map(int, p[9].split("|"))) if p[9] else (), int(p[8])),
+        )
+        for p in rows
+    )
+
+
+def _dwell_scans(rows: Iterator[list[str]]) -> tuple[tuple[ScanReading, ...], ...]:
+    groups: defaultdict[int, list[ScanReading]] = defaultdict(list)
+    for t_s, bssid, rssi, dwell in rows:
+        d = int(dwell)
+        if not 0 <= d < MAX_DWELLS:
+            raise ValueError(f"dwell index {d} outside [0, {MAX_DWELLS})")
+        groups[d].append(ScanReading(timestamp=float(t_s), bssid=bssid, rssi=float(rssi)))
     n_dwells = max(groups) + 1 if groups else 0
-    dwell_scans = tuple(tuple(groups.get(i, ())) for i in range(n_dwells))
+    return tuple(tuple(groups.get(i, ())) for i in range(n_dwells))
 
-    pairs: set[tuple[int, int]] = set()
-    with open(root / "loops_gt.csv", newline="") as fh:
-        fh.readline()
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            pairs.add((int(a), int(b)))
 
-    world = World(config=config, plan=plan, aps=aps, corridors=corridors)
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a dataset directory written by save_dataset; the one reader of the dataset format.
+
+    Every fault in its files raises DataError naming the file (and the line of a CSV row)."""
+    root = Path(path)
+    world, seed = _read_world_file(root / "world.json", _saved_world)
     return Dataset(
-        name=wj["name"],
-        seed=wj["seed"],
-        frames=tuple(frames),
-        dwell_scans=dwell_scans,
-        gt_loop_pairs=frozenset(pairs),
+        name=world.config.name,
+        seed=seed,
+        frames=_read_rows(root / "frames.csv", FRAMES_HEADER, _frames),
+        dwell_scans=_read_rows(root / "scans.csv", SCANS_HEADER, _dwell_scans),
+        gt_loop_pairs=_read_rows(
+            root / "loops_gt.csv", LOOPS_HEADER, lambda rows: frozenset((int(a), int(b)) for a, b in rows)
+        ),
         world=world,
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import csv
+import shutil
 import subprocess
 import sys
 import pytest
@@ -47,6 +48,22 @@ class TestGen:
         assert code == 0
         assert (gen_dir / "frames.csv").read_bytes() == (out / "frames.csv").read_bytes()
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"name": "w", "trajectory": {"shape": "square_loop", "scale": 5.0}, "template_of": {}}',
+         "missing key 'ap_count'"),
+        ("{not json", "bad JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"name": "w", "trajectory": {"shape": "hexagon", "scale": 5.0}, "template_of": {}, "ap_count": 4}',
+         "unknown trajectory shape"),
+    ], ids=["missing_key", "bad_json", "not_object", "unknown_shape"])
+    def test_bad_world_file_exit_2(self, tmp_path, capsys, text, reason):
+        world = tmp_path / "w.json"
+        world.write_text(text)
+        assert run_cli("gen", "--world", world, "--seed", "0", "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestRun:
     def test_run_writes_artifacts_and_honors_flags(self, gen_dir, tmp_path):
@@ -81,6 +98,8 @@ class TestRun:
     @pytest.mark.parametrize("key, value, named", [
         ("noise_xy", 0, "noise_xy"),
         ("opt_every", -1, "opt_every"),
+        ("rtab", {"real_time_threshold": "fast"}, "fast"),
+        ("rgbd", [1], "bad run configuration"),
     ])
     def test_bad_config_value_exit_2(self, gen_dir, tmp_path, capsys, key, value, named):
         cfgf = tmp_path / "cfg.json"
@@ -89,6 +108,17 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad run configuration" in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"], ids=["missing", "bad_json", "not_object"])
+    def test_bad_config_file_exit_2(self, gen_dir, tmp_path, capsys, text):
+        cfgf = tmp_path / "cfg.json"
+        if text is not None:
+            cfgf.write_text(text)
+        code = run_cli("run", "--dataset", gen_dir, "--out", tmp_path / "o", "--config", cfgf)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad run configuration {cfgf}" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -121,7 +151,7 @@ class TestSweep:
             if key in reused:
                 assert r["wall_ms"] == reused[key], "existing cells must not be recomputed"
 
-    def test_rtab_threshold_grid(self, gen_dir, tmp_path):
+    def test_rtab_threshold_grid(self, gen_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
             "policy": ["rtab"],
@@ -133,6 +163,11 @@ class TestSweep:
         assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", report, "--jobs", "2") == 0
         rows = list(csv.DictReader(open(report)))
         assert sorted(r["real_time_threshold"] for r in rows) == sorted(["inf", "70.0", "100.0", "200.0"])
+
+        # every row is found again under the key the sweep computes for its cell
+        capsys.readouterr()
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", report, "--jobs", "1") == 0
+        assert "(0 computed, 4 reused)" in capsys.readouterr().out
 
     def test_jobs_1_loads_dataset_once(self, gen_dir, tmp_path, monkeypatch):
         grid = tmp_path / "grid.json"
@@ -181,6 +216,58 @@ class TestCurveAndLocalize:
 
     def test_localize_empty_dataset_exit_3(self, tmp_path):
         assert run_cli("localize", "--dataset", tmp_path / "absent", "--out", tmp_path / "c.csv") == 3
+
+
+def run_on_dataset(command, dataset, tmp_path):
+    """Run `run`, `curve`, `localize` or a one-cell `sweep` on a dataset; returns the exit code."""
+    if command == "sweep":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy": ["orb"], "seed": [0]}))
+        return run_cli("sweep", "--dataset", dataset, "--grid", grid, "--out", tmp_path / "r.csv", "--jobs", "1")
+    return run_cli(command, "--dataset", dataset, "--out", tmp_path / "o")
+
+
+def _broken_dataset(gen_dir, root, fault):
+    """A copy of the dataset with one fault; returns its path and the text stderr must show."""
+    d = root / "broken"
+    if fault == "absent_dir":
+        return d, f"{d / 'world.json'}: "
+    shutil.copytree(gen_dir, d)
+    if fault == "missing_key":
+        wj = json.loads((d / "world.json").read_text())
+        del wj["aps"]
+        (d / "world.json").write_text(json.dumps(wj))
+        return d, f"{d / 'world.json'}: missing key 'aps'"
+    name, edit = {
+        "bad_bssid": ("scans.csv", lambda row: [row[0], "ZZ:00:00:00:00:01", *row[2:]]),
+        "positive_rssi": ("scans.csv", lambda row: [*row[:2], "5.0", row[3]]),
+        "non_numeric_id": ("frames.csv", lambda row: ["x", *row[1:]]),
+        "extra_field": ("frames.csv", lambda row: [*row, "7"]),
+    }[fault]
+    lines = (d / name).read_text().split("\n")
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    (d / name).write_text("\n".join(lines))
+    return d, f"{d / name}:2: "
+
+
+@pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
+@pytest.mark.parametrize(
+    "fault", ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir"]
+)
+def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
+    dataset, named = _broken_dataset(gen_dir, tmp_path, fault)
+    assert run_on_dataset(command, dataset, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
+def test_no_signatures_exit_3(gen_dir, tmp_path, capsys, command):
+    dataset = tmp_path / "no_scans"
+    shutil.copytree(gen_dir, dataset)
+    (dataset / "scans.csv").write_text(simworld.SCANS_HEADER + "\n")
+    assert run_on_dataset(command, dataset, tmp_path) == 3
+    assert "signatures" in capsys.readouterr().err
 
 
 def test_report_consolidation(gen_dir, tmp_path):

@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import json
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wifislam.posegraph import compose
+from wifislam.signature import ScanReading
 from wifislam.simworld import (
     AccessPoint,
+    DataError,
     FloorPlan,
     PropagationParams,
     TrajectorySpec,
     Wall,
+    WorldConfig,
     count_wall_crossings,
     corridor_of_frame,
     dwell_positions,
     generate_trajectory,
     load_dataset,
+    load_world_config,
     preset_worlds,
     rssi_at,
     save_dataset,
@@ -197,3 +206,119 @@ class TestSerialization:
         save_dataset(ds, tmp_path / "b")
         for name in ("frames.csv", "scans.csv", "loops_gt.csv", "world.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+DATASET_FILES = ("frames.csv", "scans.csv", "loops_gt.csv", "world.json")
+
+
+@pytest.fixture(scope="module")
+def saved_tiny(tmp_path_factory):
+    """A small saved dataset that tests copy before altering."""
+    config = WorldConfig(
+        name="tiny",
+        trajectory=TrajectorySpec(shape="square_loop", scale=6.0),
+        template_of={0: 0, 1: 1, 2: 0, 3: 2},
+        ap_count=4,
+    )
+    return save_dataset(synthesize(config, seed=3), tmp_path_factory.mktemp("saved") / "d")
+
+
+@pytest.fixture()
+def tiny_copy(saved_tiny, tmp_path):
+    return Path(shutil.copytree(saved_tiny, tmp_path / "d"))
+
+
+class TestLoadDataset:
+    def test_scan_rows_roundtrip(self, tiny_copy):
+        (tiny_copy / "scans.csv").write_text(
+            "timestamp_s,bssid,rssi_dbm,dwell_index\n"
+            "0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n1.5,AA:BB:CC:DD:EE:F4,-60,0\n2.5,AA:BB:CC:DD:EE:F4,-61,2\n"
+        )
+        ds = load_dataset(tiny_copy)
+        assert ds.dwell_scans == (
+            (ScanReading(0.5, "AA:BB:CC:DD:EE:F3", -55.5), ScanReading(1.5, "AA:BB:CC:DD:EE:F4", -60.0)),
+            (),
+            (ScanReading(2.5, "AA:BB:CC:DD:EE:F4", -61.0),),
+        )
+
+    def test_error_names_line(self, tiny_copy):
+        path = tiny_copy / "scans.csv"
+        path.write_text("timestamp_s,bssid,rssi_dbm,dwell_index\n0.5,AA:BB:CC:DD:EE:F3,-55.5,0\nbroken,row\n")
+        with pytest.raises(DataError, match="expected 4 fields, got 2") as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("dwell", [-1, 1 << 20, 10**18])
+    def test_dwell_index_out_of_range(self, tiny_copy, dwell):
+        path = tiny_copy / "scans.csv"
+        path.write_text(f"timestamp_s,bssid,rssi_dbm,dwell_index\n0.5,AA:BB:CC:DD:EE:F3,-55.5,{dwell}\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}:2: dwell index {dwell} outside [0, {1 << 20})"
+
+    @pytest.mark.parametrize("name", ["frames.csv", "scans.csv", "loops_gt.csv"])
+    def test_bad_header(self, tiny_copy, name):
+        path = tiny_copy / name
+        path.write_text("time,mac,power\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value).startswith(f"{path}:1: expected header ")
+
+    def test_absent_optional_key_takes_default(self, tiny_copy):
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        for key in ("margin", "walls", "appearance"):
+            del wj[key]
+        path.write_text(json.dumps(wj))
+        defaults = WorldConfig(name="x", trajectory=TrajectorySpec("square_loop", 1.0), template_of={}, ap_count=1)
+        for config in (load_dataset(tiny_copy).world.config, load_world_config(path)):
+            assert config.margin == defaults.margin
+            assert config.extra_walls == defaults.extra_walls
+            assert config.appearance == defaults.appearance
+
+    @pytest.mark.parametrize("key", ["name", "trajectory", "template_of", "ap_count", "seed", "aps"])
+    def test_missing_required_key(self, tiny_copy, key):
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        del wj[key]
+        path.write_text(json.dumps(wj))
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}: missing key {key!r}"
+
+    @pytest.mark.parametrize("theta", ["inf", "nan"])
+    def test_non_finite_angle_names_line(self, tiny_copy, theta):
+        path = tiny_copy / "frames.csv"
+        lines = path.read_text().split("\n")
+        fields = lines[2].split(",")
+        fields[4] = theta
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value).startswith(f"{path}:3: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(DATASET_FILES),
+        value=st.one_of(
+            st.sampled_from(["", "x", "-1", "5.0", "nan", "inf", "1e999", "ZZ:00:00:00:00:00", "[", "null"]),
+            st.integers().map(str),
+            st.floats().map(repr),
+            st.text(max_size=12),
+        ),
+        data=st.data(),
+    )
+    def test_one_corrupted_field_loads_or_raises_data_error(self, saved_tiny, name, value, data):
+        lines = (saved_tiny / name).read_text().split("\n")
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        fields = lines[k].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = value
+        lines[k] = ",".join(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(shutil.copytree(saved_tiny, Path(tmp) / "d"))
+            (d / name).write_text("\n".join(lines), encoding="utf-8")
+            try:
+                load_dataset(d)
+            except DataError as exc:
+                assert str(exc).startswith(str(d / name))

@@ -1,7 +1,8 @@
 """Experiment runner: dataset generation, single runs, parameter sweeps,
 similarity curves, and localization CDFs.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error.
+Exit codes: 0 success, 2 usage/config error (including an --out path that
+cannot be written, found before any work), 3 data error.
 """
 
 from __future__ import annotations
@@ -79,6 +80,31 @@ def _params_from_args(args: argparse.Namespace) -> PolicyParams:
         return PolicyParams(rgbd=RgbdParams(**rgbd), rtab=RtabParams(**rtab), **base)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad run configuration: {exc}", USAGE_ERROR) from exc
+
+
+def _split_fraction(text: str) -> float:
+    v = float(text)
+    if not 0 < v < 1:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
+    return v
+
+
+def _check_out(path: str, is_dir: bool) -> None:
+    """Fail with a usage error unless ``path`` can be written: as a directory made with its
+    parents when ``is_dir``, else as a file in an existing directory."""
+    p = Path(path)
+    if is_dir:
+        base = next(a for a in (p, *p.parents) if a.exists())
+        problem = None if base.is_dir() else f"{base} is not a directory"
+    elif p.is_dir():
+        base, problem = p, "is a directory"
+    else:
+        base = p.parent
+        problem = None if base.is_dir() else f"no directory {base}"
+    if problem is None and not os.access(p if p.exists() else base, os.W_OK):
+        problem = "permission denied"
+    if problem:
+        raise CliError(f"cannot write --out {path}: {problem}", USAGE_ERROR)
 
 
 def _bool_flag(text: str) -> bool:
@@ -225,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--world", required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen)
+    g.set_defaults(fn=cmd_gen, out_is_dir=True)
 
     r = sub.add_parser("run", help="run one pipeline configuration on a dataset")
     r.add_argument("--dataset", required=True)
@@ -239,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--real-time-threshold", dest="real_time_threshold")
     r.add_argument("--seed", type=int)
     r.add_argument("--match-radius", dest="match_radius", type=int, default=5)
-    r.set_defaults(fn=cmd_run)
+    r.set_defaults(fn=cmd_run, out_is_dir=True)
 
     s = sub.add_parser("sweep", help="run a Cartesian parameter grid; resumable")
     s.add_argument("--dataset", required=True)
@@ -257,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("localize", help="cluster-gated map-image localization CDF")
     l.add_argument("--dataset", required=True)
     l.add_argument("--out", required=True)
-    l.add_argument("--split", type=float, default=0.4)
+    l.add_argument("--split", type=_split_fraction, default=0.4)
     l.add_argument("--wifi-threshold", dest="wifi_threshold", type=float, default=0.85)
     l.set_defaults(fn=cmd_localize)
 
@@ -272,6 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_out(args.out, getattr(args, "out_is_dir", False))
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,13 +63,6 @@ class Pose2:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
-IDENTITY = Pose2(0.0, 0.0, 0.0)
-
 
 def compose(a: Pose2, b: Pose2) -> Pose2:
     """a then b: returns a * b."""
@@ -300,39 +293,33 @@ class PoseGraph:
         return s
 
 
-def residual(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> np.ndarray:
+def _single_edge(edge: GraphEdge, nodes: Mapping[int, Pose2]):
+    """One edge as `_residuals_vec` arguments: its two node states, ``ii``, ``jj`` and ``z``."""
     if edge.from_id not in nodes or edge.to_id not in nodes:
         raise DanglingEdge(f"edge {edge.from_id}->{edge.to_id} references a missing node")
-    pred = between(nodes[edge.from_id], nodes[edge.to_id])
-    return np.array(
-        [
-            pred.x - edge.relative.x,
-            pred.y - edge.relative.y,
-            wrap_angle(pred.theta - edge.relative.theta),
-        ]
-    )
+    a, b, rel = nodes[edge.from_id], nodes[edge.to_id], edge.relative
+    x = np.array([[a.x, a.y, a.theta], [b.x, b.y, b.theta]])
+    return x, np.array([0]), np.array([1]), np.array([[rel.x, rel.y, rel.theta]])
+
+
+def residual(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> np.ndarray:
+    """The residual `optimize` uses for one edge."""
+    return _residuals_vec(*_single_edge(edge, nodes))[0][0]
 
 
 def residual_jacobians(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual and its Jacobians wrt the from- and to-node parameters."""
-    a = nodes[edge.from_id]
-    b = nodes[edge.to_id]
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    dx, dy = b.x - a.x, b.y - a.y
-    px = c * dx + s * dy
-    py = -s * dx + c * dy
-    r = np.array([px - edge.relative.x, py - edge.relative.y, wrap_angle(b.theta - a.theta - edge.relative.theta)])
-    ja = np.array([[-c, -s, py], [s, -c, -px], [0.0, 0.0, -1.0]])
-    jb = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    return r, ja, jb
+    """Residual and its Jacobians wrt the from- and to-node parameters, as `optimize` uses them."""
+    r, px, py, c, s = _residuals_vec(*_single_edge(edge, nodes))
+    ja, jb = _jacobians_vec(c, s, px, py)
+    return r[0], ja[0], jb[0]
 
 
 def total_error(graph: PoseGraph) -> float:
-    e = 0.0
-    for edge in graph.edges:
-        r = residual(edge, graph.nodes)
-        e += float(r @ edge.information @ r)
-    return e
+    """Weighted squared error of the graph: `optimize`'s ``error_initial``."""
+    n_edges = len(graph.edges)
+    x = graph._x[: len(graph._slot)]
+    r = _residuals_vec(x, graph._ii[:n_edges], graph._jj[:n_edges], graph._z[:n_edges])[0]
+    return _weighted_error(r, graph._omega[:n_edges])
 
 
 def _check_information(edges: Sequence[GraphEdge]) -> None:
@@ -371,11 +358,17 @@ def _residuals_vec(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, z: np.ndarray)
     dy = x[jj, 1] - x[ii, 1]
     px = c * dx + s * dy
     py = -s * dx + c * dy
-    dth = x[jj, 2] - x[ii, 2] - z[:, 2]
-    dth = dth - math.tau * np.round(dth / math.tau)
-    dth = np.where(dth <= -math.pi, dth + math.tau, dth)
+    dth = _wrap_angles(x[jj, 2] - x[ii, 2] - z[:, 2])
     r = np.stack([px - z[:, 0], py - z[:, 1], dth], axis=1)
     return r, px, py, c, s
+
+
+def _jacobians_vec(c: np.ndarray, s: np.ndarray, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3, 3) Jacobians of `_residuals_vec`'s residuals wrt the from- and to-node states."""
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    ja = np.stack((-c, -s, py, s, -c, -px, zero, zero, -one), axis=1).reshape(-1, 3, 3)
+    jb = np.stack((c, s, zero, -s, c, zero, zero, zero, one), axis=1).reshape(-1, 3, 3)
+    return ja, jb
 
 
 def _weighted_error(r: np.ndarray, omega: np.ndarray) -> float:
@@ -441,26 +434,11 @@ def optimize(
     iters_done = 0
     accepted_errors = [err]
 
-    # block Jacobians per edge; the constant entries are set once
-    ja = np.zeros((n_edges, 3, 3))
-    ja[:, 2, 2] = -1.0
-    jb = np.zeros((n_edges, 3, 3))
-    jb[:, 2, 2] = 1.0
-
     for _ in range(max_iters):
         if err == 0.0:
             break
         iters_done += 1
-        ja[:, 0, 0] = -c
-        ja[:, 0, 1] = -s
-        ja[:, 0, 2] = py
-        ja[:, 1, 0] = s
-        ja[:, 1, 1] = -c
-        ja[:, 1, 2] = -px
-        jb[:, 0, 0] = c
-        jb[:, 0, 1] = s
-        jb[:, 1, 0] = -s
-        jb[:, 1, 1] = c
+        ja, jb = _jacobians_vec(c, s, px, py)
 
         # normal equation blocks
         oa = np.einsum("eij,ejk->eik", omega, ja)

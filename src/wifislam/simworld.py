@@ -150,6 +150,18 @@ class WorldConfig:
     scans_per_dwell: int = 5
     bssids_per_ap: int = 2
 
+    def __post_init__(self) -> None:
+        for key in ("ap_count", "scans_per_dwell", "bssids_per_ap"):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise BadWorld(f"{key} must be a non-negative integer, got {v!r}")
+        if self.bssids_per_ap > 15:  # the radio number is the BSSID's last hex digit
+            raise BadWorld(f"bssids_per_ap must be at most 15, got {self.bssids_per_ap}")
+        for key in ("tx_power_at_1m", "margin"):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise BadWorld(f"{key} must be a finite number, got {v!r}")
+
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -245,26 +257,15 @@ def count_wall_crossings(plan: FloorPlan, p: tuple[float, float], q: tuple[float
     return n
 
 
-def rssi_at(
-    ap: AccessPoint,
-    pos: tuple[float, float],
-    plan: FloorPlan,
-    params: PropagationParams,
-    rng: np.random.Generator | None = None,
-) -> float | None:
-    """Log-distance path loss with per-wall attenuation; None below the floor."""
+def rssi_at(ap: AccessPoint, pos: tuple[float, float], plan: FloorPlan, params: PropagationParams) -> float:
+    """Noise-free mean RSSI in dBm: log-distance path loss with per-wall attenuation."""
     d = math.hypot(ap.x - pos[0], ap.y - pos[1])
     crossings = count_wall_crossings(plan, (ap.x, ap.y), pos)
-    p = (
+    return (
         ap.tx_power_at_1m
         - 10.0 * params.path_loss_exponent * math.log10(max(d, 1.0))
         - params.wall_loss_db * crossings
     )
-    if rng is not None and params.noise_sigma_db > 0:
-        p += params.noise_sigma_db * float(rng.normal())
-    if p < params.visibility_floor_dbm:
-        return None
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +481,7 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
 
     dwell_scans: list[tuple[ScanReading, ...]] = []
     for d in traj.dwells:
-        crossings = [count_wall_crossings(plan, (ap.x, ap.y), (d.x, d.y)) for ap in aps]
-        base = [
-            ap.tx_power_at_1m
-            - 10.0 * config.propagation.path_loss_exponent
-            * math.log10(max(math.hypot(ap.x - d.x, ap.y - d.y), 1.0))
-            - config.propagation.wall_loss_db * crossings[k]
-            for k, ap in enumerate(aps)
-        ]
+        base = [rssi_at(ap, (d.x, d.y), plan, config.propagation) for ap in aps]
         readings: list[ScanReading] = []
         for sidx in range(config.scans_per_dwell):
             t = d.t_arrival + (sidx + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell

@@ -24,6 +24,17 @@ def gen_dir(tmp_path_factory):
     return out
 
 
+WORLD = '{"name": "w", "trajectory": {"shape": "square_loop", "scale": 5.0}, "template_of": {}, "ap_count": 4}'
+BAD_WORLD_SETTINGS = {  # test id -> (world-file setting, message)
+    "ap_count_str": ('"ap_count": "x"', "{world}: ap_count must be a non-negative integer, got 'x'"),
+    "scans_per_dwell_float": ('"scans_per_dwell": 2.5', "{world}: scans_per_dwell must be a non-negative integer, got 2.5"),
+    "bssids_per_ap_str": ('"bssids_per_ap": "2"', "{world}: bssids_per_ap must be a non-negative integer, got '2'"),
+    "bssids_per_ap_16": ('"bssids_per_ap": 16', "{world}: bssids_per_ap must be at most 15, got 16"),
+    "tx_power_str": ('"tx_power_at_1m": "loud"', "{world}: tx_power_at_1m must be a finite number, got 'loud'"),
+    "margin_null": ('"margin": null', "{world}: margin must be a finite number, got None"),
+}
+
+
 class TestGen:
     def test_writes_dataset_files(self, gen_dir):
         for name in ("frames.csv", "scans.csv", "loops_gt.csv", "world.json"):
@@ -55,13 +66,14 @@ class TestGen:
         ("[1, 2]", "expected a JSON object"),
         ('{"name": "w", "trajectory": {"shape": "hexagon", "scale": 5.0}, "template_of": {}, "ap_count": 4}',
          "unknown trajectory shape"),
-    ], ids=["missing_key", "bad_json", "not_object", "unknown_shape"])
+        *((WORLD[:-1] + f", {setting}}}", reason) for setting, reason in BAD_WORLD_SETTINGS.values()),
+    ], ids=["missing_key", "bad_json", "not_object", "unknown_shape", *BAD_WORLD_SETTINGS])
     def test_bad_world_file_exit_2(self, tmp_path, capsys, text, reason):
         world = tmp_path / "w.json"
         world.write_text(text)
         assert run_cli("gen", "--world", world, "--seed", "0", "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
-        assert reason in err and "Traceback" not in err
+        assert reason.format(world=world) in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
 
@@ -214,6 +226,14 @@ class TestCurveAndLocalize:
         n_query = int(msg.split("query=")[1].split()[0])
         assert abs(n_map / (n_map + n_query) - 0.4) < 0.01
 
+    @pytest.mark.parametrize("split", ["1.5", "1", "0", "-0.2", "nan"])
+    def test_localize_bad_split_exit_2(self, gen_dir, tmp_path, capsys, split):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("localize", "--dataset", gen_dir, "--out", tmp_path / "c.csv", "--split", split)
+        assert exc.value.code == 2
+        assert "argument --split: expected a fraction in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_localize_empty_dataset_exit_3(self, tmp_path):
         assert run_cli("localize", "--dataset", tmp_path / "absent", "--out", tmp_path / "c.csv") == 3
 
@@ -268,6 +288,36 @@ def test_no_signatures_exit_3(gen_dir, tmp_path, capsys, command):
     (dataset / "scans.csv").write_text(simworld.SCANS_HEADER + "\n")
     assert run_on_dataset(command, dataset, tmp_path) == 3
     assert "signatures" in capsys.readouterr().err
+
+
+COMMAND_INPUTS = {
+    "gen": ["--world", "b_hall", "--seed", "0"],
+    "run": ["--dataset", "{dataset}"],
+    "sweep": ["--dataset", "{dataset}", "--grid", "{grid}", "--jobs", "1"],
+    "curve": ["--dataset", "{dataset}"],
+    "localize": ["--dataset", "{dataset}"],
+    "report": ["--runs", "{dataset}"],
+}
+FILE_OUT_COMMANDS = ["sweep", "curve", "localize", "report"]  # gen and run make their --out directory
+
+
+@pytest.mark.parametrize("command, where", [
+    *((c, "under_file") for c in COMMAND_INPUTS), *((c, "missing_dir") for c in FILE_OUT_COMMANDS)
+])
+def test_unwritable_out_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(simworld, "synthesize", no_work)
+    monkeypatch.setattr(simworld, "load_dataset", no_work)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"policy": ["orb"]}))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / ("file" if where == "under_file" else "missing") / "o"
+    inputs = [a.format(dataset=gen_dir, grid=grid) for a in COMMAND_INPUTS[command]]
+    assert run_cli(command, *inputs, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write --out {out}: " in err and "Traceback" not in err
 
 
 def test_report_consolidation(gen_dir, tmp_path):

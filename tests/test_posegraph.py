@@ -113,6 +113,18 @@ def random_graph(rng, n_nodes=6, n_loops=3):
     return g
 
 
+class TestTotalError:
+    def test_equals_optimize_initial_error(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            g = random_graph(rng, n_nodes=int(rng.integers(2, 12)), n_loops=int(rng.integers(0, 6)))
+            before = total_error(g)
+            stats: dict = {}
+            optimize(g, max_iters=5, stats=stats)
+            assert before == stats["error_initial"]  # bit for bit
+            assert total_error(g) == pytest.approx(stats["error_final"], rel=1e-9)  # after the theta re-wrap
+
+
 class TestJacobians:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)

@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,6 @@ class TestRssi:
     def test_monotone_decreasing(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
         vals = [rssi_at(ap, (d, 0.0), PLAIN, NOISELESS) for d in (1.5, 3, 6, 12, 24)]
-        vals = [v for v in vals if v is not None]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_wall_formula_hand_value(self):
@@ -52,11 +52,6 @@ class TestRssi:
         plan = FloorPlan(walls=(Wall(5.0, -1.0, 5.0, 1.0),), bounds=(-50, -50, 50, 50))
         params = PropagationParams(path_loss_exponent=3.0, wall_loss_db=5.0, noise_sigma_db=0.0)
         assert rssi_at(ap, (10.0, 0.0), plan, params) == pytest.approx(-65.0, abs=1e-9)
-
-    def test_absent_below_floor(self):
-        ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
-        params = PropagationParams(visibility_floor_dbm=-50.0, noise_sigma_db=0.0)
-        assert rssi_at(ap, (100.0, 0.0), PLAIN, params) is None
 
     def test_crossing_count(self):
         plan = FloorPlan(
@@ -102,8 +97,6 @@ class TestTrajectory:
 
 class TestSynthesize:
     def test_zero_noise_odometry_composes_to_gt(self, tiny_world):
-        from dataclasses import replace
-
         cfg = replace(tiny_world, odom_noise=replace(tiny_world.odom_noise, sigma_xy_per_m=0.0, sigma_theta_per_m=0.0))
         ds = synthesize(cfg, seed=0)
         pose = ds.frames[0].gt_pose
@@ -118,6 +111,30 @@ class TestSynthesize:
             cid = corridor_of_frame(ds.world, f.gt_pose, f.appearance.place_template)
             templates.setdefault(cid, set()).add(f.appearance.place_template)
         assert templates[0] == templates[2] == {0}
+
+    def test_zero_noise_readings_are_rssi_at(self, tiny_world):
+        params = replace(tiny_world.propagation, noise_sigma_db=0.0, visibility_floor_dbm=-30.0)
+        walls = (Wall(5.0, -20.0, 5.0, 20.0), Wall(-20.0, 5.0, 20.0, 5.0))
+        cfg = replace(tiny_world, tx_power_at_1m=20.0, propagation=params, extra_walls=walls)
+        ds = synthesize(cfg, seed=2)
+        dwells = generate_trajectory(cfg.trajectory, cfg.template_of).dwells
+        assert len(ds.dwell_scans) == len(dwells)
+        levels = []
+        for d, scans in zip(dwells, ds.dwell_scans):
+            for ap in ds.world.aps:
+                level = rssi_at(ap, (d.x, d.y), ds.world.plan, params)
+                levels.append(level)
+                n_readings = 0 if level < params.visibility_floor_dbm else cfg.scans_per_dwell * cfg.bssids_per_ap
+                assert [r.rssi for r in scans if r.bssid[:-1] == ap.ap_id[:-1]] == [min(level, 0.0)] * n_readings
+        assert min(levels) < params.visibility_floor_dbm < 0.0 < max(levels)  # the floor and the clip both act
+
+    def test_no_reading_below_floor(self, tiny_world):
+        floor = tiny_world.propagation.visibility_floor_dbm
+        readings = [r for scans in synthesize(tiny_world, seed=4).dwell_scans for r in scans]
+        assert readings and min(r.rssi for r in readings) >= floor
+        # a floor above every mean level leaves nothing to hear without noise
+        params = replace(tiny_world.propagation, noise_sigma_db=0.0, visibility_floor_dbm=tiny_world.tx_power_at_1m + 0.1)
+        assert not any(synthesize(replace(tiny_world, propagation=params), seed=4).dwell_scans)
 
     def test_same_seed_identical(self, tiny_world):
         a = synthesize(tiny_world, seed=5)

@@ -1,15 +1,15 @@
 """Experiment runner: dataset generation, single runs, parameter sweeps,
 similarity curves, and localization CDFs.
 
-Exit codes: 0 success, 2 usage/config error (including an --out path that
-cannot be written, found before any work), 3 data error.
+Exit codes: 0 success, 2 usage/config error (including a flag value out of
+range and an --out path that cannot be written, both found before any work),
+3 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -17,7 +17,7 @@ from itertools import product
 from pathlib import Path
 
 from . import evaluation, gating, simworld
-from .gating import PolicyParams, RgbdParams, RtabParams, run_pipeline, save_run
+from .gating import PolicyParams, run_pipeline, save_run
 from .signature import NoSignatures
 
 USAGE_ERROR = 2
@@ -43,12 +43,6 @@ def _world_config(name_or_path: str) -> simworld.WorldConfig:
     )
 
 
-def _parse_threshold(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _params_from_args(args: argparse.Namespace) -> PolicyParams:
     base: dict = {}
     if getattr(args, "config", None):
@@ -71,22 +65,30 @@ def _params_from_args(args: argparse.Namespace) -> PolicyParams:
         if v is not None:
             base[key] = v
     try:
-        rgbd = dict(base.pop("rgbd", {}))
-        rtab = dict(base.pop("rtab", {}))
-        if isinstance(rtab.get("real_time_threshold"), str):
-            rtab["real_time_threshold"] = _parse_threshold(rtab["real_time_threshold"])
-        if getattr(args, "real_time_threshold", None) is not None:
-            rtab["real_time_threshold"] = _parse_threshold(args.real_time_threshold)
-        return PolicyParams(rgbd=RgbdParams(**rgbd), rtab=RtabParams(**rtab), **base)
+        if args.real_time_threshold is not None:
+            base["rtab"] = {**base.get("rtab", {}), "real_time_threshold": args.real_time_threshold}
+        return gating.params_from_json(base)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad run configuration: {exc}", USAGE_ERROR) from exc
 
 
-def _split_fraction(text: str) -> float:
-    v = float(text)
-    if not 0 < v < 1:
-        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {text!r}")
-    return v
+def _ranged(cast, ok, expected: str):
+    """An argparse type: ``cast(text)`` where ``ok`` holds, else a usage error naming ``expected``."""
+    def parse(text: str):
+        try:
+            v = cast(text)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return v
+    return parse
+
+
+_split_fraction = _ranged(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
+_similarity = _ranged(float, lambda v: 0 < v <= 1, "a similarity in (0, 1]")
+_radius = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_jobs = _ranged(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _check_out(path: str, is_dir: bool) -> None:
@@ -172,16 +174,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = []
     for combo in product(*axes.values()):
         cell = dict(zip(axes.keys(), combo))
-        rtab = {}
-        if "real_time_threshold" in cell:
-            v = cell.pop("real_time_threshold")
-            rtab["real_time_threshold"] = _parse_threshold(str(v))
-        base = {**cell}
+        d = dict(cell)
         try:
-            params = PolicyParams(rtab=RtabParams(**rtab), **base)
+            if "real_time_threshold" in d:  # a top-level axis for rtab.real_time_threshold
+                d["rtab"] = {**d.get("rtab", {}), "real_time_threshold": d.pop("real_time_threshold")}
+            cells.append(gating.params_from_json(d))
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad grid cell {cell}: {exc}", USAGE_ERROR) from exc
-        cells.append(params)
 
     out_path = Path(args.out)
     existing = evaluation.read_report(out_path)
@@ -264,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--wifi-threshold", dest="wifi_threshold", type=float)
     r.add_argument("--real-time-threshold", dest="real_time_threshold")
     r.add_argument("--seed", type=int)
-    r.add_argument("--match-radius", dest="match_radius", type=int, default=5)
+    r.add_argument("--match-radius", dest="match_radius", type=_radius, default=5)
     r.set_defaults(fn=cmd_run, out_is_dir=True)
 
     s = sub.add_parser("sweep", help="run a Cartesian parameter grid; resumable")
     s.add_argument("--dataset", required=True)
     s.add_argument("--grid", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--jobs", type=int, default=0, help="worker processes (default: cpu count)")
-    s.add_argument("--match-radius", dest="match_radius", type=int, default=5)
+    s.add_argument("--jobs", type=_jobs, default=0, help="worker processes (default: cpu count)")
+    s.add_argument("--match-radius", dest="match_radius", type=_radius, default=5)
     s.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("curve", help="similarity-vs-distance curve over dwell pairs")
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--dataset", required=True)
     l.add_argument("--out", required=True)
     l.add_argument("--split", type=_split_fraction, default=0.4)
-    l.add_argument("--wifi-threshold", dest="wifi_threshold", type=float, default=0.85)
+    l.add_argument("--wifi-threshold", dest="wifi_threshold", type=_similarity, default=0.85)
     l.set_defaults(fn=cmd_localize)
 
     rep = sub.add_parser("report", help="consolidate report rows from run directories")

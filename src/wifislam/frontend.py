@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
@@ -172,20 +171,3 @@ class InvertedIndex:
     def query(self, appearance: Appearance) -> list[int]:
         """Keyframes sharing at least one word, by shared count desc then id asc."""
         return [kf for kf, _n in self.query_scored(appearance)]
-
-
-class Covisibility:
-    """Symmetric co-visibility links between keyframes with accepted matches."""
-
-    def __init__(self) -> None:
-        self._links: dict[int, set[int]] = {}
-
-    def neighbors(self, keyframe_id: int) -> set[int]:
-        return set(self._links.get(keyframe_id, ()))
-
-
-def covis_update(covis: Covisibility, new_keyframe: int, accepted_matches: Iterable[int]) -> Covisibility:
-    for m in accepted_matches:
-        covis._links.setdefault(new_keyframe, set()).add(m)
-        covis._links.setdefault(m, set()).add(new_keyframe)
-    return covis

@@ -7,8 +7,8 @@ Policies:
   rtab - short-term/working/long-term memory pools with a real-time budget;
          gating immunizes working-memory members of similar clusters and
          retrieves their long-term members back before the candidate scan.
-  orb  - inverted visual-word index; gating queries only the per-cluster
-         indexes of similar clusters instead of the global index.
+  orb  - one inverted visual-word index over the whole map; gating keeps
+         only the ranked keyframes that belong to similar clusters.
 
 Costs are deterministic: one visual comparison costs 1 unit, one Wi-Fi
 cluster comparison 0.02 units, one optimizer iteration 0.1 units. Wall-clock
@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import (
-    AssignmentOutcome,
     ClusterStore,
     SimilarClusters,
     assign,
@@ -38,12 +37,10 @@ from .clustering import (
 )
 from .frontend import (
     Appearance,
-    Covisibility,
     FrameTruth,
     InvertedIndex,
     MatchParams,
     MatchResult,
-    covis_update,
     match_frames,
     match_information,
 )
@@ -322,43 +319,18 @@ def _hops_from(graph: PoseGraph, sources: Sequence[int]) -> dict[int, int]:
 def orb_candidates(
     appearance: Appearance,
     store: ClusterStore | None,
-    cluster_indexes: dict[int, InvertedIndex] | None,
-    global_index: InvertedIndex | None,
+    index: InvertedIndex,
     params: PolicyParams,
     sims: SimilarClusters | None,
 ) -> list[int]:
-    """Word-sharing keyframes: whole map in vanilla mode, similar clusters' indexes when gated."""
+    """Word-sharing keyframes of the map index, by shared count desc then id asc;
+    when gated, only those whose cluster is similar."""
     if not params.gated:
-        return global_index.query(appearance)
+        return index.query(appearance)
     if sims is None or not sims.entries:
         return []
-    counts: dict[int, int] = {}
-    for cid, _ in sims.entries:
-        idx = cluster_indexes.get(cid)
-        if idx is None:
-            continue
-        counts.update(idx.query_scored(appearance))  # cluster indexes are disjoint
-    ranked = sorted(counts.items(), key=lambda e: (-e[1], e[0]))
-    return [kf for kf, _ in ranked]
-
-
-def orb_cluster_management(
-    current: int,
-    appearance: Appearance,
-    sig: Signature,
-    accepted_matches: Sequence[int],
-    covis: Covisibility,
-    store: ClusterStore,
-    cluster_indexes: dict[int, InvertedIndex],
-    sims: SimilarClusters,
-) -> AssignmentOutcome:
-    """Assign the keyframe to a similar cluster linked by an edge or co-visibility,
-    else create a fresh cluster with its own index; insert into exactly one index."""
-    linked = set(accepted_matches) | covis.neighbors(current)
-    outcome = assign(store, current, sig, linked, sims)
-    idx = cluster_indexes.setdefault(outcome.cluster_id, InvertedIndex())
-    idx.insert(current, appearance)
-    return outcome
+    similar = {cid for cid, _ in sims.entries}
+    return [kf for kf in index.query(appearance) if store.cluster_of(kf) in similar]
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +379,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
     graph = PoseGraph()
     store: ClusterStore | None = ClusterStore() if params.gated else None
-    cluster_indexes: dict[int, InvertedIndex] = {}
-    global_index = InvertedIndex()  # vanilla candidates; shadow superset check when gated
-    covis = Covisibility()
+    index = InvertedIndex()  # orb: the whole map's keyframes, each inserted once
     memory = MemoryState()
 
     events: list[LoopEvent] = []
@@ -448,9 +418,9 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
                 graph=graph, sims=sims, recent_matches=prev_matches,
             )
         else:
-            cands = orb_candidates(f.appearance, store, cluster_indexes, global_index, params, sims)
+            cands = orb_candidates(f.appearance, store, index, params, sims)
             if params.gated:
-                superset = set(global_index.query(f.appearance))
+                superset = set(index.query(f.appearance))
                 if not set(cands) <= superset:
                     subset_violations += 1
 
@@ -514,22 +484,14 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         )
 
         accepted_ids = [c for c, _ in committed]
-        if params.policy == "orb":
-            covis_update(covis, i, accepted_ids)
         if params.gated:
             t0 = time.perf_counter()
             edges_gained = set(accepted_ids) | ({i - 1} if i > 0 else set())
-            if params.policy == "orb":
-                orb_cluster_management(
-                    i, f.appearance, sig, sorted(edges_gained), covis, store, cluster_indexes, sims
-                )
-                global_index.insert(i, f.appearance)
-            else:
-                assign(store, i, sig, edges_gained, sims)
+            assign(store, i, sig, edges_gained, sims)
             management_cost += (len(sims) + 1) * WIFI_COMPARE_COST
             wall["management_s"] += time.perf_counter() - t0
-        elif params.policy == "orb":
-            global_index.insert(i, f.appearance)
+        if params.policy == "orb":
+            index.insert(i, f.appearance)
 
         opt_iters_now = 0
         periodic = params.opt_every > 0 and i > 0 and i % params.opt_every == 0
@@ -600,12 +562,18 @@ def params_to_json(params: PolicyParams) -> dict:
 
 
 def params_from_json(d: dict) -> PolicyParams:
+    """The PolicyParams a JSON object describes. Absent settings, ``rgbd`` and ``rtab``
+    included, take their defaults; a string ``real_time_threshold`` such as "inf" is parsed.
+    Raises ValueError or TypeError for a bad object."""
     d = dict(d)
-    rgbd = RgbdParams(**d.pop("rgbd"))
-    rt = dict(d.pop("rtab"))
-    if rt["real_time_threshold"] == "inf":
-        rt["real_time_threshold"] = math.inf
-    return PolicyParams(rgbd=rgbd, rtab=RtabParams(**rt), **d)
+    rgbd, rtab = d.pop("rgbd", {}), d.pop("rtab", {})
+    for key, sub in (("rgbd", rgbd), ("rtab", rtab)):
+        if not isinstance(sub, dict):
+            raise ValueError(f"{key} must be a JSON object, got {sub!r}")
+    rtab = dict(rtab)
+    if isinstance(rtab.get("real_time_threshold"), str):
+        rtab["real_time_threshold"] = float(rtab["real_time_threshold"])
+    return PolicyParams(rgbd=RgbdParams(**rgbd), rtab=RtabParams(**rtab), **d)
 
 
 def save_run(record: RunRecord, out_dir: str | Path) -> Path:

@@ -106,9 +106,12 @@ class Corridor:
         return (self.x1 + f * (self.x2 - self.x1), self.y1 + f * (self.y2 - self.y1))
 
 
+SHAPES = ("square_loop", "figure_eight", "nine_loop", "long_track")  # the cases of _shape_corridors
+
+
 @dataclass(frozen=True)
 class TrajectorySpec:
-    shape: str  # {square_loop, figure_eight, nine_loop, long_track}
+    shape: str  # one of SHAPES
     scale: float
     speed: float = 1.4
     pause_every: float = 3.5
@@ -116,6 +119,8 @@ class TrajectorySpec:
     laps: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.shape not in SHAPES:
+            raise BadWorld(f"unknown trajectory shape {self.shape!r}; valid shapes: {', '.join(SHAPES)}")
         if min(self.scale, self.speed, self.pause_every, self.pause_duration, self.laps) <= 0:
             raise BadWorld("trajectory magnitudes must be positive")
 
@@ -302,13 +307,11 @@ def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple
         # after the final lap, re-enter the first corridor up to the junction,
         # then take the adjoining tail out
         tail = [(0, 0.0, junction), (4, 0.0, 0.5 * s)]
-    elif spec.shape == "long_track":
+    else:  # long_track, the last of SHAPES
         pts = [(0.0, 0.0), (3 * s, 0.0), (3 * s, s), (0.0, s), (0.0, 0.0)]
         segs = list(zip(pts[:-1], pts[1:]))
         loop = [0, 1, 2, 3]
         tail = []
-    else:
-        raise BadWorld(f"unknown trajectory shape {spec.shape!r}")
 
     corridors = [
         Corridor(a[0], a[1], b[0], b[1], template_of.get(i, i)) for i, (a, b) in enumerate(segs)

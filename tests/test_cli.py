@@ -65,7 +65,7 @@ class TestGen:
         ("{not json", "bad JSON"),
         ("[1, 2]", "expected a JSON object"),
         ('{"name": "w", "trajectory": {"shape": "hexagon", "scale": 5.0}, "template_of": {}, "ap_count": 4}',
-         "unknown trajectory shape"),
+         "{world}: unknown trajectory shape 'hexagon'"),
         *((WORLD[:-1] + f", {setting}}}", reason) for setting, reason in BAD_WORLD_SETTINGS.values()),
     ], ids=["missing_key", "bad_json", "not_object", "unknown_shape", *BAD_WORLD_SETTINGS])
     def test_bad_world_file_exit_2(self, tmp_path, capsys, text, reason):
@@ -201,6 +201,26 @@ class TestSweep:
                 k: v for k, v in expected.items() if k != "wall_ms"
             }
 
+    def test_nested_object_axis_matches_run_config(self, gen_dir, tmp_path):
+        cell = {"policy": "rgbd", "gated": False, "seed": 0, "rgbd": {"n_random_keyframes": 4}}
+        for name in ("grid.json", "cfg.json"):  # a grid value that is not a list is a one-point axis
+            (tmp_path / name).write_text(json.dumps(cell))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report, "--jobs", "2") == 0
+        assert run_cli("run", "--dataset", gen_dir, "--out", tmp_path / "run", "--config", tmp_path / "cfg.json") == 0
+        (swept,) = evaluation.read_report(report)
+        (ran,) = evaluation.read_report(tmp_path / "run" / "report_row.csv")
+        assert {k: v for k, v in swept.items() if k != "wall_ms"} == {k: v for k, v in ran.items() if k != "wall_ms"}
+
+    @pytest.mark.parametrize("key, value", [("rgbd", 4), ("rtab", "fast")])
+    def test_non_object_nested_axis_exit_2(self, gen_dir, tmp_path, capsys, key, value):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy": ["rgbd"], key: [value]}))
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", tmp_path / "r.csv", "--jobs", "1") == 2
+        err = capsys.readouterr().err
+        assert "bad grid cell" in err and f"{key} must be a JSON object" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_malformed_grid_exit_2(self, gen_dir, tmp_path):
         grid = tmp_path / "bad.json"
         grid.write_text("{not json")
@@ -318,6 +338,29 @@ def test_unwritable_out_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, 
     assert run_cli(command, *inputs, "--out", out) == 2
     err = capsys.readouterr().err
     assert f"error: cannot write --out {out}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("localize", "--wifi-threshold", "0"),
+    ("localize", "--wifi-threshold", "1.5"),
+    ("localize", "--wifi-threshold", "nan"),
+    ("run", "--match-radius", "0"),
+    ("sweep", "--match-radius", "0"),
+    ("sweep", "--jobs", "-1"),
+])
+def test_bad_flag_value_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, flag, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(simworld, "load_dataset", no_work)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"policy": ["orb"]}))
+    inputs = [a.format(dataset=gen_dir, grid=grid) for a in COMMAND_INPUTS[command]]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *inputs, "--out", tmp_path / "o", flag, value)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_consolidation(gen_dir, tmp_path):

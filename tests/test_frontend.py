@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from wifislam.frontend import (
     Appearance,
-    Covisibility,
     FrameTruth,
     InvertedIndex,
     MatchParams,
     MatchResult,
-    covis_update,
     match_frames,
     match_information,
     shared_word_count,
@@ -233,20 +231,3 @@ class TestInvertedIndex:
             got = idx.query(q)
             assert got == [kf for kf, _n in brute_scored(q, apps)]
 
-
-class TestCovisibility:
-    def test_no_matches_no_change(self):
-        covis = Covisibility()
-        covis_update(covis, 3, [])
-        assert covis.neighbors(3) == set()
-
-    def test_symmetric(self):
-        covis = Covisibility()
-        covis_update(covis, 1, [2])
-        assert 2 in covis.neighbors(1) and 1 in covis.neighbors(2)
-
-    def test_not_transitive(self):
-        covis = Covisibility()
-        covis_update(covis, 2, [1])
-        covis_update(covis, 3, [2])
-        assert 3 not in covis.neighbors(1)

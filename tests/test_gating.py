@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wifislam import simworld
 from wifislam.clustering import ClusterStore, SimilarClusters, assign, similar_clusters
-from wifislam.frontend import Appearance, Covisibility, InvertedIndex, covis_update
+from wifislam.frontend import Appearance, InvertedIndex
 from wifislam.gating import (
     BadDataset,
     MemoryCorruption,
@@ -18,7 +19,6 @@ from wifislam.gating import (
     RgbdParams,
     RtabParams,
     orb_candidates,
-    orb_cluster_management,
     params_from_json,
     params_to_json,
     rgbd_candidates,
@@ -172,83 +172,75 @@ class TestRtabStep:
             rtab_step(state, 6, None, self.params(), 0.0, graph=g, sims=None)
 
 
+def merged_cluster_indexes(appearance, apps, cluster_of, similar):
+    """Gated ORB candidates the way one index per cluster gives them: query each similar
+    cluster's index and merge the scored results by shared count desc, then id asc."""
+    indexes: dict[int, InvertedIndex] = {}
+    for kf, app in apps.items():
+        indexes.setdefault(cluster_of[kf], InvertedIndex()).insert(kf, app)
+    scored = [e for cid in similar if cid in indexes for e in indexes[cid].query_scored(appearance)]
+    return [kf for kf, _n in sorted(scored, key=lambda e: (-e[1], e[0]))]
+
+
+def orb_map(apps, cluster_of, n_clusters):
+    """A store with ``n_clusters`` clusters holding the keyframes of ``cluster_of``, and one
+    index of every keyframe in ``apps``."""
+    store, index = ClusterStore(), InvertedIndex()
+    for c in range(n_clusters):
+        store._new_cluster(sig({AP(c): 10.0}))
+    for kf, app in apps.items():
+        store._add_member(cluster_of[kf], kf)
+        index.insert(kf, app)
+    return store, index
+
+
 class TestOrbCandidates:
+    GATED = PolicyParams(policy="orb", gated=True, seed=0)
+
     def test_gated_no_similar_clusters_empty(self):
-        p = PolicyParams(policy="orb", gated=True, seed=0)
-        out = orb_candidates(Appearance(words=(1, 2), place_template=0), ClusterStore(), {}, InvertedIndex(), p, SimilarClusters(entries=()))
-        assert out == []
+        app = Appearance(words=(1, 2), place_template=0)
+        store, index = orb_map({0: app}, {0: 0}, 1)
+        assert orb_candidates(app, store, index, self.GATED, SimilarClusters(entries=())) == []
+        assert orb_candidates(app, store, index, self.GATED, None) == []
 
     def test_gated_subset_of_vanilla(self):
         rng = np.random.default_rng(0)
-        store = ClusterStore()
-        indexes: dict[int, InvertedIndex] = {}
-        global_index = InvertedIndex()
+        store, index = ClusterStore(), InvertedIndex()
         rep = sig({AP(1): 10.0})
         for kf in range(20):
             words = tuple(sorted(rng.choice(50, size=8).tolist()))
-            app = Appearance(words=words, place_template=0)
             sims = similar_clusters(store, rep, 0.99) if kf else SimilarClusters(entries=())
-            out = assign(store, kf, rep, {kf - 1} if kf else set(), sims)
-            indexes.setdefault(out.cluster_id, InvertedIndex()).insert(kf, app)
-            global_index.insert(kf, app)
-        p = PolicyParams(policy="orb", gated=True, seed=0)
-        pv = PolicyParams(policy="orb", gated=False, seed=0)
+            assign(store, kf, rep, {kf - 1} if kf else set(), sims)
+            index.insert(kf, Appearance(words=words, place_template=0))
         q = Appearance(words=tuple(range(0, 50, 3)), place_template=0)
         sims = SimilarClusters(entries=tuple((c.id, 0.9) for c in store.clusters))
-        gated = orb_candidates(q, store, indexes, global_index, p, sims)
-        vanilla = orb_candidates(q, store, indexes, global_index, pv, None)
-        assert set(gated) <= set(vanilla)
+        gated = orb_candidates(q, store, index, self.GATED, sims)
+        vanilla = orb_candidates(q, store, index, replace(self.GATED, gated=False), None)
+        assert gated and set(gated) <= set(vanilla)
 
     def test_aliased_keyframe_excluded_when_cluster_not_similar(self):
-        store = ClusterStore()
-        indexes: dict[int, InvertedIndex] = {}
-        global_index = InvertedIndex()
-        shared = tuple(range(12))
-        assign(store, 0, sig({AP(1): 10.0}), set(), SimilarClusters(entries=()))
-        assign(store, 1, sig({AP(2): 10.0}), set(), SimilarClusters(entries=()))
-        for kf, cluster in ((0, 0), (1, 1)):
-            app = Appearance(words=shared, place_template=0)
-            indexes.setdefault(cluster, InvertedIndex()).insert(kf, app)
-            global_index.insert(kf, app)
-        p = PolicyParams(policy="orb", gated=True, seed=0)
-        q = Appearance(words=shared, place_template=0)
+        shared = Appearance(words=tuple(range(12)), place_template=0)
+        store, index = orb_map({0: shared, 1: shared}, {0: 0, 1: 1}, 2)
         sims = SimilarClusters(entries=((0, 0.95),))  # cluster 1 is not similar
-        gated = orb_candidates(q, store, indexes, global_index, p, sims)
-        assert gated == [0]
-        vanilla = orb_candidates(q, store, indexes, global_index, replace(p, gated=False), None)
-        assert set(vanilla) == {0, 1}
+        assert orb_candidates(shared, store, index, self.GATED, sims) == [0]
+        assert orb_candidates(shared, store, index, replace(self.GATED, gated=False), None) == [0, 1]
 
-
-class TestOrbClusterManagement:
-    def test_first_keyframe_new_cluster_and_index(self):
-        store, indexes = ClusterStore(), {}
-        app = Appearance(words=(1, 2, 3), place_template=0)
-        out = orb_cluster_management(0, app, sig({AP(1): 5.0}), [], Covisibility(), store, indexes, SimilarClusters(entries=()))
-        assert out.created and out.cluster_id == 0
-        assert 0 in indexes[0]
-
-    def test_accepted_match_joins_that_cluster(self):
-        store, indexes = ClusterStore(), {}
-        rep = sig({AP(1): 5.0})
-        for k in range(4):
-            sims = similar_clusters(store, rep, 0.99) if k else SimilarClusters(entries=())
-            orb_cluster_management(k, Appearance(words=(k,), place_template=0), rep, [k - 1] if k else [], Covisibility(), store, indexes, sims)
-        sims = similar_clusters(store, rep, 0.99)
-        out = orb_cluster_management(9, Appearance(words=(9,), place_template=0), rep, [3], Covisibility(), store, indexes, sims)
-        assert not out.created
-        assert 9 in indexes[out.cluster_id]
-        counts = sum(1 for idx in indexes.values() if 9 in idx)
-        assert counts == 1
-
-    def test_covisible_neighbor_joins_without_edge(self):
-        store, indexes = ClusterStore(), {}
-        rep = sig({AP(1): 5.0})
-        orb_cluster_management(0, Appearance(words=(0,), place_template=0), rep, [], Covisibility(), store, indexes, SimilarClusters(entries=()))
-        covis = Covisibility()
-        covis_update(covis, 5, [0])
-        sims = similar_clusters(store, rep, 0.99)
-        out = orb_cluster_management(5, Appearance(words=(5,), place_template=0), rep, [], covis, store, indexes, sims)
-        assert not out.created and out.cluster_id == 0
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bags=st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=12), min_size=0, max_size=25),
+        query=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+        n_clusters=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_gated_equals_merged_cluster_indexes(self, bags, query, n_clusters, data):
+        apps = {kf: Appearance(words=tuple(words), place_template=0) for kf, words in enumerate(bags)}
+        cluster_of = {kf: data.draw(st.integers(0, n_clusters - 1)) for kf in apps}
+        similar = data.draw(st.lists(st.integers(0, n_clusters - 1), unique=True))
+        store, index = orb_map(apps, cluster_of, n_clusters)
+        q = Appearance(words=tuple(query), place_template=0)
+        sims = SimilarClusters(entries=tuple((cid, 0.9) for cid in similar))
+        expected = merged_cluster_indexes(q, apps, cluster_of, similar)
+        assert orb_candidates(q, store, index, self.GATED, sims) == expected
 
 
 @pytest.fixture(scope="module")
@@ -370,3 +362,16 @@ def test_params_json_roundtrip():
     assert q == p
     p2 = replace(p, rtab=RtabParams(real_time_threshold=70.0))
     assert params_from_json(params_to_json(p2)) == p2
+
+
+def test_params_from_json_defaults_and_threshold_strings():
+    assert params_from_json({}) == PolicyParams()
+    p = params_from_json({"policy": "rgbd", "rgbd": {"n_random_keyframes": 4}, "rtab": {"real_time_threshold": "70"}})
+    assert p.rgbd == RgbdParams(n_random_keyframes=4) and p.rtab == RtabParams(real_time_threshold=70.0)
+    assert params_from_json({"rtab": {"real_time_threshold": "Infinity"}}).rtab.real_time_threshold == math.inf
+
+
+@pytest.mark.parametrize("key, value", [("rgbd", [1]), ("rtab", 70), ("rgbd", None)])
+def test_params_from_json_non_object_nested_value(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a JSON object"):
+        params_from_json({key: value})

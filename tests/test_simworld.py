@@ -14,6 +14,7 @@ from wifislam.posegraph import compose
 from wifislam.signature import ScanReading
 from wifislam.simworld import (
     AccessPoint,
+    BadWorld,
     DataError,
     FloorPlan,
     PropagationParams,
@@ -91,8 +92,8 @@ class TestTrajectory:
         assert traj.samples[-1].t == pytest.approx(80.0 / 1.0 + 22 * 10.0)
 
     def test_unknown_shape(self):
-        with pytest.raises(Exception):
-            generate_trajectory(TrajectorySpec(shape="spiral", scale=5.0))
+        with pytest.raises(BadWorld, match="unknown trajectory shape 'spiral'; valid shapes: square_loop, "):
+            TrajectorySpec(shape="spiral", scale=5.0)
 
 
 class TestSynthesize:

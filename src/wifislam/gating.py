@@ -185,20 +185,15 @@ class RunRecord:
 # policy candidate selection
 
 
-def _geodesic_neighbors(graph: PoseGraph, start: int, depth: int) -> set[int]:
-    if start not in graph.nodes or depth <= 0:
-        return set()
-    seen = {start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for n in frontier:
-            for m in graph.neighbors(n):
-                if m not in seen:
-                    seen.add(m)
-                    nxt.append(m)
-        frontier = nxt
-    return seen
+def _rgbd_base(graph: PoseGraph, params: PolicyParams) -> set[int]:
+    """The keyframes rgbd always searches: the newest ``n_predecessors`` of the
+    graph and those within ``geodesic_depth`` hops of the newest one."""
+    ids = graph.ids
+    n, depth = params.rgbd.n_predecessors, params.rgbd.geodesic_depth
+    base = set(ids[-n:]) if n else set()
+    if depth > 0 and ids:
+        base.update(_hops_from(graph, [ids[-1]], depth).keys())
+    return base
 
 
 def rgbd_candidates(
@@ -215,16 +210,13 @@ def rgbd_candidates(
     """
     if current in graph.nodes:
         raise ValueError(f"keyframe {current} already in graph")
-    prior = sorted(graph.nodes)
-    if not prior:
+    if not graph.ids:
         return []
-    preds = prior[-params.rgbd.n_predecessors:] if params.rgbd.n_predecessors else []
-    geo = _geodesic_neighbors(graph, prior[-1], params.rgbd.geodesic_depth)
-    base = set(preds) | geo
+    base = _rgbd_base(graph, params)
     if params.gated:
         extra = [k for k in members_of(store, sims) if k not in base] if sims is not None else []
     else:
-        pool = [k for k in prior if k not in base]
+        pool = [k for k in graph.ids if k not in base]
         rng = np.random.default_rng((params.seed, 7, current))
         n = min(params.rgbd.n_random_keyframes, len(pool))
         extra = sorted(int(k) for k in rng.choice(pool, size=n, replace=False)) if n else []
@@ -275,9 +267,8 @@ def rtab_step(
     transferred: list[int] = []
     if step_cost > params.rtab.real_time_threshold:
         sources = [n for n in recent_matches if n in graph.nodes]
-        newest = max(graph.nodes) if graph.nodes else None
-        if newest is not None:
-            sources.append(newest)
+        if graph.ids:
+            sources.append(graph.ids[-1])
         hops = _hops_from(graph, sources)
         order = sorted(
             (k for k in state.wm if k not in state.immune),
@@ -299,12 +290,13 @@ def rtab_step(
     return candidates, state, transferred, retrieved
 
 
-def _hops_from(graph: PoseGraph, sources: Sequence[int]) -> dict[int, int]:
-    """Breadth-first hop counts from ``sources``, which must be nodes of ``graph``."""
+def _hops_from(graph: PoseGraph, sources: Sequence[int], max_hops: float = math.inf) -> dict[int, int]:
+    """Breadth-first hop counts from ``sources``, which must be nodes of ``graph``,
+    up to ``max_hops``."""
     hops = {s: 0 for s in sources}
     frontier = list(sources)
     d = 0
-    while frontier:
+    while frontier and d < max_hops:
         d += 1
         nxt = []
         for n in frontier:
@@ -427,9 +419,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         if params.gated and sims is not None:
             allowed = set(members_of(store, sims))
             if params.policy == "rgbd":
-                prior = sorted(graph.nodes)
-                allowed |= set(prior[-params.rgbd.n_predecessors:])
-                allowed |= _geodesic_neighbors(graph, prior[-1], params.rgbd.geodesic_depth) if prior else set()
+                allowed |= _rgbd_base(graph, params)
             if not set(cands) <= allowed:
                 gating_violations += 1
 
@@ -438,9 +428,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             graph.add_node(0, f.gt_pose)
         else:
             graph.add_node(i, compose(graph.nodes[i - 1], f.odom_delta))
-            step = math.hypot(f.odom_delta.x, f.odom_delta.y)
-            sxy = onoise.sigma_xy_per_m * math.sqrt(max(step, 1e-6))
-            sth = onoise.sigma_theta_per_m * math.sqrt(max(step, 1e-6))
+            sxy, sth = onoise.sigmas(math.hypot(f.odom_delta.x, f.odom_delta.y))
             info = np.diag([1.0 / sxy**2, 1.0 / sxy**2, 1.0 / sth**2])
             graph.add_edge(GraphEdge(from_id=i - 1, to_id=i, relative=f.odom_delta, information=info))
 

@@ -8,7 +8,8 @@ which gives simple closed-form Jacobians:
     d r / d x_i = [[-c, -s,  py], [ s, -c, -px], [0, 0, -1]]
     d r / d x_j = [[ c,  s,   0], [-s,  c,   0], [0, 0,  1]]
 with c = cos(theta_i), s = sin(theta_i) and (px, py) the predicted relative
-translation. The gauge is fixed by holding the lowest node id constant.
+translation. The gauge is fixed by holding the lowest node id constant; node
+ids ascend in insertion order, so that node is the graph's first.
 """
 
 from __future__ import annotations
@@ -145,78 +146,64 @@ _BLOCK_ROW = np.repeat(_OFF3, 3)  # row offsets of a 3x3 block, row-major
 _BLOCK_COL = np.tile(_OFF3, 3)
 
 
-class _HessianPattern:
-    """COO index pattern of the normal equations, kept across `optimize` calls.
+def _hessian_pattern(vi: np.ndarray, vj: np.ndarray):
+    """Edge selections, COO rows and columns, and gradient slots of the normal
+    equations for edges with variable indices ``vi``/``vj`` (-1 for the anchor).
 
     Values are emitted in four sections: the from-node diagonal blocks of edges
     whose from-node is free, the to-node diagonal blocks of edges whose to-node
     is free, and the off-diagonal blocks and their transposes of edges with
-    both ends free. Each section lists its edges in insertion order, so a new
-    edge only appends to the sections. Valid while the variable layout holds,
-    that is until a node arrives with an id below the largest one.
+    both ends free. Each section lists its edges in edge order; the gradient
+    slots are those of the first two sections.
     """
-
-    def __init__(self) -> None:
-        self.n_edges = 0
-        empty = np.empty(0, dtype=np.intp)
-        self.sel = [empty, empty, empty]  # edge indices: free from-node, free to-node, both free
-        # int32, the index type scipy picks for these sizes, so that no call converts them
-        self.rows = self.cols = np.empty(0, dtype=np.int32)
-        self.grad = empty  # gradient slots of the first two sections
-
-    def extend(self, vi: np.ndarray, vj: np.ndarray) -> None:
-        """Append the edges with variable indices ``vi``/``vj`` (-1 for the anchor)."""
-        e0 = self.n_edges
-        self.n_edges += len(vi)
-        mi, mj = vi >= 0, vj >= 0
-        new = [np.flatnonzero(m) for m in (mi, mj, mi & mj)]
-        bi, bj = 3 * vi, 3 * vj
-        blocks = ((bi, bi, 0), (bj, bj, 1), (bi, bj, 2), (bj, bi, 2))
-        rows, cols = [], []
-        for rb, cb, s in blocks:
-            rows.append((rb[new[s], None] + _BLOCK_ROW).ravel())
-            cols.append((cb[new[s], None] + _BLOCK_COL).ravel())
-        sizes = [9 * len(self.sel[s]) for _, _, s in blocks]
-        self.rows = _append_sections(self.rows, sizes, rows)
-        self.cols = _append_sections(self.cols, sizes, cols)
-        grad = [(b[new[k], None] + _OFF3).ravel() for k, b in enumerate((bi, bj))]
-        self.grad = _append_sections(self.grad, [3 * len(self.sel[k]) for k in (0, 1)], grad)
-        self.sel = [np.concatenate((old, e + e0)) for old, e in zip(self.sel, new)]
+    mi, mj = vi >= 0, vj >= 0
+    sel = [np.flatnonzero(m) for m in (mi, mj, mi & mj)]  # free from-node, free to-node, both free
+    bi, bj = 3 * vi, 3 * vj
+    blocks = ((bi, bi, 0), (bj, bj, 1), (bi, bj, 2), (bj, bi, 2))
+    # int32, the index type scipy picks for these sizes, so that no call converts them
+    rows = np.concatenate([(rb[sel[k], None] + _BLOCK_ROW).ravel() for rb, _, k in blocks], dtype=np.int32)
+    cols = np.concatenate([(cb[sel[k], None] + _BLOCK_COL).ravel() for _, cb, k in blocks], dtype=np.int32)
+    grad = np.concatenate([(b[sel[k], None] + _OFF3).ravel() for k, b in enumerate((bi, bj))])
+    return sel, rows, cols, grad
 
 
-def _append_sections(flat: np.ndarray, sizes: Sequence[int], pieces: Sequence[np.ndarray]) -> np.ndarray:
-    """``flat``, made of consecutive sections of ``sizes``, with ``pieces[k]`` appended to section k."""
-    parts: list[np.ndarray] = []
-    start = 0
-    for size, piece in zip(sizes, pieces):
-        parts += (flat[start : start + size], piece)
-        start += size
-    return np.concatenate(parts, dtype=flat.dtype)
+class _IdView(Sequence):
+    """Read-only view of a graph's node ids, in ascending order."""
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: list[int]) -> None:
+        self._ids = ids
+
+    def __getitem__(self, k):
+        return self._ids[k]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
 
 class PoseGraph:
     """Keyframe poses plus odometry/loop constraints.
 
-    The graph owns the optimizer's state and grows it in `add_node` and
-    `add_edge`: an (n, 3) node-state array, edge arrays of endpoints,
-    measurements and information matrices, neighbour lists in edge order and
-    a union-find of the connected components. `optimize` validates each edge
-    once and reuses the Hessian's index pattern across calls. ``nodes`` is a
-    read-only view of the state array that iterates in insertion order;
-    ``edges`` and `neighbors` return the graph's own lists, which callers must
-    not modify.
+    Node ids ascend, as keyframes enter a map in time order: `add_node`
+    rejects an id below the newest one. A node's row in the graph's arrays is
+    therefore its rank by id; row 0 is the optimizer's gauge anchor and the
+    free variables are rows 1 onwards. The graph owns the optimizer's state
+    and grows it in `add_node` and `add_edge`: an (n, 3) node-state array,
+    edge arrays of endpoints, measurements and information matrices,
+    neighbour lists in edge order and a union-find of the connected
+    components. ``nodes`` (id -> pose) and ``ids`` are read-only views in
+    ascending id order; ``edges`` and `neighbors` return the graph's own
+    lists, which callers must not modify.
     """
 
     def __init__(self) -> None:
-        self._slot: dict[int, int] = {}  # node id -> row of the node arrays, in insertion order
-        self._ids = np.empty(16, dtype=np.int64)
+        self._slot: dict[int, int] = {}  # node id -> row of the node arrays
+        self._ids: list[int] = []  # node id of each row, ascending
         self._x = np.empty((16, 3))
-        # sorted position of each row and row at each sorted position; the
-        # optimizer's variable layout follows node ids, as `sorted(nodes)` does
-        self._rank = np.empty(16, dtype=np.intp)
-        self._order = np.empty(16, dtype=np.intp)
-        self._layout_stale = False
-        self._max_id = 0
         self._adj: dict[int, list[int]] = {}
         self._parent: list[int] = []  # union-find over rows
         self._components = 0
@@ -226,12 +213,16 @@ class PoseGraph:
         self._z = np.empty((16, 3))
         self._omega = np.empty((16, 3, 3))
         self._validated = 0  # edges [0, _validated) passed `_check_information`
-        self._pattern = _HessianPattern()
         self._nodes = _NodeView(self)
+        self._id_view = _IdView(self._ids)
 
     @property
     def nodes(self) -> Mapping[int, Pose2]:
         return self._nodes
+
+    @property
+    def ids(self) -> Sequence[int]:
+        return self._id_view
 
     @property
     def edges(self) -> list[GraphEdge]:
@@ -242,20 +233,16 @@ class PoseGraph:
         return self._adj[node_id]
 
     def add_node(self, node_id: int, pose: Pose2) -> None:
+        """Append a node; raises ValueError, leaving the graph as it was, for an id
+        already present or below the newest one."""
         if node_id in self._slot:
             raise ValueError(f"node {node_id} already present")
-        s = len(self._slot)
-        if s == len(self._ids):
-            self._ids, self._x, self._rank, self._order = (
-                _reserve(a, s + 1) for a in (self._ids, self._x, self._rank, self._order)
-            )
-        if s and node_id < self._max_id:
-            self._layout_stale = True  # positions shift; `optimize` re-sorts
-        else:
-            self._rank[s] = self._order[s] = s
-            self._max_id = node_id
+        if self._ids and node_id < self._ids[-1]:
+            raise ValueError(f"node {node_id} is below the newest id {self._ids[-1]}; ids must ascend")
+        s = len(self._ids)
+        self._x = _reserve(self._x, s + 1)
         self._slot[node_id] = s
-        self._ids[s] = node_id
+        self._ids.append(node_id)
         self._x[s] = (pose.x, pose.y, pose.theta)
         self._adj[node_id] = []
         self._parent.append(s)
@@ -317,7 +304,7 @@ def residual_jacobians(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> tuple[np.
 def total_error(graph: PoseGraph) -> float:
     """Weighted squared error of the graph: `optimize`'s ``error_initial``."""
     n_edges = len(graph.edges)
-    x = graph._x[: len(graph._slot)]
+    x = graph._x[: len(graph._ids)]
     r = _residuals_vec(x, graph._ii[:n_edges], graph._jj[:n_edges], graph._z[:n_edges])[0]
     return _weighted_error(r, graph._omega[:n_edges])
 
@@ -381,9 +368,10 @@ def optimize(
     damping_init: float = 1e-4,
     stats: dict | None = None,
 ) -> PoseGraph:
-    """Levenberg-Marquardt over the whole graph; the lowest node id stays fixed.
+    """Levenberg-Marquardt over the whole graph; the lowest node id (row 0) stays fixed.
 
-    Optimizes ``graph`` in place and returns it. Accepted steps strictly
+    Optimizes ``graph`` in place and returns it. The Hessian's index pattern
+    is built once per call from the edges' node rows. Accepted steps strictly
     decrease the weighted error; rejected steps raise the damping tenfold and
     are retried. Terminates on max_iters (accepted or rejected) or when the
     relative error improvement drops below 1e-9. When a ``stats`` dict is
@@ -400,30 +388,17 @@ def optimize(
     edges = graph.edges
     if not edges:
         raise ValueError("optimize requires at least one edge")
-    n_nodes, n_edges = len(graph._slot), len(edges)
+    n_nodes, n_edges = len(graph._ids), len(edges)
     if graph._validated < n_edges:
         _check_information(edges[graph._validated:])
         graph._validated = n_edges
 
-    pattern = graph._pattern
-    if graph._layout_stale:
-        order = np.argsort(graph._ids[:n_nodes])
-        graph._order[:n_nodes] = order
-        graph._rank[order] = np.arange(n_nodes)
-        graph._layout_stale = False
-        pattern = graph._pattern = _HessianPattern()
-    order = graph._order[:n_nodes]
-    anchor = int(graph._ids[order[0]])
-    _check_connected(graph, anchor)
+    _check_connected(graph, graph._ids[0])
 
     ii, jj = graph._ii[:n_edges], graph._jj[:n_edges]
     z, omega = graph._z[:n_edges], graph._omega[:n_edges]
-    if pattern.n_edges < n_edges:
-        rank = graph._rank
-        pattern.extend(rank[ii[pattern.n_edges:]] - 1, rank[jj[pattern.n_edges:]] - 1)
+    (sel_i, sel_j, sel_b), rows, cols, grad = _hessian_pattern(ii - 1, jj - 1)
     nvars = 3 * (n_nodes - 1)
-    free = order[1:]  # rows of the free nodes, in variable order
-    sel_i, sel_j, sel_b = pattern.sel
     diag = None  # slots of the diagonal in the CSR Hessian, whose structure is fixed per call
 
     x = graph._x[:n_nodes]
@@ -453,8 +428,8 @@ def optimize(
             (haa[sel_i].ravel(), hbb[sel_j].ravel(), hab[sel_b].ravel(), np.transpose(hab, (0, 2, 1))[sel_b].ravel())
         )
         # one pass in the same order as accumulating ga's terms then gb's
-        g = np.bincount(pattern.grad, np.concatenate((ga[sel_i].ravel(), gb[sel_j].ravel())), minlength=nvars)
-        h = sp.coo_matrix((vals, (pattern.rows, pattern.cols)), shape=(nvars, nvars)).tocsr()
+        g = np.bincount(grad, np.concatenate((ga[sel_i].ravel(), gb[sel_j].ravel())), minlength=nvars)
+        h = sp.coo_matrix((vals, (rows, cols)), shape=(nvars, nvars)).tocsr()
         if diag is None:
             entry_rows = np.repeat(np.arange(nvars), np.diff(h.indptr))
             diag = np.flatnonzero(h.indices == entry_rows)
@@ -471,7 +446,7 @@ def optimize(
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 xc = x.copy()
-                xc[free] += delta.reshape(-1, 3)
+                xc[1:] += delta.reshape(-1, 3)
                 rc, pxc, pyc, cc2, sc2 = _residuals_vec(xc, ii, jj, z)
                 errc = _weighted_error(rc, omega)
                 if errc < err:

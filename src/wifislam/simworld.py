@@ -139,6 +139,11 @@ class OdomNoise:
     sigma_xy_per_m: float = 0.01
     sigma_theta_per_m: float = 0.002
 
+    def sigmas(self, step: float) -> tuple[float, float]:
+        """Standard deviations of the xy and theta odometry error over a ``step`` metres long."""
+        root = math.sqrt(max(step, 1e-6))
+        return self.sigma_xy_per_m * root, self.sigma_theta_per_m * root
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -474,9 +479,7 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
             delta = Pose2()
         else:
             true_delta = between(prev_pose, s.pose)
-            step = math.hypot(true_delta.x, true_delta.y)
-            sxy = config.odom_noise.sigma_xy_per_m * math.sqrt(max(step, 1e-6))
-            sth = config.odom_noise.sigma_theta_per_m * math.sqrt(max(step, 1e-6))
+            sxy, sth = config.odom_noise.sigmas(math.hypot(true_delta.x, true_delta.y))
             ex, ey, eth = rng_odom.normal(0.0, 1.0, size=3)
             delta = Pose2(true_delta.x + sxy * ex, true_delta.y + sxy * ey, true_delta.theta + sth * eth)
         frames.append(Frame(id=i, t=s.t, gt_pose=s.pose, odom_delta=delta, appearance=appearance))
@@ -765,13 +768,22 @@ def load_world_config(path: str | Path) -> WorldConfig:
     return _read_world_file(Path(path), _config_from_json)
 
 
-def _read_rows(path: Path, header: str, parse: Callable[[Iterator[list[str]]], T]) -> T:
-    """Check a dataset CSV's header, then ``parse`` its non-blank rows, split into as many fields
-    as the header has. Any fault raises DataError naming the file and the line."""
+class _LineFault(ValueError):
+    """A fault a dataset CSV parser finds after reading, blamed on an earlier ``line``."""
+
+    def __init__(self, line: int, reason: str) -> None:
+        super().__init__(reason)
+        self.line = line
+
+
+def _read_rows(path: Path, header: str, parse: Callable[[Iterator[tuple[int, list[str]]]], T]) -> T:
+    """Check a dataset CSV's header, then ``parse`` its non-blank rows as (line number, fields),
+    split into as many fields as the header has. Any fault raises DataError naming the file
+    and the line."""
     n_fields = header.count(",") + 1
     lineno = 1
 
-    def rows(fh: TextIO) -> Iterator[list[str]]:
+    def rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
         nonlocal lineno
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -779,7 +791,7 @@ def _read_rows(path: Path, header: str, parse: Callable[[Iterator[list[str]]], T
                 parts = line.split(",")
                 if len(parts) != n_fields:
                     raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
-                yield parts
+                yield lineno, parts
 
     try:
         with open(path, newline="") as fh:
@@ -789,10 +801,10 @@ def _read_rows(path: Path, header: str, parse: Callable[[Iterator[list[str]]], T
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except (OverflowError, ValueError) as exc:
-        raise DataError(f"{path}:{lineno}: {exc}") from exc
+        raise DataError(f"{path}:{exc.line if isinstance(exc, _LineFault) else lineno}: {exc}") from exc
 
 
-def _frames(rows: Iterator[list[str]]) -> tuple[Frame, ...]:
+def _frames(rows: Iterator[tuple[int, list[str]]]) -> tuple[Frame, ...]:
     return tuple(
         Frame(
             id=int(p[0]),
@@ -801,19 +813,34 @@ def _frames(rows: Iterator[list[str]]) -> tuple[Frame, ...]:
             odom_delta=Pose2(float(p[5]), float(p[6]), float(p[7])),
             appearance=Appearance(tuple(map(int, p[9].split("|"))) if p[9] else (), int(p[8])),
         )
-        for p in rows
+        for _, p in rows
     )
 
 
-def _dwell_scans(rows: Iterator[list[str]]) -> tuple[tuple[ScanReading, ...], ...]:
+def _dwell_scans(rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[ScanReading, ...], ...]:
+    """Readings grouped by dwell index. Dwells must be in time order: a dwell whose mean
+    reading time (a signature's ``collected_at``) is earlier than the previous dwell's is
+    blamed on its first reading."""
     groups: defaultdict[int, list[ScanReading]] = defaultdict(list)
-    for t_s, bssid, rssi, dwell in rows:
+    first_line: dict[int, int] = {}
+    for line, (t_s, bssid, rssi, dwell) in rows:
         d = int(dwell)
         if not 0 <= d < MAX_DWELLS:
             raise ValueError(f"dwell index {d} outside [0, {MAX_DWELLS})")
         groups[d].append(ScanReading(timestamp=float(t_s), bssid=bssid, rssi=float(rssi)))
+        first_line.setdefault(d, line)
     n_dwells = max(groups) + 1 if groups else 0
-    return tuple(tuple(groups.get(i, ())) for i in range(n_dwells))
+    dwells = tuple(tuple(groups.get(i, ())) for i in range(n_dwells))
+    prev, prev_t = -1, -math.inf
+    for d, readings in enumerate(dwells):
+        if readings:
+            t = sum(r.timestamp for r in readings) / len(readings)
+            if t < prev_t:
+                raise _LineFault(
+                    first_line[d], f"dwell {d} (mean time {t!r} s) is earlier than dwell {prev} ({prev_t!r} s)"
+                )
+            prev, prev_t = d, t
+    return dwells
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -828,7 +855,7 @@ def load_dataset(path: str | Path) -> Dataset:
         frames=_read_rows(root / "frames.csv", FRAMES_HEADER, _frames),
         dwell_scans=_read_rows(root / "scans.csv", SCANS_HEADER, _dwell_scans),
         gt_loop_pairs=_read_rows(
-            root / "loops_gt.csv", LOOPS_HEADER, lambda rows: frozenset((int(a), int(b)) for a, b in rows)
+            root / "loops_gt.csv", LOOPS_HEADER, lambda rows: frozenset((int(a), int(b)) for _, (a, b) in rows)
         ),
         world=world,
     )

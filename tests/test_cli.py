@@ -278,6 +278,14 @@ def _broken_dataset(gen_dir, root, fault):
         del wj["aps"]
         (d / "world.json").write_text(json.dumps(wj))
         return d, f"{d / 'world.json'}: missing key 'aps'"
+    if fault == "unsorted_dwells":  # dwell 1 scanned 1000 s earlier, before dwell 0
+        lines = (d / "scans.csv").read_text().split("\n")
+        moved = [k for k, line in enumerate(lines) if k and line.split(",")[-1] == "1"]
+        for k in moved:
+            t, *rest = lines[k].split(",")
+            lines[k] = ",".join([repr(float(t) - 1000.0), *rest])
+        (d / "scans.csv").write_text("\n".join(lines))
+        return d, f"{d / 'scans.csv'}:{moved[0] + 1}: dwell 1 "
     name, edit = {
         "bad_bssid": ("scans.csv", lambda row: [row[0], "ZZ:00:00:00:00:01", *row[2:]]),
         "positive_rssi": ("scans.csv", lambda row: [*row[:2], "5.0", row[3]]),
@@ -292,7 +300,8 @@ def _broken_dataset(gen_dir, root, fault):
 
 @pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
 @pytest.mark.parametrize(
-    "fault", ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir"]
+    "fault",
+    ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifislam import simworld
+from wifislam import gating, simworld
 from wifislam.clustering import ClusterStore, SimilarClusters, assign, similar_clusters
 from wifislam.frontend import Appearance, InvertedIndex
 from wifislam.gating import (
@@ -302,6 +302,21 @@ class TestRunPipeline:
             rec = run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=True, min_matches=20, seed=2))
             assert rec.gating_violations == 0
             assert rec.subset_violations == 0
+
+    @pytest.mark.parametrize("n_predecessors", [0, 3])
+    def test_rgbd_audit_counts_a_leaked_keyframe(self, monkeypatch, dataset_cache, n_predecessors):
+        # a broken candidate selection that also offers keyframe 0 late in the run,
+        # when it is neither a predecessor, a geodesic neighbour nor a similar-cluster member
+        real = gating.rgbd_candidates
+
+        def leaky(graph, current, *args):
+            cands = real(graph, current, *args)
+            return sorted({0, *cands}) if current > 40 else cands
+
+        monkeypatch.setattr(gating, "rgbd_candidates", leaky)
+        p = PolicyParams(policy="rgbd", gated=True, min_matches=20, seed=0,
+                         rgbd=RgbdParams(n_predecessors=n_predecessors))
+        assert run_pipeline(dataset_cache("b_hall", 0), p).gating_violations > 0
 
     def test_rtab_memory_trace_shape(self, tiny_dataset):
         p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=2,

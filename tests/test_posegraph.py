@@ -272,9 +272,9 @@ def bits(graph: PoseGraph, stats: dict) -> tuple:
 
 @st.composite
 def growth_plans(draw):
-    """Steps of (new node ids, loop-edge pairs, max_iters) over ids in a drawn, non-ascending order."""
-    n_nodes = draw(st.integers(3, 14))
-    ids = draw(st.permutations(range(n_nodes)))
+    """Steps of (new node ids, loop-edge pairs, max_iters) over drawn ascending ids with gaps."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=3, max_size=14)))
+    n_nodes = len(ids)
     cuts = sorted(draw(st.sets(st.integers(2, n_nodes - 1), max_size=4)))
     bounds = [0, *cuts, n_nodes]
     steps = []
@@ -286,8 +286,8 @@ def growth_plans(draw):
 
 
 class TestIncrementalState:
-    """The graph's cached state (arrays, validation watermark, union-find,
-    Hessian pattern) gives the same optimizer output as a cold graph."""
+    """The graph's cached state (arrays, validation watermark, union-find)
+    gives the same optimizer output as a cold graph."""
 
     @given(growth_plans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -342,8 +342,30 @@ class TestIncrementalState:
         g = two_node_graph(Pose2(), Pose2(1, 0, 0), Pose2(1, 0, 0))
         with pytest.raises(TypeError):
             g.nodes[0] = Pose2(5, 5, 0)
+        with pytest.raises(TypeError):
+            g.ids[0] = 5
         assert dict(g.nodes) == {0: Pose2(), 1: Pose2(1, 0, 0)}
+        assert list(g.ids) == [0, 1] and g.ids[-1] == 1
         assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
+
+    def test_lower_id_is_rejected_and_the_graph_is_unchanged(self):
+        g = PoseGraph()
+        for k, p in [(0, Pose2()), (2, Pose2(1.1, 0.1, 0.05)), (5, Pose2(2.0, -0.2, 0.1))]:
+            g.add_node(k, p)
+        g.add_edge(GraphEdge(0, 2, Pose2(1, 0, 0), I3))
+        g.add_edge(GraphEdge(2, 5, Pose2(1, 0, 0), I3))
+        g.add_edge(GraphEdge(5, 0, Pose2(-2, 0, 0), I3, "loop"))
+        cold = cold_copy(g)
+        before = dict(g.nodes), list(g.ids), [(e.from_id, e.to_id) for e in g.edges]
+        for low in (4, 1):
+            with pytest.raises(ValueError, match="ids must ascend"):
+                g.add_node(low, Pose2(9, 9, 0))
+        assert (dict(g.nodes), list(g.ids), [(e.from_id, e.to_id) for e in g.edges]) == before
+        assert all(g.neighbors(k) == cold.neighbors(k) for k in g.nodes)
+        stats, cold_stats = {}, {}
+        optimize(g, max_iters=10, stats=stats)
+        optimize(cold, max_iters=10, stats=cold_stats)
+        assert bits(g, stats) == bits(cold, cold_stats)
 
 
 def _run_recording(monkeypatch, dataset, params, cold: bool):

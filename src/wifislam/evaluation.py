@@ -23,7 +23,7 @@ from scipy.stats import spearmanr
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters
 from .frontend import shared_word_count
-from .gating import PolicyParams, RunRecord
+from .gating import PolicyParams, RunRecord, build_signatures
 from .posegraph import kabsch_align, apply_rigid, rmse
 from .signature import NoSignatures, Signature, associate_frames, cosine_similarity
 from .simworld import DataError, Dataset, Frame, dwell_positions
@@ -98,11 +98,8 @@ def trajectory_error(
 @dataclass(frozen=True)
 class ComputeLedger:
     loop_closure_cost: float
-    loop_closure_wall_s: float
     clustering_overhead: float
-    clustering_wall_s: float
     management_overhead: float
-    management_wall_s: float
 
     @property
     def overhead_cost(self) -> float:
@@ -112,11 +109,8 @@ class ComputeLedger:
 def ledger(record: RunRecord) -> ComputeLedger:
     return ComputeLedger(
         loop_closure_cost=record.loop_cost,
-        loop_closure_wall_s=record.wall.get("loop_closure_s", 0.0),
         clustering_overhead=record.clustering_cost,
-        clustering_wall_s=record.wall.get("clustering_s", 0.0),
         management_overhead=record.management_cost,
-        management_wall_s=record.wall.get("management_s", 0.0),
     )
 
 
@@ -217,8 +211,6 @@ def localize_dataset(
     dataset: Dataset, split: float = 0.4, threshold: float = 0.85
 ) -> tuple[CdfCurve, int, int, int]:
     """Split the dataset by time into map/query phases and run the localizer."""
-    from .gating import build_signatures
-
     if not 0 < split < 1:
         raise ValueError("split must be in (0, 1)")
     frames = dataset.frames

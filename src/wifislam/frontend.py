@@ -1,13 +1,16 @@
 """Synthetic visual frontend: bag-of-words appearances, frame matching, and
-the inverted index used by the ORB-style policy.
+the inverted index whose ranking the ORB-style policy searches. The pipeline
+queries that index once per ORB frame; gating filters the ranking, it never
+queries the index again.
 
 Pixels are out of scope; a frame's appearance is a multiset of visual-word
 ids drawn from the scene template of the corridor it was taken in. Matching
 degrades the shared-word count with a deterministic seeded dropout (features
-randomly absent from individual frames) and gates transform estimation on
-true geometric separation. Two *distant* frames that share a scene template
-are perceptual aliases: matching succeeds and returns the transform implied
-by the shared appearance, which is how false loop closures enter the graph.
+randomly absent from individual frames, each word kept with DROPOUT_KEEP)
+and gates transform estimation on true geometric separation. Two *distant*
+frames that share a scene template are perceptual aliases: matching succeeds
+and returns the transform implied by the shared appearance, which is how
+false loop closures enter the graph.
 
 A candidate that shares no word with the query is rejected before its seeded
 draw is made, yet the pipeline still charges it 1.0 visual-comparison unit;
@@ -35,21 +38,22 @@ class Appearance:
     place_template: int
 
 
+DROPOUT_KEEP = 0.8  # chance that a shared word survives in a match
+NOISE_XY = 0.05  # std of the noise on an accepted match's translation, m
+NOISE_THETA = 0.01  # std of the noise on an accepted match's rotation, rad
+
+# information matrix of every accepted match: the inverse of the injected noise covariance
+MATCH_INFORMATION = np.diag([1.0 / NOISE_XY**2, 1.0 / NOISE_XY**2, 1.0 / NOISE_THETA**2])
+
+
 @dataclass(frozen=True)
 class MatchParams:
     min_matches: int
     inlier_distance: float
-    dropout_keep: float = 0.8
-    noise_xy: float = 0.05
-    noise_theta: float = 0.01
 
     def __post_init__(self) -> None:
         if self.min_matches <= 0 or self.inlier_distance <= 0:
             raise ValueError("match params must be positive")
-        if not 0 < self.dropout_keep <= 1:
-            raise ValueError("dropout_keep must be in (0, 1]")
-        if self.noise_xy <= 0 or self.noise_theta <= 0:
-            raise ValueError("noise_xy and noise_theta must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,6 @@ class FrameTruth:
 
     gt_pose: Pose2
     template_pose: Pose2  # gt pose expressed in the frame's scene-template frame
-
-
-def match_information(params: MatchParams) -> np.ndarray:
-    """Information matrix for accepted matches: inverse of the injected noise covariance."""
-    return np.diag(
-        [1.0 / params.noise_xy**2, 1.0 / params.noise_xy**2, 1.0 / params.noise_theta**2]
-    )
 
 
 @lru_cache(maxsize=8192)
@@ -116,7 +113,7 @@ def match_frames(
         # the pair's generator depends only on (seed, a_id, b_id): skipping it draws nothing else
         return MatchResult(num_matches=0, relative=None, accepted=False)
     rng = np.random.default_rng((seed, a_id, b_id))
-    num = int(rng.binomial(shared, params.dropout_keep))
+    num = int(rng.binomial(shared, DROPOUT_KEEP))
     if num < params.min_matches:
         return MatchResult(num_matches=num, relative=None, accepted=False)
 
@@ -132,9 +129,9 @@ def match_frames(
         return MatchResult(num_matches=num, relative=None, accepted=False)
     nx, ny, nth = rng.normal(0.0, 1.0, size=3)
     noisy = Pose2(
-        rel.x + params.noise_xy * nx,
-        rel.y + params.noise_xy * ny,
-        rel.theta + params.noise_theta * nth,
+        rel.x + NOISE_XY * nx,
+        rel.y + NOISE_XY * ny,
+        rel.theta + NOISE_THETA * nth,
     )
     return MatchResult(num_matches=num, relative=noisy, accepted=True)
 

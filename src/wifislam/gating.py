@@ -1,14 +1,21 @@
 """Loop-closure candidate selection under three policy variants, each in
 vanilla and Wi-Fi-gated mode, plus the frame-by-frame pipeline driver.
 
-Policies:
-  rgbd - predecessors + geodesic neighbors + a seeded random keyframe subset;
-         gating replaces the random subset with members of similar clusters.
+Wi-Fi gating reaches a policy as one value per frame: ``similar``, the set of
+keyframes in the clusters similar to the frame's signature, which the
+pipeline computes once per frame (``None`` in a vanilla run). Each policy
+intersects it with its own candidate pool:
+  rgbd - predecessors + geodesic neighbors (the base, which the pipeline
+         computes once per frame) + a seeded random keyframe subset; gating
+         replaces the random subset with ``similar``.
   rtab - short-term/working/long-term memory pools with a real-time budget;
-         gating immunizes working-memory members of similar clusters and
-         retrieves their long-term members back before the candidate scan.
-  orb  - one inverted visual-word index over the whole map; gating keeps
-         only the ranked keyframes that belong to similar clusters.
+         gating immunizes the working-memory keyframes in ``similar`` and
+         retrieves its long-term ones back before the candidate scan.
+  orb  - the ranking of one inverted visual-word index over the whole map,
+         which the pipeline queries once per frame; gating keeps only the
+         ranked keyframes in ``similar``.
+The pipeline audits each gated frame against those same inputs: candidates
+must lie in ``similar`` (or rgbd's base), and ORB's in its ranking.
 
 Costs are deterministic: one visual comparison costs 1 unit, one Wi-Fi
 cluster comparison 0.02 units, one optimizer iteration 0.1 units. Wall-clock
@@ -36,21 +43,25 @@ from .clustering import (
     write_cluster_dump,
 )
 from .frontend import (
-    Appearance,
+    MATCH_INFORMATION,
     FrameTruth,
     InvertedIndex,
     MatchParams,
     MatchResult,
     match_frames,
-    match_information,
 )
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
 from .signature import Signature, associate_frames, signature_from_window, EmptyScanWindow
-from .simworld import DataError, Dataset, template_pose_of
+from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, template_pose_of
 
 VISUAL_COMPARE_COST = 1.0
 WIFI_COMPARE_COST = 0.02
 OPT_ITERATION_COST = 0.1
+
+OPT_EVERY = 25  # frames between periodic optimizations
+OPT_MIN_SPACING = 14  # frames a loop-triggered optimization waits after the previous one
+OPT_MAX_ITERS = 2  # iterations of each optimization during the run
+FINAL_OPT_MAX_ITERS = 100  # iterations of the optimization after the last frame
 
 POLICIES = ("rgbd", "rtab", "orb")
 
@@ -87,14 +98,6 @@ class PolicyParams:
     seed: int = 0
     rgbd: RgbdParams = RgbdParams()
     rtab: RtabParams = RtabParams()
-    dropout_keep: float = 0.8
-    noise_xy: float = 0.05
-    noise_theta: float = 0.01
-    loop_gap_s: float = 30.0
-    opt_every: int = 25
-    opt_min_spacing: int = 14
-    opt_max_iters: int = 2
-    final_opt_max_iters: int = 100
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -109,18 +112,9 @@ class PolicyParams:
                 raise ValueError("counts must be >= 0")
         if self.rtab.real_time_threshold <= 0:
             raise ValueError("real_time_threshold must be positive")
-        self.match_params()  # raises on dropout_keep and noise values MatchParams rejects
-        if min(self.opt_every, self.opt_min_spacing, self.opt_max_iters, self.final_opt_max_iters) < 0:
-            raise ValueError("opt_every, opt_min_spacing, opt_max_iters and final_opt_max_iters must be >= 0")
 
     def match_params(self) -> MatchParams:
-        return MatchParams(
-            min_matches=self.min_matches,
-            inlier_distance=self.inlier_distance,
-            dropout_keep=self.dropout_keep,
-            noise_xy=self.noise_xy,
-            noise_theta=self.noise_theta,
-        )
+        return MatchParams(min_matches=self.min_matches, inlier_distance=self.inlier_distance)
 
 
 @dataclass
@@ -170,7 +164,7 @@ class RunRecord:
     gt: list
     store: ClusterStore | None
     events: list
-    loop_edges: list  # (step, from_id, to_id), time gap > loop_gap_s
+    loop_edges: list  # (step, from_id, to_id), time gap > simworld.LOOP_PAIR_GAP_S
     memory_trace: list
     loop_cost: float
     clustering_cost: float
@@ -199,39 +193,35 @@ def _rgbd_base(graph: PoseGraph, params: PolicyParams) -> set[int]:
 def rgbd_candidates(
     graph: PoseGraph,
     current: int,
-    store: ClusterStore | None,
     params: PolicyParams,
-    sims: SimilarClusters | None,
+    similar: set[int] | None,
+    base: set[int],
 ) -> list[int]:
-    """Predecessors + geodesic neighbors + (random subset | similar-cluster members).
+    """``base`` (the graph's `_rgbd_base`) + (``similar`` when gated | a seeded
+    random subset of the other keyframes).
 
     The current keyframe must not be in the graph yet; candidates are
     returned sorted ascending.
     """
     if current in graph.nodes:
         raise ValueError(f"keyframe {current} already in graph")
-    if not graph.ids:
-        return []
-    base = _rgbd_base(graph, params)
-    if params.gated:
-        extra = [k for k in members_of(store, sims) if k not in base] if sims is not None else []
-    else:
-        pool = [k for k in graph.ids if k not in base]
-        rng = np.random.default_rng((params.seed, 7, current))
-        n = min(params.rgbd.n_random_keyframes, len(pool))
-        extra = sorted(int(k) for k in rng.choice(pool, size=n, replace=False)) if n else []
-    return sorted(base | set(extra))
+    if similar is not None:
+        return sorted(base | similar)
+    pool = [k for k in graph.ids if k not in base]
+    rng = np.random.default_rng((params.seed, 7, current))
+    n = min(params.rgbd.n_random_keyframes, len(pool))
+    extra = [int(k) for k in rng.choice(pool, size=n, replace=False)] if n else []
+    return sorted(base.union(extra))
 
 
 def rtab_step(
     state: MemoryState,
     current: int,
-    store: ClusterStore | None,
     params: PolicyParams,
     step_cost: float,
     *,
     graph: PoseGraph,
-    sims: SimilarClusters | None,
+    similar: set[int] | None,
     recent_matches: Sequence[int] = (),
 ) -> tuple[list[int], MemoryState, list[int], list[int]]:
     """One memory-management step; mutates and returns the state.
@@ -239,9 +229,9 @@ def rtab_step(
     ``step_cost`` is the measured deterministic cost of the previously
     processed frame (the budget check is necessarily retrospective). Order:
     the current frame enters STM and overflow spills to WM; in gated mode
-    WM members of similar clusters become immune and LTM members are
-    retrieved back (and made immune); candidates are the WM (gated: only
-    similar-cluster members of it); finally, if the budget was exceeded,
+    (``similar`` given) WM keyframes in ``similar`` become immune and LTM
+    ones are retrieved back (and made immune); candidates are the WM (gated:
+    only its keyframes in ``similar``); finally, if the budget was exceeded,
     the lowest-priority non-immune WM frames move to LTM in batches until
     the projected next-step cost fits.
     """
@@ -250,17 +240,15 @@ def rtab_step(
         state.wm.add(state.stm.popleft())
 
     retrieved: list[int] = []
-    if params.gated and sims is not None:
-        similar_members = set(members_of(store, sims))
-        state.immune &= similar_members  # immunity lapses once the cluster stops being similar
-        state.immune |= state.wm & similar_members
-        back = sorted(state.ltm & similar_members)
-        for k in back:
+    if similar is not None:
+        state.immune &= similar  # immunity lapses once the cluster stops being similar
+        state.immune |= state.wm & similar
+        retrieved = sorted(state.ltm & similar)
+        for k in retrieved:
             state.ltm.discard(k)
             state.wm.add(k)
             state.immune.add(k)
-        retrieved = back
-        candidates = sorted(state.wm & similar_members)
+        candidates = sorted(state.wm & similar)
     else:
         candidates = sorted(state.wm)
 
@@ -308,21 +296,12 @@ def _hops_from(graph: PoseGraph, sources: Sequence[int], max_hops: float = math.
     return hops
 
 
-def orb_candidates(
-    appearance: Appearance,
-    store: ClusterStore | None,
-    index: InvertedIndex,
-    params: PolicyParams,
-    sims: SimilarClusters | None,
-) -> list[int]:
-    """Word-sharing keyframes of the map index, by shared count desc then id asc;
-    when gated, only those whose cluster is similar."""
-    if not params.gated:
-        return index.query(appearance)
-    if sims is None or not sims.entries:
-        return []
-    similar = {cid for cid, _ in sims.entries}
-    return [kf for kf in index.query(appearance) if store.cluster_of(kf) in similar]
+def orb_candidates(ranking: list[int], similar: set[int] | None) -> list[int]:
+    """The map index's ranking of the frame (word-sharing keyframes by shared count
+    desc then id asc); when gated, only its keyframes in ``similar``, in ranking order."""
+    if similar is None:
+        return ranking
+    return [kf for kf in ranking if kf in similar]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +336,6 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     _validate(dataset)
     frames = dataset.frames
     mp = params.match_params()
-    loop_info = match_information(mp)
     sigs = build_signatures(dataset)
     frame_sig = associate_frames([(f.id, f.t) for f in frames], sigs)
     truths = [
@@ -393,35 +371,35 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         sig = frame_sig[i]
 
         sims: SimilarClusters | None = None
+        similar: set[int] | None = None  # the frame's Wi-Fi gate
         if params.gated:
             t0 = time.perf_counter()
             sims = similar_clusters(store, sig, params.wifi_threshold)
+            similar = set(members_of(store, sims))
             clustering_cost += len(store) * WIFI_COMPARE_COST
             wall["clustering_s"] += time.perf_counter() - t0
 
-        # candidate selection happens before the frame enters the graph
+        # candidate selection happens before the frame enters the graph;
+        # gated candidates outside `similar` may come only from `base`
         transfers: list[int] = []
         retrievals: list[int] = []
+        base: set[int] = set()
         if params.policy == "rgbd":
-            cands = rgbd_candidates(graph, i, store, params, sims)
+            base = _rgbd_base(graph, params)
+            cands = rgbd_candidates(graph, i, params, similar, base)
         elif params.policy == "rtab":
             cands, memory, transfers, retrievals = rtab_step(
-                memory, i, store, params, prev_step_cost,
-                graph=graph, sims=sims, recent_matches=prev_matches,
+                memory, i, params, prev_step_cost,
+                graph=graph, similar=similar, recent_matches=prev_matches,
             )
         else:
-            cands = orb_candidates(f.appearance, store, index, params, sims)
-            if params.gated:
-                superset = set(index.query(f.appearance))
-                if not set(cands) <= superset:
-                    subset_violations += 1
+            ranking = index.query(f.appearance)
+            cands = orb_candidates(ranking, similar)
+            if similar is not None and not set(cands) <= set(ranking):
+                subset_violations += 1
 
-        if params.gated and sims is not None:
-            allowed = set(members_of(store, sims))
-            if params.policy == "rgbd":
-                allowed |= _rgbd_base(graph, params)
-            if not set(cands) <= allowed:
-                gating_violations += 1
+        if similar is not None and not (set(cands) - similar) <= base:
+            gating_violations += 1
 
         # the keyframe joins the graph on its composed odometry estimate
         if i == 0:
@@ -443,15 +421,15 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         # commit one transformation per category per keyframe event, like the
         # host systems: the strongest match wins, ties to the lowest id
-        loop_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t > params.loop_gap_s]
-        local_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t <= params.loop_gap_s]
+        loop_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t > LOOP_PAIR_GAP_S]
+        local_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t <= LOOP_PAIR_GAP_S]
         committed: list[tuple[int, MatchResult]] = []
         for group in (local_hits, loop_hits):
             if group:
                 committed.append(max(group, key=lambda cm: (cm[1].num_matches, -cm[0])))
         for c, mr in committed:
             graph.add_edge(
-                GraphEdge(from_id=i, to_id=c, relative=mr.relative, information=loop_info, kind="loop")
+                GraphEdge(from_id=i, to_id=c, relative=mr.relative, information=MATCH_INFORMATION, kind="loop")
             )
 
         best_to = -1
@@ -482,11 +460,11 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             index.insert(i, f.appearance)
 
         opt_iters_now = 0
-        periodic = params.opt_every > 0 and i > 0 and i % params.opt_every == 0
-        if graph.edges and (periodic or (pending_opt and i - last_opt >= params.opt_min_spacing)):
+        periodic = i > 0 and i % OPT_EVERY == 0
+        if graph.edges and (periodic or (pending_opt and i - last_opt >= OPT_MIN_SPACING)):
             t0 = time.perf_counter()
             stats: dict = {}
-            graph = optimize(graph, max_iters=params.opt_max_iters, stats=stats)
+            graph = optimize(graph, max_iters=OPT_MAX_ITERS, stats=stats)
             opt_iters_now = stats.get("iterations", 0)
             opt_iterations += opt_iters_now
             wall["optimize_s"] += time.perf_counter() - t0
@@ -511,7 +489,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     if graph.edges:
         t0 = time.perf_counter()
         stats = {}
-        graph = optimize(graph, max_iters=params.final_opt_max_iters, stats=stats)
+        graph = optimize(graph, max_iters=FINAL_OPT_MAX_ITERS, stats=stats)
         opt_iterations += stats.get("iterations", 0)
         wall["optimize_s"] += time.perf_counter() - t0
 

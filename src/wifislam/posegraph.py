@@ -358,6 +358,9 @@ def _jacobians_vec(c: np.ndarray, s: np.ndarray, px: np.ndarray, py: np.ndarray)
     return ja, jb
 
 
+DAMPING_INIT = 1e-4  # Levenberg-Marquardt damping at the start of every optimize call
+
+
 def _weighted_error(r: np.ndarray, omega: np.ndarray) -> float:
     return float(np.einsum("ei,eij,ej->", r, omega, r))
 
@@ -365,7 +368,6 @@ def _weighted_error(r: np.ndarray, omega: np.ndarray) -> float:
 def optimize(
     graph: PoseGraph,
     max_iters: int = 50,
-    damping_init: float = 1e-4,
     stats: dict | None = None,
 ) -> PoseGraph:
     """Levenberg-Marquardt over the whole graph; the lowest node id (row 0) stays fixed.
@@ -404,7 +406,7 @@ def optimize(
     x = graph._x[:n_nodes]
     r, px, py, c, s = _residuals_vec(x, ii, jj, z)
     err = _weighted_error(r, omega)
-    lam = damping_init
+    lam = DAMPING_INIT
     err_initial = err
     iters_done = 0
     accepted_errors = [err]

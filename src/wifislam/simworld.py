@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -523,7 +524,8 @@ def _loop_pairs(frames: Sequence[Frame]) -> set[tuple[int, int]]:
 
 
 def dwell_positions(dataset: Dataset) -> list[tuple[float, float, float]]:
-    """(t_mean, x, y) per dwell, recovered from the stationary frame preceding the scans.
+    """(t_mean, x, y) per dwell, recovered from the stationary frame preceding the scans
+    (the first frame when none precedes them). Frame times must ascend.
 
     Exact when pause_every is a multiple of the frame spacing (true for all
     presets); otherwise off by at most one frame spacing.
@@ -536,12 +538,7 @@ def dwell_positions(dataset: Dataset) -> list[tuple[float, float, float]]:
             out.append((math.nan, math.nan, math.nan))
             continue
         tm = sum(r.timestamp for r in scans) / len(scans)
-        k = 0
-        for idx, t in enumerate(times):
-            if t <= tm:
-                k = idx
-            else:
-                break
+        k = max(bisect_right(times, tm) - 1, 0)
         out.append((tm, frames[k].gt_pose.x, frames[k].gt_pose.y))
     return out
 
@@ -804,17 +801,33 @@ def _read_rows(path: Path, header: str, parse: Callable[[Iterator[tuple[int, lis
         raise DataError(f"{path}:{exc.line if isinstance(exc, _LineFault) else lineno}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text!r}")
+    return v
+
+
 def _frames(rows: Iterator[tuple[int, list[str]]]) -> tuple[Frame, ...]:
-    return tuple(
-        Frame(
-            id=int(p[0]),
-            t=float(p[1]),
-            gt_pose=Pose2(float(p[2]), float(p[3]), float(p[4])),
-            odom_delta=Pose2(float(p[5]), float(p[6]), float(p[7])),
-            appearance=Appearance(tuple(map(int, p[9].split("|"))) if p[9] else (), int(p[8])),
-        )
-        for _, p in rows
-    )
+    """Frames in row order. A row's id must be its index, its timestamp no earlier
+    than the previous row's, and its word bag non-empty."""
+    frames: list[Frame] = []
+    for _, p in rows:
+        k, t = int(p[0]), _finite(p[1])
+        if k != len(frames):
+            raise ValueError(f"frame id {k} is not the row index {len(frames)}")
+        if frames and t < frames[-1].t:
+            raise ValueError(f"timestamp {t!r} s is earlier than the previous frame's {frames[-1].t!r} s")
+        if not p[9]:
+            raise ValueError("empty word bag")
+        frames.append(Frame(
+            id=k,
+            t=t,
+            gt_pose=Pose2(_finite(p[2]), _finite(p[3]), _finite(p[4])),
+            odom_delta=Pose2(_finite(p[5]), _finite(p[6]), _finite(p[7])),
+            appearance=Appearance(tuple(map(int, p[9].split("|"))), int(p[8])),
+        ))
+    return tuple(frames)
 
 
 def _dwell_scans(rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[ScanReading, ...], ...]:
@@ -827,7 +840,7 @@ def _dwell_scans(rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[ScanReadi
         d = int(dwell)
         if not 0 <= d < MAX_DWELLS:
             raise ValueError(f"dwell index {d} outside [0, {MAX_DWELLS})")
-        groups[d].append(ScanReading(timestamp=float(t_s), bssid=bssid, rssi=float(rssi)))
+        groups[d].append(ScanReading(timestamp=_finite(t_s), bssid=bssid, rssi=_finite(rssi)))
         first_line.setdefault(d, line)
     n_dwells = max(groups) + 1 if groups else 0
     dwells = tuple(tuple(groups.get(i, ())) for i in range(n_dwells))

@@ -108,8 +108,8 @@ class TestRun:
         assert rows[0]["real_time_threshold"] == "inf"
 
     @pytest.mark.parametrize("key, value, named", [
-        ("noise_xy", 0, "noise_xy"),
-        ("opt_every", -1, "opt_every"),
+        ("loop_gap_s", 30.0, "loop_gap_s"),  # settings that became constants, at their old defaults
+        ("opt_every", 25, "opt_every"),
         ("rtab", {"real_time_threshold": "fast"}, "fast"),
         ("rgbd", [1], "bad run configuration"),
     ])
@@ -286,9 +286,16 @@ def _broken_dataset(gen_dir, root, fault):
             lines[k] = ",".join([repr(float(t) - 1000.0), *rest])
         (d / "scans.csv").write_text("\n".join(lines))
         return d, f"{d / 'scans.csv'}:{moved[0] + 1}: dwell 1 "
+    if fault == "unsorted_frames":  # frames 0 and 1 swap rows
+        lines = (d / "frames.csv").read_text().split("\n")
+        lines[1], lines[2] = lines[2], lines[1]
+        (d / "frames.csv").write_text("\n".join(lines))
+        return d, f"{d / 'frames.csv'}:2: frame id 1 is not the row index 0"
     name, edit = {
         "bad_bssid": ("scans.csv", lambda row: [row[0], "ZZ:00:00:00:00:01", *row[2:]]),
         "positive_rssi": ("scans.csv", lambda row: [*row[:2], "5.0", row[3]]),
+        "nan_rssi": ("scans.csv", lambda row: [*row[:2], "nan", row[3]]),
+        "nan_odometry": ("frames.csv", lambda row: [*row[:5], "nan", *row[6:]]),
         "non_numeric_id": ("frames.csv", lambda row: ["x", *row[1:]]),
         "extra_field": ("frames.csv", lambda row: [*row, "7"]),
     }[fault]
@@ -301,7 +308,8 @@ def _broken_dataset(gen_dir, root, fault):
 @pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
 @pytest.mark.parametrize(
     "fault",
-    ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells"],
+    ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
+     "unsorted_frames", "nan_odometry", "nan_rssi"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)

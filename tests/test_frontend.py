@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wifislam.frontend import (
+    DROPOUT_KEEP,
+    MATCH_INFORMATION,
+    NOISE_THETA,
+    NOISE_XY,
     Appearance,
     FrameTruth,
     InvertedIndex,
     MatchParams,
     MatchResult,
     match_frames,
-    match_information,
     shared_word_count,
 )
 from wifislam.gating import PolicyParams
@@ -43,7 +46,7 @@ def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, params, seed):
     always built, and a zero-share pair simply draws nothing from it."""
     shared = ref_shared(a, b)
     rng = np.random.default_rng((seed, a_id, b_id))
-    num = int(rng.binomial(shared, params.dropout_keep)) if shared else 0
+    num = int(rng.binomial(shared, DROPOUT_KEEP)) if shared else 0
     if num < params.min_matches:
         return MatchResult(num_matches=num, relative=None, accepted=False)
     dx = truth_a.gt_pose.x - truth_b.gt_pose.x
@@ -55,7 +58,7 @@ def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, params, seed):
     else:
         return MatchResult(num_matches=num, relative=None, accepted=False)
     nx, ny, nth = rng.normal(0.0, 1.0, size=3)
-    noisy = Pose2(rel.x + params.noise_xy * nx, rel.y + params.noise_xy * ny, rel.theta + params.noise_theta * nth)
+    noisy = Pose2(rel.x + NOISE_XY * nx, rel.y + NOISE_XY * ny, rel.theta + NOISE_THETA * nth)
     return MatchResult(num_matches=num, relative=noisy, accepted=True)
 
 
@@ -124,13 +127,7 @@ class TestMatchFrames:
         assert near.accepted and not far.accepted
 
     def test_information_is_inverse_covariance(self):
-        info = match_information(PARAMS)
-        assert np.allclose(np.diag(info), [1 / 0.05**2, 1 / 0.05**2, 1 / 0.01**2])
-
-    @pytest.mark.parametrize("field", ["noise_xy", "noise_theta"])
-    def test_rejects_non_positive_noise(self, field):
-        with pytest.raises(ValueError):
-            MatchParams(min_matches=10, inlier_distance=3.0, **{field: 0.0})
+        assert np.array_equal(MATCH_INFORMATION, np.diag([1 / 0.05**2, 1 / 0.05**2, 1 / 0.01**2]))
 
     def test_equals_always_draw_reference_on_every_pair(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)

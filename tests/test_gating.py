@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import count
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifislam import gating, simworld
-from wifislam.clustering import ClusterStore, SimilarClusters, assign, similar_clusters
+from wifislam.clustering import ClusterStore, SimilarClusters, assign, members_of, similar_clusters
 from wifislam.frontend import Appearance, InvertedIndex
 from wifislam.gating import (
     BadDataset,
@@ -47,16 +48,21 @@ def chain_graph(n):
     return g
 
 
+def rgbd(graph, current, params, similar=None):
+    """rgbd candidates over the base the pipeline computes for ``graph``."""
+    return rgbd_candidates(graph, current, params, similar, gating._rgbd_base(graph, params))
+
+
 class TestRgbdCandidates:
     def test_first_frame_empty(self):
         p = PolicyParams(policy="rgbd", gated=False, seed=0)
-        assert rgbd_candidates(PoseGraph(), 0, None, p, None) == []
+        assert rgbd(PoseGraph(), 0, p) == []
 
     def test_vanilla_exact_random_count(self):
         g = chain_graph(100)
         p = PolicyParams(policy="rgbd", gated=False, seed=0,
                          rgbd=RgbdParams(n_predecessors=3, geodesic_depth=2, n_random_keyframes=5))
-        cands = rgbd_candidates(g, 100, None, p, None)
+        cands = rgbd(g, 100, p)
         base = {99, 98, 97}  # predecessors; geodesic depth 2 from 99 adds 97..99
         extra = [c for c in cands if c not in base]
         assert len(extra) == 5
@@ -65,34 +71,29 @@ class TestRgbdCandidates:
     def test_vanilla_random_is_seeded(self):
         g = chain_graph(50)
         p = PolicyParams(policy="rgbd", gated=False, seed=9)
-        a = rgbd_candidates(g, 50, None, p, None)
-        b = rgbd_candidates(g, 50, None, p, None)
+        a = rgbd(g, 50, p)
+        b = rgbd(g, 50, p)
         assert a == b
 
     def test_gated_without_similar_clusters(self):
         g = chain_graph(30)
         p = PolicyParams(policy="rgbd", gated=True, seed=0,
                          rgbd=RgbdParams(n_predecessors=2, geodesic_depth=1, n_random_keyframes=4))
-        store = ClusterStore()
-        cands = rgbd_candidates(g, 30, store, p, SimilarClusters(entries=()))
+        cands = rgbd(g, 30, p, similar=set())
         assert cands == sorted({29, 28})
 
     def test_gated_adds_cluster_members(self):
         g = chain_graph(30)
-        store = ClusterStore()
-        rep = sig({AP(1): 10.0})
-        assign(store, 3, rep, set(), SimilarClusters(entries=()))
-        assign(store, 4, rep, {3}, SimilarClusters(entries=((0, 1.0),)))
         p = PolicyParams(policy="rgbd", gated=True, seed=0,
                          rgbd=RgbdParams(n_predecessors=2, geodesic_depth=1, n_random_keyframes=4))
-        cands = rgbd_candidates(g, 30, store, p, SimilarClusters(entries=((0, 0.99),)))
+        cands = rgbd(g, 30, p, similar={3, 4})
         assert set(cands) == {29, 28, 3, 4}
 
     def test_current_must_be_absent(self):
         g = chain_graph(5)
         p = PolicyParams(policy="rgbd", gated=False, seed=0)
         with pytest.raises(ValueError):
-            rgbd_candidates(g, 4, None, p, None)
+            rgbd(g, 4, p)
 
 
 def fresh_memory(stm=(), wm=(), ltm=(), immune=()):
@@ -108,7 +109,7 @@ class TestRtabStep:
         state = fresh_memory(stm=[7, 8, 9], wm=[1, 2, 3])
         g = chain_graph(10)
         cands, state, transfers, retrievals = rtab_step(
-            state, 10, None, self.params(), step_cost=50.0, graph=g, sims=None
+            state, 10, self.params(), step_cost=50.0, graph=g, similar=None
         )
         assert transfers == [] and retrievals == []
         assert cands == [1, 2, 3, 7]  # 7 spilled from STM into WM this step
@@ -116,36 +117,26 @@ class TestRtabStep:
     def test_stm_overflow_moves_to_wm(self):
         state = fresh_memory(stm=[7, 8, 9])
         g = chain_graph(10)
-        cands, state, _, _ = rtab_step(state, 10, None, self.params(stm=3), 0.0, graph=g, sims=None)
+        cands, state, _, _ = rtab_step(state, 10, self.params(stm=3), 0.0, graph=g, similar=None)
         assert list(state.stm) == [8, 9, 10]
         assert state.wm == {7}
         assert cands == [7]
 
     def test_gated_immunizes_and_retrieves(self):
-        store = ClusterStore()
-        rep = sig({AP(1): 10.0})
-        assign(store, 1, rep, set(), SimilarClusters(entries=()))
-        assign(store, 2, rep, {1}, SimilarClusters(entries=((0, 1.0),)))
-        assign(store, 5, rep, {2}, SimilarClusters(entries=((0, 1.0),)))
         state = fresh_memory(stm=[8, 9], wm=[1], ltm=[2, 5])
         g = chain_graph(10)
-        sims = SimilarClusters(entries=((0, 0.95),))
         p = self.params(gated=True)
-        cands, state, transfers, retrieved = rtab_step(state, 10, store, p, 0.0, graph=g, sims=sims)
+        cands, state, transfers, retrieved = rtab_step(state, 10, p, 0.0, graph=g, similar={1, 2, 5})
         assert retrieved == [2, 5]
         assert state.ltm == set()
         assert state.immune == {1, 2, 5}
         assert cands == [1, 2, 5]
 
     def test_immune_never_transferred(self):
-        store = ClusterStore()
-        rep = sig({AP(1): 10.0})
-        assign(store, 1, rep, set(), SimilarClusters(entries=()))
         state = fresh_memory(stm=[9], wm=[1, 2, 3, 4, 5, 6])
         g = chain_graph(10)
-        sims = SimilarClusters(entries=((0, 0.95),))
         p = self.params(threshold=2.0, batch=2, gated=True)
-        _, state, transfers, _ = rtab_step(state, 10, store, p, step_cost=99.0, graph=g, sims=sims)
+        _, state, transfers, _ = rtab_step(state, 10, p, step_cost=99.0, graph=g, similar={1})
         assert 1 not in transfers
         assert 1 in state.wm and 1 in state.immune
         assert len(state.wm) <= 2 + 1  # batch granularity may overshoot the target
@@ -154,14 +145,14 @@ class TestRtabStep:
         state = fresh_memory(stm=[9], wm=[1, 2, 3, 8])
         g = chain_graph(10)
         p = self.params(threshold=3.0, batch=1)
-        _, state, transfers, _ = rtab_step(state, 10, None, p, step_cost=10.0, graph=g, sims=None)
+        _, state, transfers, _ = rtab_step(state, 10, p, step_cost=10.0, graph=g, similar=None)
         assert transfers[0] == 1  # graph-wise farthest from the newest node
 
     def test_transfers_until_projection_fits(self):
         state = fresh_memory(stm=[9], wm=set(range(1, 8)))
         g = chain_graph(10)
         p = self.params(threshold=3.0, batch=2)
-        _, state, transfers, _ = rtab_step(state, 10, None, p, step_cost=50.0, graph=g, sims=None)
+        _, state, transfers, _ = rtab_step(state, 10, p, step_cost=50.0, graph=g, similar=None)
         assert len(state.wm) <= 3
         assert set(transfers) | state.wm == set(range(1, 8))
 
@@ -169,7 +160,7 @@ class TestRtabStep:
         state = fresh_memory(stm=[5], wm=[5])
         g = chain_graph(6)
         with pytest.raises(MemoryCorruption):
-            rtab_step(state, 6, None, self.params(), 0.0, graph=g, sims=None)
+            rtab_step(state, 6, self.params(), 0.0, graph=g, similar=None)
 
 
 def merged_cluster_indexes(appearance, apps, cluster_of, similar):
@@ -194,14 +185,16 @@ def orb_map(apps, cluster_of, n_clusters):
     return store, index
 
 
-class TestOrbCandidates:
-    GATED = PolicyParams(policy="orb", gated=True, seed=0)
+def gate(store, similar_ids):
+    """The pipeline's gate for a frame whose similar clusters are ``similar_ids``."""
+    return set(members_of(store, SimilarClusters(entries=tuple((cid, 0.9) for cid in similar_ids))))
 
+
+class TestOrbCandidates:
     def test_gated_no_similar_clusters_empty(self):
         app = Appearance(words=(1, 2), place_template=0)
         store, index = orb_map({0: app}, {0: 0}, 1)
-        assert orb_candidates(app, store, index, self.GATED, SimilarClusters(entries=())) == []
-        assert orb_candidates(app, store, index, self.GATED, None) == []
+        assert orb_candidates(index.query(app), gate(store, [])) == []
 
     def test_gated_subset_of_vanilla(self):
         rng = np.random.default_rng(0)
@@ -213,17 +206,17 @@ class TestOrbCandidates:
             assign(store, kf, rep, {kf - 1} if kf else set(), sims)
             index.insert(kf, Appearance(words=words, place_template=0))
         q = Appearance(words=tuple(range(0, 50, 3)), place_template=0)
-        sims = SimilarClusters(entries=tuple((c.id, 0.9) for c in store.clusters))
-        gated = orb_candidates(q, store, index, self.GATED, sims)
-        vanilla = orb_candidates(q, store, index, replace(self.GATED, gated=False), None)
+        ranking = index.query(q)
+        gated = orb_candidates(ranking, gate(store, [c.id for c in store.clusters]))
+        vanilla = orb_candidates(ranking, None)
         assert gated and set(gated) <= set(vanilla)
 
     def test_aliased_keyframe_excluded_when_cluster_not_similar(self):
         shared = Appearance(words=tuple(range(12)), place_template=0)
         store, index = orb_map({0: shared, 1: shared}, {0: 0, 1: 1}, 2)
-        sims = SimilarClusters(entries=((0, 0.95),))  # cluster 1 is not similar
-        assert orb_candidates(shared, store, index, self.GATED, sims) == [0]
-        assert orb_candidates(shared, store, index, replace(self.GATED, gated=False), None) == [0, 1]
+        ranking = index.query(shared)
+        assert orb_candidates(ranking, gate(store, [0])) == [0]  # cluster 1 is not similar
+        assert orb_candidates(ranking, None) == [0, 1]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -238,9 +231,8 @@ class TestOrbCandidates:
         similar = data.draw(st.lists(st.integers(0, n_clusters - 1), unique=True))
         store, index = orb_map(apps, cluster_of, n_clusters)
         q = Appearance(words=tuple(query), place_template=0)
-        sims = SimilarClusters(entries=tuple((cid, 0.9) for cid in similar))
         expected = merged_cluster_indexes(q, apps, cluster_of, similar)
-        assert orb_candidates(q, store, index, self.GATED, sims) == expected
+        assert orb_candidates(index.query(q), gate(store, similar)) == expected
 
 
 @pytest.fixture(scope="module")
@@ -303,20 +295,44 @@ class TestRunPipeline:
             assert rec.gating_violations == 0
             assert rec.subset_violations == 0
 
-    @pytest.mark.parametrize("n_predecessors", [0, 3])
-    def test_rgbd_audit_counts_a_leaked_keyframe(self, monkeypatch, dataset_cache, n_predecessors):
-        # a broken candidate selection that also offers keyframe 0 late in the run,
-        # when it is neither a predecessor, a geodesic neighbour nor a similar-cluster member
-        real = gating.rgbd_candidates
+    @pytest.mark.parametrize("policy, n_predecessors", [("rgbd", 0), ("rgbd", 3), ("rtab", 3), ("orb", 3)])
+    def test_audit_counts_a_leaked_keyframe(self, monkeypatch, dataset_cache, policy, n_predecessors):
+        # a broken candidate selection that also offers keyframe 0 late in the run, when it
+        # is mostly neither a predecessor, a geodesic neighbour, a similar-cluster member
+        # nor, for orb, in the frame's ranking
+        attr = {"rgbd": "rgbd_candidates", "rtab": "rtab_step", "orb": "orb_candidates"}[policy]
+        real, frame = getattr(gating, attr), count()  # the policy is called once per frame
 
-        def leaky(graph, current, *args):
-            cands = real(graph, current, *args)
-            return sorted({0, *cands}) if current > 40 else cands
+        def leak(cands):
+            return cands if 0 in cands else [0, *cands]
 
-        monkeypatch.setattr(gating, "rgbd_candidates", leaky)
-        p = PolicyParams(policy="rgbd", gated=True, min_matches=20, seed=0,
+        def leaky(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if next(frame) <= 40:
+                return out
+            return (leak(out[0]), *out[1:]) if policy == "rtab" else leak(out)
+
+        monkeypatch.setattr(gating, attr, leaky)
+        p = PolicyParams(policy=policy, gated=True, min_matches=20, seed=0,
                          rgbd=RgbdParams(n_predecessors=n_predecessors))
-        assert run_pipeline(dataset_cache("b_hall", 0), p).gating_violations > 0
+        rec = run_pipeline(dataset_cache("b_hall", 0), p)
+        assert rec.gating_violations > 0
+        if policy == "orb":
+            assert rec.subset_violations > 0
+
+    @pytest.mark.parametrize("policy, owner, attr", [("orb", InvertedIndex, "query"), ("rgbd", gating, "_rgbd_base")],
+                             ids=["orb", "rgbd"])
+    def test_one_gate_input_per_frame(self, monkeypatch, tiny_dataset, policy, owner, attr):
+        # the audits check the ranking or base the policy was given; they compute none of their own
+        real, calls = getattr(owner, attr), count()
+
+        def counted(*args, **kwargs):
+            next(calls)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=True, min_matches=20, seed=2))
+        assert next(calls) == len(tiny_dataset.frames)
 
     def test_rtab_memory_trace_shape(self, tiny_dataset):
         p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=2,

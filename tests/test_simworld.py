@@ -316,6 +316,21 @@ class TestLoadDataset:
             load_dataset(tiny_copy)
         assert str(exc.value).startswith(f"{path}:3: ")
 
+    @pytest.mark.parametrize("field, value, reason", [
+        (1, "-1.0", "timestamp -1.0 s is earlier than the previous frame's 0.0 s"),
+        (9, "", "empty word bag"),
+    ], ids=["earlier_timestamp", "empty_words"])
+    def test_bad_frame_row_names_line(self, tiny_copy, field, value, reason):
+        path = tiny_copy / "frames.csv"
+        lines = path.read_text().split("\n")
+        fields = lines[2].split(",")
+        fields[field] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}:3: {reason}"
+
     @settings(max_examples=200, deadline=None)
     @given(
         name=st.sampled_from(DATASET_FILES),

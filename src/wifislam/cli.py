@@ -45,7 +45,7 @@ def _world_config(name_or_path: str) -> simworld.WorldConfig:
 
 def _params_from_args(args: argparse.Namespace) -> PolicyParams:
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 base = json.load(fh)
@@ -53,20 +53,11 @@ def _params_from_args(args: argparse.Namespace) -> PolicyParams:
             raise CliError(f"bad run configuration {args.config}: {exc}", USAGE_ERROR) from exc
         if not isinstance(base, dict):
             raise CliError(f"bad run configuration {args.config}: expected a JSON object", USAGE_ERROR)
-    for flag, key in [
-        ("policy", "policy"),
-        ("gated", "gated"),
-        ("min_matches", "min_matches"),
-        ("inlier_distance", "inlier_distance"),
-        ("wifi_threshold", "wifi_threshold"),
-        ("seed", "seed"),
-    ]:
-        v = getattr(args, flag, None)
+    for key in ("policy", "gated", "min_matches", "inlier_distance", "wifi_threshold", "real_time_threshold", "seed"):
+        v = getattr(args, key)
         if v is not None:
             base[key] = v
     try:
-        if args.real_time_threshold is not None:
-            base["rtab"] = {**base.get("rtab", {}), "real_time_threshold": args.real_time_threshold}
         return gating.params_from_json(base)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad run configuration: {exc}", USAGE_ERROR) from exc
@@ -158,8 +149,8 @@ def _load_worker_dataset(dataset_dir: str) -> None:
     _worker_dataset = simworld.load_dataset(dataset_dir)
 
 
-def _worker_sweep_cell(params_json: dict, match_radius: int) -> dict:
-    return _sweep_cell(_worker_dataset, gating.params_from_json(params_json), match_radius)
+def _worker_sweep_cell(params: PolicyParams, match_radius: int) -> dict:
+    return _sweep_cell(_worker_dataset, params, match_radius)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -174,11 +165,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = []
     for combo in product(*axes.values()):
         cell = dict(zip(axes.keys(), combo))
-        d = dict(cell)
         try:
-            if "real_time_threshold" in d:  # a top-level axis for rtab.real_time_threshold
-                d["rtab"] = {**d.get("rtab", {}), "real_time_threshold": d.pop("real_time_threshold")}
-            cells.append(gating.params_from_json(d))
+            cells.append(gating.params_from_json(cell))
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad grid cell {cell}: {exc}", USAGE_ERROR) from exc
 
@@ -186,10 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     existing = evaluation.read_report(out_path)
     have = {evaluation.row_key(r) for r in existing}
     dataset = simworld.load_dataset(args.dataset)
-    pending = []
-    for p in cells:
-        if evaluation.row_key(evaluation.key_fields(dataset.name, p)) not in have:
-            pending.append(p)
+    pending = [p for p in cells if evaluation.row_key(evaluation.key_fields(dataset.name, p)) not in have]
 
     rows = list(existing)
     if pending:
@@ -197,11 +182,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if jobs == 1:
             results = [_sweep_cell(dataset, p, args.match_radius) for p in pending]
         else:
-            payloads = [gating.params_to_json(p) for p in pending]
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_load_worker_dataset, initargs=(args.dataset,)
             ) as ex:
-                results = list(ex.map(_worker_sweep_cell, payloads, [args.match_radius] * len(payloads)))
+                results = list(ex.map(_worker_sweep_cell, pending, [args.match_radius] * len(pending)))
         rows.extend(results)
     rows.sort(key=evaluation.row_key)
     evaluation.write_report(out_path, rows)
@@ -302,8 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (simworld.DataError, NoSignatures) as exc:  # BadDataset, BadWorld and EmptyMap are DataErrors
-        print(f"error: bad dataset: {exc}", file=sys.stderr)
+    except (simworld.DataError, NoSignatures) as exc:  # BadDataset, BadWorld, EmptyMap and BadReport are DataErrors
+        what = "report" if isinstance(exc, evaluation.BadReport) else "dataset"
+        print(f"error: bad {what}: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 

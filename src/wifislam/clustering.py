@@ -140,12 +140,3 @@ def write_cluster_dump(store: ClusterStore, csv_path: str | Path, jsonl_path: st
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-
-def read_cluster_dump(csv_path: str | Path) -> dict[int, list[int]]:
-    """Read membership back as cluster_id -> member list (eval-side consumer)."""
-    out: dict[int, list[int]] = {}
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.setdefault(int(row["cluster_id"]), []).append(int(row["keyframe_id"]))
-    return out

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -232,16 +232,29 @@ def localize_dataset(
 # report files
 
 
-KEY_COLUMNS = (  # the columns key_fields fills; they identify a run configuration
-    "dataset",
-    "policy",
-    "gated",
-    "seed",
-    "min_matches",
-    "inlier_distance",
-    "wifi_threshold",
-    "real_time_threshold",
-)
+_FORMATS = {str: str, int: str, bool: lambda v: str(v).lower(), float: lambda v: repr(float(v))}  # by declared type
+
+
+def _settings(params) -> dict[str, str]:
+    """Every setting of a params dataclass by field name, nested params flattened in
+    place, formatted for its declared type."""
+    types = get_type_hints(type(params))
+    out: dict[str, str] = {}
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if is_dataclass(v):
+            out.update(_settings(v))
+        else:
+            out[f.name] = _FORMATS[types[f.name]](v)
+    return out
+
+
+def key_fields(dataset_name: str, p: PolicyParams) -> dict[str, str]:
+    """The report columns that identify a run configuration, formatted as report rows hold them."""
+    return {"dataset": dataset_name, **_settings(p)}
+
+
+KEY_COLUMNS = tuple(key_fields("", PolicyParams()))
 REPORT_COLUMNS = [
     *KEY_COLUMNS,
     "rmse_m",
@@ -255,19 +268,8 @@ REPORT_COLUMNS = [
 ]
 
 
-def key_fields(dataset_name: str, p: PolicyParams) -> dict[str, str]:
-    """The report columns that identify a run configuration, formatted as report rows hold them."""
-    rt = p.rtab.real_time_threshold
-    return {
-        "dataset": dataset_name,
-        "policy": p.policy,
-        "gated": str(p.gated).lower(),
-        "seed": str(p.seed),
-        "min_matches": str(p.min_matches),
-        "inlier_distance": repr(float(p.inlier_distance)),
-        "wifi_threshold": repr(float(p.wifi_threshold)),
-        "real_time_threshold": "inf" if math.isinf(rt) else repr(float(rt)),
-    }
+class BadReport(DataError):
+    """A report file's header or one of its rows is malformed; the message names the file and line."""
 
 
 def report_row(record: RunRecord, dataset: Dataset, match_radius: int = 5) -> dict[str, str]:
@@ -302,10 +304,24 @@ def write_report(path: str | Path, rows: Sequence[dict[str, str]]) -> None:
 
 
 def read_report(path: str | Path) -> list[dict[str, str]]:
+    """The rows of a report file, none when it does not exist. Raises BadReport for a
+    header that lacks a report column or has an unknown one, and for a row whose length
+    differs from the header's."""
     if not Path(path).exists():
         return []
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in REPORT_COLUMNS if c not in header]
+        unknown = [c for c in header if c not in REPORT_COLUMNS]
+        if missing or unknown:
+            raise BadReport(f"{path}:1: report header: missing columns {missing}, unknown columns {unknown}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise BadReport(f"{path}:{reader.line_num}: {len(row)} fields, the header has {len(header)}")
+            rows.append(dict(zip(header, row)))
+        return rows
 
 
 def write_cdf_csv(path: str | Path, curve: CdfCurve, fallbacks: int = 0) -> None:

@@ -529,7 +529,8 @@ def params_to_json(params: PolicyParams) -> dict:
 
 def params_from_json(d: dict) -> PolicyParams:
     """The PolicyParams a JSON object describes. Absent settings, ``rgbd`` and ``rtab``
-    included, take their defaults; a string ``real_time_threshold`` such as "inf" is parsed.
+    included, take their defaults. ``real_time_threshold`` may also sit at the top level,
+    where it overrides ``rtab``'s; a string value such as "inf" is parsed.
     Raises ValueError or TypeError for a bad object."""
     d = dict(d)
     rgbd, rtab = d.pop("rgbd", {}), d.pop("rtab", {})
@@ -537,6 +538,8 @@ def params_from_json(d: dict) -> PolicyParams:
         if not isinstance(sub, dict):
             raise ValueError(f"{key} must be a JSON object, got {sub!r}")
     rtab = dict(rtab)
+    if "real_time_threshold" in d:
+        rtab["real_time_threshold"] = d.pop("real_time_threshold")
     if isinstance(rtab.get("real_time_threshold"), str):
         rtab["real_time_threshold"] = float(rtab["real_time_threshold"])
     return PolicyParams(rgbd=RgbdParams(**rgbd), rtab=RtabParams(**rtab), **d)

@@ -322,19 +322,13 @@ def _check_information(edges: Sequence[GraphEdge]) -> None:
         raise BadInformation("information matrices must be positive definite") from None
 
 
-def _check_connected(graph: PoseGraph, anchor: int) -> None:
+def _check_connected(graph: PoseGraph) -> None:
+    """Raise DisconnectedGraph naming the five lowest ids outside the anchor row's component."""
     if graph._components == 1:
         return
-    seen = {anchor}
-    stack = [anchor]
-    while stack:
-        n = stack.pop()
-        for m in graph.neighbors(n):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    missing = sorted(set(graph.nodes) - seen)[:5]
-    raise DisconnectedGraph(f"nodes unreachable from {anchor}: {missing}...")
+    root = graph._find(0)
+    missing = [kf for s, kf in enumerate(graph._ids) if graph._find(s) != root][:5]
+    raise DisconnectedGraph(f"nodes unreachable from {graph._ids[0]}: {missing}...")
 
 
 def _residuals_vec(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, z: np.ndarray):
@@ -395,7 +389,7 @@ def optimize(
         _check_information(edges[graph._validated:])
         graph._validated = n_edges
 
-    _check_connected(graph, graph._ids[0])
+    _check_connected(graph)
 
     ii, jj = graph._ii[:n_edges], graph._jj[:n_edges]
     z, omega = graph._z[:n_edges], graph._omega[:n_edges]

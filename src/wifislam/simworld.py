@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -375,8 +375,7 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
     for arc in arcs:
         cid, carc = locate(arc)
         x, y = corridors[cid].point_at(carc)
-        pauses_before = sum(1 for d in dwell_arcs if d < arc - 1e-9)
-        t = arc / spec.speed + pauses_before * spec.pause_duration
+        t = arc / spec.speed + bisect_left(dwell_arcs, arc - 1e-9) * spec.pause_duration
         samples.append(
             TrajectorySample(t=t, pose=Pose2(x, y, corridors[cid].heading), corridor=cid, corridor_arc=carc)
         )
@@ -385,7 +384,7 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
     for k, darc in enumerate(dwell_arcs):
         cid, carc = locate(darc)
         x, y = corridors[cid].point_at(carc)
-        pauses_before = sum(1 for d in dwell_arcs if d < darc - 1e-9)
+        pauses_before = bisect_left(dwell_arcs, darc - 1e-9)
         dwells.append(
             DwellMark(index=k, arc=darc, t_arrival=darc / spec.speed + pauses_before * spec.pause_duration, x=x, y=y)
         )

@@ -107,6 +107,16 @@ class TestRun:
         assert rows[0]["policy"] == "rtab" and rows[0]["min_matches"] == "25"
         assert rows[0]["real_time_threshold"] == "inf"
 
+    def test_top_level_real_time_threshold_matches_nested(self, gen_dir, tmp_path):
+        rows = []
+        for k, cfg in enumerate(({"policy": "rtab", "real_time_threshold": 70},
+                                 {"policy": "rtab", "rtab": {"real_time_threshold": 70}})):
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            assert run_cli("run", "--dataset", gen_dir, "--out", tmp_path / f"r{k}", "--config", tmp_path / "cfg.json") == 0
+            (row,) = evaluation.read_report(tmp_path / f"r{k}" / "report_row.csv")
+            rows.append({c: v for c, v in row.items() if c != "wall_ms"})
+        assert rows[0] == rows[1] and rows[0]["real_time_threshold"] == "70.0"
+
     @pytest.mark.parametrize("key, value, named", [
         ("loop_gap_s", 30.0, "loop_gap_s"),  # settings that became constants, at their old defaults
         ("opt_every", 25, "opt_every"),
@@ -211,6 +221,28 @@ class TestSweep:
         (swept,) = evaluation.read_report(report)
         (ran,) = evaluation.read_report(tmp_path / "run" / "report_row.csv")
         assert {k: v for k, v in swept.items() if k != "wall_ms"} == {k: v for k, v in ran.items() if k != "wall_ms"}
+
+    def test_resume_recomputes_a_cell_whose_nested_setting_differs(self, gen_dir, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        for n, expected in ((0, "(1 computed, 0 reused)"), (30, "(1 computed, 1 reused)")):
+            (tmp_path / "grid.json").write_text(json.dumps(
+                {"policy": "rgbd", "gated": False, "seed": 0, "rgbd": {"n_random_keyframes": n}}))
+            assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report,
+                           "--jobs", "1") == 0
+            assert expected in capsys.readouterr().out
+        rows = evaluation.read_report(report)
+        assert [r["n_random_keyframes"] for r in rows] == ["0", "30"]
+        assert rows[0]["loop_cost"] != rows[1]["loop_cost"]
+
+    def test_nested_axis_values_get_their_own_rows(self, gen_dir, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy": ["rtab"], "gated": [True], "seed": [0],
+                                    "rtab": [{"stm_capacity": 5}, {"stm_capacity": 25}]}))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", report, "--jobs", "2") == 0
+        rows = evaluation.read_report(report)
+        assert sorted(r["stm_capacity"] for r in rows) == ["25", "5"]
+        assert len({evaluation.row_key(r) for r in rows}) == 2
 
     @pytest.mark.parametrize("key, value", [("rgbd", 4), ("rtab", "fast")])
     def test_non_object_nested_axis_exit_2(self, gen_dir, tmp_path, capsys, key, value):
@@ -388,6 +420,28 @@ def test_report_consolidation(gen_dir, tmp_path):
     assert run_cli("report", "--runs", tmp_path, "--out", out) == 0
     rows = list(csv.DictReader(open(out)))
     assert sorted(r["policy"] for r in rows) == ["orb", "rgbd"]
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+@pytest.mark.parametrize("fault", ["old_header", "short_row"])
+def test_malformed_report_exit_3(gen_dir, tmp_path, capsys, command, fault):
+    bad = tmp_path / "runs" / "r0" / "report_row.csv"
+    bad.parent.mkdir(parents=True)
+    if fault == "old_header":
+        bad.write_text("dataset,policy\nb_hall,orb\n")
+        named = f"{bad}:1: report header: missing columns ['gated', "
+    else:
+        bad.write_text(",".join(evaluation.REPORT_COLUMNS) + "\nb_hall,orb\n")
+        named = f"{bad}:2: 2 fields"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"policy": ["orb"], "seed": [0]}))
+    if command == "report":
+        code = run_cli("report", "--runs", tmp_path / "runs", "--out", tmp_path / "all.csv")
+    else:
+        code = run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", bad, "--jobs", "1")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"error: bad report: {named}" in err and "Traceback" not in err
 
 
 def test_console_entrypoint_runs():

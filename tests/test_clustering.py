@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -12,7 +13,6 @@ from wifislam.clustering import (
     SimilarClusters,
     assign,
     members_of,
-    read_cluster_dump,
     similar_clusters,
     write_cluster_dump,
 )
@@ -165,7 +165,10 @@ def test_dump_roundtrip(tmp_path, store_abc):
     csv_path = tmp_path / "clusters.csv"
     jsonl_path = tmp_path / "reps.jsonl"
     write_cluster_dump(store_abc, csv_path, jsonl_path)
-    members = read_cluster_dump(csv_path)
+    members = {}
+    with open(csv_path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            members.setdefault(int(row["cluster_id"]), []).append(int(row["keyframe_id"]))
     assert members == {c.id: c.members for c in store_abc.clusters}
     assert jsonl_path.read_text().count("\n") == len(store_abc.clusters)
 

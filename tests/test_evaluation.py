@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wifislam import gating
 from wifislam.evaluation import (
+    KEY_COLUMNS,
+    REPORT_COLUMNS,
+    BadReport,
     CdfCurve,
     EmptyMap,
     NoCorrespondence,
@@ -14,6 +19,8 @@ from wifislam.evaluation import (
     ledger,
     localize_dataset,
     localize_queries,
+    key_fields,
+    read_report,
     report_row,
     score_loops,
     similarity_distance_curve,
@@ -212,3 +219,65 @@ def test_report_row_fields(dataset_cache):
     assert row["dataset"] == "b_hall" and row["policy"] == "rgbd" and row["gated"] == "false"
     assert float(row["rmse_m"]) >= 0.0
     assert row["real_time_threshold"] == "inf"
+
+
+def test_key_columns_are_every_setting():
+    settings_ = [f.name for params in (gating.PolicyParams(), gating.RgbdParams(), gating.RtabParams())
+                 for f in dataclasses.fields(params) if not dataclasses.is_dataclass(getattr(params, f.name))]
+    assert KEY_COLUMNS[0] == "dataset"
+    assert sorted(KEY_COLUMNS[1:]) == sorted(settings_) and len(set(KEY_COLUMNS)) == len(KEY_COLUMNS)
+    assert len(settings_) == 12
+
+
+def _old_key_fields(dataset_name, p):
+    """The eight key columns as report rows held them before the nested settings were added."""
+    rt = p.rtab.real_time_threshold
+    return {
+        "dataset": dataset_name,
+        "policy": p.policy,
+        "gated": str(p.gated).lower(),
+        "seed": str(p.seed),
+        "min_matches": str(p.min_matches),
+        "inlier_distance": repr(float(p.inlier_distance)),
+        "wifi_threshold": repr(float(p.wifi_threshold)),
+        "real_time_threshold": "inf" if math.isinf(rt) else repr(float(rt)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.sampled_from(gating.POLICIES),
+    gated=st.booleans(),
+    seed=st.integers(0, 10**6),
+    min_matches=st.integers(1, 500) | st.floats(0.5, 500.0),
+    inlier_distance=st.integers(1, 10) | st.floats(1e-3, 1e3),
+    wifi_threshold=st.just(1) | st.floats(1e-3, 1.0),
+    real_time_threshold=st.integers(1, 500) | st.floats(1e-3, 1e4) | st.just(math.inf),
+    counts=st.tuples(*[st.integers(0, 40)] * 5),
+)
+def test_key_fields_keep_the_old_strings(policy, gated, seed, min_matches, inlier_distance, wifi_threshold,
+                                         real_time_threshold, counts):
+    p = gating.PolicyParams(
+        policy=policy, gated=gated, seed=seed, min_matches=min_matches, inlier_distance=inlier_distance,
+        wifi_threshold=wifi_threshold, rgbd=gating.RgbdParams(*counts[:3]),
+        rtab=gating.RtabParams(counts[3], real_time_threshold, counts[4]),
+    )
+    new = key_fields("b_hall", p)
+    assert list(new) == list(KEY_COLUMNS)
+    old = _old_key_fields("b_hall", p)
+    assert {k: new[k] for k in old} == old
+    assert [new[k] for k in ("n_predecessors", "geodesic_depth", "n_random_keyframes", "stm_capacity",
+                             "wm_transfer_batch")] == [str(c) for c in counts[:3] + (counts[3], counts[4])]
+
+
+@pytest.mark.parametrize("text, line, named", [
+    ("dataset,policy\nb_hall,orb\n", 1, "missing columns ['gated', "),
+    (",".join(REPORT_COLUMNS) + ",extra\n", 1, "unknown columns ['extra']"),
+    (",".join(REPORT_COLUMNS) + "\n" + ",".join(["1"] * len(REPORT_COLUMNS)) + "\nb_hall,orb\n", 3, "2 fields"),
+], ids=["old_header", "unknown_column", "short_row"])
+def test_read_report_names_file_and_line(tmp_path, text, line, named):
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    with pytest.raises(BadReport) as info:
+        read_report(path)
+    assert str(info.value).startswith(f"{path}:{line}: ") and named in str(info.value)

@@ -400,6 +400,9 @@ def test_params_from_json_defaults_and_threshold_strings():
     p = params_from_json({"policy": "rgbd", "rgbd": {"n_random_keyframes": 4}, "rtab": {"real_time_threshold": "70"}})
     assert p.rgbd == RgbdParams(n_random_keyframes=4) and p.rtab == RtabParams(real_time_threshold=70.0)
     assert params_from_json({"rtab": {"real_time_threshold": "Infinity"}}).rtab.real_time_threshold == math.inf
+    # the one top-level alias, which overrides the nested value
+    p = params_from_json({"real_time_threshold": "70", "rtab": {"real_time_threshold": 5, "stm_capacity": 4}})
+    assert p.rtab == RtabParams(stm_capacity=4, real_time_threshold=70.0)
 
 
 @pytest.mark.parametrize("key, value", [("rgbd", [1]), ("rtab", 70), ("rgbd", None)])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from wifislam.posegraph import compose
 from wifislam.signature import ScanReading
 from wifislam.simworld import (
+    FRAME_RATE_HZ,
     AccessPoint,
     BadWorld,
     DataError,
@@ -90,6 +91,23 @@ class TestTrajectory:
         traj = generate_trajectory(spec)
         # total duration = travel time + dwell time
         assert traj.samples[-1].t == pytest.approx(80.0 / 1.0 + 22 * 10.0)
+
+    def test_times_count_the_earlier_dwells_at_12_laps(self):
+        config = preset_worlds()["j_hall"]
+        spec = replace(config.trajectory, laps=12.0)
+        traj = generate_trajectory(spec, config.template_of)
+        spacing, total = spec.speed / FRAME_RATE_HZ, traj.path_length
+        arcs = [k * spacing for k in range(int(total / spacing) + 1) if k * spacing <= total + 1e-9]
+        if total - arcs[-1] > 1e-9:
+            arcs.append(total)
+        dwell_arcs = [d.arc for d in traj.dwells]
+
+        def t_at(arc):
+            return arc / spec.speed + sum(1 for d in dwell_arcs if d < arc - 1e-9) * spec.pause_duration
+
+        assert len(traj.dwells) > 100
+        assert [s.t for s in traj.samples] == [t_at(a) for a in arcs]
+        assert [d.t_arrival for d in traj.dwells] == [t_at(a) for a in dwell_arcs]
 
     def test_unknown_shape(self):
         with pytest.raises(BadWorld, match="unknown trajectory shape 'spiral'; valid shapes: square_loop, "):

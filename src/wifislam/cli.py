@@ -189,7 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.extend(results)
     rows.sort(key=evaluation.row_key)
     evaluation.write_report(out_path, rows)
-    print(f"wrote {out_path}: {len(rows)} rows ({len(pending)} computed, {len(have)} reused)")
+    print(f"wrote {out_path}: {len(rows)} rows ({len(pending)} computed, {len(cells) - len(pending)} reused)")
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters
-from .frontend import shared_word_count
+from .frontend import word_masks
 from .gating import PolicyParams, RunRecord, build_signatures
 from .posegraph import kabsch_align, apply_rigid, rmse
 from .signature import NoSignatures, Signature, associate_frames, cosine_similarity
@@ -191,15 +191,17 @@ def localize_queries(
     if not map_frames:
         raise EmptyMap("no map frames")
     by_id = {f.id: f for f in map_frames}
+    masks = word_masks([f.appearance for f in (*map_frames, *query_frames)])
+    map_mask = {f.id: m for f, m in zip(map_frames, masks)}
     fallbacks = 0
     errors = []
-    for q in query_frames:
+    for q, q_mask in zip(query_frames, masks[len(map_frames):]):
         sims = similar_clusters(map_store, frame_sig[q.id], threshold)
         cand_ids = members_of(map_store, sims)
         if not cand_ids:
             fallbacks += 1
             cand_ids = [f.id for f in map_frames]
-        best = max(cand_ids, key=lambda kf: (shared_word_count(q.appearance, by_id[kf].appearance), -kf))
+        best = max(cand_ids, key=lambda kf: ((q_mask & map_mask[kf]).bit_count(), -kf))
         chosen = by_id[best]
         errors.append(
             math.hypot(chosen.gt_pose.x - q.gt_pose.x, chosen.gt_pose.y - q.gt_pose.y)

@@ -12,9 +12,13 @@ frames that share a scene template are perceptual aliases: matching succeeds
 and returns the transform implied by the shared appearance, which is how
 false loop closures enter the graph.
 
-A candidate that shares no word with the query is rejected before its seeded
-draw is made, yet the pipeline still charges it 1.0 visual-comparison unit;
-rtab candidates are mostly such pairs, so rtab wall time and loop_cost diverge.
+Shared-word counts come from `word_masks`: one integer per frame, built once
+per run, with one bit per visual-word token that at least two frames carry, so
+a pair's count is one AND and a popcount. `match_frames` takes that count from
+its caller. A candidate that shares no word with the query is rejected before
+its seeded draw is made, yet the pipeline still charges it 1.0
+visual-comparison unit; rtab candidates are mostly such pairs, so rtab wall
+time and loop_cost diverge.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +68,9 @@ class MatchResult:
     accepted: bool
 
 
+_NO_SHARED_WORDS = MatchResult(num_matches=0, relative=None, accepted=False)  # the result of every zero-share pair
+
+
 @dataclass(frozen=True)
 class FrameTruth:
     """Simulator-side truth backing transform estimation for one frame."""
@@ -84,14 +92,41 @@ def _word_tokens(words: tuple[int, ...]) -> frozenset:
     return frozenset(tokens)
 
 
+def word_masks(bags: Sequence[Appearance]) -> list[int]:
+    """One bit mask per bag such that, for entries i != j, the multiset
+    intersection size of bags i and j is ``(m[i] & m[j]).bit_count()``.
+
+    Each `_word_tokens` token that occurs in at least two of the bags gets a
+    bit; a token found in only one bag can be shared with no other and gets
+    none, so the width is the shared vocabulary of the bags, not their total
+    size. The diagonal i == j is not covered: ``m[i].bit_count()`` leaves out
+    bag i's single-bag tokens.
+    """
+    token_sets = [_word_tokens(b.words) for b in bags]
+    bags_with = Counter(chain.from_iterable(token_sets))
+    bit = {t: k for k, t in enumerate(t for t, n in bags_with.items() if n > 1)}
+    width = (len(bit) + 7) // 8
+    masks = []
+    for tokens in token_sets:
+        buf = bytearray(width)
+        for t in tokens:
+            k = bit.get(t)
+            if k is not None:
+                buf[k >> 3] |= 1 << (k & 7)
+        masks.append(int.from_bytes(buf, "little"))
+    return masks
+
+
 def shared_word_count(a: Appearance, b: Appearance) -> int:
-    """Multiset intersection size of the two word bags."""
-    return len(_word_tokens(a.words) & _word_tokens(b.words))
+    """Multiset intersection size of the two word bags: the one-pair view of `word_masks`."""
+    ma, mb = word_masks((a, b))
+    return (ma & mb).bit_count()
 
 
 def match_frames(
     a_id: int,
     b_id: int,
+    shared: int,
     a: Appearance,
     b: Appearance,
     truth_a: FrameTruth,
@@ -101,17 +136,18 @@ def match_frames(
 ) -> MatchResult:
     """Match two frames; returns the relative pose of b in a's frame when accepted.
 
-    The shared-word count is thinned by an independent per-word dropout
-    seeded from (seed, frame ids), so results are reproducible per pair.
+    ``shared`` is the pair's multiset shared-word count, which the caller
+    reads from its `word_masks`; it is not recounted here. The count is
+    thinned by an independent per-word dropout seeded from (seed, frame ids),
+    so results are reproducible per pair.
     Acceptance requires num_matches >= min_matches; transform estimation then
     succeeds with the true relative pose when the frames are geometrically
     within inlier_distance, succeeds with the alias-implied (false) pose when
     distant frames share a scene template, and fails otherwise.
     """
-    shared = shared_word_count(a, b)
     if not shared:
         # the pair's generator depends only on (seed, a_id, b_id): skipping it draws nothing else
-        return MatchResult(num_matches=0, relative=None, accepted=False)
+        return _NO_SHARED_WORDS
     rng = np.random.default_rng((seed, a_id, b_id))
     num = int(rng.binomial(shared, DROPOUT_KEEP))
     if num < params.min_matches:

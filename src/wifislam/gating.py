@@ -49,6 +49,7 @@ from .frontend import (
     MatchParams,
     MatchResult,
     match_frames,
+    word_masks,
 )
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
 from .signature import Signature, associate_frames, signature_from_window, EmptyScanWindow
@@ -345,6 +346,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         )
         for f in frames
     ]
+    masks = word_masks([f.appearance for f in frames])  # frame ids are list indices
     onoise = dataset.world.config.odom_noise
 
     graph = PoseGraph()
@@ -413,7 +415,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         t0 = time.perf_counter()
         accepted: list[tuple[int, MatchResult]] = []
         for c in cands:
-            mr = match_frames(i, c, f.appearance, frames[c].appearance, truths[i], truths[c], mp, params.seed)
+            shared = (masks[i] & masks[c]).bit_count()
+            mr = match_frames(i, c, shared, f.appearance, frames[c].appearance, truths[i], truths[c], mp, params.seed)
             if mr.accepted:
                 accepted.append((c, mr))
         loop_cost += len(cands) * VISUAL_COMPARE_COST

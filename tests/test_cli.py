@@ -224,7 +224,7 @@ class TestSweep:
 
     def test_resume_recomputes_a_cell_whose_nested_setting_differs(self, gen_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
-        for n, expected in ((0, "(1 computed, 0 reused)"), (30, "(1 computed, 1 reused)")):
+        for n, expected in ((0, "(1 computed, 0 reused)"), (30, "(1 computed, 0 reused)")):
             (tmp_path / "grid.json").write_text(json.dumps(
                 {"policy": "rgbd", "gated": False, "seed": 0, "rgbd": {"n_random_keyframes": n}}))
             assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report,
@@ -233,6 +233,15 @@ class TestSweep:
         rows = evaluation.read_report(report)
         assert [r["n_random_keyframes"] for r in rows] == ["0", "30"]
         assert rows[0]["loop_cost"] != rows[1]["loop_cost"]
+
+    def test_reused_counts_only_cells_of_the_grid(self, gen_dir, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        for seeds, expected in (([0, 1], "2 rows (2 computed, 0 reused)"), ([1, 2], "3 rows (1 computed, 1 reused)")):
+            (tmp_path / "grid.json").write_text(json.dumps({"policy": "rtab", "gated": False, "seed": seeds}))
+            assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report,
+                           "--jobs", "1") == 0
+            assert expected in capsys.readouterr().out  # the seed-0 row is kept but is no cell of the second grid
+        assert [r["seed"] for r in evaluation.read_report(report)] == ["0", "1", "2"]
 
     def test_nested_axis_values_get_their_own_rows(self, gen_dir, tmp_path):
         grid = tmp_path / "grid.json"

@@ -3,11 +3,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifislam import gating
+from wifislam.clustering import members_of, similar_clusters
 from wifislam.evaluation import (
     KEY_COLUMNS,
     REPORT_COLUMNS,
@@ -200,6 +202,33 @@ class TestLocalize:
         assert abs(n_map - round(0.4 * len(ds.frames))) <= 1
         assert n_map + n_query == len(ds.frames)
         assert len(curve.errors) == n_query
+
+    def test_picks_the_brute_force_best_map_frame(self, dataset_cache):
+        ds = dataset_cache("b_hall", 0)
+        frame_sig = associate_frames([(f.id, f.t) for f in ds.frames], gating.build_signatures(ds))
+        n_map = int(round(0.4 * len(ds.frames)))
+        map_frames, query_frames = ds.frames[:n_map], ds.frames[n_map:]
+        store = build_map_clusters(map_frames, frame_sig, 0.85)
+
+        def shared(a, b):
+            return sum((Counter(a.words) & Counter(b.words)).values())
+
+        errors, fallbacks = [], 0
+        for q in query_frames:
+            cand_ids = members_of(store, similar_clusters(store, frame_sig[q.id], 0.85))
+            if not cand_ids:
+                fallbacks += 1
+                cand_ids = [f.id for f in map_frames]
+            # highest multiset shared-word count, ties to the lowest id
+            best = min(cand_ids, key=lambda kf: (-shared(q.appearance, ds.frames[kf].appearance), kf))
+            chosen = ds.frames[best]
+            err = math.hypot(chosen.gt_pose.x - q.gt_pose.x, chosen.gt_pose.y - q.gt_pose.y)
+            errors.append(err)
+            one, _ = localize_queries(map_frames, store, frame_sig, [q], 0.85)
+            assert one.errors == (err,), q.id
+        assert localize_queries(map_frames, store, frame_sig, query_frames, 0.85) == (
+            CdfCurve.from_errors(errors), fallbacks)
+        assert len(set(errors)) > 1
 
     def test_empty_map(self):
         with pytest.raises(EmptyMap):

@@ -20,6 +20,7 @@ from wifislam.frontend import (
     MatchResult,
     match_frames,
     shared_word_count,
+    word_masks,
 )
 from wifislam.gating import PolicyParams
 from wifislam.posegraph import Pose2, between
@@ -33,6 +34,11 @@ def app(words, template=0):
 def ref_shared(a, b):
     """Reference multiset intersection size, independent of the frontend's bag encoding."""
     return sum((Counter(a.words) & Counter(b.words)).values())
+
+
+def match(a_id, b_id, a, b, *rest, **kw):
+    """match_frames given the pair's reference shared-word count."""
+    return match_frames(a_id, b_id, ref_shared(a, b), a, b, *rest, **kw)
 
 
 def brute_scored(q, apps):
@@ -73,13 +79,13 @@ class TestMatchFrames:
     def test_self_match_near_identity(self):
         a = app(range(40))
         t = truth(1.0, 2.0, 0.3, tx=5.0)
-        mr = match_frames(0, 1, a, a, t, t, PARAMS, seed=0)
+        mr = match(0, 1, a, a, t, t, PARAMS, seed=0)
         assert mr.accepted
         assert mr.num_matches >= PARAMS.min_matches
         assert math.hypot(mr.relative.x, mr.relative.y) < 0.3
 
     def test_disjoint_rejected(self):
-        mr = match_frames(0, 1, app(range(40)), app(range(100, 140)), truth(0, 0), truth(0, 0), PARAMS, 0)
+        mr = match(0, 1, app(range(40)), app(range(100, 140)), truth(0, 0), truth(0, 0), PARAMS, 0)
         assert mr.num_matches == 0 and not mr.accepted and mr.relative is None
 
     def test_alias_injects_false_transform(self):
@@ -88,7 +94,7 @@ class TestMatchFrames:
         b = app(range(40), template=7)
         ta = truth(0.0, 0.0, 0.0, tx=2.0, ty=0.0)
         tb = truth(20.0, 5.0, 0.0, tx=2.0, ty=0.0)
-        mr = match_frames(3, 4, a, b, ta, tb, PARAMS, seed=1)
+        mr = match(3, 4, a, b, ta, tb, PARAMS, seed=1)
         assert mr.accepted
         assert math.hypot(mr.relative.x, mr.relative.y) < 0.5  # aliases look co-located
         true_sep = 20.6
@@ -97,14 +103,14 @@ class TestMatchFrames:
     def test_distant_different_template_demoted(self):
         a = app(range(40), template=1)
         b = app(range(40), template=2)
-        mr = match_frames(0, 1, a, b, truth(0, 0), truth(30, 0), PARAMS, 0)
+        mr = match(0, 1, a, b, truth(0, 0), truth(30, 0), PARAMS, 0)
         assert mr.num_matches >= PARAMS.min_matches
         assert not mr.accepted and mr.relative is None
 
     def test_deterministic(self):
         a, b = app(range(60)), app(range(30, 90))
         args = (5, 9, a, b, truth(0, 0), truth(1, 0), PARAMS, 123)
-        r1, r2 = match_frames(*args), match_frames(*args)
+        r1, r2 = match(*args), match(*args)
         assert r1 == r2
 
     def test_monotone_in_min_matches(self):
@@ -112,7 +118,7 @@ class TestMatchFrames:
         prev_accepted = True
         for mm in (1, 5, 10, 20, 25, 28, 29, 30, 40):
             p = MatchParams(min_matches=mm, inlier_distance=3.0)
-            mr = match_frames(5, 9, a, b, truth(0, 0), truth(1, 0), p, 77)
+            mr = match(5, 9, a, b, truth(0, 0), truth(1, 0), p, 77)
             if mr.accepted:
                 assert prev_accepted, "raising min_matches converted a rejection to acceptance"
                 assert mr.num_matches >= mm
@@ -122,8 +128,8 @@ class TestMatchFrames:
     def test_inlier_distance_gates_feasibility(self):
         a = app(range(60), template=1)
         b = app(range(60), template=2)
-        near = match_frames(0, 1, a, b, truth(0, 0), truth(2.0, 0), PARAMS, 0)
-        far = match_frames(0, 1, a, b, truth(0, 0), truth(4.0, 0), PARAMS, 0)
+        near = match(0, 1, a, b, truth(0, 0), truth(2.0, 0), PARAMS, 0)
+        far = match(0, 1, a, b, truth(0, 0), truth(4.0, 0), PARAMS, 0)
         assert near.accepted and not far.accepted
 
     def test_information_is_inverse_covariance(self):
@@ -137,15 +143,27 @@ class TestMatchFrames:
             for f in frames
         ]
         mp = PolicyParams().match_params()
+        masks = word_masks([f.appearance for f in frames])
         zero_share = accepted = 0
         for fa in frames:
             for fb in frames:
-                args = (fa.id, fb.id, fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], mp, 0)
-                got = match_frames(*args)
-                assert got == always_draw_match(*args), (fa.id, fb.id)
-                zero_share += ref_shared(fa.appearance, fb.appearance) == 0
+                shared = ref_shared(fa.appearance, fb.appearance)
+                if fa.id != fb.id:  # the pipeline's count; word_masks leaves the diagonal out
+                    assert (masks[fa.id] & masks[fb.id]).bit_count() == shared, (fa.id, fb.id)
+                pair = (fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], mp, 0)
+                got = match_frames(fa.id, fb.id, shared, *pair)
+                assert got == always_draw_match(fa.id, fb.id, *pair), (fa.id, fb.id)
+                zero_share += shared == 0
                 accepted += got.accepted
         assert zero_share > 0 and accepted > 0
+
+    def test_uses_the_callers_count(self):
+        # the count is the caller's: equal bags with shared=0 draw nothing, disjoint bags with a count can match
+        a, b = app(range(40)), app(range(100, 140))
+        t = truth(0, 0)
+        assert match_frames(0, 1, 0, a, a, t, t, PARAMS, 0) == MatchResult(0, None, False)
+        assert match_frames(0, 1, 40, a, b, t, t, PARAMS, 0) == match_frames(0, 1, 40, a, a, t, t, PARAMS, 0)
+        assert match_frames(0, 1, 40, a, b, t, t, PARAMS, 0).accepted
 
 
 class TestSharedWordCount:
@@ -171,6 +189,47 @@ def test_shared_word_count_matches_reference(a, b, disjoint):
     assert shared_word_count(qa, qb) == ref_shared(qa, qb)
     if disjoint:
         assert shared_word_count(qa, qb) == 0
+        assert word_masks((qa, qb)) == [0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bags=st.lists(BAGS, min_size=2, max_size=10),
+    far=st.lists(BAGS, max_size=3),
+    singles=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True), max_size=3),
+)
+def test_word_masks_match_reference_on_every_pair(bags, far, singles):
+    # `far` bags use a vocabulary no other bag has; `singles` bags hold words found in no other bag
+    far = [[w + 100 for w in ws] for ws in far]
+    singles = [[1000 + 10 * k + w for w in ws] for k, ws in enumerate(singles)]
+    words = bags + far + singles
+    apps = [Appearance(tuple(ws), 0) for ws in words]
+    masks = word_masks(apps)
+    assert len(masks) == len(apps)
+    for i, a in enumerate(apps):
+        for j, b in enumerate(apps):
+            if i != j:
+                assert (masks[i] & masks[j]).bit_count() == ref_shared(a, b), (i, j)
+    for m in masks[len(bags) + len(far):]:
+        assert m == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(bags=st.lists(BAGS, min_size=1, max_size=10), n_new=st.integers(1, 4))
+def test_appending_single_bag_words_keeps_the_masks(bags, n_new):
+    apps = [Appearance(tuple(ws), 0) for ws in bags]
+    fresh = [Appearance((1000 + 2 * k, 1000 + 2 * k + 1), 0) for k in range(n_new)]
+    masks = word_masks(apps + fresh)
+    assert masks[: len(apps)] == word_masks(apps)
+    assert masks[len(apps):] == [0] * n_new
+
+
+def test_word_masks_leave_the_diagonal_out():
+    # a bag's own popcount counts only its tokens that another bag shares
+    a, b = app([1, 1, 2, 3]), app([1, 4])
+    ma, mb = word_masks([a, b])
+    assert (ma & mb).bit_count() == ref_shared(a, b) == 1
+    assert ma.bit_count() == 1 < ref_shared(a, a) == 4
 
 
 @settings(max_examples=100, deadline=None)

@@ -62,7 +62,11 @@ OPT_ITERATION_COST = 0.1
 OPT_EVERY = 25  # frames between periodic optimizations
 OPT_MIN_SPACING = 14  # frames a loop-triggered optimization waits after the previous one
 OPT_MAX_ITERS = 2  # iterations of each optimization during the run
-FINAL_OPT_MAX_ITERS = 100  # iterations of the optimization after the last frame
+FINAL_OPT_MAX_ITERS = 100  # iterations of the optimization after the last frame, over the whole graph
+# each optimization during the run frees only the newest OPT_WINDOW keyframes and
+# those within OPT_WINDOW_HOPS hops of an end of an edge added since the previous one
+OPT_WINDOW = 40
+OPT_WINDOW_HOPS = 1
 
 POLICIES = ("rgbd", "rtab", "orb")
 
@@ -297,6 +301,16 @@ def _hops_from(graph: PoseGraph, sources: Sequence[int], max_hops: float = math.
     return hops
 
 
+def _window(graph: PoseGraph, since_edge: int) -> set[int]:
+    """The keyframes an in-run optimization frees: the newest `OPT_WINDOW` and
+    those within `OPT_WINDOW_HOPS` hops of either end of the graph's edges from
+    index ``since_edge`` on, less the anchor."""
+    ends = {k for e in graph.edges[since_edge:] for k in (e.from_id, e.to_id)}
+    free = set(graph.ids[-OPT_WINDOW:]).union(_hops_from(graph, list(ends), OPT_WINDOW_HOPS))
+    free.discard(graph.ids[0])
+    return free
+
+
 def orb_candidates(ranking: list[int], similar: set[int] | None) -> list[int]:
     """The map index's ranking of the frame (word-sharing keyframes by shared count
     desc then id asc); when gated, only its keyframes in ``similar``, in ranking order."""
@@ -367,6 +381,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     prev_matches: list[int] = []
     pending_opt = False
     last_opt = -(1 << 30)
+    opt_edges = 0  # edges in the graph at the previous in-run optimization
 
     for f in frames:
         i = f.id
@@ -467,7 +482,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         if graph.edges and (periodic or (pending_opt and i - last_opt >= OPT_MIN_SPACING)):
             t0 = time.perf_counter()
             stats: dict = {}
-            graph = optimize(graph, max_iters=OPT_MAX_ITERS, stats=stats)
+            graph = optimize(graph, max_iters=OPT_MAX_ITERS, stats=stats, free=_window(graph, opt_edges))
+            opt_edges = len(graph.edges)
             opt_iters_now = stats.get("iterations", 0)
             opt_iterations += opt_iters_now
             wall["optimize_s"] += time.perf_counter() - t0

@@ -8,15 +8,18 @@ which gives simple closed-form Jacobians:
     d r / d x_i = [[-c, -s,  py], [ s, -c, -px], [0, 0, -1]]
     d r / d x_j = [[ c,  s,   0], [-s,  c,   0], [0, 0,  1]]
 with c = cos(theta_i), s = sin(theta_i) and (px, py) the predicted relative
-translation. The gauge is fixed by holding the lowest node id constant; node
-ids ascend in insertion order, so that node is the graph's first.
+translation. The gauge is fixed by holding the lowest node id (the anchor)
+constant; node ids ascend in insertion order, so that node is the graph's
+first. `optimize` may also be given a set of free nodes, in which case every
+other node is held constant too: an edge with one fixed end then acts as a
+prior on its free end, and the gauge is the anchor plus the fixed nodes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,7 +151,7 @@ _BLOCK_COL = np.tile(_OFF3, 3)
 
 def _hessian_pattern(vi: np.ndarray, vj: np.ndarray):
     """Edge selections, COO rows and columns, and gradient slots of the normal
-    equations for edges with variable indices ``vi``/``vj`` (-1 for the anchor).
+    equations for edges with variable indices ``vi``/``vj`` (-1 for a fixed node).
 
     Values are emitted in four sections: the from-node diagonal blocks of edges
     whose from-node is free, the to-node diagonal blocks of edges whose to-node
@@ -190,11 +193,11 @@ class PoseGraph:
 
     Node ids ascend, as keyframes enter a map in time order: `add_node`
     rejects an id below the newest one. A node's row in the graph's arrays is
-    therefore its rank by id; row 0 is the optimizer's gauge anchor and the
-    free variables are rows 1 onwards. The graph owns the optimizer's state
-    and grows it in `add_node` and `add_edge`: an (n, 3) node-state array,
-    edge arrays of endpoints, measurements and information matrices,
-    neighbour lists in edge order and a union-find of the connected
+    therefore its rank by id; row 0 is the optimizer's gauge anchor and, by
+    default, the free variables are rows 1 onwards. The graph owns the
+    optimizer's state and grows it in `add_node` and `add_edge`: an (n, 3)
+    node-state array, edge arrays of endpoints, measurements and information
+    matrices, neighbour lists in edge order and a union-find of the connected
     components. ``nodes`` (id -> pose) and ``ids`` are read-only views in
     ascending id order; ``edges`` and `neighbors` return the graph's own
     lists, which callers must not modify.
@@ -359,42 +362,70 @@ def _weighted_error(r: np.ndarray, omega: np.ndarray) -> float:
     return float(np.einsum("ei,eij,ej->", r, omega, r))
 
 
+def _free_rows(graph: PoseGraph, free: Collection[int]) -> np.ndarray:
+    """Ascending node rows of the ids in ``free``; ValueError for an empty collection,
+    the anchor or an id missing from the graph."""
+    if not free:
+        raise ValueError("free must name at least one node")
+    anchor = graph._ids[0]
+    if anchor in free:
+        raise ValueError(f"free must not include the anchor {anchor}")
+    slot = graph._slot
+    missing = sorted(k for k in free if k not in slot)
+    if missing:
+        raise ValueError(f"free names ids missing from the graph: {missing[:5]}")
+    return np.unique(np.fromiter((slot[k] for k in free), dtype=np.intp, count=len(free)))
+
+
 def optimize(
     graph: PoseGraph,
     max_iters: int = 50,
     stats: dict | None = None,
+    free: Collection[int] | None = None,
 ) -> PoseGraph:
-    """Levenberg-Marquardt over the whole graph; the lowest node id (row 0) stays fixed.
+    """Levenberg-Marquardt over the nodes in ``free``; every other node stays fixed.
+
+    ``free`` defaults to every node but the anchor, the lowest node id (row
+    0), which is never free. With a smaller set the gauge is the anchor plus
+    the fixed nodes: an edge with one fixed end acts as a prior on its free
+    end, and an edge with two fixed ends is left out, as it adds only a
+    constant to the error.
 
     Optimizes ``graph`` in place and returns it. The Hessian's index pattern
     is built once per call from the edges' node rows. Accepted steps strictly
-    decrease the weighted error; rejected steps raise the damping tenfold and
-    are retried. Terminates on max_iters (accepted or rejected) or when the
-    relative error improvement drops below 1e-9. When a ``stats`` dict is
-    supplied it receives ``iterations``, ``error_initial``, ``error_final``
-    and ``accepted_errors`` (the initial error, then the error after each
-    accepted step).
+    decrease the weighted error of the edges with a free end; rejected steps
+    raise the damping tenfold and are retried. Terminates on max_iters
+    (accepted or rejected) or when the relative error improvement drops below
+    1e-9. When a ``stats`` dict is supplied it receives ``iterations``,
+    ``error_initial``, ``error_final`` and ``accepted_errors`` (the initial
+    error, then the error after each accepted step), each the error of the
+    edges with a free end, which is `total_error` for the default ``free``.
 
-    Raises ValueError for a graph without edges, `BadInformation` for an
-    information matrix that is not 3x3 symmetric positive definite (checked
-    once per edge, on the first call that sees it) and `DisconnectedGraph`
-    when a node is unreachable from the fixed one; each leaves the graph as
-    it was.
+    Raises ValueError for a graph without edges or a ``free`` that is empty,
+    holds the anchor or names an id missing from the graph; `BadInformation`
+    for an information matrix that is not 3x3 symmetric positive definite
+    (checked once per edge, on the first call that sees it) and
+    `DisconnectedGraph` when a node is unreachable from the anchor. Each
+    leaves the graph as it was.
     """
     edges = graph.edges
     if not edges:
         raise ValueError("optimize requires at least one edge")
     n_nodes, n_edges = len(graph._ids), len(edges)
+    free_rows = np.arange(1, n_nodes) if free is None else _free_rows(graph, free)
     if graph._validated < n_edges:
         _check_information(edges[graph._validated:])
         graph._validated = n_edges
 
     _check_connected(graph)
 
-    ii, jj = graph._ii[:n_edges], graph._jj[:n_edges]
-    z, omega = graph._z[:n_edges], graph._omega[:n_edges]
-    (sel_i, sel_j, sel_b), rows, cols, grad = _hessian_pattern(ii - 1, jj - 1)
-    nvars = 3 * (n_nodes - 1)
+    var = np.full(n_nodes, -1, dtype=np.intp)  # variable index of each node row, -1 when fixed
+    var[free_rows] = np.arange(len(free_rows))
+    vi, vj = var[graph._ii[:n_edges]], var[graph._jj[:n_edges]]
+    act = np.flatnonzero((vi >= 0) | (vj >= 0))  # the edges with a free end; all of them by default
+    ii, jj, z, omega = graph._ii[act], graph._jj[act], graph._z[act], graph._omega[act]
+    (sel_i, sel_j, sel_b), rows, cols, grad = _hessian_pattern(vi[act], vj[act])
+    nvars = 3 * len(free_rows)
     diag = None  # slots of the diagonal in the CSR Hessian, whose structure is fixed per call
 
     x = graph._x[:n_nodes]
@@ -442,7 +473,7 @@ def optimize(
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 xc = x.copy()
-                xc[1:] += delta.reshape(-1, 3)
+                xc[free_rows] += delta.reshape(-1, 3)
                 rc, pxc, pyc, cc2, sc2 = _residuals_vec(xc, ii, jj, z)
                 errc = _weighted_error(rc, omega)
                 if errc < err:
@@ -468,8 +499,9 @@ def optimize(
         stats["accepted_errors"] = accepted_errors
 
     if len(accepted_errors) > 1:
-        x[:, 2] = _wrap_angles(x[:, 2])  # as a Pose2 stores theta
-        graph._x[:n_nodes] = x
+        xf = x[free_rows]
+        xf[:, 2] = _wrap_angles(xf[:, 2])  # as a Pose2 stores theta
+        graph._x[free_rows] = xf
     return graph
 
 

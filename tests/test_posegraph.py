@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -371,8 +372,8 @@ class TestIncrementalState:
 def _run_recording(monkeypatch, dataset, params, cold: bool):
     calls = []
 
-    def recording_optimize(graph, max_iters=50, stats=None):
-        out = optimize(cold_copy(graph) if cold else graph, max_iters=max_iters, stats=stats)
+    def recording_optimize(graph, max_iters=50, stats=None, free=None):
+        out = optimize(cold_copy(graph) if cold else graph, max_iters=max_iters, stats=stats, free=free)
         calls.append(repr(sorted(stats.items())))
         return out
 
@@ -391,6 +392,105 @@ def test_pipeline_equals_cold_graph_run(monkeypatch, dataset_cache, policy, gate
     cold = _run_recording(monkeypatch, ds, params, cold=True)
     assert len(warm[0]) > 1
     assert warm == cold
+
+
+def test_pipeline_windows(monkeypatch, dataset_cache):
+    """Each in-run optimization frees the newest `OPT_WINDOW` keyframes and both
+    ends of every edge added since the previous one, never the anchor; the
+    final optimization is global."""
+    calls = []
+
+    def recording_optimize(graph, max_iters=50, stats=None, free=None):
+        calls.append((max_iters, free, list(graph.ids), [(e.from_id, e.to_id) for e in graph.edges]))
+        return optimize(graph, max_iters=max_iters, stats=stats, free=free)
+
+    monkeypatch.setattr(gating, "optimize", recording_optimize)
+    gating.run_pipeline(dataset_cache("j_hall", 0), PolicyParams(policy="orb", gated=True, seed=0))
+    *in_run, (final_iters, final_free, _, _) = calls
+    assert (final_iters, final_free) == (gating.FINAL_OPT_MAX_ITERS, None)
+    assert len(in_run) > 10
+    seen = 0  # edges present at the previous in-run call
+    old_ends = 0  # edge ends outside the newest keyframes, freed by the hop set alone
+    for max_iters, free, ids, edges in in_run:
+        assert max_iters == gating.OPT_MAX_ITERS
+        assert ids[0] not in free
+        assert set(ids[-gating.OPT_WINDOW:]) - {ids[0]} <= free
+        ends = {k for e in edges[seen:] for k in e} - {ids[0]}
+        assert ends <= free
+        old_ends += len(ends - set(ids[-gating.OPT_WINDOW:]))
+        seen = len(edges)
+    assert old_ends > 0
+    assert max(len(free) / (len(ids) - 1) for _, free, ids, _ in in_run[-5:]) < 0.5
+
+
+def _chain(n: int, moved: Sequence[int] = ()) -> tuple[PoseGraph, list[Pose2]]:
+    """An odometry chain of ``n`` nodes and its true poses; the nodes in ``moved``
+    start off them, the others on them."""
+    step, off = Pose2(1.0, 0.2, 0.3), Pose2(0.4, -0.3, 0.2)
+    true = [Pose2()]
+    for _ in range(1, n):
+        true.append(compose(true[-1], step))
+    g = PoseGraph()
+    for k, p in enumerate(true):
+        g.add_node(k, compose(p, off) if k in moved else p)
+        if k:
+            g.add_edge(GraphEdge(k - 1, k, step, I3))
+    return g, true
+
+
+class TestWindow:
+    """`optimize` with a set of free nodes."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_every_non_anchor_node_free_is_the_default(self, seed, max_iters):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n_nodes=int(rng.integers(2, 14)), n_loops=int(rng.integers(0, 6)))
+        windowed = cold_copy(g)
+        stats, w_stats = {}, {}
+        optimize(g, max_iters=max_iters, stats=stats)
+        assert optimize(windowed, max_iters=max_iters, stats=w_stats, free=set(windowed.ids[1:])) is windowed
+        assert bits(g, stats) == bits(windowed, w_stats)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_nodes_keep_their_bytes_and_errors_never_rise(self, seed, max_iters):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n_nodes=int(rng.integers(3, 14)), n_loops=int(rng.integers(0, 6)))
+        ids = list(g.ids)
+        free = {k for k in ids[1:] if rng.random() < 0.5} or {ids[-1]}
+        before = {k: repr(g.nodes[k]) for k in ids}
+        stats = {}
+        optimize(g, max_iters=max_iters, stats=stats, free=free)
+        assert {k: repr(g.nodes[k]) for k in ids if k not in free} == {k: v for k, v in before.items() if k not in free}
+        errs = stats["accepted_errors"]
+        assert all(b < a for a, b in zip(errs, errs[1:]))
+        assert errs[0] == stats["error_initial"] and errs[-1] == stats["error_final"]
+        if len(errs) > 1:
+            assert any(repr(g.nodes[k]) != before[k] for k in free)
+
+    def test_window_joined_to_the_anchor_only_through_fixed_nodes_converges(self):
+        g, true = _chain(8, moved=(5, 6, 7))
+        g.add_edge(GraphEdge(7, 3, between(true[7], true[3]), I3, "loop"))
+        stats = {}
+        optimize(g, max_iters=50, stats=stats, free={5, 6, 7})
+        assert stats["error_initial"] > 0.1 and stats["error_final"] < 1e-18
+        assert total_error(g) < 1e-18
+        for k in range(8):
+            p = g.nodes[k]
+            assert (p.x, p.y, p.theta) == pytest.approx((true[k].x, true[k].y, true[k].theta), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "free, message",
+        [({0, 2}, "must not include the anchor 0"), ({2, 9, 11}, r"missing from the graph: \[9, 11\]"),
+         (set(), "at least one node")],
+    )
+    def test_bad_free_raises_and_leaves_the_graph(self, free, message):
+        g, _ = _chain(4, moved=(2,))
+        before = repr(sorted(g.nodes.items()))
+        with pytest.raises(ValueError, match=message):
+            optimize(g, free=free)
+        assert repr(sorted(g.nodes.items())) == before
 
 
 class TestKabsch:

@@ -78,7 +78,6 @@ def _ranged(cast, ok, expected: str):
 
 _split_fraction = _ranged(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 _similarity = _ranged(float, lambda v: 0 < v <= 1, "a similarity in (0, 1]")
-_radius = _ranged(int, lambda v: v >= 1, "an integer >= 1")
 _jobs = _ranged(int, lambda v: v >= 0, "an integer >= 0")
 
 
@@ -127,7 +126,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     dataset = simworld.load_dataset(args.dataset)
     record = run_pipeline(dataset, params)
     out = save_run(record, args.out)
-    row = evaluation.report_row(record, dataset, match_radius=args.match_radius)
+    row = evaluation.report_row(record, dataset)
     evaluation.write_report(out / "report_row.csv", [row])
     print(
         f"wrote {out}: rmse_m={row['rmse_m']} fp={row['fp']} fn={row['fn']} "
@@ -136,9 +135,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(dataset: simworld.Dataset, params: PolicyParams, match_radius: int) -> dict:
+def _sweep_cell(dataset: simworld.Dataset, params: PolicyParams) -> dict:
     record = run_pipeline(dataset, params)
-    return evaluation.report_row(record, dataset, match_radius=match_radius)
+    return evaluation.report_row(record, dataset)
 
 
 _worker_dataset: simworld.Dataset | None = None  # a sweep worker process's dataset, loaded once
@@ -149,8 +148,8 @@ def _load_worker_dataset(dataset_dir: str) -> None:
     _worker_dataset = simworld.load_dataset(dataset_dir)
 
 
-def _worker_sweep_cell(params: PolicyParams, match_radius: int) -> dict:
-    return _sweep_cell(_worker_dataset, params, match_radius)
+def _worker_sweep_cell(params: PolicyParams) -> dict:
+    return _sweep_cell(_worker_dataset, params)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -180,12 +179,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if pending:
         jobs = args.jobs or os.cpu_count() or 1
         if jobs == 1:
-            results = [_sweep_cell(dataset, p, args.match_radius) for p in pending]
+            results = [_sweep_cell(dataset, p) for p in pending]
         else:
             with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_load_worker_dataset, initargs=(args.dataset,)
             ) as ex:
-                results = list(ex.map(_worker_sweep_cell, pending, [args.match_radius] * len(pending)))
+                results = list(ex.map(_worker_sweep_cell, pending))
         rows.extend(results)
     rows.sort(key=evaluation.row_key)
     evaluation.write_report(out_path, rows)
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--wifi-threshold", dest="wifi_threshold", type=float)
     r.add_argument("--real-time-threshold", dest="real_time_threshold")
     r.add_argument("--seed", type=int)
-    r.add_argument("--match-radius", dest="match_radius", type=_radius, default=5)
     r.set_defaults(fn=cmd_run, out_is_dir=True)
 
     s = sub.add_parser("sweep", help="run a Cartesian parameter grid; resumable")
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--jobs", type=_jobs, default=0, help="worker processes (default: cpu count)")
-    s.add_argument("--match-radius", dest="match_radius", type=_radius, default=5)
     s.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("curve", help="similarity-vs-distance curve over dwell pairs")

@@ -111,14 +111,10 @@ def assign(
 
 
 def members_of(store: ClusterStore, similar: SimilarClusters) -> list[int]:
-    """Union of member keyframes of the listed clusters, score order then insertion order."""
-    seen: set[int] = set()
+    """Member keyframes of the listed (disjoint) clusters, score order then insertion order."""
     out: list[int] = []
     for cid, _ in similar.entries:
-        for kf in store.clusters[cid].members:
-            if kf not in seen:
-                seen.add(kf)
-                out.append(kf)
+        out.extend(store.clusters[cid].members)
     return out
 
 

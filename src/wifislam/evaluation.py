@@ -6,8 +6,9 @@ Loop scoring is adjudicated against the simulator's ground-truth pairs with
 an index tolerance: an accepted edge is a true detection when some ground
 truth pair lies within ``match_radius`` frames on both endpoints, and a
 ground-truth pair is missed (a false negative) when no accepted edge lies
-within the same tolerance. TP + FN always equals the ground-truth pair count;
-FN% is relative to all true closures and FP% to all detections.
+within the same tolerance; report rows use ``MATCH_RADIUS``. TP + FN always
+equals the ground-truth pair count; FN% is relative to all true closures and
+FP% to all detections.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .gating import PolicyParams, RunRecord, build_signatures
 from .posegraph import kabsch_align, apply_rigid, rmse
 from .signature import NoSignatures, Signature, associate_frames, cosine_similarity
 from .simworld import DataError, Dataset, Frame, dwell_positions
+
+
+MATCH_RADIUS = 5  # frames an accepted loop edge may lie from a ground-truth pair in report rows
 
 
 class NoCorrespondence(ValueError):
@@ -49,7 +53,7 @@ class LoopScore:
 def score_loops(
     edges: Sequence[tuple[int, int]],
     gt_pairs: Iterable[tuple[int, int]],
-    match_radius: int = 5,
+    match_radius: int = MATCH_RADIUS,
 ) -> LoopScore:
     """Adjudicate accepted loop edges against ground-truth pairs.
 
@@ -274,14 +278,12 @@ class BadReport(DataError):
     """A report file's header or one of its rows is malformed; the message names the file and line."""
 
 
-def report_row(record: RunRecord, dataset: Dataset, match_radius: int = 5) -> dict[str, str]:
-    score = score_loops(
-        [(a, b) for _s, a, b in record.loop_edges], dataset.gt_loop_pairs, match_radius
-    )
+def report_row(record: RunRecord, dataset: Dataset) -> dict[str, str]:
+    score = score_loops([(a, b) for _s, a, b in record.loop_edges], dataset.gt_loop_pairs)
     err = trajectory_error(record.est, record.gt)
     led = ledger(record)
     return {
-        **key_fields(record.dataset_name, record.params),
+        **key_fields(record.dataset.name, record.params),
         "rmse_m": repr(float(err)),
         "fp": str(score.false_positives),
         "fn": str(score.false_negatives),

@@ -17,6 +17,10 @@ intersects it with its own candidate pool:
 The pipeline audits each gated frame against those same inputs: candidates
 must lie in ``similar`` (or rgbd's base), and ORB's in its ranking.
 
+A run records each frame's decisions once, in a ``FrameRecord``; the
+``RunRecord``'s loop events, memory trace, loop edges and loop cost are views
+over those records, and ``save_run`` writes its per-frame files from them.
+
 Costs are deterministic: one visual comparison costs 1 unit, one Wi-Fi
 cluster comparison 0.02 units, one optimizer iteration 0.1 units. Wall-clock
 times are recorded alongside but never drive any decision.
@@ -26,9 +30,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -93,6 +98,21 @@ class RtabParams:
     wm_transfer_batch: int = 10
 
 
+def _check_setting_types(params) -> None:
+    """TypeError for a setting, nested too, not of its declared type (a bool is no number); ValueError for NaN or < 0."""
+    accepted = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}  # by declared type
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if is_dataclass(v):
+            _check_setting_types(v)
+        elif not isinstance(v, accepted[f.type]) or isinstance(v, bool) != (f.type == "bool"):
+            raise TypeError(f"{f.name} must be {f.type}, got {v!r}")
+        elif f.type == "float" and math.isnan(v):
+            raise ValueError(f"{f.name} must not be NaN")
+        elif f.type == "int" and v < 0:
+            raise ValueError(f"{f.name} must be >= 0")
+
+
 @dataclass(frozen=True)
 class PolicyParams:
     policy: str = "orb"
@@ -107,14 +127,11 @@ class PolicyParams:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
+        _check_setting_types(self)
         if self.min_matches <= 0 or self.inlier_distance <= 0:
             raise ValueError("min_matches and inlier_distance must be positive")
         if not 0 < self.wifi_threshold <= 1:
             raise ValueError("wifi_threshold must be in (0, 1]")
-        for v in (self.rgbd.n_predecessors, self.rgbd.geodesic_depth, self.rgbd.n_random_keyframes,
-                  self.rtab.stm_capacity, self.rtab.wm_transfer_batch):
-            if v < 0:
-                raise ValueError("counts must be >= 0")
         if self.rtab.real_time_threshold <= 0:
             raise ValueError("real_time_threshold must be positive")
 
@@ -138,46 +155,63 @@ class MemoryState:
 
 
 @dataclass(frozen=True)
-class LoopEvent:
-    step: int
-    from_id: int
-    to_id: int  # best accepted loop candidate, -1 when none
-    accepted: bool
+class FrameRecord:
+    """One frame's decisions: how many keyframes its policy compared it with, the loop closure it committed
+    (-1 when none) and, under rtab only, the memory pool sizes after its step and the keyframes the step moved."""
+
     candidate_count: int
-    comparisons_cost: float
-    accepted_edges: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class MemoryTraceRow:
-    step: int
-    stm: int
-    wm: int
-    ltm: int
-    immune: int
-    transfers: int
-    retrievals: int
+    loop_to: int
+    stm: int | None = None
+    wm: int | None = None
+    ltm: int | None = None
+    immune: int | None = None
+    transfers: int | None = None
+    retrievals: int | None = None
 
 
 @dataclass
 class RunRecord:
-    dataset_name: str
-    dataset_seed: int
+    """One run: its dataset, settings, final graph and cluster store, a FrameRecord per frame id, and totals."""
+
+    dataset: Dataset
     params: PolicyParams
     graph: PoseGraph
-    est: list  # (keyframe_id, t, Pose2)
-    gt: list
     store: ClusterStore | None
-    events: list
-    loop_edges: list  # (step, from_id, to_id), time gap > simworld.LOOP_PAIR_GAP_S
-    memory_trace: list
-    loop_cost: float
+    frames: list[FrameRecord]
     clustering_cost: float
     management_cost: float
     opt_iterations: int
     subset_violations: int
     gating_violations: int
     wall: dict
+
+    @property
+    def events(self) -> list[FrameRecord]:
+        """The per-frame loop events: every frame's record."""
+        return self.frames
+
+    @property
+    def memory_trace(self) -> list[FrameRecord]:
+        """The per-frame rtab memory trace: every frame's record under rtab, none otherwise."""
+        return self.frames if self.params.policy == "rtab" else []
+
+    @property
+    def loop_edges(self) -> list[tuple[int, int, int]]:
+        """(step, from_id, to_id) of each committed loop closure, time gap > simworld.LOOP_PAIR_GAP_S."""
+        return [(i, i, fr.loop_to) for i, fr in enumerate(self.frames) if fr.loop_to >= 0]
+
+    @property
+    def loop_cost(self) -> float:
+        return sum(fr.candidate_count for fr in self.frames) * VISUAL_COMPARE_COST
+
+    @property
+    def est(self) -> list:
+        """(keyframe_id, t, Pose2) of the final graph, one per frame."""
+        return [(f.id, f.t, self.graph.nodes[f.id]) for f in self.dataset.frames]
+
+    @property
+    def gt(self) -> list:
+        return [(f.id, f.t, f.gt_pose) for f in self.dataset.frames]
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +402,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     index = InvertedIndex()  # orb: the whole map's keyframes, each inserted once
     memory = MemoryState()
 
-    events: list[LoopEvent] = []
-    loop_edges: list[tuple[int, int, int]] = []
-    memory_trace: list[MemoryTraceRow] = []
-    loop_cost = clustering_cost = management_cost = 0.0
+    records: list[FrameRecord] = []
+    clustering_cost = management_cost = 0.0
     opt_iterations = 0
     subset_violations = 0
     gating_violations = 0
@@ -398,8 +430,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         # candidate selection happens before the frame enters the graph;
         # gated candidates outside `similar` may come only from `base`
-        transfers: list[int] = []
-        retrievals: list[int] = []
+        pools: dict[str, int] = {}  # rtab: its memory pools after the step and the keyframes the step moved
         base: set[int] = set()
         if params.policy == "rgbd":
             base = _rgbd_base(graph, params)
@@ -409,6 +440,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
                 memory, i, params, prev_step_cost,
                 graph=graph, similar=similar, recent_matches=prev_matches,
             )
+            pools = dict(stm=len(memory.stm), wm=len(memory.wm), ltm=len(memory.ltm), immune=len(memory.immune),
+                         transfers=len(transfers), retrievals=len(retrievals))
         else:
             ranking = index.query(f.appearance)
             cands = orb_candidates(ranking, similar)
@@ -434,7 +467,6 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             mr = match_frames(i, c, shared, f.appearance, frames[c].appearance, truths[i], truths[c], mp, params.seed)
             if mr.accepted:
                 accepted.append((c, mr))
-        loop_cost += len(cands) * VISUAL_COMPARE_COST
         wall["loop_closure_s"] += time.perf_counter() - t0
 
         # commit one transformation per category per keyframe event, like the
@@ -450,22 +482,10 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
                 GraphEdge(from_id=i, to_id=c, relative=mr.relative, information=MATCH_INFORMATION, kind="loop")
             )
 
-        best_to = -1
+        loop_to = -1
         if loop_hits:
-            best_to = max(loop_hits, key=lambda cm: (cm[1].num_matches, -cm[0]))[0]
-            loop_edges.append((i, i, best_to))
+            loop_to = committed[-1][0]
             pending_opt = True
-        events.append(
-            LoopEvent(
-                step=i,
-                from_id=i,
-                to_id=best_to,
-                accepted=bool(loop_hits),
-                candidate_count=len(cands),
-                comparisons_cost=len(cands) * VISUAL_COMPARE_COST,
-                accepted_edges=(best_to,) if loop_hits else (),
-            )
-        )
 
         accepted_ids = [c for c, _ in committed]
         if params.gated:
@@ -492,18 +512,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         prev_step_cost = len(cands) * VISUAL_COMPARE_COST + opt_iters_now * OPT_ITERATION_COST
         prev_matches = accepted_ids
-        if params.policy == "rtab":
-            memory_trace.append(
-                MemoryTraceRow(
-                    step=i,
-                    stm=len(memory.stm),
-                    wm=len(memory.wm),
-                    ltm=len(memory.ltm),
-                    immune=len(memory.immune),
-                    transfers=len(transfers),
-                    retrievals=len(retrievals),
-                )
-            )
+        records.append(FrameRecord(candidate_count=len(cands), loop_to=loop_to, **pools))
 
     if graph.edges:
         t0 = time.perf_counter()
@@ -512,20 +521,12 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         opt_iterations += stats.get("iterations", 0)
         wall["optimize_s"] += time.perf_counter() - t0
 
-    est = [(f.id, f.t, graph.nodes[f.id]) for f in frames]
-    gt = [(f.id, f.t, f.gt_pose) for f in frames]
     return RunRecord(
-        dataset_name=dataset.name,
-        dataset_seed=dataset.seed,
+        dataset=dataset,
         params=params,
         graph=graph,
-        est=est,
-        gt=gt,
         store=store,
-        events=events,
-        loop_edges=loop_edges,
-        memory_trace=memory_trace,
-        loop_cost=loop_cost,
+        frames=records,
         clustering_cost=clustering_cost,
         management_cost=management_cost,
         opt_iterations=opt_iterations,
@@ -570,8 +571,8 @@ def save_run(record: RunRecord, out_dir: str | Path) -> Path:
     with open(out / "config.json", "w") as fh:
         json.dump(
             {
-                "dataset": record.dataset_name,
-                "dataset_seed": record.dataset_seed,
+                "dataset": record.dataset.name,
+                "dataset_seed": record.dataset.seed,
                 "params": params_to_json(record.params),
                 "cost_units": {
                     "visual_compare": VISUAL_COMPARE_COST,
@@ -587,17 +588,18 @@ def save_run(record: RunRecord, out_dir: str | Path) -> Path:
     write_trajectory(out / "trajectory_est.csv", record.est)
     write_trajectory(out / "trajectory_gt.csv", record.gt)
     with open(out / "loop_events.jsonl", "w") as fh:
-        for e in record.events:
+        for i, fr in enumerate(record.frames):
+            accepted = fr.loop_to >= 0
             fh.write(
                 json.dumps(
                     {
-                        "step": e.step,
-                        "from": e.from_id,
-                        "to": e.to_id,
-                        "accepted": e.accepted,
-                        "candidate_count": e.candidate_count,
-                        "comparisons_cost": e.comparisons_cost,
-                        "accepted_edges": list(e.accepted_edges),
+                        "step": i,
+                        "from": i,
+                        "to": fr.loop_to,
+                        "accepted": accepted,
+                        "candidate_count": fr.candidate_count,
+                        "comparisons_cost": fr.candidate_count * VISUAL_COMPARE_COST,
+                        "accepted_edges": [fr.loop_to] if accepted else [],
                     },
                     sort_keys=True,
                 )
@@ -605,8 +607,8 @@ def save_run(record: RunRecord, out_dir: str | Path) -> Path:
             )
     with open(out / "memory_trace.csv", "w", newline="") as fh:
         fh.write("step,stm,wm,ltm,immune,transfers,retrievals\n")
-        for r in record.memory_trace:
-            fh.write(f"{r.step},{r.stm},{r.wm},{r.ltm},{r.immune},{r.transfers},{r.retrievals}\n")
+        for i, r in enumerate(record.memory_trace):
+            fh.write(f"{i},{r.stm},{r.wm},{r.ltm},{r.immune},{r.transfers},{r.retrievals}\n")
     if record.store is not None:
         write_cluster_dump(record.store, out / "clusters.csv", out / "cluster_representatives.jsonl")
     with open(out / "timings.json", "w") as fh:

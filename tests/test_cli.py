@@ -122,6 +122,12 @@ class TestRun:
         ("opt_every", 25, "opt_every"),
         ("rtab", {"real_time_threshold": "fast"}, "fast"),
         ("rgbd", [1], "bad run configuration"),
+        ("gated", "false", "gated must be bool, got 'false'"),  # wrong-typed settings
+        ("seed", "1", "seed must be int, got '1'"),
+        ("min_matches", 2.5, "min_matches must be int, got 2.5"),
+        ("rgbd", {"n_predecessors": True}, "n_predecessors must be int, got True"),
+        ("inlier_distance", "3", "inlier_distance must be float, got '3'"),
+        ("seed", -1, "seed must be >= 0"),  # numpy's generators take no negative seed
     ])
     def test_bad_config_value_exit_2(self, gen_dir, tmp_path, capsys, key, value, named):
         cfgf = tmp_path / "cfg.json"
@@ -130,6 +136,16 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad run configuration" in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--inlier-distance", "inlier_distance"), ("--real-time-threshold", "real_time_threshold"),
+    ])
+    def test_nan_setting_flag_exit_2(self, gen_dir, tmp_path, capsys, flag, name):
+        code = run_cli("run", "--dataset", gen_dir, "--out", tmp_path / "o", flag, "nan")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad run configuration: {name} must not be NaN" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"], ids=["missing", "bad_json", "not_object"])
@@ -260,6 +276,15 @@ class TestSweep:
         assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", tmp_path / "r.csv", "--jobs", "1") == 2
         err = capsys.readouterr().err
         assert "bad grid cell" in err and f"{key} must be a JSON object" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_wrong_typed_axis_value_exit_2(self, gen_dir, tmp_path, capsys):
+        # "false" would otherwise run a gated cell under the same report key as the vanilla one
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy": ["orb"], "gated": [False, "false"], "seed": [0]}))
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", tmp_path / "r.csv", "--jobs", "1") == 2
+        err = capsys.readouterr().err
+        assert "bad grid cell" in err and "gated must be bool, got 'false'" in err and "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_grid_exit_2(self, gen_dir, tmp_path):
@@ -402,8 +427,6 @@ def test_unwritable_out_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, 
     ("localize", "--wifi-threshold", "0"),
     ("localize", "--wifi-threshold", "1.5"),
     ("localize", "--wifi-threshold", "nan"),
-    ("run", "--match-radius", "0"),
-    ("sweep", "--match-radius", "0"),
     ("sweep", "--jobs", "-1"),
 ])
 def test_bad_flag_value_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, flag, value):

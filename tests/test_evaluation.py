@@ -278,7 +278,7 @@ def _old_key_fields(dataset_name, p):
     policy=st.sampled_from(gating.POLICIES),
     gated=st.booleans(),
     seed=st.integers(0, 10**6),
-    min_matches=st.integers(1, 500) | st.floats(0.5, 500.0),
+    min_matches=st.integers(1, 500),  # PolicyParams rejects a count that is not an integer
     inlier_distance=st.integers(1, 10) | st.floats(1e-3, 1e3),
     wifi_threshold=st.just(1) | st.floats(1e-3, 1.0),
     real_time_threshold=st.integers(1, 500) | st.floats(1e-3, 1e4) | st.just(math.inf),

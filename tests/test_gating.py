@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from itertools import count
@@ -284,10 +285,26 @@ class TestRunPipeline:
             if fa.exists():
                 assert fa.read_bytes() == fb.read_bytes(), name
 
-    def test_event_cost_invariant(self, tiny_dataset):
-        rec = run_pipeline(tiny_dataset, PolicyParams(policy="rgbd", gated=False, min_matches=20, seed=2))
-        for e in rec.events:
-            assert e.comparisons_cost == pytest.approx(e.candidate_count * 1.0)
+    @pytest.mark.parametrize("policy", gating.POLICIES)
+    def test_saved_frame_files_agree_with_frames(self, tiny_dataset, tmp_path, policy):
+        rec = run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=True, min_matches=20, seed=2))
+        save_run(rec, tmp_path)
+        n = len(tiny_dataset.frames)
+        assert len(rec.frames) == n
+        events = [json.loads(line) for line in (tmp_path / "loop_events.jsonl").read_text().splitlines()]
+        assert [(e["step"], e["from"]) for e in events] == [(i, i) for i in range(n)]
+        for e, fr in zip(events, rec.frames):
+            assert e["candidate_count"] == fr.candidate_count and e["to"] == fr.loop_to
+            assert e["comparisons_cost"] == e["candidate_count"] * gating.VISUAL_COMPARE_COST
+            assert e["accepted"] == (e["to"] >= 0)
+            assert e["accepted_edges"] == ([e["to"]] if e["accepted"] else [])
+        trace = (tmp_path / "memory_trace.csv").read_text().splitlines()
+        assert trace[0] == "step,stm,wm,ltm,immune,transfers,retrievals"
+        assert len(trace) == 1 + (n if policy == "rtab" else 0)
+        for i, (line, fr) in enumerate(zip(trace[1:], rec.frames)):
+            assert line == f"{i},{fr.stm},{fr.wm},{fr.ltm},{fr.immune},{fr.transfers},{fr.retrievals}"
+        assert rec.loop_edges == [(i, i, e["to"]) for i, e in enumerate(events) if e["accepted"]]
+        assert rec.loop_cost == sum(e["comparisons_cost"] for e in events)
 
     def test_gating_and_subset_violations_zero(self, tiny_dataset):
         for policy in ("rgbd", "rtab", "orb"):

@@ -9,7 +9,6 @@ cluster's members this step; otherwise it seeds a new cluster.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,14 +117,8 @@ def members_of(store: ClusterStore, similar: SimilarClusters) -> list[int]:
     return out
 
 
-def write_cluster_dump(store: ClusterStore, csv_path: str | Path, jsonl_path: str | Path) -> None:
-    """Dump membership as `cluster_id,keyframe_id` CSV plus JSONL representatives."""
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "keyframe_id"])
-        for c in store.clusters:
-            for kf in c.members:
-                w.writerow([c.id, kf])
+def write_cluster_dump(store: ClusterStore, jsonl_path: str | Path) -> None:
+    """Dump each cluster's id and frozen representative as one JSONL line, in cluster id order."""
     with open(jsonl_path, "w") as fh:
         for c in store.clusters:
             rec = {

@@ -19,7 +19,8 @@ must lie in ``similar`` (or rgbd's base), and ORB's in its ranking.
 
 A run records each frame's decisions once, in a ``FrameRecord``; the
 ``RunRecord``'s loop events, memory trace, loop edges and loop cost are views
-over those records, and ``save_run`` writes its per-frame files from them.
+over those records, and ``save_run`` writes them, with each frame's Wi-Fi
+cluster, as the rows of one file, ``frame_trace.csv``.
 
 Costs are deterministic: one visual comparison costs 1 unit, one Wi-Fi
 cluster comparison 0.02 units, one optimizer iteration 0.1 units. Wall-clock
@@ -28,12 +29,12 @@ times are recorded alongside but never drive any decision.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-import numbers
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +59,7 @@ from .frontend import (
 )
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
 from .signature import Signature, associate_frames, signature_from_window, EmptyScanWindow
-from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, template_pose_of
+from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, check_setting_types, template_pose_of
 
 VISUAL_COMPARE_COST = 1.0
 WIFI_COMPARE_COST = 0.02
@@ -98,21 +99,6 @@ class RtabParams:
     wm_transfer_batch: int = 10
 
 
-def _check_setting_types(params) -> None:
-    """TypeError for a setting, nested too, not of its declared type (a bool is no number); ValueError for NaN or < 0."""
-    accepted = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}  # by declared type
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if is_dataclass(v):
-            _check_setting_types(v)
-        elif not isinstance(v, accepted[f.type]) or isinstance(v, bool) != (f.type == "bool"):
-            raise TypeError(f"{f.name} must be {f.type}, got {v!r}")
-        elif f.type == "float" and math.isnan(v):
-            raise ValueError(f"{f.name} must not be NaN")
-        elif f.type == "int" and v < 0:
-            raise ValueError(f"{f.name} must be >= 0")
-
-
 @dataclass(frozen=True)
 class PolicyParams:
     policy: str = "orb"
@@ -127,7 +113,7 @@ class PolicyParams:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        _check_setting_types(self)
+        check_setting_types(self)
         if self.min_matches <= 0 or self.inlier_distance <= 0:
             raise ValueError("min_matches and inlier_distance must be positive")
         if not 0 < self.wifi_threshold <= 1:
@@ -587,30 +573,12 @@ def save_run(record: RunRecord, out_dir: str | Path) -> Path:
         fh.write("\n")
     write_trajectory(out / "trajectory_est.csv", record.est)
     write_trajectory(out / "trajectory_gt.csv", record.gt)
-    with open(out / "loop_events.jsonl", "w") as fh:
-        for i, fr in enumerate(record.frames):
-            accepted = fr.loop_to >= 0
-            fh.write(
-                json.dumps(
-                    {
-                        "step": i,
-                        "from": i,
-                        "to": fr.loop_to,
-                        "accepted": accepted,
-                        "candidate_count": fr.candidate_count,
-                        "comparisons_cost": fr.candidate_count * VISUAL_COMPARE_COST,
-                        "accepted_edges": [fr.loop_to] if accepted else [],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(out / "memory_trace.csv", "w", newline="") as fh:
-        fh.write("step,stm,wm,ltm,immune,transfers,retrievals\n")
-        for i, r in enumerate(record.memory_trace):
-            fh.write(f"{i},{r.stm},{r.wm},{r.ltm},{r.immune},{r.transfers},{r.retrievals}\n")
-    if record.store is not None:
-        write_cluster_dump(record.store, out / "clusters.csv", out / "cluster_representatives.jsonl")
+    store = record.store or ClusterStore()  # a vanilla run has no clusters
+    with open(out / "frame_trace.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")  # None is written as an empty cell
+        w.writerow(["frame", *(f.name for f in fields(FrameRecord)), "cluster"])
+        w.writerows([i, *astuple(fr), store.cluster_of(i)] for i, fr in enumerate(record.frames))
+    write_cluster_dump(store, out / "cluster_representatives.jsonl")
     with open(out / "timings.json", "w") as fh:
         json.dump(record.wall, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -46,6 +47,24 @@ class DataError(ValueError):
 
 class BadWorld(DataError):
     """A world configuration violates a structural limit."""
+
+
+def check_setting_types(settings, finite: bool = False) -> None:
+    """TypeError for a setting, nested too, not of its declared type (a bool is no number; other declared
+    types take any non-bool); ValueError for a NaN float, any non-finite one when ``finite``, or an int < 0."""
+    accepted = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}  # by declared type
+    for f in fields(settings):
+        v = getattr(settings, f.name)
+        if is_dataclass(v):
+            check_setting_types(v, finite)
+        elif not isinstance(v, accepted.get(f.type, object)) or isinstance(v, bool) != (f.type == "bool"):
+            raise TypeError(f"{f.name} must be {f.type}, got {v!r}")
+        elif f.type == "float" and math.isnan(v):
+            raise ValueError(f"{f.name} must not be NaN")
+        elif f.type == "float" and finite and math.isinf(v):
+            raise ValueError(f"{f.name} must be finite, got {v!r}")
+        elif f.type == "int" and v < 0:
+            raise ValueError(f"{f.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -714,9 +733,11 @@ def _world_to_json(dataset: Dataset) -> dict:
 def _config_from_json(wj: dict) -> WorldConfig:
     """The WorldConfig a world-file object describes: ``name``, ``trajectory``, ``template_of``
     and ``ap_count`` are required, absent settings take the dataclass defaults, and the keys
-    only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``) are not read."""
+    only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``) are not read.
+    Raises TypeError or ValueError for a setting of the wrong type, a non-finite float, a
+    ``bin_meters`` <= 0, word counts that leave every word bag empty or a non-int template."""
     scalars = ("tx_power_at_1m", "margin", "scans_per_dwell", "bssids_per_ap")
-    return WorldConfig(
+    config = WorldConfig(
         name=wj["name"],
         trajectory=TrajectorySpec(**wj["trajectory"]),
         template_of={int(k): v for k, v in wj["template_of"].items()},
@@ -727,6 +748,17 @@ def _config_from_json(wj: dict) -> WorldConfig:
         appearance=AppearanceModel(**wj.get("appearance", {})),
         **{k: wj[k] for k in scalars if k in wj},
     )
+    for settings in (config, *config.extra_walls):
+        check_setting_types(settings, finite=True)
+    model = config.appearance
+    if model.bin_meters <= 0:
+        raise ValueError(f"bin_meters must be positive, got {model.bin_meters!r}")
+    if model.unique_words_per_bin + model.alias_words_per_bin + model.jitter_words == 0:
+        raise ValueError("the appearance word counts are all 0, so every word bag would be empty")
+    for template in config.template_of.values():
+        if isinstance(template, bool) or not isinstance(template, int):
+            raise TypeError(f"template_of values must be int, got {template!r}")
+    return config
 
 
 def _saved_world(wj: dict) -> tuple[World, int]:

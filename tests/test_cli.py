@@ -32,6 +32,17 @@ BAD_WORLD_SETTINGS = {  # test id -> (world-file setting, message)
     "bssids_per_ap_16": ('"bssids_per_ap": 16', "{world}: bssids_per_ap must be at most 15, got 16"),
     "tx_power_str": ('"tx_power_at_1m": "loud"', "{world}: tx_power_at_1m must be a finite number, got 'loud'"),
     "margin_null": ('"margin": null', "{world}: margin must be a finite number, got None"),
+    "window_bins_str": ('"appearance": {"window_bins": "x"}', "{world}: window_bins must be int, got 'x'"),
+    "sigma_xy_str": ('"odom_noise": {"sigma_xy_per_m": "x"}', "{world}: sigma_xy_per_m must be float, got 'x'"),
+    "visibility_floor_str": ('"propagation": {"visibility_floor_dbm": "x"}',
+                             "{world}: visibility_floor_dbm must be float, got 'x'"),
+    "template_str": ('"template_of": {"0": "a"}', "{world}: template_of values must be int, got 'a'"),
+    "bin_meters_0": ('"appearance": {"bin_meters": 0}', "{world}: bin_meters must be positive, got 0"),
+    "noise_nan": ('"propagation": {"noise_sigma_db": NaN}', "{world}: noise_sigma_db must not be NaN"),
+    "sigma_xy_inf": ('"odom_noise": {"sigma_xy_per_m": Infinity}', "{world}: sigma_xy_per_m must be finite, got inf"),
+    "wall_inf": ('"walls": [[0, 0, 1, Infinity]]', "{world}: y2 must be finite, got inf"),
+    "no_words": ('"appearance": {"unique_words_per_bin": 0, "alias_words_per_bin": 0, "jitter_words": 0}',
+                 "{world}: the appearance word counts are all 0"),
 }
 
 
@@ -90,8 +101,10 @@ class TestRun:
         assert rows[0]["policy"] == "rgbd" and rows[0]["gated"] == "false"
         assert rows[0]["min_matches"] == "15" and rows[0]["seed"] == "3"
         assert rows[0]["inlier_distance"] == "2.0" and rows[0]["wifi_threshold"] == "0.8"
-        for name in ("config.json", "trajectory_est.csv", "trajectory_gt.csv", "loop_events.jsonl", "timings.json"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cluster_representatives.jsonl", "config.json", "frame_trace.csv", "report_row.csv",
+            "timings.json", "trajectory_est.csv", "trajectory_gt.csv",
+        ]
 
     def test_missing_dataset_exit_3(self, tmp_path):
         assert run_cli("run", "--dataset", tmp_path / "absent", "--out", tmp_path / "o") == 3

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 
@@ -162,14 +161,8 @@ def test_determinism_identical_sequences():
 
 
 def test_dump_roundtrip(tmp_path, store_abc):
-    csv_path = tmp_path / "clusters.csv"
     jsonl_path = tmp_path / "reps.jsonl"
-    write_cluster_dump(store_abc, csv_path, jsonl_path)
-    members = {}
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            members.setdefault(int(row["cluster_id"]), []).append(int(row["keyframe_id"]))
-    assert members == {c.id: c.members for c in store_abc.clusters}
+    write_cluster_dump(store_abc, jsonl_path)
     assert jsonl_path.read_text().count("\n") == len(store_abc.clusters)
 
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import json
+import csv
 import math
+import os
 from collections import deque
 from itertools import count
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -280,31 +281,41 @@ class TestRunPipeline:
         r2 = run_pipeline(tiny_dataset, p)
         save_run(r1, tmp_path / "a")
         save_run(r2, tmp_path / "b")
-        for name in ("trajectory_est.csv", "loop_events.jsonl", "memory_trace.csv", "clusters.csv"):
-            fa, fb = tmp_path / "a" / name, tmp_path / "b" / name
-            if fa.exists():
-                assert fa.read_bytes() == fb.read_bytes(), name
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        for name in names:
+            if name != "timings.json":  # wall-clock times
+                assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     @pytest.mark.parametrize("policy", gating.POLICIES)
-    def test_saved_frame_files_agree_with_frames(self, tiny_dataset, tmp_path, policy):
-        rec = run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=True, min_matches=20, seed=2))
-        save_run(rec, tmp_path)
+    def test_frame_trace_agrees_with_frames(self, tiny_dataset, tmp_path, policy):
         n = len(tiny_dataset.frames)
-        assert len(rec.frames) == n
-        events = [json.loads(line) for line in (tmp_path / "loop_events.jsonl").read_text().splitlines()]
-        assert [(e["step"], e["from"]) for e in events] == [(i, i) for i in range(n)]
-        for e, fr in zip(events, rec.frames):
-            assert e["candidate_count"] == fr.candidate_count and e["to"] == fr.loop_to
-            assert e["comparisons_cost"] == e["candidate_count"] * gating.VISUAL_COMPARE_COST
-            assert e["accepted"] == (e["to"] >= 0)
-            assert e["accepted_edges"] == ([e["to"]] if e["accepted"] else [])
-        trace = (tmp_path / "memory_trace.csv").read_text().splitlines()
-        assert trace[0] == "step,stm,wm,ltm,immune,transfers,retrievals"
-        assert len(trace) == 1 + (n if policy == "rtab" else 0)
-        for i, (line, fr) in enumerate(zip(trace[1:], rec.frames)):
-            assert line == f"{i},{fr.stm},{fr.wm},{fr.ltm},{fr.immune},{fr.transfers},{fr.retrievals}"
-        assert rec.loop_edges == [(i, i, e["to"]) for i, e in enumerate(events) if e["accepted"]]
-        assert rec.loop_cost == sum(e["comparisons_cost"] for e in events)
+        rtab_columns = ["stm", "wm", "ltm", "immune", "transfers", "retrievals"]
+        for gated in (True, False):  # the vanilla run reuses the gated run's directory
+            rec = run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=gated, min_matches=20, seed=2))
+            save_run(rec, tmp_path)
+            assert sorted(os.listdir(tmp_path)) == [
+                "cluster_representatives.jsonl", "config.json", "frame_trace.csv", "timings.json",
+                "trajectory_est.csv", "trajectory_gt.csv",
+            ]
+            reps = (tmp_path / "cluster_representatives.jsonl").read_text()
+            assert reps.count("\n") == (len(rec.store) if gated else 0)
+            with open(tmp_path / "frame_trace.csv", newline="") as fh:
+                trace = csv.DictReader(fh)
+                rows = list(trace)
+            assert trace.fieldnames == ["frame", *(f.name for f in fields(gating.FrameRecord)), "cluster"]
+            assert [r["frame"] for r in rows] == [str(i) for i in range(n)]
+            assert len(rec.frames) == n
+            cluster_of = {k: str(c.id) for c in rec.store.clusters for k in c.members} if gated else {}
+            for i, (r, fr) in enumerate(zip(rows, rec.frames)):
+                assert r["candidate_count"] == str(fr.candidate_count) and r["loop_to"] == str(fr.loop_to)
+                for c in rtab_columns:
+                    assert r[c] == (str(getattr(fr, c)) if policy == "rtab" else "")
+                assert r["cluster"] == cluster_of.get(i, "")
+            assert len(cluster_of) == (n if gated else 0)
+            loop_to = [int(r["loop_to"]) for r in rows]
+            assert rec.loop_edges == [(i, i, to) for i, to in enumerate(loop_to) if to >= 0]
+            assert rec.loop_cost == sum(int(r["candidate_count"]) for r in rows) * gating.VISUAL_COMPARE_COST
 
     def test_gating_and_subset_violations_zero(self, tiny_dataset):
         for policy in ("rgbd", "rtab", "orb"):

@@ -215,6 +215,10 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    for root in map(Path, args.runs):  # a missing path would otherwise read as no rows
+        if not root.is_dir():
+            problem = "not a directory" if root.exists() else "no such directory"
+            raise CliError(f"cannot read --runs {root}: {problem}", USAGE_ERROR)
     rows = []
     for root in args.runs:
         for p in sorted(Path(root).rglob("report_row.csv")):

@@ -8,11 +8,12 @@ which gives simple closed-form Jacobians:
     d r / d x_i = [[-c, -s,  py], [ s, -c, -px], [0, 0, -1]]
     d r / d x_j = [[ c,  s,   0], [-s,  c,   0], [0, 0,  1]]
 with c = cos(theta_i), s = sin(theta_i) and (px, py) the predicted relative
-translation. The gauge is fixed by holding the lowest node id (the anchor)
-constant; node ids ascend in insertion order, so that node is the graph's
-first. `optimize` may also be given a set of free nodes, in which case every
-other node is held constant too: an edge with one fixed end then acts as a
-prior on its free end, and the gauge is the anchor plus the fixed nodes.
+translation. Node ids are 0, 1, 2, ... in insertion order, and each is its
+node's row in the graph's arrays. The gauge is fixed by holding node 0 (the
+anchor) constant. `optimize` may also be given a set of free nodes, in which
+case every other node is held constant too: an edge with one fixed end then
+acts as a prior on its free end, and the gauge is the anchor plus the fixed
+nodes.
 """
 
 from __future__ import annotations
@@ -130,18 +131,19 @@ class _NodeView(Mapping):
         self._graph = graph
 
     def __getitem__(self, node_id: int) -> Pose2:
-        g = self._graph
-        x, y, theta = g._x[g._slot[node_id]].tolist()
+        if node_id not in self:
+            raise KeyError(node_id)
+        x, y, theta = self._graph._x[node_id].tolist()
         return Pose2(x, y, theta)
 
     def __contains__(self, node_id: object) -> bool:
-        return node_id in self._graph._slot
+        return node_id in self._graph.ids
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._graph._slot)
+        return iter(self._graph.ids)
 
     def __len__(self) -> int:
-        return len(self._graph._slot)
+        return len(self._graph.ids)
 
 
 _OFF3 = np.arange(3)
@@ -170,45 +172,26 @@ def _hessian_pattern(vi: np.ndarray, vj: np.ndarray):
     return sel, rows, cols, grad
 
 
-class _IdView(Sequence):
-    """Read-only view of a graph's node ids, in ascending order."""
-
-    __slots__ = ("_ids",)
-
-    def __init__(self, ids: list[int]) -> None:
-        self._ids = ids
-
-    def __getitem__(self, k):
-        return self._ids[k]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
 class PoseGraph:
     """Keyframe poses plus odometry/loop constraints.
 
-    Node ids ascend, as keyframes enter a map in time order: `add_node`
-    rejects an id below the newest one. A node's row in the graph's arrays is
-    therefore its rank by id; row 0 is the optimizer's gauge anchor and, by
-    default, the free variables are rows 1 onwards. The graph owns the
+    Node ids are 0, 1, 2, ... in insertion order, as keyframes enter a map in
+    time order: `add_node` accepts only the next id. Each id is its node's row
+    in the graph's arrays; node 0 is the optimizer's gauge anchor and, by
+    default, the free variables are nodes 1 onwards. The graph owns the
     optimizer's state and grows it in `add_node` and `add_edge`: an (n, 3)
     node-state array, edge arrays of endpoints, measurements and information
     matrices, neighbour lists in edge order and a union-find of the connected
-    components. ``nodes`` (id -> pose) and ``ids`` are read-only views in
-    ascending id order; ``edges`` and `neighbors` return the graph's own
-    lists, which callers must not modify.
+    components. ``nodes`` (id -> pose) is a read-only view and ``ids`` is
+    ``range(n)``; ``edges`` and `neighbors` return the graph's own lists,
+    which callers must not modify. Every id argument outside ``ids`` is
+    rejected, negative ones included.
     """
 
     def __init__(self) -> None:
-        self._slot: dict[int, int] = {}  # node id -> row of the node arrays
-        self._ids: list[int] = []  # node id of each row, ascending
         self._x = np.empty((16, 3))
-        self._adj: dict[int, list[int]] = {}
-        self._parent: list[int] = []  # union-find over rows
+        self._adj: list[list[int]] = []  # neighbour ids of each node, in edge order
+        self._parent: list[int] = []  # union-find over node ids
         self._components = 0
         self._edges: list[GraphEdge] = []
         self._ii = np.empty(16, dtype=np.intp)
@@ -217,15 +200,14 @@ class PoseGraph:
         self._omega = np.empty((16, 3, 3))
         self._validated = 0  # edges [0, _validated) passed `_check_information`
         self._nodes = _NodeView(self)
-        self._id_view = _IdView(self._ids)
 
     @property
     def nodes(self) -> Mapping[int, Pose2]:
         return self._nodes
 
     @property
-    def ids(self) -> Sequence[int]:
-        return self._id_view
+    def ids(self) -> range:
+        return range(len(self._parent))
 
     @property
     def edges(self) -> list[GraphEdge]:
@@ -233,29 +215,25 @@ class PoseGraph:
 
     def neighbors(self, node_id: int) -> list[int]:
         """Ids joined to ``node_id`` by an edge, once per edge, in edge order."""
+        if node_id not in self.ids:
+            raise KeyError(node_id)
         return self._adj[node_id]
 
     def add_node(self, node_id: int, pose: Pose2) -> None:
-        """Append a node; raises ValueError, leaving the graph as it was, for an id
-        already present or below the newest one."""
-        if node_id in self._slot:
-            raise ValueError(f"node {node_id} already present")
-        if self._ids and node_id < self._ids[-1]:
-            raise ValueError(f"node {node_id} is below the newest id {self._ids[-1]}; ids must ascend")
-        s = len(self._ids)
-        self._x = _reserve(self._x, s + 1)
-        self._slot[node_id] = s
-        self._ids.append(node_id)
-        self._x[s] = (pose.x, pose.y, pose.theta)
-        self._adj[node_id] = []
-        self._parent.append(s)
+        """Append node ``len(ids)``; ValueError, leaving the graph as it was, for any other id."""
+        n = len(self._parent)
+        if node_id != n:
+            raise ValueError(f"node {node_id} is not the next id {n}; ids must be 0, 1, 2, ...")
+        self._x = _reserve(self._x, n + 1)
+        self._x[n] = (pose.x, pose.y, pose.theta)
+        self._adj.append([])
+        self._parent.append(n)
         self._components += 1
 
     def add_edge(self, edge: GraphEdge) -> None:
-        a = self._slot.get(edge.from_id)
-        b = self._slot.get(edge.to_id)
-        if a is None or b is None:
-            raise DanglingEdge(f"edge {edge.from_id}->{edge.to_id} references a missing node")
+        a, b = edge.from_id, edge.to_id
+        if a not in self.ids or b not in self.ids:
+            raise DanglingEdge(f"edge {a}->{b} references a missing node")
         k = len(self._edges)
         if k == len(self._ii):
             self._ii, self._jj, self._z, self._omega = (
@@ -268,8 +246,8 @@ class PoseGraph:
         # a wrong shape is reported by `optimize`, as it always was
         self._omega[k] = edge.information if edge.information.shape == (3, 3) else np.nan
         self._edges.append(edge)
-        self._adj[edge.from_id].append(edge.to_id)
-        self._adj[edge.to_id].append(edge.from_id)
+        self._adj[a].append(b)
+        self._adj[b].append(a)
         ra, rb = self._find(a), self._find(b)
         if ra != rb:
             self._parent[ra] = rb
@@ -307,7 +285,7 @@ def residual_jacobians(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> tuple[np.
 def total_error(graph: PoseGraph) -> float:
     """Weighted squared error of the graph: `optimize`'s ``error_initial``."""
     n_edges = len(graph.edges)
-    x = graph._x[: len(graph._ids)]
+    x = graph._x[: len(graph.ids)]
     r = _residuals_vec(x, graph._ii[:n_edges], graph._jj[:n_edges], graph._z[:n_edges])[0]
     return _weighted_error(r, graph._omega[:n_edges])
 
@@ -326,12 +304,12 @@ def _check_information(edges: Sequence[GraphEdge]) -> None:
 
 
 def _check_connected(graph: PoseGraph) -> None:
-    """Raise DisconnectedGraph naming the five lowest ids outside the anchor row's component."""
+    """Raise DisconnectedGraph naming the five lowest ids outside node 0's component."""
     if graph._components == 1:
         return
     root = graph._find(0)
-    missing = [kf for s, kf in enumerate(graph._ids) if graph._find(s) != root][:5]
-    raise DisconnectedGraph(f"nodes unreachable from {graph._ids[0]}: {missing}...")
+    missing = [k for k in graph.ids if graph._find(k) != root][:5]
+    raise DisconnectedGraph(f"nodes unreachable from 0: {missing}...")
 
 
 def _residuals_vec(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, z: np.ndarray):
@@ -363,18 +341,16 @@ def _weighted_error(r: np.ndarray, omega: np.ndarray) -> float:
 
 
 def _free_rows(graph: PoseGraph, free: Collection[int]) -> np.ndarray:
-    """Ascending node rows of the ids in ``free``; ValueError for an empty collection,
-    the anchor or an id missing from the graph."""
+    """The ids in ``free``, ascending; ValueError for an empty collection, the
+    anchor 0 or an id missing from the graph."""
     if not free:
         raise ValueError("free must name at least one node")
-    anchor = graph._ids[0]
-    if anchor in free:
-        raise ValueError(f"free must not include the anchor {anchor}")
-    slot = graph._slot
-    missing = sorted(k for k in free if k not in slot)
+    if 0 in free:
+        raise ValueError("free must not include the anchor 0")
+    missing = sorted(k for k in free if k not in graph.ids)
     if missing:
         raise ValueError(f"free names ids missing from the graph: {missing[:5]}")
-    return np.unique(np.fromiter((slot[k] for k in free), dtype=np.intp, count=len(free)))
+    return np.unique(np.fromiter(free, dtype=np.intp, count=len(free)))
 
 
 def optimize(
@@ -385,14 +361,13 @@ def optimize(
 ) -> PoseGraph:
     """Levenberg-Marquardt over the nodes in ``free``; every other node stays fixed.
 
-    ``free`` defaults to every node but the anchor, the lowest node id (row
-    0), which is never free. With a smaller set the gauge is the anchor plus
-    the fixed nodes: an edge with one fixed end acts as a prior on its free
-    end, and an edge with two fixed ends is left out, as it adds only a
-    constant to the error.
+    ``free`` defaults to every node but the anchor, node 0, which is never
+    free. With a smaller set the gauge is the anchor plus the fixed nodes: an
+    edge with one fixed end acts as a prior on its free end, and an edge with
+    two fixed ends is left out, as it adds only a constant to the error.
 
     Optimizes ``graph`` in place and returns it. The Hessian's index pattern
-    is built once per call from the edges' node rows. Accepted steps strictly
+    is built once per call from the edges' node ids. Accepted steps strictly
     decrease the weighted error of the edges with a free end; rejected steps
     raise the damping tenfold and are retried. Terminates on max_iters
     (accepted or rejected) or when the relative error improvement drops below
@@ -411,7 +386,7 @@ def optimize(
     edges = graph.edges
     if not edges:
         raise ValueError("optimize requires at least one edge")
-    n_nodes, n_edges = len(graph._ids), len(edges)
+    n_nodes, n_edges = len(graph.ids), len(edges)
     free_rows = np.arange(1, n_nodes) if free is None else _free_rows(graph, free)
     if graph._validated < n_edges:
         _check_information(edges[graph._validated:])
@@ -419,7 +394,7 @@ def optimize(
 
     _check_connected(graph)
 
-    var = np.full(n_nodes, -1, dtype=np.intp)  # variable index of each node row, -1 when fixed
+    var = np.full(n_nodes, -1, dtype=np.intp)  # variable index of each node, -1 when fixed
     var[free_rows] = np.arange(len(free_rows))
     vi, vj = var[graph._ii[:n_edges]], var[graph._jj[:n_edges]]
     act = np.flatnonzero((vi >= 0) | (vj >= 0))  # the edges with a free end; all of them by default

@@ -32,7 +32,7 @@ FRAME_RATE_HZ = 2.0  # simulated keyframe rate while moving
 LOOP_PAIR_RADIUS_M = 2.0  # gt loop pairs: closer than this ...
 LOOP_PAIR_GAP_S = 30.0  # ... and further apart in time than this
 
-# word-id spaces (disjoint by construction; see _corridor_word/_alias_word)
+# word-id spaces (disjoint while each field keeps to its width; see _corridor_word)
 _ALIAS_WORD_BASE = 1 << 28
 _JITTER_WORD_BASE = 1 << 29
 
@@ -341,8 +341,6 @@ def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple
     corridors = [
         Corridor(a[0], a[1], b[0], b[1], template_of.get(i, i)) for i, (a, b) in enumerate(segs)
     ]
-    if len(corridors) > 64:
-        raise BadWorld("at most 64 corridors supported")
 
     route: list[tuple[int, float, float]] = []
     lap_len = sum(corridors[i].length for i in loop)
@@ -417,12 +415,19 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
 # appearance model
 
 
-def _corridor_word(corridor: int, word_bin: int, j: int) -> int:
-    return (corridor * 2048 + word_bin) * 256 + j
+# field widths of the word ids; `_config_from_json` rejects a world that exceeds one
+_WORDS_PER_BIN = 256  # a bin's corridor or alias words are its first word (below) + j, j < 256
+_BINS_PER_CORRIDOR = 2048
+_TEMPLATES = _ALIAS_WORD_BASE // (_BINS_PER_CORRIDOR * _WORDS_PER_BIN)  # 512; template 512 would reach the jitter words
+_JITTER_WORDS_PER_FRAME = 64
 
 
-def _alias_word(template: int, word_bin: int, j: int) -> int:
-    return _ALIAS_WORD_BASE + (template * 2048 + word_bin) * 256 + j
+def _corridor_word(corridor: int, word_bin: int) -> int:
+    return (corridor * _BINS_PER_CORRIDOR + word_bin) * _WORDS_PER_BIN
+
+
+def _alias_word(template: int, word_bin: int) -> int:
+    return _ALIAS_WORD_BASE + (template * _BINS_PER_CORRIDOR + word_bin) * _WORDS_PER_BIN
 
 
 def _frame_words(model: AppearanceModel, corridor: Corridor, corridor_idx: int, corridor_arc: float, frame_id: int) -> tuple[int, ...]:
@@ -432,9 +437,11 @@ def _frame_words(model: AppearanceModel, corridor: Corridor, corridor_idx: int, 
     for b in range(center - model.window_bins, center + model.window_bins + 1):
         if not 0 <= b < n_bins:
             continue
-        words.extend(_corridor_word(corridor_idx, b, j) for j in range(model.unique_words_per_bin))
-        words.extend(_alias_word(corridor.template, b, j) for j in range(model.alias_words_per_bin))
-    words.extend(_JITTER_WORD_BASE + frame_id * 64 + j for j in range(model.jitter_words))
+        c, a = _corridor_word(corridor_idx, b), _alias_word(corridor.template, b)
+        words.extend(range(c, c + model.unique_words_per_bin))
+        words.extend(range(a, a + model.alias_words_per_bin))
+    jitter = _JITTER_WORD_BASE + frame_id * _JITTER_WORDS_PER_FRAME
+    words.extend(range(jitter, jitter + model.jitter_words))
     return tuple(sorted(words))
 
 
@@ -735,7 +742,8 @@ def _config_from_json(wj: dict) -> WorldConfig:
     and ``ap_count`` are required, absent settings take the dataclass defaults, and the keys
     only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``) are not read.
     Raises TypeError or ValueError for a setting of the wrong type, a non-finite float, a
-    ``bin_meters`` <= 0, word counts that leave every word bag empty or a non-int template."""
+    ``bin_meters`` <= 0, word counts that leave every word bag empty, a non-int template or
+    a word count, template or corridor's number of bins past its field of the word ids."""
     scalars = ("tx_power_at_1m", "margin", "scans_per_dwell", "bssids_per_ap")
     config = WorldConfig(
         name=wj["name"],
@@ -758,6 +766,18 @@ def _config_from_json(wj: dict) -> WorldConfig:
     for template in config.template_of.values():
         if isinstance(template, bool) or not isinstance(template, int):
             raise TypeError(f"template_of values must be int, got {template!r}")
+        if not 0 <= template < _TEMPLATES:
+            raise ValueError(f"template_of values must be in 0..{_TEMPLATES - 1}, got {template}")
+    widths = {"unique_words_per_bin": _WORDS_PER_BIN, "alias_words_per_bin": _WORDS_PER_BIN,
+              "jitter_words": _JITTER_WORDS_PER_FRAME}
+    for key, width in widths.items():
+        if getattr(model, key) > width:
+            raise ValueError(f"{key} must be at most {width}, got {getattr(model, key)}")
+    corridors, _ = _shape_corridors(config.trajectory, config.template_of)
+    n_bins = math.ceil(max(c.length for c in corridors) / model.bin_meters)  # as `_frame_words` counts them
+    if n_bins > _BINS_PER_CORRIDOR:
+        raise ValueError(f"bin_meters {model.bin_meters!r} gives a corridor {n_bins} word bins; "
+                         f"at most {_BINS_PER_CORRIDOR} fit")
     return config
 
 

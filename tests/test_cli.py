@@ -43,6 +43,16 @@ BAD_WORLD_SETTINGS = {  # test id -> (world-file setting, message)
     "wall_inf": ('"walls": [[0, 0, 1, Infinity]]', "{world}: y2 must be finite, got inf"),
     "no_words": ('"appearance": {"unique_words_per_bin": 0, "alias_words_per_bin": 0, "jitter_words": 0}',
                  "{world}: the appearance word counts are all 0"),
+    # settings past a field width of the word ids, which would make unrelated frames share words
+    "jitter_words_65": ('"appearance": {"jitter_words": 65}', "{world}: jitter_words must be at most 64, got 65"),
+    "unique_words_257": ('"appearance": {"unique_words_per_bin": 257}',
+                         "{world}: unique_words_per_bin must be at most 256, got 257"),
+    "alias_words_257": ('"appearance": {"alias_words_per_bin": 257}',
+                        "{world}: alias_words_per_bin must be at most 256, got 257"),
+    "template_512": ('"template_of": {"0": 512}', "{world}: template_of values must be in 0..511, got 512"),
+    "template_negative": ('"template_of": {"0": -1}', "{world}: template_of values must be in 0..511, got -1"),
+    "corridor_bins_2500": ('"appearance": {"bin_meters": 0.002}',
+                           "{world}: bin_meters 0.002 gives a corridor 2500 word bins; at most 2048 fit"),
 }
 
 
@@ -465,6 +475,16 @@ def test_report_consolidation(gen_dir, tmp_path):
     assert run_cli("report", "--runs", tmp_path, "--out", out) == 0
     rows = list(csv.DictReader(open(out)))
     assert sorted(r["policy"] for r in rows) == ["orb", "rgbd"]
+
+
+@pytest.mark.parametrize("bad, problem", [("absent", "no such directory"), ("a_file", "not a directory")])
+def test_report_unreadable_runs_exit_2(gen_dir, tmp_path, capsys, bad, problem):
+    assert run_cli("run", "--dataset", gen_dir, "--out", tmp_path / "r0", "--policy", "orb", "--seed", "0") == 0
+    (tmp_path / "a_file").write_text("")
+    out = tmp_path / "all.csv"
+    assert run_cli("report", "--runs", tmp_path / "r0", tmp_path / bad, "--out", out) == 2
+    assert f"error: cannot read --runs {tmp_path / bad}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "sweep"])

@@ -273,9 +273,9 @@ def bits(graph: PoseGraph, stats: dict) -> tuple:
 
 @st.composite
 def growth_plans(draw):
-    """Steps of (new node ids, loop-edge pairs, max_iters) over drawn ascending ids with gaps."""
-    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=3, max_size=14)))
-    n_nodes = len(ids)
+    """Steps of (new node ids, loop-edge pairs, max_iters) over ids 0, 1, 2, ..."""
+    n_nodes = draw(st.integers(3, 14))
+    ids = list(range(n_nodes))
     cuts = sorted(draw(st.sets(st.integers(2, n_nodes - 1), max_size=4)))
     bounds = [0, *cuts, n_nodes]
     steps = []
@@ -288,7 +288,8 @@ def growth_plans(draw):
 
 class TestIncrementalState:
     """The graph's cached state (arrays, validation watermark, union-find)
-    gives the same optimizer output as a cold graph."""
+    gives the same optimizer output as a cold graph, and a rejected id leaves
+    that state as it was."""
 
     @given(growth_plans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -349,25 +350,51 @@ class TestIncrementalState:
         assert list(g.ids) == [0, 1] and g.ids[-1] == 1
         assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
 
-    def test_lower_id_is_rejected_and_the_graph_is_unchanged(self):
-        g = PoseGraph()
-        for k, p in [(0, Pose2()), (2, Pose2(1.1, 0.1, 0.05)), (5, Pose2(2.0, -0.2, 0.1))]:
-            g.add_node(k, p)
-        g.add_edge(GraphEdge(0, 2, Pose2(1, 0, 0), I3))
-        g.add_edge(GraphEdge(2, 5, Pose2(1, 0, 0), I3))
-        g.add_edge(GraphEdge(5, 0, Pose2(-2, 0, 0), I3, "loop"))
+    def test_only_the_next_id_is_accepted_and_the_graph_is_unchanged(self):
+        g = _loop_graph()
         cold = cold_copy(g)
-        before = dict(g.nodes), list(g.ids), [(e.from_id, e.to_id) for e in g.edges]
-        for low in (4, 1):
-            with pytest.raises(ValueError, match="ids must ascend"):
-                g.add_node(low, Pose2(9, 9, 0))
-        assert (dict(g.nodes), list(g.ids), [(e.from_id, e.to_id) for e in g.edges]) == before
-        assert all(g.neighbors(k) == cold.neighbors(k) for k in g.nodes)
+        before = _state(g)
+        for bad in (4, 1, 2):  # a gap, a lower id, a repeat
+            with pytest.raises(ValueError, match="not the next id 3"):
+                g.add_node(bad, Pose2(9, 9, 0))
+        assert _state(g) == before
         stats, cold_stats = {}, {}
         optimize(g, max_iters=10, stats=stats)
         optimize(cold, max_iters=10, stats=cold_stats)
         assert bits(g, stats) == bits(cold, cold_stats)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_an_id_outside_the_graph_is_rejected_everywhere(self, bad):
+        g = _loop_graph()
+        before = _state(g)
+        assert bad not in g.nodes and bad not in g.ids
+        with pytest.raises(KeyError):
+            g.nodes[bad]
+        with pytest.raises(KeyError):
+            g.neighbors(bad)
+        for a, b in ((bad, 1), (1, bad)):
+            with pytest.raises(DanglingEdge):
+                g.add_edge(GraphEdge(a, b, Pose2(1, 0, 0), I3))
+        with pytest.raises(ValueError, match=rf"missing from the graph: \[{bad}\]"):
+            optimize(g, free={1, bad})
+        assert _state(g) == before
+
+
+def _loop_graph() -> PoseGraph:
+    """Nodes 0, 1, 2, off their odometry, joined in a loop."""
+    g = PoseGraph()
+    for k, p in enumerate([Pose2(), Pose2(1.1, 0.1, 0.05), Pose2(2.0, -0.2, 0.1)]):
+        g.add_node(k, p)
+    g.add_edge(GraphEdge(0, 1, Pose2(1, 0, 0), I3))
+    g.add_edge(GraphEdge(1, 2, Pose2(1, 0, 0), I3))
+    g.add_edge(GraphEdge(2, 0, Pose2(-2, 0, 0), I3, "loop"))
+    return g
+
+
+def _state(g: PoseGraph) -> tuple:
+    """Nodes, ids, edges and neighbour lists, in a comparable form."""
+    return (repr(sorted(g.nodes.items())), list(g.ids), [(e.from_id, e.to_id) for e in g.edges],
+            [list(g.neighbors(k)) for k in g.ids])
 
 def _run_recording(monkeypatch, dataset, params, cold: bool):
     calls = []

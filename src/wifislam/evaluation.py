@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.stats import spearmanr
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters
@@ -70,16 +71,12 @@ def score_loops(
         return LoopScore(0, fp, 0, 100.0 if fp else 0.0, 0.0)
     if not ed:
         return LoopScore(0, 0, len(gt), 0.0, 100.0)
-    g = np.array(gt)
-    e = np.array(ed)
-    near = (np.abs(e[:, None, 0] - g[None, :, 0]) <= match_radius) & (
-        np.abs(e[:, None, 1] - g[None, :, 1]) <= match_radius
-    )
-    covered = near.any(axis=0)
-    edge_good = near.any(axis=1)
-    tp = int(covered.sum())
+    # an edge covers a pair when both ids lie within match_radius: a max-norm ball, exact on integer ids
+    e, g = (cKDTree(np.array(pairs, dtype=float)) for pairs in (ed, gt))
+    near = e.query_ball_tree(g, match_radius, p=np.inf)  # per edge, the indices of the pairs it covers
+    tp = len(set().union(*near))
     fn = len(gt) - tp
-    fp = int((~edge_good).sum())
+    fp = sum(not pairs for pairs in near)
     fp_pct = 100.0 * fp / len(ed)
     fn_pct = 100.0 * fn / (tp + fn)
     return LoopScore(tp, fp, fn, fp_pct, fn_pct)

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .frontend import Appearance
 from .posegraph import Pose2, between
@@ -251,51 +252,72 @@ class Dataset:
 # geometry
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(v) < 1e-12:
-            return 0
-        return 1 if v > 0 else -1
-
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
-            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
-        )
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_seg(p1, p2, q1):
-        return True
-    if o2 == 0 and on_seg(p1, p2, q2):
-        return True
-    if o3 == 0 and on_seg(q1, q2, p1):
-        return True
-    if o4 == 0 and on_seg(q1, q2, p2):
-        return True
-    return False
+_CROSSING_CHUNK = 1 << 16  # points x sources x walls per numpy pass of wall_crossings; bounds its memory
 
 
-def count_wall_crossings(plan: FloorPlan, p: tuple[float, float], q: tuple[float, float]) -> int:
-    n = 0
-    for w in plan.walls:
-        if _segments_cross(p, q, (w.x1, w.y1), (w.x2, w.y2)):
-            n += 1
-    return n
+def _orient(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Side of c against the line a→b: 1 left, -1 right, 0 within 1e-12 of collinear."""
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return np.where(np.abs(v) < 1e-12, 0, np.where(v > 0, 1, -1))
 
 
-def rssi_at(ap: AccessPoint, pos: tuple[float, float], plan: FloorPlan, params: PropagationParams) -> float:
-    """Noise-free mean RSSI in dBm: log-distance path loss with per-wall attenuation."""
-    d = math.hypot(ap.x - pos[0], ap.y - pos[1])
-    crossings = count_wall_crossings(plan, (ap.x, ap.y), pos)
+def _on_box(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """c lies in the bounding box of a and b, widened by 1e-12."""
     return (
-        ap.tx_power_at_1m
-        - 10.0 * params.path_loss_exponent * math.log10(max(d, 1.0))
-        - params.wall_loss_db * crossings
+        (np.minimum(ax, bx) - 1e-12 <= cx) & (cx <= np.maximum(ax, bx) + 1e-12)
+        & (np.minimum(ay, by) - 1e-12 <= cy) & (cy <= np.maximum(ay, by) + 1e-12)
     )
+
+
+def wall_crossings(walls: Sequence[Wall], sources: Sequence[tuple[float, float]],
+                   points: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Walls crossed by the segment from each source to each (x, y) point, as an int
+    array of shape (len(points), len(sources)).
+
+    A segment crosses a wall when the two properly intersect, or when an endpoint of
+    one lies on the other (within 1e-12): touching, collinear overlap and
+    zero-length walls all count."""
+    out = np.zeros((len(points), len(sources)), dtype=np.int64)
+    if not walls or out.size == 0:
+        return out
+    qx1, qy1, qx2, qy2 = np.array([[w.x1, w.y1, w.x2, w.y2] for w in walls], dtype=float).T  # (walls,)
+    s = np.array(sources, dtype=float)[:, None, :]  # (sources, 1, 2)
+    sx, sy = s[..., 0], s[..., 1]
+    points = np.array(points, dtype=float)
+    # the source against each wall depends on no point
+    o3 = _orient(qx1, qy1, qx2, qy2, sx, sy)
+    on3 = (o3 == 0) & _on_box(qx1, qy1, qx2, qy2, sx, sy)
+    step = max(1, _CROSSING_CHUNK // (len(sources) * len(walls)))
+    for lo in range(0, len(points), step):
+        p = points[lo:lo + step, None, None, :]  # (chunk, 1, 1, 2)
+        px, py = p[..., 0], p[..., 1]
+        o1 = _orient(sx, sy, px, py, qx1, qy1)
+        o2 = _orient(sx, sy, px, py, qx2, qy2)
+        o4 = _orient(qx1, qy1, qx2, qy2, px, py)
+        cross = (o1 != o2) & (o3 != o4)
+        cross |= (o1 == 0) & _on_box(sx, sy, px, py, qx1, qy1)
+        cross |= (o2 == 0) & _on_box(sx, sy, px, py, qx2, qy2)
+        cross |= on3
+        cross |= (o4 == 0) & _on_box(qx1, qy1, qx2, qy2, px, py)
+        out[lo:lo + step] = cross.sum(axis=2)
+    return out
+
+
+def mean_rssi(
+    aps: Sequence[AccessPoint], points: Sequence[tuple[float, float]], plan: FloorPlan, params: PropagationParams
+) -> list[list[float]]:
+    """Noise-free mean RSSI in dBm of each AP at each point, indexed [point][ap]:
+    log-distance path loss with per-wall attenuation."""
+    crossings = wall_crossings(plan.walls, [(ap.x, ap.y) for ap in aps], points).tolist()
+    return [
+        [
+            ap.tx_power_at_1m
+            - 10.0 * params.path_loss_exponent * math.log10(max(math.hypot(ap.x - x, ap.y - y), 1.0))
+            - params.wall_loss_db * n
+            for ap, n in zip(aps, row)
+        ]
+        for (x, y), row in zip(points, crossings)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +533,24 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
         frames.append(Frame(id=i, t=s.t, gt_pose=s.pose, odom_delta=delta, appearance=appearance))
         prev_pose = s.pose
 
+    # one standard-normal draw per (scan, AP, radio) of each dwell, in that order; a reading
+    # under the visibility floor still uses up its draw
+    params = config.propagation
+    shape = (config.scans_per_dwell, len(aps), config.bssids_per_ap)
+    bssids = [[ap.ap_id[:-1] + f"{radio:X}" for radio in range(1, config.bssids_per_ap + 1)] for ap in aps]
+    field = mean_rssi(aps, [(d.x, d.y) for d in traj.dwells], plan, params)
     dwell_scans: list[tuple[ScanReading, ...]] = []
-    for d in traj.dwells:
-        base = [rssi_at(ap, (d.x, d.y), plan, config.propagation) for ap in aps]
-        readings: list[ScanReading] = []
-        for sidx in range(config.scans_per_dwell):
-            t = d.t_arrival + (sidx + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell
-            for k, ap in enumerate(aps):
-                for radio in range(1, config.bssids_per_ap + 1):
-                    rssi = base[k] + config.propagation.noise_sigma_db * float(rng_scan.normal())
-                    if rssi < config.propagation.visibility_floor_dbm:
-                        continue
-                    bssid = ap.ap_id[:-1] + f"{radio:X}"
-                    readings.append(ScanReading(timestamp=t, bssid=bssid, rssi=min(rssi, 0.0)))
-        dwell_scans.append(tuple(readings))
+    for d, base in zip(traj.dwells, field):
+        levels = np.array(base)[:, None] + params.noise_sigma_db * rng_scan.normal(size=shape)
+        times = [
+            d.t_arrival + (sidx + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell
+            for sidx in range(config.scans_per_dwell)
+        ]
+        heard = np.nonzero(~(levels < params.visibility_floor_dbm))  # C order: (scan, AP, radio)
+        dwell_scans.append(tuple(
+            ScanReading(timestamp=times[sidx], bssid=bssids[k][radio], rssi=min(rssi, 0.0))
+            for sidx, k, radio, rssi in zip(*(i.tolist() for i in heard), levels[heard].tolist())
+        ))
 
     gt_loop_pairs = _loop_pairs(frames)
     world = World(config=config, plan=plan, aps=aps, corridors=traj.corridors)
@@ -539,13 +565,14 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
 
 
 def _loop_pairs(frames: Sequence[Frame]) -> set[tuple[int, int]]:
-    """All frame pairs closer than LOOP_PAIR_RADIUS_M with a time gap above LOOP_PAIR_GAP_S."""
-    pos = np.array([[f.gt_pose.x, f.gt_pose.y] for f in frames])
-    ts = np.array([f.t for f in frames])
-    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    dt = np.abs(ts[:, None] - ts[None, :])
-    ii, jj = np.nonzero((d2 < LOOP_PAIR_RADIUS_M**2) & (dt > LOOP_PAIR_GAP_S))
-    return {(int(a), int(b)) for a, b in zip(ii, jj) if a < b}
+    """All frame pairs (a, b), a < b, closer than LOOP_PAIR_RADIUS_M with a time gap above LOOP_PAIR_GAP_S."""
+    pos = np.array([[f.gt_pose.x, f.gt_pose.y] for f in frames], dtype=float).reshape(-1, 2)
+    ts = np.array([f.t for f in frames], dtype=float)
+    # the tree's slightly wider radius only nominates pairs; the exact d² test decides boundary pairs
+    ii, jj = cKDTree(pos).query_pairs(LOOP_PAIR_RADIUS_M * (1 + 1e-9), output_type="ndarray").T
+    d2 = ((pos[ii] - pos[jj]) ** 2).sum(axis=1)
+    keep = (d2 < LOOP_PAIR_RADIUS_M**2) & (np.abs(ts[ii] - ts[jj]) > LOOP_PAIR_GAP_S)
+    return set(zip(ii[keep].tolist(), jj[keep].tolist()))
 
 
 def dwell_positions(dataset: Dataset) -> list[tuple[float, float, float]]:
@@ -907,19 +934,29 @@ def _dwell_scans(rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[ScanReadi
     return dwells
 
 
+def _loop_rows(rows: Iterator[tuple[int, list[str]]], n_frames: int) -> frozenset[tuple[int, int]]:
+    """Ground-truth loop pairs. Each row must name two frames, the earlier first."""
+    pairs = set()
+    for _, (a, b) in rows:
+        a, b = int(a), int(b)
+        if not 0 <= a < b < n_frames:
+            raise ValueError(f"loop pair {a},{b} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count")
+        pairs.add((a, b))
+    return frozenset(pairs)
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load a dataset directory written by save_dataset; the one reader of the dataset format.
 
     Every fault in its files raises DataError naming the file (and the line of a CSV row)."""
     root = Path(path)
     world, seed = _read_world_file(root / "world.json", _saved_world)
+    frames = _read_rows(root / "frames.csv", FRAMES_HEADER, _frames)
     return Dataset(
         name=world.config.name,
         seed=seed,
-        frames=_read_rows(root / "frames.csv", FRAMES_HEADER, _frames),
+        frames=frames,
         dwell_scans=_read_rows(root / "scans.csv", SCANS_HEADER, _dwell_scans),
-        gt_loop_pairs=_read_rows(
-            root / "loops_gt.csv", LOOPS_HEADER, lambda rows: frozenset((int(a), int(b)) for _, (a, b) in rows)
-        ),
+        gt_loop_pairs=_read_rows(root / "loops_gt.csv", LOOPS_HEADER, lambda rows: _loop_rows(rows, len(frames))),
         world=world,
     )

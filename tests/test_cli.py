@@ -387,6 +387,7 @@ def _broken_dataset(gen_dir, root, fault):
         "nan_odometry": ("frames.csv", lambda row: [*row[:5], "nan", *row[6:]]),
         "non_numeric_id": ("frames.csv", lambda row: ["x", *row[1:]]),
         "extra_field": ("frames.csv", lambda row: [*row, "7"]),
+        "reversed_loop_pair": ("loops_gt.csv", lambda row: row[::-1]),
     }[fault]
     lines = (d / name).read_text().split("\n")
     lines[1] = ",".join(edit(lines[1].split(",")))
@@ -398,7 +399,7 @@ def _broken_dataset(gen_dir, root, fault):
 @pytest.mark.parametrize(
     "fault",
     ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
-     "unsorted_frames", "nan_odometry", "nan_rssi"],
+     "unsorted_frames", "nan_odometry", "nan_rssi", "reversed_loop_pair"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)

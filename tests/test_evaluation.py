@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from wifislam.evaluation import (
     BadReport,
     CdfCurve,
     EmptyMap,
+    LoopScore,
     NoCorrespondence,
     build_map_clusters,
     ledger,
@@ -30,6 +32,24 @@ from wifislam.evaluation import (
 )
 from wifislam.posegraph import Pose2
 from wifislam.signature import associate_frames
+
+
+def dense_score_loops(edges, gt_pairs, match_radius):
+    """Reference scoring over the full edges x pairs nearness matrix."""
+    gt = sorted({(min(a, b), max(a, b)) for a, b in gt_pairs})
+    ed = [(min(a, b), max(a, b)) for a, b in edges]
+    if not gt:
+        return LoopScore(0, len(ed), 0, 100.0 if ed else 0.0, 0.0)
+    if not ed:
+        return LoopScore(0, 0, len(gt), 0.0, 100.0)
+    g, e = np.array(gt), np.array(ed)
+    near = (np.abs(e[:, None, 0] - g[None, :, 0]) <= match_radius) & (
+        np.abs(e[:, None, 1] - g[None, :, 1]) <= match_radius
+    )
+    tp = int(near.any(axis=0).sum())
+    fp = int((~near.any(axis=1)).sum())
+    fn = len(gt) - tp
+    return LoopScore(tp, fp, fn, 100.0 * fp / len(ed), 100.0 * fn / (tp + fn))
 
 
 class TestScoreLoops:
@@ -74,6 +94,18 @@ class TestScoreLoops:
 
     def test_unordered_pairs_normalized(self):
         assert score_loops([(50, 0)], {(0, 50)}, 5).true_positives == 1
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(2)
+        cases = [([], set(), 5), ([], {(0, 50)}, 5), ([(3, 9), (9, 3)], set(), 5)]
+        for _ in range(300):
+            n = rng.choice([12, 60, 400])
+            gt = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(60))}
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(40))]
+            edges += [(b, a) for a, b in edges[:rng.randrange(5)]] + edges[:rng.randrange(5)]  # reversed, duplicated
+            cases.append((edges, gt, rng.choice([1, 2, 5, 2.5])))
+        for edges, gt, radius in cases:
+            assert score_loops(edges, gt, radius) == dense_score_loops(edges, gt, radius), (edges, gt, radius)
 
 
 class TestTrajectoryError:

@@ -7,59 +7,172 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifislam.posegraph import compose
+from wifislam import simworld
+from wifislam.frontend import Appearance
+from wifislam.posegraph import Pose2, compose
 from wifislam.signature import ScanReading
 from wifislam.simworld import (
     FRAME_RATE_HZ,
+    LOOP_PAIR_GAP_S,
+    LOOP_PAIR_RADIUS_M,
     AccessPoint,
     BadWorld,
     DataError,
     FloorPlan,
+    Frame,
     PropagationParams,
     TrajectorySpec,
     Wall,
     WorldConfig,
-    count_wall_crossings,
+    _loop_pairs,
     corridor_of_frame,
     dwell_positions,
     generate_trajectory,
     load_dataset,
     load_world_config,
+    mean_rssi,
     preset_worlds,
-    rssi_at,
     save_dataset,
     synthesize,
     template_pose_of,
+    wall_crossings,
 )
 
 PLAIN = FloorPlan(walls=(), bounds=(-50, -50, 50, 50))
 NOISELESS = PropagationParams(noise_sigma_db=0.0)
 
 
+def segments_cross(p1, p2, q1, q2) -> bool:
+    """Reference crossing test, one pair of segments at a time (the scalar form of `wall_crossings`)."""
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if abs(v) < 1e-12:
+            return 0
+        return 1 if v > 0 else -1
+
+    def on_seg(a, b, c):
+        return (
+            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
+            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
+        )
+
+    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_seg(p1, p2, q1):
+        return True
+    if o2 == 0 and on_seg(p1, p2, q2):
+        return True
+    if o3 == 0 and on_seg(q1, q2, p1):
+        return True
+    if o4 == 0 and on_seg(q1, q2, p2):
+        return True
+    return False
+
+
+def reference_crossings(walls, sources, points):
+    return [[sum(segments_cross(s, p, (w.x1, w.y1), (w.x2, w.y2)) for w in walls) for s in sources] for p in points]
+
+
+def reference_rssi(ap, pos, walls, params):
+    """Reference noise-free mean RSSI of one AP at one point."""
+    d = math.hypot(ap.x - pos[0], ap.y - pos[1])
+    crossings = reference_crossings(walls, [(ap.x, ap.y)], [pos])[0][0]
+    return (
+        ap.tx_power_at_1m
+        - 10.0 * params.path_loss_exponent * math.log10(max(d, 1.0))
+        - params.wall_loss_db * crossings
+    )
+
+
 class TestRssi:
     def test_reference_distance(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
-        assert rssi_at(ap, (1.0, 0.0), PLAIN, NOISELESS) == pytest.approx(-30.0)
+        assert mean_rssi([ap], [(1.0, 0.0)], PLAIN, NOISELESS) == [[pytest.approx(-30.0)]]
 
     def test_monotone_decreasing(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
-        vals = [rssi_at(ap, (d, 0.0), PLAIN, NOISELESS) for d in (1.5, 3, 6, 12, 24)]
+        vals = [row[0] for row in mean_rssi([ap], [(d, 0.0) for d in (1.5, 3, 6, 12, 24)], PLAIN, NOISELESS)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_wall_formula_hand_value(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
         plan = FloorPlan(walls=(Wall(5.0, -1.0, 5.0, 1.0),), bounds=(-50, -50, 50, 50))
         params = PropagationParams(path_loss_exponent=3.0, wall_loss_db=5.0, noise_sigma_db=0.0)
-        assert rssi_at(ap, (10.0, 0.0), plan, params) == pytest.approx(-65.0, abs=1e-9)
+        assert mean_rssi([ap], [(10.0, 0.0)], plan, params) == [[pytest.approx(-65.0, abs=1e-9)]]
 
     def test_crossing_count(self):
-        plan = FloorPlan(
-            walls=(Wall(1, -1, 1, 1), Wall(2, -1, 2, 1), Wall(3, 5, 4, 5)), bounds=(-9, -9, 9, 9)
-        )
-        assert count_wall_crossings(plan, (0.0, 0.0), (5.0, 0.0)) == 2
+        walls = (Wall(1, -1, 1, 1), Wall(2, -1, 2, 1), Wall(3, 5, 4, 5))
+        assert wall_crossings(walls, [(0.0, 0.0)], [(5.0, 0.0)]).tolist() == [[2]]
+
+    def test_empty_inputs(self):
+        walls = (Wall(1, -1, 1, 1),)
+        assert wall_crossings(walls, [], [(0.0, 0.0)] * 3).shape == (3, 0)
+        assert wall_crossings(walls, [(0.0, 0.0)] * 2, []).shape == (0, 2)
+        assert mean_rssi([], [(0.0, 0.0)], PLAIN, NOISELESS) == [[]]
+
+    def test_crossings_match_reference_on_random_segments(self):
+        rng = np.random.default_rng(0)
+        # coarse integer coordinates make touching, collinear and shared-endpoint cases common
+        for coords in (rng.uniform(-10, 10, size=(40, 4)), rng.integers(-3, 4, size=(40, 4)).astype(float)):
+            walls = tuple(Wall(*map(float, c)) for c in coords[:12])
+            sources = [tuple(map(float, c[:2])) for c in coords[12:20]]
+            points = [tuple(map(float, c[2:])) for c in coords[12:40]]
+            assert wall_crossings(walls, sources, points).tolist() == reference_crossings(walls, sources, points)
+
+    def test_crossings_match_reference_within_tolerances(self):
+        rng = np.random.default_rng(3)
+        # lattice points nudged by less than, about and more than the 1e-12 tolerances
+        nudges = [0.0, 5e-14, -5e-14, 5e-13, -5e-13, 3e-12]
+        coords = rng.integers(-2, 3, size=(400, 4)) + rng.choice(nudges, size=(400, 4))
+        walls = tuple(Wall(*map(float, c)) for c in coords[:20])
+        sources = [tuple(map(float, c[:2])) for c in coords[20:40]]
+        points = [tuple(map(float, c[2:])) for c in coords[40:]]
+        assert wall_crossings(walls, sources, points).tolist() == reference_crossings(walls, sources, points)
+
+    def test_crossings_in_chunks_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        walls = tuple(Wall(*map(float, c)) for c in rng.uniform(-10, 10, size=(5, 4)))
+        sources, points = rng.uniform(-10, 10, size=(3, 2)).tolist(), rng.uniform(-10, 10, size=(23, 2)).tolist()
+        expected = reference_crossings(walls, sources, points)
+        for chunk in (1, 30, 1 << 16):  # 1, 2 and all of the points per pass
+            monkeypatch.setattr(simworld, "_CROSSING_CHUNK", chunk)
+            assert wall_crossings(walls, sources, points).tolist() == expected
+
+    @pytest.mark.parametrize("walls, source, point", [
+        ((Wall(0, 0, 4, 0),), (1.0, 0.0), (6.0, 0.0)),  # collinear overlap
+        ((Wall(0, 0, 4, 0),), (5.0, 0.0), (6.0, 0.0)),  # collinear, disjoint
+        ((Wall(0, 0, 4, 0),), (4.0, 0.0), (4.0, 3.0)),  # shared endpoint
+        ((Wall(2, 2, 2, 2),), (0.0, 0.0), (4.0, 4.0)),  # zero-length wall on the segment
+        ((Wall(2, 3, 2, 3),), (0.0, 0.0), (4.0, 4.0)),  # zero-length wall off it
+        ((Wall(0, -1, 0, 1),), (0.0, 0.0), (3.0, 0.0)),  # AP on a wall
+        ((Wall(0, -1, 0, 1), Wall(0, -1, 0, 1)), (-1.0, 0.0), (3.0, 0.0)),  # a wall listed twice
+        ((), (0.0, 0.0), (3.0, 0.0)),  # no walls
+        ((Wall(0, -1, 0, 1),), (2.0, 2.0), (2.0, 2.0)),  # zero-length segment
+        # within the 1e-12 tolerances, where only the on-segment tests count a crossing
+        ((Wall(0, 0, 4, 0),), (4 + 5e-13, 0.0), (4 + 5e-13, 3.0)),  # AP just past a wall's end
+        ((Wall(4 + 5e-13, 0, 4 + 5e-13, 3),), (0.0, 0.0), (4.0, 0.0)),  # wall starting just past the point
+        ((Wall(4 + 5e-13, 3, 4 + 5e-13, 0),), (0.0, 0.0), (4.0, 0.0)),  # the same wall reversed
+    ], ids=["collinear_overlap", "collinear_disjoint", "shared_endpoint", "zero_wall_on", "zero_wall_off",
+            "ap_on_wall", "duplicate_wall", "no_walls", "zero_segment", "ap_in_tolerance",
+            "wall_start_in_tolerance", "wall_end_in_tolerance"])
+    def test_degenerate_geometry_matches_reference(self, walls, source, point):
+        for s, p in ((source, point), (point, source)):
+            assert wall_crossings(walls, [s], [p]).tolist() == reference_crossings(walls, [s], [p])
+
+    @pytest.mark.parametrize("name", ["c_hall", "b_hall", "j_hall", "a_hall"])
+    def test_field_equals_scalar_formula(self, dataset_cache, name):
+        ds = dataset_cache(name, 0)
+        dwells = generate_trajectory(ds.world.config.trajectory, ds.world.config.template_of).dwells
+        points = [(d.x, d.y) for d in dwells[::3]]
+        params = ds.world.config.propagation
+        expected = [[reference_rssi(ap, p, ds.world.plan.walls, params) for ap in ds.world.aps] for p in points]
+        assert mean_rssi(ds.world.aps, points, ds.world.plan, params) == expected
 
 
 class TestTrajectory:
@@ -131,7 +244,7 @@ class TestSynthesize:
             templates.setdefault(cid, set()).add(f.appearance.place_template)
         assert templates[0] == templates[2] == {0}
 
-    def test_zero_noise_readings_are_rssi_at(self, tiny_world):
+    def test_zero_noise_readings_are_the_field(self, tiny_world):
         params = replace(tiny_world.propagation, noise_sigma_db=0.0, visibility_floor_dbm=-30.0)
         walls = (Wall(5.0, -20.0, 5.0, 20.0), Wall(-20.0, 5.0, 20.0, 5.0))
         cfg = replace(tiny_world, tx_power_at_1m=20.0, propagation=params, extra_walls=walls)
@@ -141,11 +254,37 @@ class TestSynthesize:
         levels = []
         for d, scans in zip(dwells, ds.dwell_scans):
             for ap in ds.world.aps:
-                level = rssi_at(ap, (d.x, d.y), ds.world.plan, params)
+                level = reference_rssi(ap, (d.x, d.y), ds.world.plan.walls, params)
                 levels.append(level)
                 n_readings = 0 if level < params.visibility_floor_dbm else cfg.scans_per_dwell * cfg.bssids_per_ap
                 assert [r.rssi for r in scans if r.bssid[:-1] == ap.ap_id[:-1]] == [min(level, 0.0)] * n_readings
         assert min(levels) < params.visibility_floor_dbm < 0.0 < max(levels)  # the floor and the clip both act
+
+    def test_readings_follow_one_scalar_draw_per_reading(self, tiny_world):
+        params = replace(tiny_world.propagation, noise_sigma_db=3.0, visibility_floor_dbm=-30.0)
+        walls = (Wall(5.0, -20.0, 5.0, 20.0), Wall(-20.0, 5.0, 20.0, 5.0))
+        cfg = replace(tiny_world, tx_power_at_1m=20.0, propagation=params, extra_walls=walls, scans_per_dwell=3,
+                      bssids_per_ap=3)
+        ds = synthesize(cfg, seed=7)
+        rng_scan = np.random.default_rng((7, 2))
+        expected, floored, clipped = [], 0, 0
+        for d in generate_trajectory(cfg.trajectory, cfg.template_of).dwells:
+            base = [reference_rssi(ap, (d.x, d.y), walls, params) for ap in ds.world.aps]
+            readings = []
+            for sidx in range(cfg.scans_per_dwell):
+                t = d.t_arrival + (sidx + 0.5) * cfg.trajectory.pause_duration / cfg.scans_per_dwell
+                for k, ap in enumerate(ds.world.aps):
+                    for radio in range(1, cfg.bssids_per_ap + 1):
+                        rssi = base[k] + params.noise_sigma_db * float(rng_scan.normal())
+                        if rssi < params.visibility_floor_dbm:
+                            floored += 1
+                            continue
+                        clipped += rssi > 0.0
+                        readings.append(ScanReading(t, ap.ap_id[:-1] + f"{radio:X}", min(rssi, 0.0)))
+            expected.append(tuple(readings))
+        assert floored and clipped  # the floor and the clip both act
+        assert ds.dwell_scans == tuple(expected)
+        assert all(type(r.rssi) is float and type(r.timestamp) is float for scans in ds.dwell_scans for r in scans)
 
     def test_no_reading_below_floor(self, tiny_world):
         floor = tiny_world.propagation.visibility_floor_dbm
@@ -190,6 +329,48 @@ class TestSynthesize:
         )
         tpl2 = template_pose_of(ds.world, twin.gt_pose, twin.appearance.place_template)
         assert abs(tpl0.x - tpl2.x) < 0.5 and abs(tpl0.y - tpl2.y) < 1e-6
+
+
+def dense_loop_pairs(frames):
+    """Reference ground-truth pairs from the full N x N distance and time-gap matrices."""
+    pos = np.array([[f.gt_pose.x, f.gt_pose.y] for f in frames], dtype=float).reshape(-1, 2)
+    ts = np.array([f.t for f in frames], dtype=float)
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    dt = np.abs(ts[:, None] - ts[None, :])
+    ii, jj = np.nonzero((d2 < LOOP_PAIR_RADIUS_M**2) & (dt > LOOP_PAIR_GAP_S))
+    return {(int(a), int(b)) for a, b in zip(ii, jj) if a < b}
+
+
+def frame_at(i, t, x, y):
+    return Frame(id=i, t=t, gt_pose=Pose2(x, y, 0.0), odom_delta=Pose2(), appearance=Appearance((1,), 0))
+
+
+class TestLoopPairs:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["c_hall", "b_hall", "j_hall", "a_hall"])
+    def test_presets_match_dense_reference(self, dataset_cache, name, seed):
+        ds = dataset_cache(name, seed)
+        pairs = _loop_pairs(ds.frames)
+        assert pairs and pairs == dense_loop_pairs(ds.frames) == ds.gt_loop_pairs
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_few_frames(self, n):
+        frames = [frame_at(i, 100.0 * i, 0.5 * i, 0.0) for i in range(n)]
+        assert _loop_pairs(frames) == dense_loop_pairs(frames) == ({(0, 1)} if n == 2 else set())
+
+    def test_boundaries(self):
+        r, gap = LOOP_PAIR_RADIUS_M, LOOP_PAIR_GAP_S
+        inside = math.nextafter(r, 0.0)
+        frames = [
+            frame_at(0, 0.0, 0.0, 0.0),
+            frame_at(1, 100.0, r, 0.0),  # exactly R from frame 0: not a pair
+            frame_at(2, 200.0, 0.0, inside),  # just inside R of frame 0
+            frame_at(3, 200.0 + gap, 0.0, inside),  # frame 2's twin exactly the gap later: not a pair
+            frame_at(4, 300.0, 0.6 * r, 0.8 * r),  # R away by a sum of squares
+        ]
+        pairs = _loop_pairs(frames)
+        assert pairs == dense_loop_pairs(frames)
+        assert (0, 2) in pairs and (0, 1) not in pairs and (2, 3) not in pairs
 
 
 class TestPresets:
@@ -347,6 +528,19 @@ class TestLoadDataset:
         path.write_text("\n".join(lines))
         with pytest.raises(DataError) as exc:
             load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}:3: {reason}"
+
+    @pytest.mark.parametrize("row", ["7,5", "3,99999", "-4,2", "6,6"],
+                             ids=["reversed", "past_last_frame", "negative", "self_pair"])
+    def test_bad_loop_pair_names_line(self, tiny_copy, row):
+        path = tiny_copy / "loops_gt.csv"
+        lines = path.read_text().split("\n")
+        lines.insert(2, row)
+        path.write_text("\n".join(lines))
+        n_frames = len((tiny_copy / "frames.csv").read_text().split()) - 1
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        reason = f"loop pair {row} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count"
         assert str(exc.value) == f"{path}:3: {reason}"
 
     @settings(max_examples=200, deadline=None)

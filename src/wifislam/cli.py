@@ -177,7 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = list(existing)
     if pending:
-        jobs = args.jobs or os.cpu_count() or 1
+        jobs = min(args.jobs or os.cpu_count() or 1, len(pending))
         if jobs == 1:
             results = [_sweep_cell(dataset, p) for p in pending]
         else:
@@ -194,8 +194,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     dataset = simworld.load_dataset(args.dataset)
-    sigs = gating.build_signatures(dataset)
-    points, rho = evaluation.similarity_distance_curve(dataset, sigs)
+    points, rho = evaluation.similarity_distance_curve(dataset, dataset.signatures)
     evaluation.write_similarity_curve_csv(args.out, points, rho)
     print(f"wrote {args.out}: {len(points)} dwell pairs, spearman_rho={rho!r}")
     return 0

@@ -1,6 +1,7 @@
 """Metrics over completed runs: loop-closure FP/FN counts, aligned trajectory
-error, deterministic compute ledgers, the similarity-vs-distance curve, and
-the cluster-gated map-image localizer with its error CDF.
+error and the report rows that carry them with a run's cost totals, the
+similarity-vs-distance curve, and the cluster-gated map-image localizer with
+its error CDF. The curve and the localizer read the dataset's own signatures.
 
 Loop scoring is adjudicated against the simulator's ground-truth pairs with
 an index tolerance: an accepted edge is a true detection when some ground
@@ -25,9 +26,9 @@ from scipy.stats import spearmanr
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters
 from .frontend import word_masks
-from .gating import PolicyParams, RunRecord, build_signatures
+from .gating import PolicyParams, RunRecord
 from .posegraph import kabsch_align, apply_rigid, rmse
-from .signature import NoSignatures, Signature, associate_frames, cosine_similarity
+from .signature import NoSignatures, Signature, cosine_similarity
 from .simworld import DataError, Dataset, Frame, dwell_positions
 
 
@@ -94,25 +95,6 @@ def trajectory_error(
     q = [(g.x, g.y) for _, g in pairs]
     rot, t = kabsch_align(p, q)
     return rmse(apply_rigid(rot, t, p), q)
-
-
-@dataclass(frozen=True)
-class ComputeLedger:
-    loop_closure_cost: float
-    clustering_overhead: float
-    management_overhead: float
-
-    @property
-    def overhead_cost(self) -> float:
-        return self.clustering_overhead + self.management_overhead
-
-
-def ledger(record: RunRecord) -> ComputeLedger:
-    return ComputeLedger(
-        loop_closure_cost=record.loop_cost,
-        clustering_overhead=record.clustering_cost,
-        management_overhead=record.management_cost,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +204,7 @@ def localize_dataset(
     n_map = int(round(split * len(frames)))
     if n_map < 1 or n_map >= len(frames):
         raise EmptyMap("split leaves an empty map or query phase")
-    sigs = build_signatures(dataset)
-    frame_sig = associate_frames([(f.id, f.t) for f in frames], sigs)
+    frame_sig = dataset.frame_signatures
     map_frames = frames[:n_map]
     query_frames = frames[n_map:]
     store = build_map_clusters(map_frames, frame_sig, threshold)
@@ -276,9 +257,8 @@ class BadReport(DataError):
 
 
 def report_row(record: RunRecord, dataset: Dataset) -> dict[str, str]:
-    score = score_loops([(a, b) for _s, a, b in record.loop_edges], dataset.gt_loop_pairs)
+    score = score_loops(record.loop_edges, dataset.gt_loop_pairs)
     err = trajectory_error(record.est, record.gt)
-    led = ledger(record)
     return {
         **key_fields(record.dataset.name, record.params),
         "rmse_m": repr(float(err)),
@@ -286,8 +266,8 @@ def report_row(record: RunRecord, dataset: Dataset) -> dict[str, str]:
         "fn": str(score.false_negatives),
         "fp_pct": repr(float(score.fp_pct)),
         "fn_pct": repr(float(score.fn_pct)),
-        "loop_cost": repr(float(led.loop_closure_cost)),
-        "overhead_cost": repr(float(led.overhead_cost)),
+        "loop_cost": repr(float(record.loop_cost)),
+        "overhead_cost": repr(float(record.clustering_cost + record.management_cost)),
         "wall_ms": repr(float(sum(record.wall.values()) * 1000.0)),
     }
 

@@ -13,7 +13,7 @@ and returns the transform implied by the shared appearance, which is how
 false loop closures enter the graph.
 
 Shared-word counts come from `word_masks`: one integer per frame, built once
-per run, with one bit per visual-word token that at least two frames carry, so
+per dataset, with one bit per visual-word token that at least two frames carry, so
 a pair's count is one AND and a popcount. `match_frames` takes that count from
 its caller. A candidate that shares no word with the query is rejected before
 its seeded draw is made, yet the pipeline still charges it 1.0
@@ -178,12 +178,6 @@ class InvertedIndex:
     def __init__(self) -> None:
         self._postings: dict[object, list[int]] = {}  # keyframes in insertion order
         self._ids: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, keyframe_id: int) -> bool:
-        return keyframe_id in self._ids
 
     def insert(self, keyframe_id: int, appearance: Appearance) -> None:
         if not appearance.words:

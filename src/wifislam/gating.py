@@ -17,10 +17,12 @@ intersects it with its own candidate pool:
 The pipeline audits each gated frame against those same inputs: candidates
 must lie in ``similar`` (or rgbd's base), and ORB's in its ranking.
 
-A run records each frame's decisions once, in a ``FrameRecord``; the
-``RunRecord``'s loop events, memory trace, loop edges and loop cost are views
-over those records, and ``save_run`` writes them, with each frame's Wi-Fi
-cluster, as the rows of one file, ``frame_trace.csv``.
+The pipeline reads each frame's signature, truth and word mask from the
+``Dataset``, which derives them once for every run on it. A run records each
+frame's decisions once, in a ``FrameRecord``; the ``RunRecord``'s loop events,
+memory trace, loop edges and loop cost are views over those records, and
+``save_run`` writes them, with each frame's Wi-Fi cluster, as the rows of one
+file, ``frame_trace.csv``.
 
 Costs are deterministic: one visual comparison costs 1 unit, one Wi-Fi
 cluster comparison 0.02 units, one optimizer iteration 0.1 units. Wall-clock
@@ -48,18 +50,9 @@ from .clustering import (
     similar_clusters,
     write_cluster_dump,
 )
-from .frontend import (
-    MATCH_INFORMATION,
-    FrameTruth,
-    InvertedIndex,
-    MatchParams,
-    MatchResult,
-    match_frames,
-    word_masks,
-)
+from .frontend import MATCH_INFORMATION, InvertedIndex, MatchParams, MatchResult, match_frames
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
-from .signature import Signature, associate_frames, signature_from_window, EmptyScanWindow
-from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, check_setting_types, template_pose_of
+from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, check_setting_types
 
 VISUAL_COMPARE_COST = 1.0
 WIFI_COMPARE_COST = 0.02
@@ -182,9 +175,9 @@ class RunRecord:
         return self.frames if self.params.policy == "rtab" else []
 
     @property
-    def loop_edges(self) -> list[tuple[int, int, int]]:
-        """(step, from_id, to_id) of each committed loop closure, time gap > simworld.LOOP_PAIR_GAP_S."""
-        return [(i, i, fr.loop_to) for i, fr in enumerate(self.frames) if fr.loop_to >= 0]
+    def loop_edges(self) -> list[tuple[int, int]]:
+        """(from_id, to_id) of each committed loop closure, time gap > simworld.LOOP_PAIR_GAP_S."""
+        return [(i, fr.loop_to) for i, fr in enumerate(self.frames) if fr.loop_to >= 0]
 
     @property
     def loop_cost(self) -> float:
@@ -343,17 +336,6 @@ def orb_candidates(ranking: list[int], similar: set[int] | None) -> list[int]:
 # pipeline
 
 
-def build_signatures(dataset: Dataset) -> list[Signature]:
-    """One signature per non-empty dwell, in time order."""
-    sigs = []
-    for di, scans in enumerate(dataset.dwell_scans):
-        try:
-            sigs.append(signature_from_window(list(scans), di))
-        except EmptyScanWindow:
-            continue
-    return sigs
-
-
 def _validate(dataset: Dataset) -> None:
     prev_t = -math.inf
     for k, f in enumerate(dataset.frames):
@@ -371,16 +353,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     _validate(dataset)
     frames = dataset.frames
     mp = params.match_params()
-    sigs = build_signatures(dataset)
-    frame_sig = associate_frames([(f.id, f.t) for f in frames], sigs)
-    truths = [
-        FrameTruth(
-            gt_pose=f.gt_pose,
-            template_pose=template_pose_of(dataset.world, f.gt_pose, f.appearance.place_template),
-        )
-        for f in frames
-    ]
-    masks = word_masks([f.appearance for f in frames])  # frame ids are list indices
+    frame_sig, truths, masks = dataset.frame_signatures, dataset.truths, dataset.word_masks  # frame ids are indices
     onoise = dataset.world.config.odom_noise
 
     graph = PoseGraph()

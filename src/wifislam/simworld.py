@@ -19,15 +19,17 @@ import numbers
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, asdict, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .frontend import Appearance
+from . import frontend
+from .frontend import Appearance, FrameTruth
 from .posegraph import Pose2, between
-from .signature import ScanReading
+from .signature import ScanReading, Signature, associate_frames, signature_from_window
 
 FRAME_RATE_HZ = 2.0  # simulated keyframe rate while moving
 LOOP_PAIR_RADIUS_M = 2.0  # gt loop pairs: closer than this ...
@@ -240,12 +242,38 @@ class World:
 
 @dataclass(frozen=True)
 class Dataset:
+    """A dataset plus the per-frame inputs derived from it, each derived on first use
+    and kept; a `dataclasses.replace` copy derives its own."""
+
     name: str
     seed: int
     frames: tuple[Frame, ...]
     dwell_scans: tuple[tuple[ScanReading, ...], ...]  # index = dwell index
     gt_loop_pairs: frozenset[tuple[int, int]]
     world: World
+
+    @cached_property
+    def signatures(self) -> tuple[Signature, ...]:
+        """One signature per non-empty dwell, in time order."""
+        return tuple(signature_from_window(scans, di) for di, scans in enumerate(self.dwell_scans) if scans)
+
+    @cached_property
+    def frame_signatures(self) -> dict[int, Signature]:
+        """Each frame id's signature: the latest collected at or before the frame (the first, before any)."""
+        return associate_frames([(f.id, f.t) for f in self.frames], self.signatures)
+
+    @cached_property
+    def truths(self) -> tuple[FrameTruth, ...]:
+        """Each frame's `FrameTruth`, in frame order."""
+        return tuple(
+            FrameTruth(f.gt_pose, template_pose_of(self.world, f.gt_pose, f.appearance.place_template))
+            for f in self.frames
+        )
+
+    @cached_property
+    def word_masks(self) -> tuple[int, ...]:
+        """`frontend.word_masks` of the frames' word bags, in frame order."""
+        return tuple(frontend.word_masks([f.appearance for f in self.frames]))
 
 
 # ---------------------------------------------------------------------------

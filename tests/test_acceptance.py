@@ -82,9 +82,7 @@ def test_criterion_01_perceptual_aliasing_fix(dataset_cache):
                 for gated in (True, False):
                     p = gating.PolicyParams(policy="orb", gated=gated, min_matches=mm, seed=seed)
                     rec = gating.run_pipeline(ds, p)
-                    score = evaluation.score_loops(
-                        [(a, b) for _s, a, b in rec.loop_edges], ds.gt_loop_pairs
-                    )
+                    score = evaluation.score_loops(rec.loop_edges, ds.gt_loop_pairs)
                     fp[gated] = score.false_positives
                 if fp[False] >= 1:
                     hits += 1
@@ -165,8 +163,7 @@ def test_criterion_05_overhead_bound(dataset_cache):
         gated = gating.run_pipeline(
             ds, gating.PolicyParams(policy="orb", gated=True, min_matches=20, seed=0)
         )
-        led = evaluation.ledger(gated)
-        pct[name] = 100.0 * led.overhead_cost / vanilla.loop_cost
+        pct[name] = 100.0 * (gated.clustering_cost + gated.management_cost) / vanilla.loop_cost
     ok = all(v <= 10.0 for v in pct.values())
     report(
         "criterion 5 (overhead bound)",
@@ -184,8 +181,7 @@ def test_criterion_06_similarity_distance_trend(dataset_cache):
         worst = -1.0
         for seed in range(5):
             ds = dataset_cache(f"b_hall_sigma{sigma}", seed, config=cfg)
-            sigs = gating.build_signatures(ds)
-            _pts, rho = evaluation.similarity_distance_curve(ds, sigs)
+            _pts, rho = evaluation.similarity_distance_curve(ds, ds.signatures)
             worst = max(worst, rho)
         rhos[sigma] = (worst, bound)
     ok = all(worst < bound for worst, bound in rhos.values())

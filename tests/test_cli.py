@@ -7,7 +7,7 @@ import subprocess
 import sys
 import pytest
 
-from wifislam import evaluation, simworld
+from wifislam import cli, evaluation, simworld
 from wifislam.cli import main
 from wifislam.gating import PolicyParams, run_pipeline
 
@@ -249,6 +249,55 @@ class TestSweep:
             assert {k: v for k, v in row.items() if k != "wall_ms"} == {
                 k: v for k, v in expected.items() if k != "wall_ms"
             }
+
+    def test_jobs_1_rows_equal_run_config_rows(self, gen_dir, tmp_path):
+        grid = {"policy": ["orb", "rtab"], "gated": [True, False], "seed": [0]}
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report, "--jobs", "1") == 0
+        rows = evaluation.read_report(report)
+        assert len(rows) == 4
+        for k, swept in enumerate(rows):
+            cfg = tmp_path / f"cfg{k}.json"
+            cfg.write_text(json.dumps({"policy": swept["policy"], "gated": swept["gated"] == "true", "seed": 0}))
+            assert run_cli("run", "--dataset", gen_dir, "--out", tmp_path / f"run{k}", "--config", cfg) == 0
+            (ran,) = evaluation.read_report(tmp_path / f"run{k}" / "report_row.csv")
+            assert {c: v for c, v in swept.items() if c != "wall_ms"} == {c: v for c, v in ran.items() if c != "wall_ms"}
+
+    def test_one_pending_cell_runs_in_process(self, gen_dir, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep with one pending cell started a worker pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        (tmp_path / "grid.json").write_text(json.dumps({"policy": "rtab", "gated": False, "seed": 0}))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report, "--jobs", "4") == 0
+        assert len(evaluation.read_report(report)) == 1
+
+    def test_workers_at_most_pending_cells(self, gen_dir, tmp_path, monkeypatch):
+        started = []
+
+        class InlinePool:  # runs the cells in this process, as a pool of max_workers would
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_worker_dataset", None)  # restored after the in-process initializer sets it
+        (tmp_path / "grid.json").write_text(json.dumps({"policy": "rtab", "gated": [False, True], "seed": 0}))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report, "--jobs", "4") == 0
+        assert started == [2]
+        assert len(evaluation.read_report(report)) == 2
 
     def test_nested_object_axis_matches_run_config(self, gen_dir, tmp_path):
         cell = {"policy": "rgbd", "gated": False, "seed": 0, "rgbd": {"n_random_keyframes": 4}}

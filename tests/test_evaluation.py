@@ -20,7 +20,6 @@ from wifislam.evaluation import (
     LoopScore,
     NoCorrespondence,
     build_map_clusters,
-    ledger,
     localize_dataset,
     localize_queries,
     key_fields,
@@ -31,7 +30,6 @@ from wifislam.evaluation import (
     trajectory_error,
 )
 from wifislam.posegraph import Pose2
-from wifislam.signature import associate_frames
 
 
 def dense_score_loops(edges, gt_pairs, match_radius):
@@ -146,15 +144,14 @@ class TestLedger:
     def test_vanilla_zero_overhead(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
         rec = gating.run_pipeline(ds, gating.PolicyParams(policy="orb", gated=False, min_matches=20, seed=0))
-        led = ledger(rec)
-        assert led.clustering_overhead == 0.0 and led.management_overhead == 0.0
+        assert rec.clustering_cost == 0.0 and rec.management_cost == 0.0
 
     def test_gated_cost_at_most_vanilla(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
         costs = {}
         for gated in (True, False):
             rec = gating.run_pipeline(ds, gating.PolicyParams(policy="orb", gated=gated, min_matches=20, seed=0))
-            costs[gated] = ledger(rec).loop_closure_cost
+            costs[gated] = rec.loop_cost
         assert costs[True] <= costs[False]
 
     def test_per_frame_overhead_grows_with_clusters(self, dataset_cache):
@@ -162,22 +159,21 @@ class TestLedger:
         for name in ("a_hall", "j_hall"):
             ds = dataset_cache(name, 0)
             rec = gating.run_pipeline(ds, gating.PolicyParams(policy="orb", gated=True, min_matches=20, seed=0))
-            led = ledger(rec)
-            per_frame[name] = led.overhead_cost / len(ds.frames)
+            per_frame[name] = (rec.clustering_cost + rec.management_cost) / len(ds.frames)
         assert per_frame["a_hall"] < per_frame["j_hall"]
 
 
 class TestSimilarityCurve:
     def test_identical_location_dwells(self, dataset_cache):
         ds = dataset_cache("c_hall", 0)
-        sigs = gating.build_signatures(ds)
+        sigs = ds.signatures
         pts, rho = similarity_distance_curve(ds, sigs)
         assert len(pts) == len(sigs) * (len(sigs) - 1) // 2
         assert rho < -0.5
 
     def test_needs_two_dwells(self, dataset_cache):
         ds = dataset_cache("c_hall", 0)
-        sigs = gating.build_signatures(ds)
+        sigs = ds.signatures
         with pytest.raises(ValueError):
             similarity_distance_curve(ds, sigs[:1])
 
@@ -197,7 +193,7 @@ class TestSimilarityCurve:
             propagation=simworld.PropagationParams(noise_sigma_db=0.0, visibility_floor_dbm=-85.0),
         )
         ds = simworld.synthesize(cfg, seed=0)
-        sigs = gating.build_signatures(ds)
+        sigs = ds.signatures
         pts, _rho = similarity_distance_curve(ds, sigs)
         colocated = [s for d, s in pts if d < 1e-9]
         assert colocated
@@ -221,8 +217,7 @@ class TestCdf:
 class TestLocalize:
     def test_query_identical_to_map_frame(self, dataset_cache):
         ds = dataset_cache("c_hall", 0)
-        sigs = gating.build_signatures(ds)
-        frame_sig = associate_frames([(f.id, f.t) for f in ds.frames], sigs)
+        frame_sig = ds.frame_signatures
         map_frames = ds.frames[:150]
         store = build_map_clusters(map_frames, frame_sig, 0.85)
         curve, fallbacks = localize_queries(map_frames, store, frame_sig, [map_frames[40]], 0.85)
@@ -237,7 +232,7 @@ class TestLocalize:
 
     def test_picks_the_brute_force_best_map_frame(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
-        frame_sig = associate_frames([(f.id, f.t) for f in ds.frames], gating.build_signatures(ds))
+        frame_sig = ds.frame_signatures
         n_map = int(round(0.4 * len(ds.frames)))
         map_frames, query_frames = ds.frames[:n_map], ds.frames[n_map:]
         store = build_map_clusters(map_frames, frame_sig, 0.85)

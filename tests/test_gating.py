@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from wifislam import gating, simworld
 from wifislam.clustering import ClusterStore, SimilarClusters, assign, members_of, similar_clusters
-from wifislam.frontend import Appearance, InvertedIndex
+from wifislam.frontend import Appearance, FrameTruth, InvertedIndex, word_masks
 from wifislam.gating import (
     BadDataset,
     MemoryCorruption,
@@ -30,7 +30,8 @@ from wifislam.gating import (
     save_run,
 )
 from wifislam.posegraph import GraphEdge, Pose2, PoseGraph
-from wifislam.signature import Signature
+from wifislam.signature import Signature, associate_frames, signature_from_window
+from wifislam.simworld import template_pose_of
 
 
 def sig(entries, t=0.0, pause=0):
@@ -272,7 +273,7 @@ class TestRunPipeline:
 
         rec = run_pipeline(tiny_dataset, PolicyParams(policy="orb", gated=True, min_matches=20, seed=2))
         assert len(rec.loop_edges) >= 1
-        score = evaluation.score_loops([(a, b) for _s, a, b in rec.loop_edges], tiny_dataset.gt_loop_pairs)
+        score = evaluation.score_loops(rec.loop_edges, tiny_dataset.gt_loop_pairs)
         assert score.false_positives == 0
 
     def test_bit_identical_reruns(self, tiny_dataset, tmp_path):
@@ -314,7 +315,7 @@ class TestRunPipeline:
                 assert r["cluster"] == cluster_of.get(i, "")
             assert len(cluster_of) == (n if gated else 0)
             loop_to = [int(r["loop_to"]) for r in rows]
-            assert rec.loop_edges == [(i, i, to) for i, to in enumerate(loop_to) if to >= 0]
+            assert rec.loop_edges == [(i, to) for i, to in enumerate(loop_to) if to >= 0]
             assert rec.loop_cost == sum(int(r["candidate_count"]) for r in rows) * gating.VISUAL_COMPARE_COST
 
     def test_gating_and_subset_violations_zero(self, tiny_dataset):
@@ -402,16 +403,55 @@ class TestRunPipeline:
         assert "5" in str(exc.value)
 
 
-def test_build_signatures_skips_empty_dwells(tiny_dataset):
-    from wifislam.gating import build_signatures
+class TestDatasetInputs:
+    """The per-frame inputs a Dataset derives once, for every run on it."""
 
-    holed = replace(
-        tiny_dataset,
-        dwell_scans=(tiny_dataset.dwell_scans[0], ()) + tiny_dataset.dwell_scans[2:],
-    )
-    sigs = build_signatures(holed)
-    assert len(sigs) == len(tiny_dataset.dwell_scans) - 1
-    assert all(s.pause_index != 1 for s in sigs)
+    def test_members_equal_a_fresh_derivation(self, tiny_dataset):
+        ds = tiny_dataset
+        sigs = [signature_from_window(list(scans), di) for di, scans in enumerate(ds.dwell_scans) if scans]
+        assert list(ds.signatures) == sigs
+        assert ds.frame_signatures == associate_frames([(f.id, f.t) for f in ds.frames], sigs)
+        assert list(ds.truths) == [
+            FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
+            for f in ds.frames
+        ]
+        assert list(ds.word_masks) == word_masks([f.appearance for f in ds.frames])
+        for name in ("signatures", "frame_signatures", "truths", "word_masks"):
+            assert getattr(ds, name) is getattr(ds, name), name
+
+    @pytest.mark.parametrize("policy", gating.POLICIES)
+    def test_reruns_equal_a_run_on_a_fresh_copy(self, tiny_dataset, policy):
+        p = PolicyParams(policy=policy, gated=True, min_matches=20, seed=2,
+                         rtab=RtabParams(stm_capacity=5, real_time_threshold=8.0, wm_transfer_batch=3))
+
+        def outputs(rec):
+            est = [(k, t, pose.x, pose.y, pose.theta) for k, t, pose in rec.est]
+            return (rec.frames, est, rec.loop_edges, rec.loop_cost, rec.clustering_cost, rec.management_cost,
+                    rec.opt_iterations)
+
+        first, second = run_pipeline(tiny_dataset, p), run_pipeline(tiny_dataset, p)
+        fresh = replace(tiny_dataset)
+        assert "frame_signatures" not in vars(fresh)
+        assert outputs(first) == outputs(second) == outputs(run_pipeline(fresh, p))
+        assert fresh.frame_signatures is not tiny_dataset.frame_signatures
+
+    def test_runs_on_one_dataset_derive_once(self, monkeypatch, tiny_dataset):
+        real, calls = simworld.associate_frames, []
+        monkeypatch.setattr(simworld, "associate_frames", lambda *args: calls.append(1) or real(*args))
+        ds = replace(tiny_dataset)
+        for gated in (True, False):
+            run_pipeline(ds, PolicyParams(policy="orb", gated=gated, min_matches=20, seed=2))
+        assert len(calls) == 1
+
+    def test_a_replaced_copy_derives_its_own_signatures(self, tiny_dataset):
+        assert tiny_dataset.signatures  # derived before the copy is made
+        holed = replace(
+            tiny_dataset,
+            dwell_scans=(tiny_dataset.dwell_scans[0], ()) + tiny_dataset.dwell_scans[2:],
+        )
+        assert len(holed.signatures) == len(tiny_dataset.dwell_scans) - 1
+        assert all(s.pause_index != 1 for s in holed.signatures)
+        assert len(tiny_dataset.signatures) == len(tiny_dataset.dwell_scans)
 
 
 def test_params_json_roundtrip():

@@ -53,7 +53,7 @@ def _params_from_args(args: argparse.Namespace) -> PolicyParams:
             raise CliError(f"bad run configuration {args.config}: {exc}", USAGE_ERROR) from exc
         if not isinstance(base, dict):
             raise CliError(f"bad run configuration {args.config}: expected a JSON object", USAGE_ERROR)
-    for key in ("policy", "gated", "min_matches", "inlier_distance", "wifi_threshold", "real_time_threshold", "seed"):
+    for key in ("policy", "gated", "min_matches", "wifi_threshold", "real_time_threshold", "seed"):
         v = getattr(args, key)
         if v is not None:
             base[key] = v
@@ -161,6 +161,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(grid, dict) or not grid:
         raise CliError("grid must be a non-empty JSON object of lists", USAGE_ERROR)
     axes = {k: v if isinstance(v, list) else [v] for k, v in grid.items()}
+    empty = [k for k, v in axes.items() if not v]
+    if empty:
+        raise CliError(f"grid axis {empty[0]!r} has no values", USAGE_ERROR)
     cells = []
     for combo in product(*axes.values()):
         cell = dict(zip(axes.keys(), combo))
@@ -168,6 +171,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cells.append(gating.params_from_json(cell))
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad grid cell {cell}: {exc}", USAGE_ERROR) from exc
+    cells = list(dict.fromkeys(cells))  # combinations that give the same settings are one cell
 
     out_path = Path(args.out)
     existing = evaluation.read_report(out_path)
@@ -245,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--policy", choices=gating.POLICIES)
     r.add_argument("--gated", type=_bool_flag)
     r.add_argument("--min-matches", dest="min_matches", type=int)
-    r.add_argument("--inlier-distance", dest="inlier_distance", type=float)
     r.add_argument("--wifi-threshold", dest="wifi_threshold", type=float)
     r.add_argument("--real-time-threshold", dest="real_time_threshold")
     r.add_argument("--seed", type=int)

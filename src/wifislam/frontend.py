@@ -7,10 +7,10 @@ Pixels are out of scope; a frame's appearance is a multiset of visual-word
 ids drawn from the scene template of the corridor it was taken in. Matching
 degrades the shared-word count with a deterministic seeded dropout (features
 randomly absent from individual frames, each word kept with DROPOUT_KEEP)
-and gates transform estimation on true geometric separation. Two *distant*
-frames that share a scene template are perceptual aliases: matching succeeds
-and returns the transform implied by the shared appearance, which is how
-false loop closures enter the graph.
+and gates transform estimation on true geometric separation, at most
+INLIER_DISTANCE. Two *distant* frames that share a scene template are
+perceptual aliases: matching succeeds and returns the transform implied by
+the shared appearance, which is how false loop closures enter the graph.
 
 Shared-word counts come from `word_masks`: one integer per frame, built once
 per dataset, with one bit per visual-word token that at least two frames carry, so
@@ -44,21 +44,12 @@ class Appearance:
 
 
 DROPOUT_KEEP = 0.8  # chance that a shared word survives in a match
+INLIER_DISTANCE = 3.0  # separation, m, within which a match recovers the true relative pose
 NOISE_XY = 0.05  # std of the noise on an accepted match's translation, m
 NOISE_THETA = 0.01  # std of the noise on an accepted match's rotation, rad
 
 # information matrix of every accepted match: the inverse of the injected noise covariance
 MATCH_INFORMATION = np.diag([1.0 / NOISE_XY**2, 1.0 / NOISE_XY**2, 1.0 / NOISE_THETA**2])
-
-
-@dataclass(frozen=True)
-class MatchParams:
-    min_matches: int
-    inlier_distance: float
-
-    def __post_init__(self) -> None:
-        if self.min_matches <= 0 or self.inlier_distance <= 0:
-            raise ValueError("match params must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,7 @@ def match_frames(
     b: Appearance,
     truth_a: FrameTruth,
     truth_b: FrameTruth,
-    params: MatchParams,
+    min_matches: int,
     seed: int,
 ) -> MatchResult:
     """Match two frames; returns the relative pose of b in a's frame when accepted.
@@ -142,7 +133,7 @@ def match_frames(
     so results are reproducible per pair.
     Acceptance requires num_matches >= min_matches; transform estimation then
     succeeds with the true relative pose when the frames are geometrically
-    within inlier_distance, succeeds with the alias-implied (false) pose when
+    within `INLIER_DISTANCE`, succeeds with the alias-implied (false) pose when
     distant frames share a scene template, and fails otherwise.
     """
     if not shared:
@@ -150,13 +141,13 @@ def match_frames(
         return _NO_SHARED_WORDS
     rng = np.random.default_rng((seed, a_id, b_id))
     num = int(rng.binomial(shared, DROPOUT_KEEP))
-    if num < params.min_matches:
+    if num < min_matches:
         return MatchResult(num_matches=num, relative=None, accepted=False)
 
     dx = truth_a.gt_pose.x - truth_b.gt_pose.x
     dy = truth_a.gt_pose.y - truth_b.gt_pose.y
     separation = (dx * dx + dy * dy) ** 0.5
-    if separation <= params.inlier_distance:
+    if separation <= INLIER_DISTANCE:
         rel = between(truth_a.gt_pose, truth_b.gt_pose)
     elif a.place_template == b.place_template:
         rel = between(truth_a.template_pose, truth_b.template_pose)

@@ -17,6 +17,10 @@ intersects it with its own candidate pool:
 The pipeline audits each gated frame against those same inputs: candidates
 must lie in ``similar`` (or rgbd's base), and ORB's in its ranking.
 
+A run's settings, its `PolicyParams`, are only those a workload varies. The
+sizes of rgbd's base and random subset and of rtab's short-term memory and
+transfer batch are module constants (`RGBD_PREDECESSORS` ... `RTAB_TRANSFER_BATCH`).
+
 The pipeline reads each frame's signature, truth and word mask from the
 ``Dataset``, which derives them once for every run on it. A run records each
 frame's decisions once, in a ``FrameRecord``; the ``RunRecord``'s loop events,
@@ -50,7 +54,7 @@ from .clustering import (
     similar_clusters,
     write_cluster_dump,
 )
-from .frontend import MATCH_INFORMATION, InvertedIndex, MatchParams, MatchResult, match_frames
+from .frontend import MATCH_INFORMATION, InvertedIndex, MatchResult, match_frames
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
 from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, check_setting_types
 
@@ -67,6 +71,12 @@ FINAL_OPT_MAX_ITERS = 100  # iterations of the optimization after the last frame
 OPT_WINDOW = 40
 OPT_WINDOW_HOPS = 1
 
+RGBD_PREDECESSORS = 3  # newest keyframes rgbd always searches
+RGBD_GEODESIC_DEPTH = 2  # hops from the newest keyframe rgbd always searches
+RGBD_RANDOM_KEYFRAMES = 8  # other keyframes a vanilla rgbd frame draws at random
+RTAB_STM_CAPACITY = 15  # keyframes in rtab's short-term memory
+RTAB_TRANSFER_BATCH = 10  # working-memory keyframes moved to long-term memory at a time
+
 POLICIES = ("rgbd", "rtab", "orb")
 
 
@@ -79,17 +89,8 @@ class MemoryCorruption(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RgbdParams:
-    n_predecessors: int = 3
-    geodesic_depth: int = 2
-    n_random_keyframes: int = 8
-
-
-@dataclass(frozen=True)
 class RtabParams:
-    stm_capacity: int = 15
     real_time_threshold: float = math.inf
-    wm_transfer_batch: int = 10
 
 
 @dataclass(frozen=True)
@@ -97,25 +98,20 @@ class PolicyParams:
     policy: str = "orb"
     gated: bool = True
     min_matches: int = 20
-    inlier_distance: float = 3.0
     wifi_threshold: float = 0.85
     seed: int = 0
-    rgbd: RgbdParams = RgbdParams()
     rtab: RtabParams = RtabParams()
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         check_setting_types(self)
-        if self.min_matches <= 0 or self.inlier_distance <= 0:
-            raise ValueError("min_matches and inlier_distance must be positive")
+        if self.min_matches <= 0:
+            raise ValueError("min_matches must be positive")
         if not 0 < self.wifi_threshold <= 1:
             raise ValueError("wifi_threshold must be in (0, 1]")
         if self.rtab.real_time_threshold <= 0:
             raise ValueError("real_time_threshold must be positive")
-
-    def match_params(self) -> MatchParams:
-        return MatchParams(min_matches=self.min_matches, inlier_distance=self.inlier_distance)
 
 
 @dataclass
@@ -197,14 +193,13 @@ class RunRecord:
 # policy candidate selection
 
 
-def _rgbd_base(graph: PoseGraph, params: PolicyParams) -> set[int]:
-    """The keyframes rgbd always searches: the newest ``n_predecessors`` of the
-    graph and those within ``geodesic_depth`` hops of the newest one."""
+def _rgbd_base(graph: PoseGraph) -> set[int]:
+    """The keyframes rgbd always searches: the newest `RGBD_PREDECESSORS` of the
+    graph and those within `RGBD_GEODESIC_DEPTH` hops of the newest one."""
     ids = graph.ids
-    n, depth = params.rgbd.n_predecessors, params.rgbd.geodesic_depth
-    base = set(ids[-n:]) if n else set()
-    if depth > 0 and ids:
-        base.update(_hops_from(graph, [ids[-1]], depth).keys())
+    base = set(ids[-RGBD_PREDECESSORS:])
+    if ids:
+        base.update(_hops_from(graph, [ids[-1]], RGBD_GEODESIC_DEPTH))
     return base
 
 
@@ -227,7 +222,7 @@ def rgbd_candidates(
         return sorted(base | similar)
     pool = [k for k in graph.ids if k not in base]
     rng = np.random.default_rng((params.seed, 7, current))
-    n = min(params.rgbd.n_random_keyframes, len(pool))
+    n = min(RGBD_RANDOM_KEYFRAMES, len(pool))
     extra = [int(k) for k in rng.choice(pool, size=n, replace=False)] if n else []
     return sorted(base.union(extra))
 
@@ -254,7 +249,7 @@ def rtab_step(
     the projected next-step cost fits.
     """
     state.stm.append(current)
-    while len(state.stm) > params.rtab.stm_capacity:
+    while len(state.stm) > RTAB_STM_CAPACITY:
         state.wm.add(state.stm.popleft())
 
     retrieved: list[int] = []
@@ -285,7 +280,7 @@ def rtab_step(
             len(state.wm) * VISUAL_COMPARE_COST > params.rtab.real_time_threshold
             and pos < len(order)
         ):
-            batch = order[pos : pos + params.rtab.wm_transfer_batch]
+            batch = order[pos : pos + RTAB_TRANSFER_BATCH]
             pos += len(batch)
             for k in batch:
                 state.wm.discard(k)
@@ -352,7 +347,6 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     """Drive the full per-frame loop; deterministic for a fixed (dataset, params)."""
     _validate(dataset)
     frames = dataset.frames
-    mp = params.match_params()
     frame_sig, truths, masks = dataset.frame_signatures, dataset.truths, dataset.word_masks  # frame ids are indices
     onoise = dataset.world.config.odom_noise
 
@@ -392,7 +386,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         pools: dict[str, int] = {}  # rtab: its memory pools after the step and the keyframes the step moved
         base: set[int] = set()
         if params.policy == "rgbd":
-            base = _rgbd_base(graph, params)
+            base = _rgbd_base(graph)
             cands = rgbd_candidates(graph, i, params, similar, base)
         elif params.policy == "rtab":
             cands, memory, transfers, retrievals = rtab_step(
@@ -423,7 +417,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         accepted: list[tuple[int, MatchResult]] = []
         for c in cands:
             shared = (masks[i] & masks[c]).bit_count()
-            mr = match_frames(i, c, shared, f.appearance, frames[c].appearance, truths[i], truths[c], mp, params.seed)
+            mr = match_frames(i, c, shared, f.appearance, frames[c].appearance, truths[i], truths[c],
+                              params.min_matches, params.seed)
             if mr.accepted:
                 accepted.append((c, mr))
         wall["loop_closure_s"] += time.perf_counter() - t0
@@ -507,21 +502,20 @@ def params_to_json(params: PolicyParams) -> dict:
 
 
 def params_from_json(d: dict) -> PolicyParams:
-    """The PolicyParams a JSON object describes. Absent settings, ``rgbd`` and ``rtab``
-    included, take their defaults. ``real_time_threshold`` may also sit at the top level,
-    where it overrides ``rtab``'s; a string value such as "inf" is parsed.
-    Raises ValueError or TypeError for a bad object."""
+    """The PolicyParams a JSON object describes. Absent settings, ``rtab`` included, take
+    their defaults. ``real_time_threshold`` may also sit at the top level, where it
+    overrides ``rtab``'s; a string value such as "inf" is parsed.
+    Raises ValueError or TypeError for a bad object, an unknown key included."""
     d = dict(d)
-    rgbd, rtab = d.pop("rgbd", {}), d.pop("rtab", {})
-    for key, sub in (("rgbd", rgbd), ("rtab", rtab)):
-        if not isinstance(sub, dict):
-            raise ValueError(f"{key} must be a JSON object, got {sub!r}")
+    rtab = d.pop("rtab", {})
+    if not isinstance(rtab, dict):
+        raise ValueError(f"rtab must be a JSON object, got {rtab!r}")
     rtab = dict(rtab)
     if "real_time_threshold" in d:
         rtab["real_time_threshold"] = d.pop("real_time_threshold")
     if isinstance(rtab.get("real_time_threshold"), str):
         rtab["real_time_threshold"] = float(rtab["real_time_threshold"])
-    return PolicyParams(rgbd=RgbdParams(**rgbd), rtab=RtabParams(**rtab), **d)
+    return PolicyParams(rtab=RtabParams(**rtab), **d)
 
 
 def save_run(record: RunRecord, out_dir: str | Path) -> Path:

@@ -79,13 +79,8 @@ def compose(a: Pose2, b: Pose2) -> Pose2:
     )
 
 
-def inverse(a: Pose2) -> Pose2:
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    return Pose2(-(c * a.x + s * a.y), -(-s * a.x + c * a.y), -a.theta)
-
-
 def between(a: Pose2, b: Pose2) -> Pose2:
-    """Pose of b expressed in a's frame: inverse(a) * b."""
+    """Pose of b expressed in a's frame: a^-1 * b."""
     c, s = math.cos(a.theta), math.sin(a.theta)
     dx, dy = b.x - a.x, b.y - a.y
     return Pose2(c * dx + s * dy, -s * dx + c * dy, b.theta - a.theta)

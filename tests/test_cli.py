@@ -104,13 +104,13 @@ class TestRun:
         code = run_cli(
             "run", "--dataset", gen_dir, "--out", out,
             "--policy", "rgbd", "--gated", "false", "--min-matches", "15", "--seed", "3",
-            "--inlier-distance", "2.0", "--wifi-threshold", "0.8",
+            "--wifi-threshold", "0.8",
         )
         assert code == 0
         rows = list(csv.DictReader(open(out / "report_row.csv")))
         assert rows[0]["policy"] == "rgbd" and rows[0]["gated"] == "false"
         assert rows[0]["min_matches"] == "15" and rows[0]["seed"] == "3"
-        assert rows[0]["inlier_distance"] == "2.0" and rows[0]["wifi_threshold"] == "0.8"
+        assert rows[0]["wifi_threshold"] == "0.8"
         assert sorted(p.name for p in out.iterdir()) == [
             "cluster_representatives.jsonl", "config.json", "frame_trace.csv", "report_row.csv",
             "timings.json", "trajectory_est.csv", "trajectory_gt.csv",
@@ -148,8 +148,8 @@ class TestRun:
         ("gated", "false", "gated must be bool, got 'false'"),  # wrong-typed settings
         ("seed", "1", "seed must be int, got '1'"),
         ("min_matches", 2.5, "min_matches must be int, got 2.5"),
-        ("rgbd", {"n_predecessors": True}, "n_predecessors must be int, got True"),
-        ("inlier_distance", "3", "inlier_distance must be float, got '3'"),
+        ("wifi_threshold", "0.9", "wifi_threshold must be float, got '0.9'"),
+        ("rtab", {"real_time_threshold": True}, "real_time_threshold must be float, got True"),
         ("seed", -1, "seed must be >= 0"),  # numpy's generators take no negative seed
     ])
     def test_bad_config_value_exit_2(self, gen_dir, tmp_path, capsys, key, value, named):
@@ -162,7 +162,7 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, name", [
-        ("--inlier-distance", "inlier_distance"), ("--real-time-threshold", "real_time_threshold"),
+        ("--wifi-threshold", "wifi_threshold"), ("--real-time-threshold", "real_time_threshold"),
     ])
     def test_nan_setting_flag_exit_2(self, gen_dir, tmp_path, capsys, flag, name):
         code = run_cli("run", "--dataset", gen_dir, "--out", tmp_path / "o", flag, "nan")
@@ -300,7 +300,7 @@ class TestSweep:
         assert len(evaluation.read_report(report)) == 2
 
     def test_nested_object_axis_matches_run_config(self, gen_dir, tmp_path):
-        cell = {"policy": "rgbd", "gated": False, "seed": 0, "rgbd": {"n_random_keyframes": 4}}
+        cell = {"policy": "rtab", "gated": False, "seed": 0, "rtab": {"real_time_threshold": 70}}
         for name in ("grid.json", "cfg.json"):  # a grid value that is not a list is a one-point axis
             (tmp_path / name).write_text(json.dumps(cell))
         report = tmp_path / "report.csv"
@@ -312,14 +312,14 @@ class TestSweep:
 
     def test_resume_recomputes_a_cell_whose_nested_setting_differs(self, gen_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
-        for n, expected in ((0, "(1 computed, 0 reused)"), (30, "(1 computed, 0 reused)")):
+        for threshold in ("inf", 70):
             (tmp_path / "grid.json").write_text(json.dumps(
-                {"policy": "rgbd", "gated": False, "seed": 0, "rgbd": {"n_random_keyframes": n}}))
+                {"policy": "rtab", "gated": False, "seed": 0, "rtab": {"real_time_threshold": threshold}}))
             assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report,
                            "--jobs", "1") == 0
-            assert expected in capsys.readouterr().out
+            assert "(1 computed, 0 reused)" in capsys.readouterr().out
         rows = evaluation.read_report(report)
-        assert [r["n_random_keyframes"] for r in rows] == ["0", "30"]
+        assert [r["real_time_threshold"] for r in rows] == ["70.0", "inf"]
         assert rows[0]["loop_cost"] != rows[1]["loop_cost"]
 
     def test_reused_counts_only_cells_of_the_grid(self, gen_dir, tmp_path, capsys):
@@ -334,14 +334,14 @@ class TestSweep:
     def test_nested_axis_values_get_their_own_rows(self, gen_dir, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"policy": ["rtab"], "gated": [True], "seed": [0],
-                                    "rtab": [{"stm_capacity": 5}, {"stm_capacity": 25}]}))
+                                    "rtab": [{"real_time_threshold": 70}, {"real_time_threshold": 100}]}))
         report = tmp_path / "report.csv"
         assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", report, "--jobs", "2") == 0
         rows = evaluation.read_report(report)
-        assert sorted(r["stm_capacity"] for r in rows) == ["25", "5"]
+        assert sorted(r["real_time_threshold"] for r in rows) == ["100.0", "70.0"]
         assert len({evaluation.row_key(r) for r in rows}) == 2
 
-    @pytest.mark.parametrize("key, value", [("rgbd", 4), ("rtab", "fast")])
+    @pytest.mark.parametrize("key, value", [("rtab", "fast")])
     def test_non_object_nested_axis_exit_2(self, gen_dir, tmp_path, capsys, key, value):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"policy": ["rgbd"], key: [value]}))
@@ -357,6 +357,24 @@ class TestSweep:
         assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", tmp_path / "r.csv", "--jobs", "1") == 2
         err = capsys.readouterr().err
         assert "bad grid cell" in err and "gated must be bool, got 'false'" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_equal_cells_run_once(self, gen_dir, tmp_path, capsys):
+        # four combinations, one setting: the seeds are equal and so are the two spellings of infinity
+        (tmp_path / "grid.json").write_text(json.dumps(
+            {"policy": ["rtab"], "gated": [False], "seed": [0, 0], "real_time_threshold": ["inf", "Infinity"]}))
+        report = tmp_path / "report.csv"
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", report,
+                       "--jobs", "1") == 0
+        assert "1 rows (1 computed, 0 reused)" in capsys.readouterr().out
+        assert len(evaluation.read_report(report)) == 1
+
+    def test_empty_axis_exit_2(self, gen_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy": ["orb"], "gated": [True, False], "seed": []}))
+        assert run_cli("sweep", "--dataset", gen_dir, "--grid", grid, "--out", tmp_path / "r.csv", "--jobs", "1") == 2
+        err = capsys.readouterr().err
+        assert "grid axis 'seed' has no values" in err and "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_grid_exit_2(self, gen_dir, tmp_path):
@@ -537,14 +555,46 @@ def test_report_unreadable_runs_exit_2(gen_dir, tmp_path, capsys, bad, problem):
     assert not out.exists()
 
 
+REMOVED_SETTINGS = {  # test id -> (run settings, the setting the error names); each is now a module constant
+    "inlier_distance": ({"inlier_distance": 3.0}, "inlier_distance"),
+    "rgbd": ({"rgbd": {"n_random_keyframes": 8}}, "rgbd"),
+    "stm_capacity": ({"rtab": {"stm_capacity": 15}}, "stm_capacity"),
+    "wm_transfer_batch": ({"rtab": {"wm_transfer_batch": 10}}, "wm_transfer_batch"),
+}
+REMOVED_COLUMNS = ["inlier_distance", "n_predecessors", "geodesic_depth", "n_random_keyframes", "stm_capacity",
+                   "wm_transfer_batch"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("setting", REMOVED_SETTINGS)
+def test_removed_setting_exit_2(gen_dir, tmp_path, capsys, command, setting):
+    config, named = REMOVED_SETTINGS[setting]
+    out = tmp_path / "o"
+    if command == "run":
+        (tmp_path / "cfg.json").write_text(json.dumps({"policy": "rgbd", **config}))
+        code = run_cli("run", "--dataset", gen_dir, "--out", out, "--config", tmp_path / "cfg.json")
+    else:
+        (tmp_path / "grid.json").write_text(json.dumps({"policy": ["rgbd"], **{k: [v] for k, v in config.items()}}))
+        code = run_cli("sweep", "--dataset", gen_dir, "--grid", tmp_path / "grid.json", "--out", out, "--jobs", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    problem = "bad run configuration" if command == "run" else "bad grid cell"
+    assert problem in err and f"argument '{named}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["report", "sweep"])
-@pytest.mark.parametrize("fault", ["old_header", "short_row"])
+@pytest.mark.parametrize("fault", ["old_header", "short_row", "removed_columns"])
 def test_malformed_report_exit_3(gen_dir, tmp_path, capsys, command, fault):
     bad = tmp_path / "runs" / "r0" / "report_row.csv"
     bad.parent.mkdir(parents=True)
     if fault == "old_header":
         bad.write_text("dataset,policy\nb_hall,orb\n")
         named = f"{bad}:1: report header: missing columns ['gated', "
+    elif fault == "removed_columns":  # a report written when the six constants were still run settings
+        header = [*evaluation.KEY_COLUMNS, *REMOVED_COLUMNS, *evaluation.REPORT_COLUMNS[len(evaluation.KEY_COLUMNS):]]
+        bad.write_text(",".join(header) + "\n")
+        named = f"{bad}:1: report header: missing columns [], unknown columns {REMOVED_COLUMNS}"
     else:
         bad.write_text(",".join(evaluation.REPORT_COLUMNS) + "\nb_hall,orb\n")
         named = f"{bad}:2: 2 fields"

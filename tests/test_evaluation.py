@@ -278,15 +278,16 @@ def test_report_row_fields(dataset_cache):
 
 
 def test_key_columns_are_every_setting():
-    settings_ = [f.name for params in (gating.PolicyParams(), gating.RgbdParams(), gating.RtabParams())
+    settings_ = [f.name for params in (gating.PolicyParams(), gating.RtabParams())
                  for f in dataclasses.fields(params) if not dataclasses.is_dataclass(getattr(params, f.name))]
     assert KEY_COLUMNS[0] == "dataset"
     assert sorted(KEY_COLUMNS[1:]) == sorted(settings_) and len(set(KEY_COLUMNS)) == len(KEY_COLUMNS)
-    assert len(settings_) == 12
+    assert len(settings_) == 6
 
 
 def _old_key_fields(dataset_name, p):
-    """The eight key columns as report rows held them before the nested settings were added."""
+    """The key columns as report rows held them before the nested settings were added, less
+    inlier_distance, which is now a module constant."""
     rt = p.rtab.real_time_threshold
     return {
         "dataset": dataset_name,
@@ -294,7 +295,6 @@ def _old_key_fields(dataset_name, p):
         "gated": str(p.gated).lower(),
         "seed": str(p.seed),
         "min_matches": str(p.min_matches),
-        "inlier_distance": repr(float(p.inlier_distance)),
         "wifi_threshold": repr(float(p.wifi_threshold)),
         "real_time_threshold": "inf" if math.isinf(rt) else repr(float(rt)),
     }
@@ -306,24 +306,17 @@ def _old_key_fields(dataset_name, p):
     gated=st.booleans(),
     seed=st.integers(0, 10**6),
     min_matches=st.integers(1, 500),  # PolicyParams rejects a count that is not an integer
-    inlier_distance=st.integers(1, 10) | st.floats(1e-3, 1e3),
     wifi_threshold=st.just(1) | st.floats(1e-3, 1.0),
     real_time_threshold=st.integers(1, 500) | st.floats(1e-3, 1e4) | st.just(math.inf),
-    counts=st.tuples(*[st.integers(0, 40)] * 5),
 )
-def test_key_fields_keep_the_old_strings(policy, gated, seed, min_matches, inlier_distance, wifi_threshold,
-                                         real_time_threshold, counts):
+def test_key_fields_keep_the_old_strings(policy, gated, seed, min_matches, wifi_threshold, real_time_threshold):
     p = gating.PolicyParams(
-        policy=policy, gated=gated, seed=seed, min_matches=min_matches, inlier_distance=inlier_distance,
-        wifi_threshold=wifi_threshold, rgbd=gating.RgbdParams(*counts[:3]),
-        rtab=gating.RtabParams(counts[3], real_time_threshold, counts[4]),
+        policy=policy, gated=gated, seed=seed, min_matches=min_matches, wifi_threshold=wifi_threshold,
+        rtab=gating.RtabParams(real_time_threshold),
     )
     new = key_fields("b_hall", p)
     assert list(new) == list(KEY_COLUMNS)
-    old = _old_key_fields("b_hall", p)
-    assert {k: new[k] for k in old} == old
-    assert [new[k] for k in ("n_predecessors", "geodesic_depth", "n_random_keyframes", "stm_capacity",
-                             "wm_transfer_batch")] == [str(c) for c in counts[:3] + (counts[3], counts[4])]
+    assert new == _old_key_fields("b_hall", p)
 
 
 @pytest.mark.parametrize("text, line, named", [

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from wifislam.frontend import (
     DROPOUT_KEEP,
+    INLIER_DISTANCE,
     MATCH_INFORMATION,
     NOISE_THETA,
     NOISE_XY,
     Appearance,
     FrameTruth,
     InvertedIndex,
-    MatchParams,
     MatchResult,
     match_frames,
     shared_word_count,
@@ -47,17 +47,17 @@ def brute_scored(q, apps):
     return sorted(((kf, n) for kf, n in scored if n > 0), key=lambda e: (-e[1], e[0]))
 
 
-def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, params, seed):
+def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
     """match_frames as it was before the zero-share exit: the pair's generator is
     always built, and a zero-share pair simply draws nothing from it."""
     shared = ref_shared(a, b)
     rng = np.random.default_rng((seed, a_id, b_id))
     num = int(rng.binomial(shared, DROPOUT_KEEP)) if shared else 0
-    if num < params.min_matches:
+    if num < min_matches:
         return MatchResult(num_matches=num, relative=None, accepted=False)
     dx = truth_a.gt_pose.x - truth_b.gt_pose.x
     dy = truth_a.gt_pose.y - truth_b.gt_pose.y
-    if (dx * dx + dy * dy) ** 0.5 <= params.inlier_distance:
+    if (dx * dx + dy * dy) ** 0.5 <= INLIER_DISTANCE:
         rel = between(truth_a.gt_pose, truth_b.gt_pose)
     elif a.place_template == b.place_template:
         rel = between(truth_a.template_pose, truth_b.template_pose)
@@ -72,20 +72,20 @@ def truth(x, y, theta=0.0, tx=0.0, ty=0.0, tth=0.0):
     return FrameTruth(gt_pose=Pose2(x, y, theta), template_pose=Pose2(tx, ty, tth))
 
 
-PARAMS = MatchParams(min_matches=10, inlier_distance=3.0)
+MIN_MATCHES = 10
 
 
 class TestMatchFrames:
     def test_self_match_near_identity(self):
         a = app(range(40))
         t = truth(1.0, 2.0, 0.3, tx=5.0)
-        mr = match(0, 1, a, a, t, t, PARAMS, seed=0)
+        mr = match(0, 1, a, a, t, t, MIN_MATCHES, seed=0)
         assert mr.accepted
-        assert mr.num_matches >= PARAMS.min_matches
+        assert mr.num_matches >= MIN_MATCHES
         assert math.hypot(mr.relative.x, mr.relative.y) < 0.3
 
     def test_disjoint_rejected(self):
-        mr = match(0, 1, app(range(40)), app(range(100, 140)), truth(0, 0), truth(0, 0), PARAMS, 0)
+        mr = match(0, 1, app(range(40)), app(range(100, 140)), truth(0, 0), truth(0, 0), MIN_MATCHES, 0)
         assert mr.num_matches == 0 and not mr.accepted and mr.relative is None
 
     def test_alias_injects_false_transform(self):
@@ -94,7 +94,7 @@ class TestMatchFrames:
         b = app(range(40), template=7)
         ta = truth(0.0, 0.0, 0.0, tx=2.0, ty=0.0)
         tb = truth(20.0, 5.0, 0.0, tx=2.0, ty=0.0)
-        mr = match(3, 4, a, b, ta, tb, PARAMS, seed=1)
+        mr = match(3, 4, a, b, ta, tb, MIN_MATCHES, seed=1)
         assert mr.accepted
         assert math.hypot(mr.relative.x, mr.relative.y) < 0.5  # aliases look co-located
         true_sep = 20.6
@@ -103,13 +103,13 @@ class TestMatchFrames:
     def test_distant_different_template_demoted(self):
         a = app(range(40), template=1)
         b = app(range(40), template=2)
-        mr = match(0, 1, a, b, truth(0, 0), truth(30, 0), PARAMS, 0)
-        assert mr.num_matches >= PARAMS.min_matches
+        mr = match(0, 1, a, b, truth(0, 0), truth(30, 0), MIN_MATCHES, 0)
+        assert mr.num_matches >= MIN_MATCHES
         assert not mr.accepted and mr.relative is None
 
     def test_deterministic(self):
         a, b = app(range(60)), app(range(30, 90))
-        args = (5, 9, a, b, truth(0, 0), truth(1, 0), PARAMS, 123)
+        args = (5, 9, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, 123)
         r1, r2 = match(*args), match(*args)
         assert r1 == r2
 
@@ -117,8 +117,7 @@ class TestMatchFrames:
         a, b = app(range(60)), app(range(30, 90))
         prev_accepted = True
         for mm in (1, 5, 10, 20, 25, 28, 29, 30, 40):
-            p = MatchParams(min_matches=mm, inlier_distance=3.0)
-            mr = match(5, 9, a, b, truth(0, 0), truth(1, 0), p, 77)
+            mr = match(5, 9, a, b, truth(0, 0), truth(1, 0), mm, 77)
             if mr.accepted:
                 assert prev_accepted, "raising min_matches converted a rejection to acceptance"
                 assert mr.num_matches >= mm
@@ -128,8 +127,8 @@ class TestMatchFrames:
     def test_inlier_distance_gates_feasibility(self):
         a = app(range(60), template=1)
         b = app(range(60), template=2)
-        near = match(0, 1, a, b, truth(0, 0), truth(2.0, 0), PARAMS, 0)
-        far = match(0, 1, a, b, truth(0, 0), truth(4.0, 0), PARAMS, 0)
+        near = match(0, 1, a, b, truth(0, 0), truth(INLIER_DISTANCE - 1.0, 0), MIN_MATCHES, 0)
+        far = match(0, 1, a, b, truth(0, 0), truth(INLIER_DISTANCE + 1.0, 0), MIN_MATCHES, 0)
         assert near.accepted and not far.accepted
 
     def test_information_is_inverse_covariance(self):
@@ -142,7 +141,7 @@ class TestMatchFrames:
             FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
             for f in frames
         ]
-        mp = PolicyParams().match_params()
+        min_matches = PolicyParams().min_matches
         masks = word_masks([f.appearance for f in frames])
         zero_share = accepted = 0
         for fa in frames:
@@ -150,7 +149,7 @@ class TestMatchFrames:
                 shared = ref_shared(fa.appearance, fb.appearance)
                 if fa.id != fb.id:  # the pipeline's count; word_masks leaves the diagonal out
                     assert (masks[fa.id] & masks[fb.id]).bit_count() == shared, (fa.id, fb.id)
-                pair = (fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], mp, 0)
+                pair = (fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], min_matches, 0)
                 got = match_frames(fa.id, fb.id, shared, *pair)
                 assert got == always_draw_match(fa.id, fb.id, *pair), (fa.id, fb.id)
                 zero_share += shared == 0
@@ -161,9 +160,9 @@ class TestMatchFrames:
         # the count is the caller's: equal bags with shared=0 draw nothing, disjoint bags with a count can match
         a, b = app(range(40)), app(range(100, 140))
         t = truth(0, 0)
-        assert match_frames(0, 1, 0, a, a, t, t, PARAMS, 0) == MatchResult(0, None, False)
-        assert match_frames(0, 1, 40, a, b, t, t, PARAMS, 0) == match_frames(0, 1, 40, a, a, t, t, PARAMS, 0)
-        assert match_frames(0, 1, 40, a, b, t, t, PARAMS, 0).accepted
+        assert match_frames(0, 1, 0, a, a, t, t, MIN_MATCHES, 0) == MatchResult(0, None, False)
+        assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, a, a, t, t, MIN_MATCHES, 0)
+        assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0).accepted
 
 
 class TestSharedWordCount:

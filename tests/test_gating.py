@@ -19,7 +19,6 @@ from wifislam.gating import (
     MemoryCorruption,
     MemoryState,
     PolicyParams,
-    RgbdParams,
     RtabParams,
     orb_candidates,
     params_from_json,
@@ -53,18 +52,24 @@ def chain_graph(n):
 
 def rgbd(graph, current, params, similar=None):
     """rgbd candidates over the base the pipeline computes for ``graph``."""
-    return rgbd_candidates(graph, current, params, similar, gating._rgbd_base(graph, params))
+    return rgbd_candidates(graph, current, params, similar, gating._rgbd_base(graph))
 
 
 class TestRgbdCandidates:
+    @pytest.fixture
+    def small_base(self, monkeypatch):
+        """A base of the 2 newest keyframes and the newest one's neighbours."""
+        monkeypatch.setattr(gating, "RGBD_PREDECESSORS", 2)
+        monkeypatch.setattr(gating, "RGBD_GEODESIC_DEPTH", 1)
+
     def test_first_frame_empty(self):
         p = PolicyParams(policy="rgbd", gated=False, seed=0)
         assert rgbd(PoseGraph(), 0, p) == []
 
-    def test_vanilla_exact_random_count(self):
+    def test_vanilla_exact_random_count(self, monkeypatch):
+        monkeypatch.setattr(gating, "RGBD_RANDOM_KEYFRAMES", 5)
         g = chain_graph(100)
-        p = PolicyParams(policy="rgbd", gated=False, seed=0,
-                         rgbd=RgbdParams(n_predecessors=3, geodesic_depth=2, n_random_keyframes=5))
+        p = PolicyParams(policy="rgbd", gated=False, seed=0)
         cands = rgbd(g, 100, p)
         base = {99, 98, 97}  # predecessors; geodesic depth 2 from 99 adds 97..99
         extra = [c for c in cands if c not in base]
@@ -78,17 +83,15 @@ class TestRgbdCandidates:
         b = rgbd(g, 50, p)
         assert a == b
 
-    def test_gated_without_similar_clusters(self):
+    def test_gated_without_similar_clusters(self, small_base):
         g = chain_graph(30)
-        p = PolicyParams(policy="rgbd", gated=True, seed=0,
-                         rgbd=RgbdParams(n_predecessors=2, geodesic_depth=1, n_random_keyframes=4))
+        p = PolicyParams(policy="rgbd", gated=True, seed=0)
         cands = rgbd(g, 30, p, similar=set())
         assert cands == sorted({29, 28})
 
-    def test_gated_adds_cluster_members(self):
+    def test_gated_adds_cluster_members(self, small_base):
         g = chain_graph(30)
-        p = PolicyParams(policy="rgbd", gated=True, seed=0,
-                         rgbd=RgbdParams(n_predecessors=2, geodesic_depth=1, n_random_keyframes=4))
+        p = PolicyParams(policy="rgbd", gated=True, seed=0)
         cands = rgbd(g, 30, p, similar={3, 4})
         assert set(cands) == {29, 28, 3, 4}
 
@@ -104,9 +107,14 @@ def fresh_memory(stm=(), wm=(), ltm=(), immune=()):
 
 
 class TestRtabStep:
-    def params(self, threshold=math.inf, stm=3, batch=2, gated=False):
-        return PolicyParams(policy="rtab", gated=gated, seed=0,
-                            rtab=RtabParams(stm_capacity=stm, real_time_threshold=threshold, wm_transfer_batch=batch))
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        """A 3-keyframe STM and transfers of 2 keyframes, unless a test sets its own."""
+        monkeypatch.setattr(gating, "RTAB_STM_CAPACITY", 3)
+        monkeypatch.setattr(gating, "RTAB_TRANSFER_BATCH", 2)
+
+    def params(self, threshold=math.inf, gated=False):
+        return PolicyParams(policy="rtab", gated=gated, seed=0, rtab=RtabParams(real_time_threshold=threshold))
 
     def test_infinite_threshold_no_transfers(self):
         state = fresh_memory(stm=[7, 8, 9], wm=[1, 2, 3])
@@ -120,7 +128,7 @@ class TestRtabStep:
     def test_stm_overflow_moves_to_wm(self):
         state = fresh_memory(stm=[7, 8, 9])
         g = chain_graph(10)
-        cands, state, _, _ = rtab_step(state, 10, self.params(stm=3), 0.0, graph=g, similar=None)
+        cands, state, _, _ = rtab_step(state, 10, self.params(), 0.0, graph=g, similar=None)
         assert list(state.stm) == [8, 9, 10]
         assert state.wm == {7}
         assert cands == [7]
@@ -138,23 +146,24 @@ class TestRtabStep:
     def test_immune_never_transferred(self):
         state = fresh_memory(stm=[9], wm=[1, 2, 3, 4, 5, 6])
         g = chain_graph(10)
-        p = self.params(threshold=2.0, batch=2, gated=True)
+        p = self.params(threshold=2.0, gated=True)
         _, state, transfers, _ = rtab_step(state, 10, p, step_cost=99.0, graph=g, similar={1})
         assert 1 not in transfers
         assert 1 in state.wm and 1 in state.immune
         assert len(state.wm) <= 2 + 1  # batch granularity may overshoot the target
 
-    def test_transfer_priority_farthest_first(self):
+    def test_transfer_priority_farthest_first(self, monkeypatch):
+        monkeypatch.setattr(gating, "RTAB_TRANSFER_BATCH", 1)
         state = fresh_memory(stm=[9], wm=[1, 2, 3, 8])
         g = chain_graph(10)
-        p = self.params(threshold=3.0, batch=1)
+        p = self.params(threshold=3.0)
         _, state, transfers, _ = rtab_step(state, 10, p, step_cost=10.0, graph=g, similar=None)
         assert transfers[0] == 1  # graph-wise farthest from the newest node
 
     def test_transfers_until_projection_fits(self):
         state = fresh_memory(stm=[9], wm=set(range(1, 8)))
         g = chain_graph(10)
-        p = self.params(threshold=3.0, batch=2)
+        p = self.params(threshold=3.0)
         _, state, transfers, _ = rtab_step(state, 10, p, step_cost=50.0, graph=g, similar=None)
         assert len(state.wm) <= 3
         assert set(transfers) | state.wm == set(range(1, 8))
@@ -236,6 +245,13 @@ class TestOrbCandidates:
         q = Appearance(words=tuple(query), place_template=0)
         expected = merged_cluster_indexes(q, apps, cluster_of, similar)
         assert orb_candidates(index.query(q), gate(store, similar)) == expected
+
+
+@pytest.fixture
+def small_rtab_memory(monkeypatch):
+    """A 5-keyframe STM and transfers of 3 keyframes, so that a short run under a tight budget moves keyframes."""
+    monkeypatch.setattr(gating, "RTAB_STM_CAPACITY", 5)
+    monkeypatch.setattr(gating, "RTAB_TRANSFER_BATCH", 3)
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +340,9 @@ class TestRunPipeline:
             assert rec.gating_violations == 0
             assert rec.subset_violations == 0
 
-    @pytest.mark.parametrize("policy, n_predecessors", [("rgbd", 0), ("rgbd", 3), ("rtab", 3), ("orb", 3)])
+    # one predecessor is the newest keyframe, which is its own geodesic neighbour: that
+    # base is the geodesic neighbourhood alone
+    @pytest.mark.parametrize("policy, n_predecessors", [("rgbd", 1), ("rgbd", 3), ("rtab", 3), ("orb", 3)])
     def test_audit_counts_a_leaked_keyframe(self, monkeypatch, dataset_cache, policy, n_predecessors):
         # a broken candidate selection that also offers keyframe 0 late in the run, when it
         # is mostly neither a predecessor, a geodesic neighbour, a similar-cluster member
@@ -342,8 +360,8 @@ class TestRunPipeline:
             return (leak(out[0]), *out[1:]) if policy == "rtab" else leak(out)
 
         monkeypatch.setattr(gating, attr, leaky)
-        p = PolicyParams(policy=policy, gated=True, min_matches=20, seed=0,
-                         rgbd=RgbdParams(n_predecessors=n_predecessors))
+        monkeypatch.setattr(gating, "RGBD_PREDECESSORS", n_predecessors)
+        p = PolicyParams(policy=policy, gated=True, min_matches=20, seed=0)
         rec = run_pipeline(dataset_cache("b_hall", 0), p)
         assert rec.gating_violations > 0
         if policy == "orb":
@@ -363,18 +381,17 @@ class TestRunPipeline:
         run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=True, min_matches=20, seed=2))
         assert next(calls) == len(tiny_dataset.frames)
 
-    def test_rtab_memory_trace_shape(self, tiny_dataset):
-        p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=2,
-                         rtab=RtabParams(stm_capacity=5, real_time_threshold=8.0, wm_transfer_batch=3))
+    def test_rtab_memory_trace_shape(self, tiny_dataset, small_rtab_memory):
+        p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=2, rtab=RtabParams(real_time_threshold=8.0))
         rec = run_pipeline(tiny_dataset, p)  # internal checks raise on violation
         assert len(rec.memory_trace) == len(tiny_dataset.frames)
 
-    def test_rtab_gated_transfer_and_retrieval_cycle(self, dataset_cache):
+    def test_rtab_gated_transfer_and_retrieval_cycle(self, monkeypatch, dataset_cache):
         # a multi-cluster world under a tight budget: far clusters spill to
         # LTM, then come back when their region turns similar again
+        monkeypatch.setattr(gating, "RTAB_TRANSFER_BATCH", 5)
         ds = dataset_cache("j_hall", 0)
-        p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=0,
-                         rtab=RtabParams(real_time_threshold=30.0, wm_transfer_batch=5))
+        p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=0, rtab=RtabParams(real_time_threshold=30.0))
         rec = run_pipeline(ds, p)
         transfers = sum(r.transfers for r in rec.memory_trace)
         retrievals = sum(r.retrievals for r in rec.memory_trace)
@@ -420,9 +437,8 @@ class TestDatasetInputs:
             assert getattr(ds, name) is getattr(ds, name), name
 
     @pytest.mark.parametrize("policy", gating.POLICIES)
-    def test_reruns_equal_a_run_on_a_fresh_copy(self, tiny_dataset, policy):
-        p = PolicyParams(policy=policy, gated=True, min_matches=20, seed=2,
-                         rtab=RtabParams(stm_capacity=5, real_time_threshold=8.0, wm_transfer_batch=3))
+    def test_reruns_equal_a_run_on_a_fresh_copy(self, tiny_dataset, small_rtab_memory, policy):
+        p = PolicyParams(policy=policy, gated=True, min_matches=20, seed=2, rtab=RtabParams(real_time_threshold=8.0))
 
         def outputs(rec):
             est = [(k, t, pose.x, pose.y, pose.theta) for k, t, pose in rec.est]
@@ -465,15 +481,15 @@ def test_params_json_roundtrip():
 
 def test_params_from_json_defaults_and_threshold_strings():
     assert params_from_json({}) == PolicyParams()
-    p = params_from_json({"policy": "rgbd", "rgbd": {"n_random_keyframes": 4}, "rtab": {"real_time_threshold": "70"}})
-    assert p.rgbd == RgbdParams(n_random_keyframes=4) and p.rtab == RtabParams(real_time_threshold=70.0)
+    p = params_from_json({"policy": "rgbd", "rtab": {"real_time_threshold": "70"}})
+    assert p == PolicyParams(policy="rgbd", rtab=RtabParams(real_time_threshold=70.0))
     assert params_from_json({"rtab": {"real_time_threshold": "Infinity"}}).rtab.real_time_threshold == math.inf
     # the one top-level alias, which overrides the nested value
-    p = params_from_json({"real_time_threshold": "70", "rtab": {"real_time_threshold": 5, "stm_capacity": 4}})
-    assert p.rtab == RtabParams(stm_capacity=4, real_time_threshold=70.0)
+    p = params_from_json({"real_time_threshold": "70", "rtab": {"real_time_threshold": 5}})
+    assert p.rtab == RtabParams(real_time_threshold=70.0)
 
 
-@pytest.mark.parametrize("key, value", [("rgbd", [1]), ("rtab", 70), ("rgbd", None)])
+@pytest.mark.parametrize("key, value", [("rtab", 70)])
 def test_params_from_json_non_object_nested_value(key, value):
     with pytest.raises(ValueError, match=f"{key} must be a JSON object"):
         params_from_json({key: value})

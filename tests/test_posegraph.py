@@ -21,7 +21,6 @@ from wifislam.posegraph import (
     apply_rigid,
     between,
     compose,
-    inverse,
     kabsch_align,
     optimize,
     residual,
@@ -45,11 +44,6 @@ class TestGroupOps:
         p = Pose2(1.2, -0.7, 0.3)
         q = compose(Pose2(), p)
         assert (q.x, q.y, q.theta) == pytest.approx((p.x, p.y, p.theta), abs=1e-15)
-
-    def test_inverse_axiom(self):
-        p = Pose2(2.0, 3.0, 1.1)
-        q = compose(p, inverse(p))
-        assert (q.x, q.y, q.theta) == pytest.approx((0, 0, 0), abs=1e-12)
 
     def test_between_hand_value(self):
         a = Pose2(1.0, 0.0, math.pi / 2)

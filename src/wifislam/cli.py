@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (simworld.DataError, NoSignatures) as exc:  # BadDataset, BadWorld, EmptyMap and BadReport are DataErrors
+    except (simworld.DataError, NoSignatures) as exc:  # BadWorld, EmptyMap and BadReport are DataErrors
         what = "report" if isinstance(exc, evaluation.BadReport) else "dataset"
         print(f"error: bad {what}: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
@@ -29,7 +30,7 @@ from .frontend import word_masks
 from .gating import PolicyParams, RunRecord
 from .posegraph import kabsch_align, apply_rigid, rmse
 from .signature import NoSignatures, Signature, cosine_similarity
-from .simworld import DataError, Dataset, Frame, dwell_positions
+from .simworld import DataError, Dataset, Frame
 
 
 MATCH_RADIUS = 5  # frames an accepted loop edge may lie from a ground-truth pair in report rows
@@ -104,16 +105,17 @@ def trajectory_error(
 def similarity_distance_curve(
     dataset: Dataset, signatures: Sequence[Signature]
 ) -> tuple[list[tuple[float, float]], float]:
-    """All dwell pairs as (gt distance, cosine similarity) plus Spearman rank correlation."""
+    """All dwell pairs as (gt distance, cosine similarity) plus Spearman rank correlation.
+    A signature sits at the ground-truth position of the frame at or before its
+    ``collected_at`` (the first frame when none is); frame times must ascend."""
     if len(signatures) < 2:
         raise NoSignatures(f"need at least 2 dwell signatures, got {len(signatures)}")
-    pos = dwell_positions(dataset)
+    times = [f.t for f in dataset.frames]
+    pos = [dataset.frames[max(bisect_right(times, s.collected_at) - 1, 0)].gt_pose for s in signatures]
     pts = []
     for i in range(len(signatures)):
         for j in range(i + 1, len(signatures)):
-            pi = pos[signatures[i].pause_index]
-            pj = pos[signatures[j].pause_index]
-            d = math.hypot(pi[1] - pj[1], pi[2] - pj[2])
+            d = math.hypot(pos[i].x - pos[j].x, pos[i].y - pos[j].y)
             pts.append((d, cosine_similarity(signatures[i], signatures[j])))
     rho = float(spearmanr([p[0] for p in pts], [p[1] for p in pts]).statistic)
     return pts, rho

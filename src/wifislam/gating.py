@@ -56,7 +56,7 @@ from .clustering import (
 )
 from .frontend import MATCH_INFORMATION, InvertedIndex, MatchResult, match_frames
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
-from .simworld import LOOP_PAIR_GAP_S, DataError, Dataset, check_setting_types
+from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
 
 VISUAL_COMPARE_COST = 1.0
 WIFI_COMPARE_COST = 0.02
@@ -78,10 +78,6 @@ RTAB_STM_CAPACITY = 15  # keyframes in rtab's short-term memory
 RTAB_TRANSFER_BATCH = 10  # working-memory keyframes moved to long-term memory at a time
 
 POLICIES = ("rgbd", "rtab", "orb")
-
-
-class BadDataset(DataError):
-    """The dataset violates the expected schema; message carries a frame index."""
 
 
 class MemoryCorruption(RuntimeError):
@@ -331,21 +327,8 @@ def orb_candidates(ranking: list[int], similar: set[int] | None) -> list[int]:
 # pipeline
 
 
-def _validate(dataset: Dataset) -> None:
-    prev_t = -math.inf
-    for k, f in enumerate(dataset.frames):
-        if f.id != k:
-            raise BadDataset(f"frame index {k}: ids must be dense ascending, got {f.id}")
-        if f.t < prev_t:
-            raise BadDataset(f"frame index {k}: timestamps must be non-decreasing")
-        if not f.appearance.words:
-            raise BadDataset(f"frame index {k}: empty word bag")
-        prev_t = f.t
-
-
 def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     """Drive the full per-frame loop; deterministic for a fixed (dataset, params)."""
-    _validate(dataset)
     frames = dataset.frames
     frame_sig, truths, masks = dataset.frame_signatures, dataset.truths, dataset.word_masks  # frame ids are indices
     onoise = dataset.world.config.odom_noise
@@ -501,15 +484,25 @@ def params_to_json(params: PolicyParams) -> dict:
     return d
 
 
+def _known_keys(d: dict, names: list[str], path: str = "") -> None:
+    """ValueError naming the first key of ``d`` not in ``names``, as ``path`` + key."""
+    unknown = [k for k in d if k not in names]
+    if unknown:
+        raise ValueError(f"unknown setting {path}{unknown[0]}; settings are {', '.join(names)}")
+
+
 def params_from_json(d: dict) -> PolicyParams:
     """The PolicyParams a JSON object describes. Absent settings, ``rtab`` included, take
     their defaults. ``real_time_threshold`` may also sit at the top level, where it
     overrides ``rtab``'s; a string value such as "inf" is parsed.
-    Raises ValueError or TypeError for a bad object, an unknown key included."""
+    Raises ValueError or TypeError for a bad object; the message for an unknown key
+    names its path and the valid keys."""
+    _known_keys(d, [*(f.name for f in fields(PolicyParams)), "real_time_threshold"])
     d = dict(d)
     rtab = d.pop("rtab", {})
     if not isinstance(rtab, dict):
         raise ValueError(f"rtab must be a JSON object, got {rtab!r}")
+    _known_keys(rtab, [f.name for f in fields(RtabParams)], "rtab.")
     rtab = dict(rtab)
     if "real_time_threshold" in d:
         rtab["real_time_threshold"] = d.pop("real_time_threshold")

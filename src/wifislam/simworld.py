@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, asdict, fields, is_dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -76,6 +76,9 @@ class Wall:
     y1: float
     x2: float
     y2: float
+
+    def __post_init__(self) -> None:
+        check_setting_types(self, finite=True)
 
 
 @dataclass(frozen=True)
@@ -184,16 +187,32 @@ class WorldConfig:
     bssids_per_ap: int = 2
 
     def __post_init__(self) -> None:
-        for key in ("ap_count", "scans_per_dwell", "bssids_per_ap"):
-            v = getattr(self, key)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise BadWorld(f"{key} must be a non-negative integer, got {v!r}")
+        """TypeError or ValueError for a setting of the wrong type, a non-finite float, a
+        ``bin_meters`` <= 0, word counts that leave every word bag empty, a non-int template or
+        a word count, template or corridor's number of bins past its field of the word ids."""
+        check_setting_types(self, finite=True)  # each Wall has checked itself
         if self.bssids_per_ap > 15:  # the radio number is the BSSID's last hex digit
             raise BadWorld(f"bssids_per_ap must be at most 15, got {self.bssids_per_ap}")
-        for key in ("tx_power_at_1m", "margin"):
-            v = getattr(self, key)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise BadWorld(f"{key} must be a finite number, got {v!r}")
+        model = self.appearance
+        if model.bin_meters <= 0:
+            raise ValueError(f"bin_meters must be positive, got {model.bin_meters!r}")
+        if model.unique_words_per_bin + model.alias_words_per_bin + model.jitter_words == 0:
+            raise ValueError("the appearance word counts are all 0, so every word bag would be empty")
+        for template in self.template_of.values():
+            if isinstance(template, bool) or not isinstance(template, int):
+                raise TypeError(f"template_of values must be int, got {template!r}")
+            if not 0 <= template < _TEMPLATES:
+                raise ValueError(f"template_of values must be in 0..{_TEMPLATES - 1}, got {template}")
+        widths = {"unique_words_per_bin": _WORDS_PER_BIN, "alias_words_per_bin": _WORDS_PER_BIN,
+                  "jitter_words": _JITTER_WORDS_PER_FRAME}
+        for key, width in widths.items():
+            if getattr(model, key) > width:
+                raise ValueError(f"{key} must be at most {width}, got {getattr(model, key)}")
+        corridors, _ = _shape_corridors(self.trajectory, self.template_of)
+        n_bins = math.ceil(max(c.length for c in corridors) / model.bin_meters)  # as `_frame_words` counts them
+        if n_bins > _BINS_PER_CORRIDOR:
+            raise ValueError(f"bin_meters {model.bin_meters!r} gives a corridor {n_bins} word bins; "
+                             f"at most {_BINS_PER_CORRIDOR} fit")
 
 
 @dataclass(frozen=True)
@@ -245,12 +264,15 @@ class Dataset:
     """A dataset plus the per-frame inputs derived from it, each derived on first use
     and kept; a `dataclasses.replace` copy derives its own."""
 
-    name: str
     seed: int
     frames: tuple[Frame, ...]
     dwell_scans: tuple[tuple[ScanReading, ...], ...]  # index = dwell index
     gt_loop_pairs: frozenset[tuple[int, int]]
     world: World
+
+    @property
+    def name(self) -> str:
+        return self.world.config.name
 
     @cached_property
     def signatures(self) -> tuple[Signature, ...]:
@@ -465,7 +487,7 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
 # appearance model
 
 
-# field widths of the word ids; `_config_from_json` rejects a world that exceeds one
+# field widths of the word ids; `WorldConfig` rejects a world that exceeds one
 _WORDS_PER_BIN = 256  # a bin's corridor or alias words are its first word (below) + j, j < 256
 _BINS_PER_CORRIDOR = 2048
 _TEMPLATES = _ALIAS_WORD_BASE // (_BINS_PER_CORRIDOR * _WORDS_PER_BIN)  # 512; template 512 would reach the jitter words
@@ -583,7 +605,6 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
     gt_loop_pairs = _loop_pairs(frames)
     world = World(config=config, plan=plan, aps=aps, corridors=traj.corridors)
     return Dataset(
-        name=config.name,
         seed=seed,
         frames=tuple(frames),
         dwell_scans=tuple(dwell_scans),
@@ -601,26 +622,6 @@ def _loop_pairs(frames: Sequence[Frame]) -> set[tuple[int, int]]:
     d2 = ((pos[ii] - pos[jj]) ** 2).sum(axis=1)
     keep = (d2 < LOOP_PAIR_RADIUS_M**2) & (np.abs(ts[ii] - ts[jj]) > LOOP_PAIR_GAP_S)
     return set(zip(ii[keep].tolist(), jj[keep].tolist()))
-
-
-def dwell_positions(dataset: Dataset) -> list[tuple[float, float, float]]:
-    """(t_mean, x, y) per dwell, recovered from the stationary frame preceding the scans
-    (the first frame when none precedes them). Frame times must ascend.
-
-    Exact when pause_every is a multiple of the frame spacing (true for all
-    presets); otherwise off by at most one frame spacing.
-    """
-    frames = dataset.frames
-    times = [f.t for f in frames]
-    out = []
-    for scans in dataset.dwell_scans:
-        if not scans:
-            out.append((math.nan, math.nan, math.nan))
-            continue
-        tm = sum(r.timestamp for r in scans) / len(scans)
-        k = max(bisect_right(times, tm) - 1, 0)
-        out.append((tm, frames[k].gt_pose.x, frames[k].gt_pose.y))
-    return out
 
 
 def corridor_of_frame(world: World, gt_pose: Pose2, template: int) -> int:
@@ -670,7 +671,13 @@ def _box_walls(x0: float, y0: float, x1: float, y1: float) -> list[Wall]:
 
 def preset_worlds() -> dict[str, WorldConfig]:
     """The four named worlds mirroring the measurement campaigns' shape, AP
-    density, and openness (square loop / figure eight / nine / open track)."""
+    density, and openness (square loop / figure eight / nine / open track).
+    Each call returns a new dict of the same configs, built and checked once."""
+    return dict(_presets())
+
+
+@cache
+def _presets() -> dict[str, WorldConfig]:
     indoor = PropagationParams(
         path_loss_exponent=3.4, wall_loss_db=7.0, noise_sigma_db=2.0, visibility_floor_dbm=-82.0
     )
@@ -796,11 +803,9 @@ def _config_from_json(wj: dict) -> WorldConfig:
     """The WorldConfig a world-file object describes: ``name``, ``trajectory``, ``template_of``
     and ``ap_count`` are required, absent settings take the dataclass defaults, and the keys
     only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``) are not read.
-    Raises TypeError or ValueError for a setting of the wrong type, a non-finite float, a
-    ``bin_meters`` <= 0, word counts that leave every word bag empty, a non-int template or
-    a word count, template or corridor's number of bins past its field of the word ids."""
+    The settings are checked by `WorldConfig` itself."""
     scalars = ("tx_power_at_1m", "margin", "scans_per_dwell", "bssids_per_ap")
-    config = WorldConfig(
+    return WorldConfig(
         name=wj["name"],
         trajectory=TrajectorySpec(**wj["trajectory"]),
         template_of={int(k): v for k, v in wj["template_of"].items()},
@@ -811,29 +816,6 @@ def _config_from_json(wj: dict) -> WorldConfig:
         appearance=AppearanceModel(**wj.get("appearance", {})),
         **{k: wj[k] for k in scalars if k in wj},
     )
-    for settings in (config, *config.extra_walls):
-        check_setting_types(settings, finite=True)
-    model = config.appearance
-    if model.bin_meters <= 0:
-        raise ValueError(f"bin_meters must be positive, got {model.bin_meters!r}")
-    if model.unique_words_per_bin + model.alias_words_per_bin + model.jitter_words == 0:
-        raise ValueError("the appearance word counts are all 0, so every word bag would be empty")
-    for template in config.template_of.values():
-        if isinstance(template, bool) or not isinstance(template, int):
-            raise TypeError(f"template_of values must be int, got {template!r}")
-        if not 0 <= template < _TEMPLATES:
-            raise ValueError(f"template_of values must be in 0..{_TEMPLATES - 1}, got {template}")
-    widths = {"unique_words_per_bin": _WORDS_PER_BIN, "alias_words_per_bin": _WORDS_PER_BIN,
-              "jitter_words": _JITTER_WORDS_PER_FRAME}
-    for key, width in widths.items():
-        if getattr(model, key) > width:
-            raise ValueError(f"{key} must be at most {width}, got {getattr(model, key)}")
-    corridors, _ = _shape_corridors(config.trajectory, config.template_of)
-    n_bins = math.ceil(max(c.length for c in corridors) / model.bin_meters)  # as `_frame_words` counts them
-    if n_bins > _BINS_PER_CORRIDOR:
-        raise ValueError(f"bin_meters {model.bin_meters!r} gives a corridor {n_bins} word bins; "
-                         f"at most {_BINS_PER_CORRIDOR} fit")
-    return config
 
 
 def _saved_world(wj: dict) -> tuple[World, int]:
@@ -981,7 +963,6 @@ def load_dataset(path: str | Path) -> Dataset:
     world, seed = _read_world_file(root / "world.json", _saved_world)
     frames = _read_rows(root / "frames.csv", FRAMES_HEADER, _frames)
     return Dataset(
-        name=world.config.name,
         seed=seed,
         frames=frames,
         dwell_scans=_read_rows(root / "scans.csv", SCANS_HEADER, _dwell_scans),

@@ -26,12 +26,12 @@ def gen_dir(tmp_path_factory):
 
 WORLD = '{"name": "w", "trajectory": {"shape": "square_loop", "scale": 5.0}, "template_of": {}, "ap_count": 4}'
 BAD_WORLD_SETTINGS = {  # test id -> (world-file setting, message)
-    "ap_count_str": ('"ap_count": "x"', "{world}: ap_count must be a non-negative integer, got 'x'"),
-    "scans_per_dwell_float": ('"scans_per_dwell": 2.5', "{world}: scans_per_dwell must be a non-negative integer, got 2.5"),
-    "bssids_per_ap_str": ('"bssids_per_ap": "2"', "{world}: bssids_per_ap must be a non-negative integer, got '2'"),
+    "ap_count_str": ('"ap_count": "x"', "{world}: ap_count must be int, got 'x'"),
+    "scans_per_dwell_float": ('"scans_per_dwell": 2.5', "{world}: scans_per_dwell must be int, got 2.5"),
+    "bssids_per_ap_str": ('"bssids_per_ap": "2"', "{world}: bssids_per_ap must be int, got '2'"),
     "bssids_per_ap_16": ('"bssids_per_ap": 16', "{world}: bssids_per_ap must be at most 15, got 16"),
-    "tx_power_str": ('"tx_power_at_1m": "loud"', "{world}: tx_power_at_1m must be a finite number, got 'loud'"),
-    "margin_null": ('"margin": null', "{world}: margin must be a finite number, got None"),
+    "tx_power_str": ('"tx_power_at_1m": "loud"', "{world}: tx_power_at_1m must be float, got 'loud'"),
+    "margin_null": ('"margin": null', "{world}: margin must be float, got None"),
     "window_bins_str": ('"appearance": {"window_bins": "x"}', "{world}: window_bins must be int, got 'x'"),
     "sigma_xy_str": ('"odom_noise": {"sigma_xy_per_m": "x"}', "{world}: sigma_xy_per_m must be float, got 'x'"),
     "visibility_floor_str": ('"propagation": {"visibility_floor_dbm": "x"}',
@@ -555,11 +555,11 @@ def test_report_unreadable_runs_exit_2(gen_dir, tmp_path, capsys, bad, problem):
     assert not out.exists()
 
 
-REMOVED_SETTINGS = {  # test id -> (run settings, the setting the error names); each is now a module constant
+REMOVED_SETTINGS = {  # test id -> (run settings, the key path the error names); each is now a module constant
     "inlier_distance": ({"inlier_distance": 3.0}, "inlier_distance"),
     "rgbd": ({"rgbd": {"n_random_keyframes": 8}}, "rgbd"),
-    "stm_capacity": ({"rtab": {"stm_capacity": 15}}, "stm_capacity"),
-    "wm_transfer_batch": ({"rtab": {"wm_transfer_batch": 10}}, "wm_transfer_batch"),
+    "stm_capacity": ({"rtab": {"stm_capacity": 15}}, "rtab.stm_capacity"),
+    "wm_transfer_batch": ({"rtab": {"wm_transfer_batch": 10}}, "rtab.wm_transfer_batch"),
 }
 REMOVED_COLUMNS = ["inlier_distance", "n_predecessors", "geodesic_depth", "n_random_keyframes", "stm_capacity",
                    "wm_transfer_batch"]
@@ -579,7 +579,7 @@ def test_removed_setting_exit_2(gen_dir, tmp_path, capsys, command, setting):
     assert code == 2
     err = capsys.readouterr().err
     problem = "bad run configuration" if command == "run" else "bad grid cell"
-    assert problem in err and f"argument '{named}'" in err and "Traceback" not in err
+    assert problem in err and f"unknown setting {named}; settings are " in err and "Traceback" not in err
     assert not out.exists()
 
 

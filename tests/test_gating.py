@@ -15,7 +15,6 @@ from wifislam import gating, simworld
 from wifislam.clustering import ClusterStore, SimilarClusters, assign, members_of, similar_clusters
 from wifislam.frontend import Appearance, FrameTruth, InvertedIndex, word_masks
 from wifislam.gating import (
-    BadDataset,
     MemoryCorruption,
     MemoryState,
     PolicyParams,
@@ -411,14 +410,6 @@ class TestRunPipeline:
         assert rec.store is None
         assert rec.clustering_cost == 0.0 and rec.management_cost == 0.0
 
-    def test_bad_dataset_reports_frame_index(self, tiny_dataset):
-        frames = list(tiny_dataset.frames)
-        frames[5] = replace(frames[5], id=99)
-        broken = replace(tiny_dataset, frames=tuple(frames))
-        with pytest.raises(BadDataset) as exc:
-            run_pipeline(broken, PolicyParams(policy="orb", gated=True, seed=0))
-        assert "5" in str(exc.value)
-
 
 class TestDatasetInputs:
     """The per-frame inputs a Dataset derives once, for every run on it."""
@@ -487,6 +478,18 @@ def test_params_from_json_defaults_and_threshold_strings():
     # the one top-level alias, which overrides the nested value
     p = params_from_json({"real_time_threshold": "70", "rtab": {"real_time_threshold": 5}})
     assert p.rtab == RtabParams(real_time_threshold=70.0)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"rtab": {"stm_capacity": 15}}, "unknown setting rtab.stm_capacity; settings are real_time_threshold"),
+    ({"policy": "orb", "inlier_distance": 3.0},
+     "unknown setting inlier_distance; settings are policy, gated, min_matches, wifi_threshold, seed, rtab, "
+     "real_time_threshold"),
+], ids=["nested", "top_level"])
+def test_params_from_json_unknown_key_names_its_path(d, message):
+    with pytest.raises(ValueError) as exc:
+        params_from_json(d)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("key, value", [("rtab", 70)])

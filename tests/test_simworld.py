@@ -20,6 +20,7 @@ from wifislam.simworld import (
     LOOP_PAIR_GAP_S,
     LOOP_PAIR_RADIUS_M,
     AccessPoint,
+    AppearanceModel,
     BadWorld,
     DataError,
     FloorPlan,
@@ -30,7 +31,6 @@ from wifislam.simworld import (
     WorldConfig,
     _loop_pairs,
     corridor_of_frame,
-    dwell_positions,
     generate_trajectory,
     load_dataset,
     load_world_config,
@@ -396,14 +396,29 @@ class TestPresets:
             n = len(rec.store)
             assert 0.5 * target <= n <= 1.5 * target, f"{name}: {n} clusters vs target {target}"
 
-    def test_dwell_positions_recovered(self, dataset_cache):
+    def test_curve_places_dwells_pause_every_apart(self, dataset_cache):
+        from wifislam.evaluation import similarity_distance_curve
+
         ds = dataset_cache("b_hall", 0)
-        pos = dwell_positions(ds)
-        assert len(pos) == len(ds.dwell_scans)
-        # dwell order follows the path; consecutive dwells are pause_every apart
-        d0, d1 = pos[0], pos[1]
-        gap = math.hypot(d0[1] - d1[1], d0[2] - d1[2])
-        assert gap == pytest.approx(ds.world.config.trajectory.pause_every, abs=1e-6)
+        step = ds.world.config.trajectory.pause_every
+        # the first three dwells lie on the first corridor, in path order, pause_every apart
+        pts, _rho = similarity_distance_curve(ds, ds.signatures[:3])
+        assert [d for d, _s in pts] == pytest.approx([step, 2 * step, step], abs=1e-6)  # pairs 01, 02, 12
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"appearance": AppearanceModel(unique_words_per_bin=0, alias_words_per_bin=0, jitter_words=0)},
+         "the appearance word counts are all 0"),
+        ({"appearance": AppearanceModel(unique_words_per_bin=257)}, "unique_words_per_bin must be at most 256"),
+        ({"template_of": {0: 512}}, "template_of values must be in 0..511, got 512"),
+        ({"appearance": AppearanceModel(bin_meters=0.005)}, "gives a corridor 2400 word bins; at most 2048 fit"),
+    ], ids=["no_words", "unique_words_257", "template_512", "corridor_bins_2400"])
+    def test_replaced_preset_checks_itself(self, change, reason):
+        with pytest.raises(ValueError, match=reason):
+            replace(preset_worlds()["b_hall"], **change)
+
+    def test_wall_checks_itself(self):
+        with pytest.raises(ValueError, match="y2 must be finite, got inf"):
+            Wall(0.0, 0.0, 1.0, math.inf)
 
 
 class TestSerialization:

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from wifislam import gating
+from wifislam import gating, posegraph
 from wifislam.gating import PolicyParams
 from wifislam.posegraph import (
+    ERROR_FLOOR,
     BadInformation,
     DanglingEdge,
     DegenerateAlignment,
@@ -444,6 +448,36 @@ def test_pipeline_windows(monkeypatch, dataset_cache):
     assert max(len(free) / (len(ids) - 1) for _, free, ids, _ in in_run[-5:]) < 0.5
 
 
+def _count_solves(monkeypatch) -> list:
+    """The matrices `optimize` passes to `spsolve`, one per solve, from now on."""
+    solved = []
+    real = posegraph.spsolve
+
+    def counting(a, b):
+        solved.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(posegraph, "spsolve", counting)
+    return solved
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_rtab_optimizations_at_the_error_floor_make_no_solve(monkeypatch, dataset_cache, gated):
+    solved = _count_solves(monkeypatch)
+    calls = []  # (error_initial, solves) of each optimization
+
+    def recording_optimize(graph, max_iters=50, stats=None, free=None):
+        before = len(solved)
+        out = optimize(graph, max_iters=max_iters, stats=stats, free=free)
+        calls.append((stats["error_initial"], len(solved) - before))
+        return out
+
+    monkeypatch.setattr(gating, "optimize", recording_optimize)
+    gating.run_pipeline(dataset_cache("b_hall", 0), PolicyParams(policy="rtab", gated=gated, seed=0))
+    at_floor = [n for e, n in calls if e <= ERROR_FLOOR]
+    assert at_floor and at_floor == [0] * len(at_floor)
+
+
 def _chain(n: int, moved: Sequence[int] = ()) -> tuple[PoseGraph, list[Pose2]]:
     """An odometry chain of ``n`` nodes and its true poses; the nodes in ``moved``
     start off them, the others on them."""
@@ -512,6 +546,138 @@ class TestWindow:
         with pytest.raises(ValueError, match=message):
             optimize(g, free=free)
         assert repr(sorted(g.nodes.items())) == before
+
+
+class TestErrorFloor:
+    def test_consistent_chain_makes_no_solve_and_keeps_its_bytes(self, monkeypatch):
+        g, _ = _chain(40)
+        solved = _count_solves(monkeypatch)
+        before = repr(sorted(g.nodes.items()))
+        stats = {}
+        assert optimize(g, stats=stats) is g
+        assert stats["error_initial"] <= ERROR_FLOOR
+        assert stats["iterations"] == 0 and stats["accepted_errors"] == [stats["error_initial"]]
+        assert solved == []
+        assert repr(sorted(g.nodes.items())) == before
+
+    def test_chain_with_one_node_moved_still_iterates_and_converges(self, monkeypatch):
+        g, true = _chain(40, moved=(20,))
+        solved = _count_solves(monkeypatch)
+        stats = {}
+        optimize(g, stats=stats)
+        assert stats["error_initial"] > 0.1
+        assert stats["iterations"] > 0 and len(solved) >= stats["iterations"]
+        assert stats["error_final"] < 1e-18
+        for k, p in enumerate(true):
+            q = g.nodes[k]
+            assert (q.x, q.y, q.theta) == pytest.approx((p.x, p.y, p.theta), abs=1e-9)
+
+
+def _random_info(rng) -> np.ndarray:
+    """A random symmetric positive definite 3x3 matrix, off-diagonal terms included."""
+    a = rng.normal(0, 1, size=(3, 3))
+    return a @ a.T + 0.1 * I3
+
+
+@st.composite
+def assembly_cases(draw):
+    """A connected graph with at least one pair of parallel edges, a set of free
+    nodes and ``max_iters``. The anchor is never free and the graph is connected,
+    so some edge always has one fixed end."""
+    n = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = PoseGraph()
+    for k in range(n):
+        g.add_node(k, Pose2(*rng.uniform(-5, 5, size=2), rng.uniform(-3.1, 3.1)))
+    node = st.integers(0, n - 1)
+    pairs = [(k - 1, k) for k in range(1, n)]
+    a, b = pairs[draw(st.integers(0, n - 2))]
+    pairs.append(draw(st.sampled_from([(a, b), (b, a)])))  # parallel to an odometry edge
+    pairs += [(a, b) for a, b in draw(st.lists(st.tuples(node, node), max_size=6)) if a != b]
+    for a, b in pairs:
+        rel = Pose2(*rng.normal(0, 2, size=2), rng.uniform(-3.1, 3.1))
+        g.add_edge(GraphEdge(a, b, rel, _random_info(rng)))
+    free = draw(st.sets(st.integers(1, n - 1), min_size=1))
+    return g, free, draw(st.integers(1, 4))
+
+
+def _dense_normal_equations(g: PoseGraph, x: np.ndarray, free: set[int]):
+    """Sums of J^T Omega J and of J^T Omega r over the edges with a free end,
+    edge by edge, and the same sums of the terms' absolute values, which bound
+    the rounding error of any order of summation. The poses are ``x`` as the
+    optimizer holds it: a Pose2 would wrap a theta that a step took past pi."""
+    nodes = {k: SimpleNamespace(x=px, y=py, theta=th) for k, (px, py, th) in enumerate(x.tolist())}
+    var = {k: 3 * v for v, k in enumerate(sorted(free))}
+    h, grad = np.zeros((3 * len(free),) * 2), np.zeros(3 * len(free))
+    h_mag, grad_mag = np.zeros_like(h), np.zeros_like(grad)
+    for e in g.edges:
+        r, ja, jb = residual_jacobians(e, nodes)
+        ends = [(var[k], jac) for k, jac in ((e.from_id, ja), (e.to_id, jb)) if k in var]
+        for v1, j1 in ends:
+            grad[v1:v1 + 3] += j1.T @ e.information @ r
+            grad_mag[v1:v1 + 3] += np.abs(j1).T @ np.abs(e.information) @ np.abs(r)
+            for v2, j2 in ends:
+                h[v1:v1 + 3, v2:v2 + 3] += j1.T @ e.information @ j2
+                h_mag[v1:v1 + 3, v2:v2 + 3] += np.abs(j1).T @ np.abs(e.information) @ np.abs(j2)
+    return h, grad, h_mag, grad_mag
+
+
+class TestAssembly:
+    """Each iteration's CSR normal equations against a dense reference, and the
+    damping trials' matrices against the iteration's Hessian."""
+
+    @given(assembly_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_csr_normal_equations_equal_a_dense_reference(self, case):
+        g, free, max_iters = case
+        events = []  # ("assembly", pattern, h, g, x) and ("solve", matrix, rhs), in call order
+        state = {}
+        real_residuals, real_assembly, real_solve = (
+            posegraph._residuals_vec, posegraph._normal_equations, posegraph.spsolve)
+
+        def residuals(x, *args):
+            state["x"] = x.copy()  # the Hessian is assembled at the last residuals' poses
+            return real_residuals(x, *args)
+
+        def assembly(pattern, *args):
+            h, grad = real_assembly(pattern, *args)
+            events.append(("assembly", pattern, h.copy(), grad.copy(), state["x"]))
+            return h, grad
+
+        def solve(a, b):
+            events.append(("solve", a.copy(), b.copy()))
+            return real_solve(a, b)
+
+        with mock.patch.object(posegraph, "_residuals_vec", residuals), \
+                mock.patch.object(posegraph, "_normal_equations", assembly), \
+                mock.patch.object(posegraph, "spsolve", solve):
+            optimize(g, max_iters=max_iters, free=free)
+
+        assemblies = [ev for ev in events if ev[0] == "assembly"]
+        assert assemblies  # random poses start far above the floor
+        first = assemblies[0][1]
+        nvars = 3 * len(free)
+        rows = np.repeat(np.arange(nvars), np.diff(first.indptr))
+        on_diag = first.indices == rows
+        assert sorted(first.diag) == list(np.flatnonzero(on_diag))
+        for kind, *ev in events:
+            if kind == "assembly":
+                pattern, h, grad, x = ev
+                assert pattern is first  # one pattern per call
+                csr = sp.csr_matrix((h, pattern.indices, pattern.indptr), shape=(nvars, nvars))
+                assert csr.has_canonical_format
+                h_ref, g_ref, h_mag, g_mag = _dense_normal_equations(g, x, free)
+                # relative to the terms' magnitudes: near a minimum the gradient is a sum that nearly cancels
+                assert np.all(np.abs(csr.toarray() - h_ref) <= 1e-12 * h_mag)
+                assert np.all(np.abs(grad - g_ref) <= 1e-12 * g_mag)
+            else:  # a damping trial of the last assembly: its Hessian plus one damping on the diagonal
+                a, b = ev
+                assert np.array_equal(a.indptr, first.indptr) and np.array_equal(a.indices, first.indices)
+                assert np.array_equal(a.data[~on_diag], h[~on_diag])
+                added = a.data[on_diag] - h[on_diag]
+                assert added.min() > 0
+                np.testing.assert_allclose(added, added[0], rtol=1e-6, atol=1e-14 * np.abs(h).max())
+                assert np.array_equal(b, -grad)
 
 
 class TestKabsch:

@@ -113,11 +113,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except simworld.DataError as exc:  # a world file is configuration, not data
         raise CliError(f"bad world: {exc}", USAGE_ERROR) from exc
     out = simworld.save_dataset(dataset, args.out)
-    n_dwells = len(dataset.dwell_scans)
-    print(
-        f"wrote {out}: frames={len(dataset.frames)} dwells={n_dwells} "
-        f"aps={len(dataset.world.aps)} gt_loop_pairs={len(dataset.gt_loop_pairs)}"
-    )
+    dwells = len(set(dataset.scans.dwell.tolist()))  # the dwells scans.csv holds, one signature each
+    print(f"wrote {out}: frames={len(dataset.frames)} dwells={dwells} aps={len(dataset.world.aps)} "
+          f"gt_loop_pairs={len(dataset.gt_loop_pairs)}")
     return 0
 
 

@@ -1,11 +1,10 @@
 """Wi-Fi signatures: per-AP strength vectors built from raw scan readings.
 
-A scan reading is one (timestamp, BSSID, RSSI) observation. Readings taken
-during one stationary dwell are aggregated into a single signature: BSSIDs
-that differ only in the last nibble of the MAC belong to the same physical
-access point and are averaged together, and the averaged dBm value is mapped
-to a non-negative strength so that absent APs contribute exactly zero to
-similarity queries.
+A scan reading is one (timestamp, BSSID, RSSI) observation; a dataset holds all of
+its readings as the columns of one `Scans`. A dwell's readings are aggregated into
+one signature: BSSIDs that differ only in the last nibble of the MAC belong to the
+same physical access point and are averaged together, and the averaged dBm value is
+mapped to a non-negative strength so that absent APs add exactly zero to similarity.
 """
 
 from __future__ import annotations
@@ -13,8 +12,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 # dBm level treated as "no signal"; strengths are dB above this floor.
 STRENGTH_FLOOR_DBM = -100.0
@@ -22,10 +22,6 @@ STRENGTH_FLOOR_DBM = -100.0
 
 class MacParseError(ValueError):
     """A BSSID string did not parse as six colon-separated hex octets."""
-
-
-class EmptyScanWindow(ValueError):
-    """A dwell window contained no scan readings."""
 
 
 class EmptySignature(ValueError):
@@ -36,7 +32,6 @@ class NoSignatures(ValueError):
     """A dataset yields too few signatures: none to associate frames with, or under two to compare."""
 
 
-@lru_cache(maxsize=4096)
 def mask_bssid(bssid: str) -> str:
     """Zero the low nibble of the final octet, collapsing per-radio BSSIDs.
 
@@ -63,18 +58,25 @@ def strength_of(rssi_dbm: float) -> float:
     return max(0.0, rssi_dbm - STRENGTH_FLOOR_DBM)
 
 
-@dataclass(frozen=True)
-class ScanReading:
-    """One beacon observation: when, from which BSSID, at what power."""
+@dataclass(frozen=True, eq=False)
+class Scans:
+    """Every scan reading of a dataset as columns: reading i heard BSSID ``bssids[bssid[i]]``
+    at ``rssi[i]`` dBm, ``t[i]`` s, during dwell ``dwell[i]``. A dataset's are ordered by
+    dwell and, within a dwell, as read. Two are equal when their readings are."""
 
-    timestamp: float
-    bssid: str
-    rssi: float
+    dwell: np.ndarray  # int
+    t: np.ndarray
+    bssid: np.ndarray  # int codes into ``bssids``
+    rssi: np.ndarray
+    bssids: Sequence[str]
 
-    def __post_init__(self) -> None:
-        if self.rssi > 0:
-            raise ValueError(f"rssi must be <= 0 dBm, got {self.rssi}")
-        mask_bssid(self.bssid)  # validates format
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Scans) and list(self.rows()) == list(other.rows())
+
+    def rows(self) -> Iterator[tuple[float, str, float, int]]:
+        """The readings as the rows of ``scans.csv``, in Python values: timestamp, BSSID, RSSI, dwell."""
+        bssids = [self.bssids[code] for code in self.bssid.tolist()]
+        return zip(self.t.tolist(), bssids, self.rssi.tolist(), self.dwell.tolist())
 
 
 @dataclass(frozen=True)
@@ -103,20 +105,20 @@ class Signature:
         return len(self.entries)
 
 
-def signature_from_window(readings: Sequence[ScanReading], pause_index: int) -> Signature:
-    """Aggregate one dwell's readings into a signature.
-
-    Readings are grouped by masked BSSID, RSSI is averaged in dBm per AP
-    and then converted to strength; ``collected_at`` is the mean timestamp.
-    """
-    if not readings:
-        raise EmptyScanWindow(f"dwell {pause_index} has no scan readings")
-    by_ap: dict[str, list[float]] = {}
-    for r in readings:
-        by_ap.setdefault(mask_bssid(r.bssid), []).append(r.rssi)
-    entries = {ap: strength_of(sum(vals) / len(vals)) for ap, vals in by_ap.items()}
-    t = sum(r.timestamp for r in readings) / len(readings)
-    return Signature(entries=entries, collected_at=t, pause_index=pause_index)
+def signatures_of(scans: Scans) -> tuple[Signature, ...]:
+    """One signature per dwell with readings, in dwell order: RSSI averaged in dBm per masked
+    BSSID, then converted to strength; ``collected_at`` the mean timestamp. Every sum runs over
+    the readings in order (`np.bincount`), as Python's ``sum`` does."""
+    aps, ap_of = np.unique([mask_bssid(b) for b in scans.bssids], return_inverse=True)
+    dwells, at = np.unique(scans.dwell, return_inverse=True)
+    keys, group = np.unique(at * len(aps) + ap_of[scans.bssid], return_inverse=True)  # (dwell, AP) groups
+    dbm = np.bincount(group, weights=scans.rssi) / np.bincount(group)
+    times = np.bincount(at, weights=scans.t) / np.bincount(at)
+    ends = np.searchsorted(keys // len(aps), np.arange(1, len(dwells) + 1)).tolist()
+    aps = aps.tolist()  # one str per AP, shared by every signature's entries
+    names, strengths = [aps[i] for i in (keys % len(aps)).tolist()], [strength_of(x) for x in dbm.tolist()]
+    return tuple(Signature(dict(zip(names[a:b], strengths[a:b])), t, d)
+                 for d, t, a, b in zip(dwells.tolist(), times.tolist(), [0, *ends], ends))
 
 
 def cosine_similarity(a: Signature, b: Signature) -> float:

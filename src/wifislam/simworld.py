@@ -1,5 +1,5 @@
-"""Synthetic indoor worlds: floor plans, access points, wall-attenuated RSSI,
-dwelled trajectories, aliased appearances, and noisy odometry.
+"""Synthetic indoor worlds: floor plans, access points, wall-attenuated RSSI read into
+columns of scan readings, dwelled trajectories, aliased appearances, and noisy odometry.
 
 The appearance model lays a stream of visual words along each corridor
 (one bag per meter-sized bin, a frame sees its bin plus a window around it).
@@ -17,9 +17,9 @@ import json
 import math
 import numbers
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, asdict, fields, is_dataclass
 from functools import cache, cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 from . import frontend
 from .frontend import Appearance, FrameTruth
 from .posegraph import Pose2, between
-from .signature import ScanReading, Signature, associate_frames, signature_from_window
+from .signature import Scans, Signature, associate_frames, mask_bssid, signatures_of
 
 FRAME_RATE_HZ = 2.0  # simulated keyframe rate while moving
 LOOP_PAIR_RADIUS_M = 2.0  # gt loop pairs: closer than this ...
@@ -266,7 +266,7 @@ class Dataset:
 
     seed: int
     frames: tuple[Frame, ...]
-    dwell_scans: tuple[tuple[ScanReading, ...], ...]  # index = dwell index
+    scans: Scans
     gt_loop_pairs: frozenset[tuple[int, int]]
     world: World
 
@@ -276,8 +276,8 @@ class Dataset:
 
     @cached_property
     def signatures(self) -> tuple[Signature, ...]:
-        """One signature per non-empty dwell, in time order."""
-        return tuple(signature_from_window(scans, di) for di, scans in enumerate(self.dwell_scans) if scans)
+        """One signature per dwell with readings, in time order."""
+        return signatures_of(self.scans)
 
     @cached_property
     def frame_signatures(self) -> dict[int, Signature]:
@@ -555,7 +555,7 @@ def _place_aps(config: WorldConfig, plan: FloorPlan, rng: np.random.Generator) -
 
 
 def synthesize(config: WorldConfig, seed: int) -> Dataset:
-    """Generate a full dataset: frames, dwell scans, gt loop pairs, world snapshot.
+    """Generate a full dataset: frames, scan readings, gt loop pairs, world snapshot.
 
     Pure function of (config, seed): one rng stream drives AP placement,
     RSSI noise, and odometry drift in a fixed order.
@@ -583,31 +583,23 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
         frames.append(Frame(id=i, t=s.t, gt_pose=s.pose, odom_delta=delta, appearance=appearance))
         prev_pose = s.pose
 
-    # one standard-normal draw per (scan, AP, radio) of each dwell, in that order; a reading
-    # under the visibility floor still uses up its draw
+    # one standard-normal draw per (dwell, scan, AP, radio), in that order; a reading under the
+    # visibility floor still uses up its draw
     params = config.propagation
-    shape = (config.scans_per_dwell, len(aps), config.bssids_per_ap)
-    bssids = [[ap.ap_id[:-1] + f"{radio:X}" for radio in range(1, config.bssids_per_ap + 1)] for ap in aps]
-    field = mean_rssi(aps, [(d.x, d.y) for d in traj.dwells], plan, params)
-    dwell_scans: list[tuple[ScanReading, ...]] = []
-    for d, base in zip(traj.dwells, field):
-        levels = np.array(base)[:, None] + params.noise_sigma_db * rng_scan.normal(size=shape)
-        times = [
-            d.t_arrival + (sidx + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell
-            for sidx in range(config.scans_per_dwell)
-        ]
-        heard = np.nonzero(~(levels < params.visibility_floor_dbm))  # C order: (scan, AP, radio)
-        dwell_scans.append(tuple(
-            ScanReading(timestamp=times[sidx], bssid=bssids[k][radio], rssi=min(rssi, 0.0))
-            for sidx, k, radio, rssi in zip(*(i.tolist() for i in heard), levels[heard].tolist())
-        ))
+    shape = (len(traj.dwells), config.scans_per_dwell, len(aps), config.bssids_per_ap)
+    field = np.array(mean_rssi(aps, [(d.x, d.y) for d in traj.dwells], plan, params)).reshape(shape[0], 1, shape[2], 1)
+    levels = field + params.noise_sigma_db * rng_scan.normal(size=shape)
+    dwell, scan, k, radio = np.nonzero(~(levels < params.visibility_floor_dbm))  # in drawing order
+    offsets = (np.arange(config.scans_per_dwell) + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell
+    bssids = tuple(ap.ap_id[:-1] + f"{radio:X}" for ap in aps for radio in range(1, config.bssids_per_ap + 1))
 
     gt_loop_pairs = _loop_pairs(frames)
     world = World(config=config, plan=plan, aps=aps, corridors=traj.corridors)
     return Dataset(
         seed=seed,
         frames=tuple(frames),
-        dwell_scans=tuple(dwell_scans),
+        scans=Scans(dwell, np.array([d.t_arrival for d in traj.dwells])[dwell] + offsets[scan],
+                    k * config.bssids_per_ap + radio, np.minimum(levels[dwell, scan, k, radio], 0.0), bssids),
         gt_loop_pairs=frozenset(gt_loop_pairs),
         world=world,
     )
@@ -742,7 +734,8 @@ FRAMES_HEADER = "id,t_s,gt_x,gt_y,gt_theta,odo_dx,odo_dy,odo_dtheta,template_id,
 SCANS_HEADER = "timestamp_s,bssid,rssi_dbm,dwell_index"
 LOOPS_HEADER = "id_a,id_b"
 
-MAX_DWELLS = 1 << 20  # dwell indices lie below this; every consumer visits each dwell up to the largest
+MAX_DWELLS = 1 << 20  # dwell indices lie below this
+_SCAN_ROWS = 1024  # scans.csv rows parsed and checked per numpy pass; bounds the reader's memory
 
 T = TypeVar("T")
 
@@ -761,9 +754,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
             )
     with open(out / "scans.csv", "w", newline="") as fh:
         fh.write(SCANS_HEADER + "\n")
-        for di, scans in enumerate(dataset.dwell_scans):
-            for r in scans:
-                fh.write(f"{r.timestamp!r},{r.bssid},{r.rssi!r},{di}\n")
+        fh.writelines(f"{t!r},{bssid},{rssi!r},{d}\n" for t, bssid, rssi, d in dataset.scans.rows())
     with open(out / "loops_gt.csv", "w", newline="") as fh:
         fh.write(LOOPS_HEADER + "\n")
         for a, b in sorted(dataset.gt_loop_pairs):
@@ -918,30 +909,54 @@ def _frames(rows: Iterator[tuple[int, list[str]]]) -> tuple[Frame, ...]:
     return tuple(frames)
 
 
-def _dwell_scans(rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[ScanReading, ...], ...]:
-    """Readings grouped by dwell index. Dwells must be in time order: a dwell whose mean
-    reading time (a signature's ``collected_at``) is earlier than the previous dwell's is
-    blamed on its first reading."""
-    groups: defaultdict[int, list[ScanReading]] = defaultdict(list)
-    first_line: dict[int, int] = {}
-    for line, (t_s, bssid, rssi, dwell) in rows:
-        d = int(dwell)
-        if not 0 <= d < MAX_DWELLS:
-            raise ValueError(f"dwell index {d} outside [0, {MAX_DWELLS})")
-        groups[d].append(ScanReading(timestamp=_finite(t_s), bssid=bssid, rssi=_finite(rssi)))
-        first_line.setdefault(d, line)
-    n_dwells = max(groups) + 1 if groups else 0
-    dwells = tuple(tuple(groups.get(i, ())) for i in range(n_dwells))
-    prev, prev_t = -1, -math.inf
-    for d, readings in enumerate(dwells):
-        if readings:
-            t = sum(r.timestamp for r in readings) / len(readings)
-            if t < prev_t:
-                raise _LineFault(
-                    first_line[d], f"dwell {d} (mean time {t!r} s) is earlier than dwell {prev} ({prev_t!r} s)"
-                )
-            prev, prev_t = d, t
-    return dwells
+def _scans(rows: Iterator[tuple[int, list[str]]]) -> Scans:
+    """Readings grouped by dwell, each dwell's in row order. The columns are checked in bulk, and
+    `_check_scan_rows` names the first faulty row. A dwell whose mean reading time (its signature's
+    ``collected_at``) is earlier than the previous dwell's is blamed on its first reading."""
+    lines, columns, bssids = [], [], {}  # bssids: each distinct BSSID's code, in order of first use
+    while not columns or len(columns[-1][0]) == _SCAN_ROWS:  # until a chunk comes back short
+        fields = []
+        try:
+            for line, p in islice(rows, _SCAN_ROWS):
+                lines.append(line)
+                fields.append(p)
+            t_s, bssid, rssi, dwell = zip(*fields) if fields else ((),) * 4
+            t, r = (np.array(list(map(float, column)), dtype=float) for column in (t_s, rssi))
+            d = np.array(list(map(int, dwell)), dtype=np.int64)
+            known = len(bssids)
+            code = np.array([bssids.setdefault(b, len(bssids)) for b in bssid], dtype=np.int64)
+            list(map(mask_bssid, list(bssids)[known:]))  # each distinct BSSID must be a MAC
+            if not (np.isfinite(t) & np.isfinite(r) & (r <= 0) & (d >= 0) & (d < MAX_DWELLS)).all():
+                raise ValueError("a faulty scan row")
+        except (OverflowError, ValueError):  # a fault in an earlier row comes before a row's wrong field count
+            _check_scan_rows(lines[len(lines) - len(fields):], fields)
+            raise
+        columns.append((d, t, code, r))
+    d, t, code, r = (np.concatenate(column) for column in zip(*columns))
+    order = np.argsort(d, kind="stable")
+    scans = Scans(d[order], t[order], code[order], r[order], tuple(bssids))
+    dwells, first, at = np.unique(scans.dwell, return_index=True, return_inverse=True)
+    means = (np.bincount(at, weights=scans.t) / np.bincount(at)).tolist()
+    late = np.flatnonzero(np.less(means[1:], means[:-1]))  # dwell k + 1 has an earlier mean than dwell k
+    if late.size:
+        k = int(late[0])
+        raise _LineFault(lines[order[first[k + 1]]], f"dwell {dwells[k + 1]} (mean time {means[k + 1]!r} s) is "
+                                                     f"earlier than dwell {dwells[k]} ({means[k]!r} s)")
+    return scans
+
+
+def _check_scan_rows(lines: list[int], fields: list[list[str]]) -> None:
+    """Raise the first faulty scan row's fault; a row's fields are checked dwell, timestamp, RSSI, BSSID."""
+    for line, (t_s, bssid, rssi, dwell) in zip(lines, fields):
+        try:
+            if not 0 <= int(dwell) < MAX_DWELLS:
+                raise ValueError(f"dwell index {int(dwell)} outside [0, {MAX_DWELLS})")
+            _finite(t_s)
+            if _finite(rssi) > 0:
+                raise ValueError(f"rssi must be <= 0 dBm, got {float(rssi)}")
+            mask_bssid(bssid)
+        except ValueError as exc:
+            raise _LineFault(line, str(exc)) from exc
 
 
 def _loop_rows(rows: Iterator[tuple[int, list[str]]], n_frames: int) -> frozenset[tuple[int, int]]:
@@ -965,7 +980,7 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(
         seed=seed,
         frames=frames,
-        dwell_scans=_read_rows(root / "scans.csv", SCANS_HEADER, _dwell_scans),
+        scans=_read_rows(root / "scans.csv", SCANS_HEADER, _scans),
         gt_loop_pairs=_read_rows(root / "loops_gt.csv", LOOPS_HEADER, lambda rows: _loop_rows(rows, len(frames))),
         world=world,
     )

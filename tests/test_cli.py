@@ -447,10 +447,22 @@ def _broken_dataset(gen_dir, root, fault):
         lines[1], lines[2] = lines[2], lines[1]
         (d / "frames.csv").write_text("\n".join(lines))
         return d, f"{d / 'frames.csv'}:2: frame id 1 is not the row index 0"
+    scan_faults = {  # on a middle row, and a BSSID first seen there; fault -> (field, value, reason)
+        "bad_bssid": (1, "ZZ:00:00:00:00:01", "malformed MAC 'ZZ:00:00:00:00:01': bad octet 'ZZ'"),
+        "positive_rssi": (2, "5.0", "rssi must be <= 0 dBm, got 5.0"),
+        "nan_rssi": (2, "nan", "non-finite number 'nan'"),
+        "inf_timestamp": (0, "inf", "non-finite number 'inf'"),
+    }
+    if fault in scan_faults:
+        field, value, reason = scan_faults[fault]
+        lines = (d / "scans.csv").read_text().split("\n")
+        k = len(lines) // 2
+        row = lines[k].split(",")
+        row[field] = value
+        lines[k] = ",".join(row)
+        (d / "scans.csv").write_text("\n".join(lines))
+        return d, f"{d / 'scans.csv'}:{k + 1}: {reason}"
     name, edit = {
-        "bad_bssid": ("scans.csv", lambda row: [row[0], "ZZ:00:00:00:00:01", *row[2:]]),
-        "positive_rssi": ("scans.csv", lambda row: [*row[:2], "5.0", row[3]]),
-        "nan_rssi": ("scans.csv", lambda row: [*row[:2], "nan", row[3]]),
         "nan_odometry": ("frames.csv", lambda row: [*row[:5], "nan", *row[6:]]),
         "non_numeric_id": ("frames.csv", lambda row: ["x", *row[1:]]),
         "extra_field": ("frames.csv", lambda row: [*row, "7"]),
@@ -466,7 +478,7 @@ def _broken_dataset(gen_dir, root, fault):
 @pytest.mark.parametrize(
     "fault",
     ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
-     "unsorted_frames", "nan_odometry", "nan_rssi", "reversed_loop_pair"],
+     "unsorted_frames", "nan_odometry", "nan_rssi", "inf_timestamp", "reversed_loop_pair"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)

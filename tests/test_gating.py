@@ -28,7 +28,7 @@ from wifislam.gating import (
     save_run,
 )
 from wifislam.posegraph import GraphEdge, Pose2, PoseGraph
-from wifislam.signature import Signature, associate_frames, signature_from_window
+from wifislam.signature import Signature, associate_frames, signatures_of
 from wifislam.simworld import template_pose_of
 
 
@@ -416,7 +416,7 @@ class TestDatasetInputs:
 
     def test_members_equal_a_fresh_derivation(self, tiny_dataset):
         ds = tiny_dataset
-        sigs = [signature_from_window(list(scans), di) for di, scans in enumerate(ds.dwell_scans) if scans]
+        sigs = list(signatures_of(ds.scans))
         assert list(ds.signatures) == sigs
         assert ds.frame_signatures == associate_frames([(f.id, f.t) for f in ds.frames], sigs)
         assert list(ds.truths) == [
@@ -452,13 +452,15 @@ class TestDatasetInputs:
 
     def test_a_replaced_copy_derives_its_own_signatures(self, tiny_dataset):
         assert tiny_dataset.signatures  # derived before the copy is made
-        holed = replace(
-            tiny_dataset,
-            dwell_scans=(tiny_dataset.dwell_scans[0], ()) + tiny_dataset.dwell_scans[2:],
-        )
-        assert len(holed.signatures) == len(tiny_dataset.dwell_scans) - 1
+        scans = tiny_dataset.scans
+        keep = scans.dwell != 1
+        holed = replace(tiny_dataset, scans=replace(
+            scans, dwell=scans.dwell[keep], t=scans.t[keep], bssid=scans.bssid[keep], rssi=scans.rssi[keep]
+        ))
+        n_dwells = len(set(scans.dwell.tolist()))
+        assert len(holed.signatures) == n_dwells - 1
         assert all(s.pause_index != 1 for s in holed.signatures)
-        assert len(tiny_dataset.signatures) == len(tiny_dataset.dwell_scans)
+        assert len(tiny_dataset.signatures) == n_dwells
 
 
 def test_params_json_roundtrip():

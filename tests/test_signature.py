@@ -1,25 +1,62 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wifislam import signature
 from wifislam.signature import (
-    EmptyScanWindow,
     EmptySignature,
     MacParseError,
     NoSignatures,
-    ScanReading,
+    Scans,
     Signature,
     associate_frames,
     cosine_similarity,
     mask_bssid,
-    signature_from_window,
+    signatures_of,
     strength_of,
 )
+from wifislam.simworld import MAX_DWELLS
 
 
 def sig(entries, t=0.0, pause=0):
     return Signature(entries=entries, collected_at=t, pause_index=pause)
+
+
+def scans_of(rows):
+    """Scans holding (timestamp, bssid, rssi, dwell) rows in the order given."""
+    bssids = sorted({b for _, b, _, _ in rows})
+    return Scans(
+        dwell=np.array([d for *_, d in rows], dtype=np.int64),
+        t=np.array([t for t, *_ in rows], dtype=float),
+        bssid=np.array([bssids.index(b) for _, b, _, _ in rows], dtype=np.int64),
+        rssi=np.array([r for _, _, r, _ in rows], dtype=float),
+        bssids=tuple(bssids),
+    )
+
+
+def reference_signatures(rows):
+    """The scalar aggregation the grouped one must equal: each dwell's readings in the order
+    given, averaged per masked BSSID with Python's ``sum``; ``collected_at`` the mean time."""
+    by_dwell = {}
+    for t, bssid, rssi, d in rows:
+        by_dwell.setdefault(d, []).append((t, bssid, rssi))
+    out = []
+    for d in sorted(by_dwell):
+        readings = by_dwell[d]
+        by_ap = {}
+        for _, bssid, rssi in readings:
+            by_ap.setdefault(mask_bssid(bssid), []).append(rssi)
+        entries = {ap: strength_of(sum(vals) / len(vals)) for ap, vals in by_ap.items()}
+        out.append(Signature(entries, sum(t for t, _, _ in readings) / len(readings), d))
+    return tuple(out)
+
+
+def exact(signatures):
+    """Each signature as text, to compare byte for byte (type and sign of zero included)."""
+    return [(s.pause_index, repr(s.collected_at), [(ap, repr(v)) for ap, v in s.entries.items()])
+            for s in signatures]
 
 
 class TestMaskBssid:
@@ -64,36 +101,74 @@ class TestStrengthOf:
 
 
 class TestSignatureFromWindow:
+    """`signatures_of` aggregates each dwell's window of readings into one signature."""
+
     def test_averages_per_masked_ap(self):
-        readings = [
-            ScanReading(0.0, "AA:BB:CC:DD:EE:F3", -50.0),
-            ScanReading(1.0, "AA:BB:CC:DD:EE:FA", -60.0),
-        ]
-        s = signature_from_window(readings, pause_index=0)
+        (s,) = signatures_of(scans_of([(0.0, "AA:BB:CC:DD:EE:F3", -50.0, 0), (1.0, "AA:BB:CC:DD:EE:FA", -60.0, 0)]))
         assert s.entries == {"AA:BB:CC:DD:EE:F0": 45.0}
         assert s.collected_at == 0.5
 
     def test_single_reading(self):
-        s = signature_from_window([ScanReading(2.0, "AA:BB:CC:DD:EE:F0", -70.0)], 1)
+        (s,) = signatures_of(scans_of([(2.0, "AA:BB:CC:DD:EE:F0", -70.0, 1)]))
         assert s.entries == {"AA:BB:CC:DD:EE:F0": 30.0}
         assert s.pause_index == 1
 
     def test_empty_window(self):
-        with pytest.raises(EmptyScanWindow):
-            signature_from_window([], 0)
+        assert signatures_of(scans_of([])) == ()
 
     @given(st.permutations(list(range(6))))
     def test_permutation_invariant(self, order):
-        readings = [
-            ScanReading(float(k), f"AA:BB:CC:DD:0{k}:F{k}", -40.0 - 3 * k) for k in range(6)
-        ]
-        base = signature_from_window(readings, 0)
-        shuffled = signature_from_window([readings[i] for i in order], 0)
-        assert base == shuffled
+        rows = [(float(k), f"AA:BB:CC:DD:0{k}:F{k}", -40.0 - 3 * k, 0) for k in range(6)]
+        assert signatures_of(scans_of(rows)) == signatures_of(scans_of([rows[i] for i in order]))
 
     def test_entries_iterate_sorted(self):
         s = sig({"0A:00:00:00:02:00": 1.0, "0A:00:00:00:01:00": 2.0})
         assert list(s.entries) == sorted(s.entries)
+
+
+def _mac(ap, radio, lower):
+    mac = f"0A:00:00:00:{ap:02X}:{0xF0 | radio:02X}" if ap % 2 else f"AA:BB:CC:{ap:02X}:00:{radio:X}0"
+    return mac.lower() if lower else mac
+
+
+readings = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(_mac, st.integers(0, 5), st.integers(0, 15), st.booleans()),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    st.one_of(st.integers(0, 2), st.sampled_from([9, 1000, MAX_DWELLS - 1])),
+)
+# nine readings of one AP in one dwell whose timestamps and RSSI values sum to other bits in numpy's pairwise order
+ROUNDING = [(t, f"0A:00:00:00:01:F{k % 3}", r, 0) for k, (t, r) in enumerate(zip(
+    [966.4, 199.3, 893.3, 85.8, 465.2, 222.8, 829.5, 615.4, 641.8],
+    [-54.4, -71.0, -48.2, -17.0, -16.1, -7.2, -74.3, -10.2, -2.3],
+))]
+
+
+class TestGroupedSignatures:
+    """`signatures_of` equals the scalar per-dwell aggregation, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(readings, max_size=60))
+    @example(ROUNDING)
+    @example([(5.0, "aa:bb:cc:00:00:30", -61.5, 3)])  # one reading, lower case, after a gap
+    @example([(0.1, "0A:00:00:00:01:F1", -40.0, 2), (0.2, "0A:00:00:00:01:F2", -41.0, 0),
+              (0.3, "0a:00:00:00:01:f1", -42.0, 2), (0.4, "0A:00:00:00:01:F3", -43.0, 0)])  # interleaved dwells
+    def test_equals_scalar_reference(self, rows):
+        assert exact(signatures_of(scans_of(rows))) == exact(reference_signatures(rows))
+
+    def test_masks_each_distinct_bssid_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(signature, "mask_bssid", lambda b: calls.append(b) or mask_bssid(b))
+        rows = [(float(k), f"AA:BB:CC:DD:EE:F{k % 3}", -50.0 - k, k % 4) for k in range(40)]
+        assert len(signatures_of(scans_of(rows))) == 4
+        assert sorted(calls) == ["AA:BB:CC:DD:EE:F0", "AA:BB:CC:DD:EE:F1", "AA:BB:CC:DD:EE:F2"]
+
+    @pytest.mark.parametrize("name", ["c_hall", "b_hall", "j_hall", "a_hall"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_preset_signatures_unchanged(self, dataset_cache, name, seed):
+        ds = dataset_cache(name, seed)
+        rows = list(ds.scans.rows())
+        assert exact(ds.signatures) == exact(reference_signatures(rows))
 
 
 class TestCosineSimilarity:
@@ -166,8 +241,3 @@ class TestAssociateFrames:
         sigs = [sig({"0A:00:00:00:01:00": 1.0}, t=5.0), sig({"0A:00:00:00:01:00": 1.0}, t=1.0)]
         with pytest.raises(ValueError):
             associate_frames([(0, 6.0)], sigs)
-
-
-def test_scan_reading_rejects_positive_rssi():
-    with pytest.raises(ValueError):
-        ScanReading(0.0, "AA:BB:CC:DD:EE:F0", 5.0)

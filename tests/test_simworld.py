@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from wifislam import simworld
 from wifislam.frontend import Appearance
 from wifislam.posegraph import Pose2, compose
-from wifislam.signature import ScanReading
+from wifislam.signature import mask_bssid
 from wifislam.simworld import (
     FRAME_RATE_HZ,
     LOOP_PAIR_GAP_S,
@@ -250,14 +250,15 @@ class TestSynthesize:
         cfg = replace(tiny_world, tx_power_at_1m=20.0, propagation=params, extra_walls=walls)
         ds = synthesize(cfg, seed=2)
         dwells = generate_trajectory(cfg.trajectory, cfg.template_of).dwells
-        assert len(ds.dwell_scans) == len(dwells)
+        rows = list(ds.scans.rows())
         levels = []
-        for d, scans in zip(dwells, ds.dwell_scans):
+        for d in dwells:
             for ap in ds.world.aps:
                 level = reference_rssi(ap, (d.x, d.y), ds.world.plan.walls, params)
                 levels.append(level)
                 n_readings = 0 if level < params.visibility_floor_dbm else cfg.scans_per_dwell * cfg.bssids_per_ap
-                assert [r.rssi for r in scans if r.bssid[:-1] == ap.ap_id[:-1]] == [min(level, 0.0)] * n_readings
+                heard = [rssi for _, bssid, rssi, di in rows if di == d.index and bssid[:-1] == ap.ap_id[:-1]]
+                assert heard == [min(level, 0.0)] * n_readings
         assert min(levels) < params.visibility_floor_dbm < 0.0 < max(levels)  # the floor and the clip both act
 
     def test_readings_follow_one_scalar_draw_per_reading(self, tiny_world):
@@ -270,7 +271,6 @@ class TestSynthesize:
         expected, floored, clipped = [], 0, 0
         for d in generate_trajectory(cfg.trajectory, cfg.template_of).dwells:
             base = [reference_rssi(ap, (d.x, d.y), walls, params) for ap in ds.world.aps]
-            readings = []
             for sidx in range(cfg.scans_per_dwell):
                 t = d.t_arrival + (sidx + 0.5) * cfg.trajectory.pause_duration / cfg.scans_per_dwell
                 for k, ap in enumerate(ds.world.aps):
@@ -280,19 +280,19 @@ class TestSynthesize:
                             floored += 1
                             continue
                         clipped += rssi > 0.0
-                        readings.append(ScanReading(t, ap.ap_id[:-1] + f"{radio:X}", min(rssi, 0.0)))
-            expected.append(tuple(readings))
+                        expected.append((t, ap.ap_id[:-1] + f"{radio:X}", min(rssi, 0.0), d.index))
         assert floored and clipped  # the floor and the clip both act
-        assert ds.dwell_scans == tuple(expected)
-        assert all(type(r.rssi) is float and type(r.timestamp) is float for scans in ds.dwell_scans for r in scans)
+        assert list(ds.scans.rows()) == expected
+        assert ds.scans.t.dtype == ds.scans.rssi.dtype == np.float64
 
     def test_no_reading_below_floor(self, tiny_world):
         floor = tiny_world.propagation.visibility_floor_dbm
-        readings = [r for scans in synthesize(tiny_world, seed=4).dwell_scans for r in scans]
-        assert readings and min(r.rssi for r in readings) >= floor
+        rssi = synthesize(tiny_world, seed=4).scans.rssi
+        assert rssi.size and rssi.min() >= floor
         # a floor above every mean level leaves nothing to hear without noise
         params = replace(tiny_world.propagation, noise_sigma_db=0.0, visibility_floor_dbm=tiny_world.tx_power_at_1m + 0.1)
-        assert not any(synthesize(replace(tiny_world, propagation=params), seed=4).dwell_scans)
+        silent = synthesize(replace(tiny_world, propagation=params), seed=4)
+        assert silent.scans.dwell.size == 0 and silent.signatures == ()
 
     def test_same_seed_identical(self, tiny_world):
         a = synthesize(tiny_world, seed=5)
@@ -428,7 +428,7 @@ class TestSerialization:
         loaded = load_dataset(tmp_path / "d")
         assert loaded.frames == ds.frames
         assert loaded.gt_loop_pairs == ds.gt_loop_pairs
-        assert loaded.dwell_scans == ds.dwell_scans
+        assert loaded.scans == ds.scans
         assert loaded.world.aps == ds.world.aps
         assert loaded.world.corridors == ds.world.corridors
 
@@ -438,6 +438,12 @@ class TestSerialization:
         save_dataset(ds, tmp_path / "b")
         for name in ("frames.csv", "scans.csv", "loops_gt.csv", "world.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_load_then_save_reproduces_the_files(self, dataset_cache, tmp_path):
+        written = save_dataset(dataset_cache("b_hall", 1), tmp_path / "a")
+        rewritten = save_dataset(load_dataset(written), tmp_path / "b")
+        for name in ("frames.csv", "scans.csv", "loops_gt.csv", "world.json"):
+            assert (written / name).read_bytes() == (rewritten / name).read_bytes(), name
 
 
 DATASET_FILES = ("frames.csv", "scans.csv", "loops_gt.csv", "world.json")
@@ -455,6 +461,14 @@ def saved_tiny(tmp_path_factory):
     return save_dataset(synthesize(config, seed=3), tmp_path_factory.mktemp("saved") / "d")
 
 
+@pytest.fixture(scope="module")
+def saved_b_hall(tmp_path_factory):
+    """A saved preset dataset whose scans.csv spans several of the reader's chunks."""
+    saved = save_dataset(synthesize(preset_worlds()["b_hall"], seed=0), tmp_path_factory.mktemp("saved") / "b")
+    assert len((saved / "scans.csv").read_text().split("\n")) > 3 * simworld._SCAN_ROWS
+    return saved
+
+
 @pytest.fixture()
 def tiny_copy(saved_tiny, tmp_path):
     return Path(shutil.copytree(saved_tiny, tmp_path / "d"))
@@ -467,11 +481,71 @@ class TestLoadDataset:
             "0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n1.5,AA:BB:CC:DD:EE:F4,-60,0\n2.5,AA:BB:CC:DD:EE:F4,-61,2\n"
         )
         ds = load_dataset(tiny_copy)
-        assert ds.dwell_scans == (
-            (ScanReading(0.5, "AA:BB:CC:DD:EE:F3", -55.5), ScanReading(1.5, "AA:BB:CC:DD:EE:F4", -60.0)),
-            (),
-            (ScanReading(2.5, "AA:BB:CC:DD:EE:F4", -61.0),),
+        assert list(ds.scans.rows()) == [
+            (0.5, "AA:BB:CC:DD:EE:F3", -55.5, 0), (1.5, "AA:BB:CC:DD:EE:F4", -60.0, 0),
+            (2.5, "AA:BB:CC:DD:EE:F4", -61.0, 2),
+        ]
+
+    def test_checks_each_distinct_bssid_once(self, monkeypatch, tiny_copy):
+        calls = []
+        monkeypatch.setattr(simworld, "mask_bssid", lambda b: calls.append(b) or mask_bssid(b))
+        ds = load_dataset(tiny_copy)
+        assert len(ds.scans.dwell) > len(calls) == len(set(calls)) == len(set(b for _, b, _, _ in ds.scans.rows()))
+
+    def test_interleaved_dwells_group_in_row_order(self, tiny_copy):
+        (tiny_copy / "scans.csv").write_text(
+            "timestamp_s,bssid,rssi_dbm,dwell_index\n"
+            "0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n9.0,aa:bb:cc:dd:ee:f4,-70,1\n1.5,AA:BB:CC:DD:EE:F4,-60,0\n"
         )
+        ds = load_dataset(tiny_copy)
+        assert list(ds.scans.rows()) == [
+            (0.5, "AA:BB:CC:DD:EE:F3", -55.5, 0), (1.5, "AA:BB:CC:DD:EE:F4", -60.0, 0),
+            (9.0, "aa:bb:cc:dd:ee:f4", -70.0, 1),
+        ]
+        assert [(s.pause_index, s.collected_at, dict(s.entries)) for s in ds.signatures] == [
+            (0, 1.0, {"AA:BB:CC:DD:EE:F0": 42.25}), (1, 9.0, {"AA:BB:CC:DD:EE:F0": 30.0}),
+        ]
+
+    @pytest.mark.parametrize("field, value, reason", [
+        (1, "ZZ:00:00:00:00:01", "malformed MAC 'ZZ:00:00:00:00:01': bad octet 'ZZ'"),
+        (2, "5.0", "rssi must be <= 0 dBm, got 5.0"),
+        (2, "nan", "non-finite number 'nan'"),
+        (2, "-", "could not convert string to float: '-'"),
+        (0, "inf", "non-finite number 'inf'"),
+        (3, "x", "invalid literal for int() with base 10: 'x'"),
+    ], ids=["bad_bssid", "positive_rssi", "nan_rssi", "non_numeric_rssi", "inf_timestamp", "non_numeric_dwell"])
+    @pytest.mark.parametrize("row", ["middle", 1024, 1025], ids=["middle", "last_of_a_chunk", "first_of_a_chunk"])
+    def test_bad_scan_row_names_its_line(self, saved_b_hall, tmp_path, row, field, value, reason):
+        """A fault on a data row, after a valid lower-case BSSID, is blamed on that row; a
+        later row with another fault does not move the blame. The reader checks
+        ``simworld._SCAN_ROWS`` = 1024 rows at a time."""
+        d = Path(shutil.copytree(saved_b_hall, tmp_path / "d"))
+        path = d / "scans.csv"
+        lines = path.read_text().split("\n")
+        k = len(lines) // 2 if row == "middle" else row
+        lines[1] = lines[1].lower()
+        fields = lines[k].split(",")
+        fields[field] = value
+        lines[k] = ",".join(fields)
+        lines[k + 2] = lines[k + 2].replace(",-", ",5", 1)  # a positive RSSI, then a row of two fields
+        lines[k + 3] = "broken,row"
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError) as exc:
+            load_dataset(d)
+        assert str(exc.value) == f"{path}:{k + 1}: {reason}"
+
+    @pytest.mark.parametrize("fields, reason", [
+        (("x", "ZZ", "5.0", "-1"), "dwell index -1 outside [0, 1048576)"),
+        (("x", "ZZ", "5.0", "0"), "could not convert string to float: 'x'"),
+        (("0.5", "ZZ", "nan", "0"), "non-finite number 'nan'"),
+        (("0.5", "ZZ", "5.0", "0"), "rssi must be <= 0 dBm, got 5.0"),
+    ], ids=["dwell", "timestamp", "rssi", "positive_rssi"])
+    def test_row_faults_are_checked_in_field_order(self, tiny_copy, fields, reason):
+        path = tiny_copy / "scans.csv"
+        path.write_text(f"timestamp_s,bssid,rssi_dbm,dwell_index\n0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n{','.join(fields)}\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}:3: {reason}"
 
     def test_error_names_line(self, tiny_copy):
         path = tiny_copy / "scans.csv"

@@ -1,7 +1,7 @@
 """Synthetic visual frontend: bag-of-words appearances, frame matching, and
-the inverted index whose ranking the ORB-style policy searches. The pipeline
-queries that index once per ORB frame; gating filters the ranking, it never
-queries the index again.
+the inverted index whose ranking the vanilla ORB-style policy searches. A
+vanilla ORB run queries that index once per frame; a gated run keeps no index
+and scores only the keyframes of its Wi-Fi gate, from their word masks.
 
 Pixels are out of scope; a frame's appearance is a multiset of visual-word
 ids drawn from the scene template of the corridor it was taken in. Matching
@@ -19,13 +19,17 @@ its caller. A candidate that shares no word with the query is rejected before
 its seeded draw is made, yet the pipeline still charges it 1.0
 visual-comparison unit; rtab candidates are mostly such pairs, so rtab wall
 time and loop_cost diverge.
+
+`match_frames` is the accept step: the seeded dropout draw and the transform
+tests. The pose step, `MatchResult.relative`, runs only when read, and the
+pipeline reads it only for the matches it commits, at most two per frame.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -52,14 +56,43 @@ NOISE_THETA = 0.01  # std of the noise on an accepted match's rotation, rad
 MATCH_INFORMATION = np.diag([1.0 / NOISE_XY**2, 1.0 / NOISE_XY**2, 1.0 / NOISE_THETA**2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
+    """One pair's accept step: the thinned shared-word count and, when a
+    transform was found, the pose step's inputs.
+
+    ``ends`` are the two poses whose relation an accepted match recovers
+    (true poses, or template poses for an alias) and ``rng`` the pair's
+    generator, left just past its binomial draw. `relative` draws the match
+    noise from ``rng`` on first read and is cached, so the generator is drawn
+    from once and every read returns the same pose. Equality compares
+    `num_matches`, `accepted` and `relative`.
+    """
+
     num_matches: int
-    relative: Pose2 | None
-    accepted: bool
+    ends: tuple[Pose2, Pose2] | None = field(default=None, repr=False)
+    rng: np.random.Generator | None = field(default=None, repr=False)
+
+    @property
+    def accepted(self) -> bool:
+        return self.ends is not None
+
+    @cached_property
+    def relative(self) -> Pose2 | None:
+        """Pose of b in a's frame with the match noise added; None unless accepted."""
+        if self.ends is None:
+            return None
+        rel = between(*self.ends)
+        nx, ny, nth = self.rng.normal(0.0, 1.0, size=3)
+        return Pose2(rel.x + NOISE_XY * nx, rel.y + NOISE_XY * ny, rel.theta + NOISE_THETA * nth)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchResult):
+            return NotImplemented
+        return (self.num_matches, self.accepted, self.relative) == (other.num_matches, other.accepted, other.relative)
 
 
-_NO_SHARED_WORDS = MatchResult(num_matches=0, relative=None, accepted=False)  # the result of every zero-share pair
+_NO_SHARED_WORDS = MatchResult(num_matches=0)  # the result of every zero-share pair
 
 
 @dataclass(frozen=True)
@@ -125,7 +158,8 @@ def match_frames(
     min_matches: int,
     seed: int,
 ) -> MatchResult:
-    """Match two frames; returns the relative pose of b in a's frame when accepted.
+    """Accept step of matching two frames; an accepted result's `relative` is
+    the pose of b in a's frame.
 
     ``shared`` is the pair's multiset shared-word count, which the caller
     reads from its `word_masks`; it is not recounted here. The count is
@@ -142,25 +176,19 @@ def match_frames(
     rng = np.random.default_rng((seed, a_id, b_id))
     num = int(rng.binomial(shared, DROPOUT_KEEP))
     if num < min_matches:
-        return MatchResult(num_matches=num, relative=None, accepted=False)
+        return MatchResult(num_matches=num)
 
     dx = truth_a.gt_pose.x - truth_b.gt_pose.x
     dy = truth_a.gt_pose.y - truth_b.gt_pose.y
     separation = (dx * dx + dy * dy) ** 0.5
     if separation <= INLIER_DISTANCE:
-        rel = between(truth_a.gt_pose, truth_b.gt_pose)
+        ends = (truth_a.gt_pose, truth_b.gt_pose)
     elif a.place_template == b.place_template:
-        rel = between(truth_a.template_pose, truth_b.template_pose)
+        ends = (truth_a.template_pose, truth_b.template_pose)
     else:
         # enough matched words but no feasible transform: RANSAC-style rejection
-        return MatchResult(num_matches=num, relative=None, accepted=False)
-    nx, ny, nth = rng.normal(0.0, 1.0, size=3)
-    noisy = Pose2(
-        rel.x + NOISE_XY * nx,
-        rel.y + NOISE_XY * ny,
-        rel.theta + NOISE_THETA * nth,
-    )
-    return MatchResult(num_matches=num, relative=noisy, accepted=True)
+        return MatchResult(num_matches=num)
+    return MatchResult(num_matches=num, ends=ends, rng=rng)
 
 
 class InvertedIndex:

@@ -11,11 +11,13 @@ intersects it with its own candidate pool:
   rtab - short-term/working/long-term memory pools with a real-time budget;
          gating immunizes the working-memory keyframes in ``similar`` and
          retrieves its long-term ones back before the candidate scan.
-  orb  - the ranking of one inverted visual-word index over the whole map,
-         which the pipeline queries once per frame; gating keeps only the
-         ranked keyframes in ``similar``.
+  orb  - every earlier keyframe sharing a visual word with the frame, ranked
+         by shared count; vanilla ranks the whole map with one inverted index,
+         gated scores only ``similar``, from the frames' word masks, and keeps
+         no index.
 The pipeline audits each gated frame against those same inputs: candidates
-must lie in ``similar`` (or rgbd's base), and ORB's in its ranking.
+must lie in ``similar`` (or rgbd's base), and ORB's must be earlier keyframes
+that share a word with the frame, as vanilla ORB's are.
 
 A run's settings, its `PolicyParams`, are only those a workload varies. The
 sizes of rgbd's base and random subset and of rtab's short-term memory and
@@ -54,7 +56,7 @@ from .clustering import (
     similar_clusters,
     write_cluster_dump,
 )
-from .frontend import MATCH_INFORMATION, InvertedIndex, MatchResult, match_frames
+from .frontend import MATCH_INFORMATION, Appearance, InvertedIndex, MatchResult, match_frames
 from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
 from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
 
@@ -315,12 +317,28 @@ def _window(graph: PoseGraph, since_edge: int) -> set[int]:
     return free
 
 
-def orb_candidates(ranking: list[int], similar: set[int] | None) -> list[int]:
-    """The map index's ranking of the frame (word-sharing keyframes by shared count
-    desc then id asc); when gated, only its keyframes in ``similar``, in ranking order."""
+def orb_candidates(
+    index: InvertedIndex | None,
+    current: int,
+    appearance: Appearance,
+    masks: Sequence[int],
+    similar: set[int] | None,
+) -> list[int]:
+    """The keyframes sharing at least one visual word with frame ``current``, by
+    shared count desc then id asc.
+
+    Vanilla (``similar`` is None): ``index``'s ranking of ``appearance``, the
+    frame's words, over the whole map. Gated: only the keyframes of
+    ``similar``, all earlier than ``current``, each scored from ``masks``
+    (`frontend.word_masks` of the dataset's frames); ``index`` is not read, and
+    a gated run keeps none. A gated list is thus the vanilla list cut to
+    ``similar``.
+    """
     if similar is None:
-        return ranking
-    return [kf for kf in ranking if kf in similar]
+        return index.query(appearance)
+    q = masks[current]
+    ranked = sorted((-n, k) for k in similar if (n := (q & masks[k]).bit_count()))
+    return [k for _n, k in ranked]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +353,9 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
     graph = PoseGraph()
     store: ClusterStore | None = ClusterStore() if params.gated else None
-    index = InvertedIndex()  # orb: the whole map's keyframes, each inserted once
+    # vanilla orb: the whole map's keyframes, each inserted once; a gated run scores its gate instead
+    index = InvertedIndex() if params.policy == "orb" and not params.gated else None
+    audit_orb = params.policy == "orb" and params.gated
     memory = MemoryState()
 
     records: list[FrameRecord] = []
@@ -379,10 +399,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             pools = dict(stm=len(memory.stm), wm=len(memory.wm), ltm=len(memory.ltm), immune=len(memory.immune),
                          transfers=len(transfers), retrievals=len(retrievals))
         else:
-            ranking = index.query(f.appearance)
-            cands = orb_candidates(ranking, similar)
-            if similar is not None and not set(cands) <= set(ranking):
-                subset_violations += 1
+            cands = orb_candidates(index, i, f.appearance, masks, similar)
 
         if similar is not None and not (set(cands) - similar) <= base:
             gating_violations += 1
@@ -398,16 +415,21 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         t0 = time.perf_counter()
         accepted: list[tuple[int, MatchResult]] = []
+        leaked = False  # gated orb: a candidate vanilla orb would not compare
         for c in cands:
             shared = (masks[i] & masks[c]).bit_count()
+            if audit_orb and not (shared and 0 <= c < i):
+                leaked = True
             mr = match_frames(i, c, shared, f.appearance, frames[c].appearance, truths[i], truths[c],
                               params.min_matches, params.seed)
             if mr.accepted:
                 accepted.append((c, mr))
+        subset_violations += leaked
         wall["loop_closure_s"] += time.perf_counter() - t0
 
         # commit one transformation per category per keyframe event, like the
-        # host systems: the strongest match wins, ties to the lowest id
+        # host systems: the strongest match wins, ties to the lowest id; only a
+        # committed match's pose is drawn
         loop_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t > LOOP_PAIR_GAP_S]
         local_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t <= LOOP_PAIR_GAP_S]
         committed: list[tuple[int, MatchResult]] = []
@@ -431,7 +453,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             assign(store, i, sig, edges_gained, sims)
             management_cost += (len(sims) + 1) * WIFI_COMPARE_COST
             wall["management_s"] += time.perf_counter() - t0
-        if params.policy == "orb":
+        if index is not None:
             index.insert(i, f.appearance)
 
         opt_iters_now = 0

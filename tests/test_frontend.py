@@ -48,13 +48,14 @@ def brute_scored(q, apps):
 
 
 def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
-    """match_frames as it was before the zero-share exit: the pair's generator is
-    always built, and a zero-share pair simply draws nothing from it."""
+    """(num_matches, accepted, relative) of match_frames as it was before the zero-share
+    exit and the deferred pose: the pair's generator is always built, a zero-share pair
+    simply draws nothing from it, and every accepted pair draws its pose at once."""
     shared = ref_shared(a, b)
     rng = np.random.default_rng((seed, a_id, b_id))
     num = int(rng.binomial(shared, DROPOUT_KEEP)) if shared else 0
     if num < min_matches:
-        return MatchResult(num_matches=num, relative=None, accepted=False)
+        return num, False, None
     dx = truth_a.gt_pose.x - truth_b.gt_pose.x
     dy = truth_a.gt_pose.y - truth_b.gt_pose.y
     if (dx * dx + dy * dy) ** 0.5 <= INLIER_DISTANCE:
@@ -62,10 +63,10 @@ def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
     elif a.place_template == b.place_template:
         rel = between(truth_a.template_pose, truth_b.template_pose)
     else:
-        return MatchResult(num_matches=num, relative=None, accepted=False)
+        return num, False, None
     nx, ny, nth = rng.normal(0.0, 1.0, size=3)
     noisy = Pose2(rel.x + NOISE_XY * nx, rel.y + NOISE_XY * ny, rel.theta + NOISE_THETA * nth)
-    return MatchResult(num_matches=num, relative=noisy, accepted=True)
+    return num, True, noisy
 
 
 def truth(x, y, theta=0.0, tx=0.0, ty=0.0, tth=0.0):
@@ -150,8 +151,9 @@ class TestMatchFrames:
                 if fa.id != fb.id:  # the pipeline's count; word_masks leaves the diagonal out
                     assert (masks[fa.id] & masks[fb.id]).bit_count() == shared, (fa.id, fb.id)
                 pair = (fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], min_matches, 0)
-                got = match_frames(fa.id, fb.id, shared, *pair)
-                assert got == always_draw_match(fa.id, fb.id, *pair), (fa.id, fb.id)
+                got = match_frames(fa.id, fb.id, shared, *pair)  # the accept step
+                pose = got.relative  # the pose step
+                assert (got.num_matches, got.accepted, pose) == always_draw_match(fa.id, fb.id, *pair), (fa.id, fb.id)
                 zero_share += shared == 0
                 accepted += got.accepted
         assert zero_share > 0 and accepted > 0
@@ -160,9 +162,21 @@ class TestMatchFrames:
         # the count is the caller's: equal bags with shared=0 draw nothing, disjoint bags with a count can match
         a, b = app(range(40)), app(range(100, 140))
         t = truth(0, 0)
-        assert match_frames(0, 1, 0, a, a, t, t, MIN_MATCHES, 0) == MatchResult(0, None, False)
+        assert match_frames(0, 1, 0, a, a, t, t, MIN_MATCHES, 0) == MatchResult(0)
         assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, a, a, t, t, MIN_MATCHES, 0)
         assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0).accepted
+
+    def test_pose_step_draws_once(self):
+        # the pose is drawn from the pair's generator on first read and kept: a second read draws nothing
+        a, b = app(range(60)), app(range(30, 90))
+        mr = match(5, 9, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, 123)
+        assert mr.accepted
+        pose = mr.relative
+        state = mr.rng.bit_generator.state
+        assert mr.relative is pose and mr.rng.bit_generator.state == state
+        assert mr == match(5, 9, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, 123)
+        rejected = match(5, 9, a, b, truth(0, 0), truth(1, 0), 1000, 123)
+        assert not rejected.accepted and rejected.relative is None and rejected.rng is None
 
 
 class TestSharedWordCount:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifislam import gating, simworld
+from wifislam import frontend, gating, simworld
 from wifislam.clustering import ClusterStore, SimilarClusters, assign, members_of, similar_clusters
 from wifislam.frontend import Appearance, FrameTruth, InvertedIndex, word_masks
 from wifislam.gating import (
@@ -201,33 +201,44 @@ def gate(store, similar_ids):
     return set(members_of(store, SimilarClusters(entries=tuple((cid, 0.9) for cid in similar_ids))))
 
 
+def query_frame(apps, query):
+    """The query as the frame after the keyframes of ``apps`` (ids 0..n-1): its id and
+    the word masks of all those frames, as a dataset gives them."""
+    return len(apps), word_masks([*apps.values(), query])
+
+
 class TestOrbCandidates:
     def test_gated_no_similar_clusters_empty(self):
         app = Appearance(words=(1, 2), place_template=0)
-        store, index = orb_map({0: app}, {0: 0}, 1)
-        assert orb_candidates(index.query(app), gate(store, [])) == []
+        apps = {0: app}
+        store, _index = orb_map(apps, {0: 0}, 1)
+        q, masks = query_frame(apps, app)
+        assert orb_candidates(None, q, app, masks, gate(store, [])) == []
 
     def test_gated_subset_of_vanilla(self):
         rng = np.random.default_rng(0)
         store, index = ClusterStore(), InvertedIndex()
         rep = sig({AP(1): 10.0})
+        apps = {}
         for kf in range(20):
             words = tuple(sorted(rng.choice(50, size=8).tolist()))
             sims = similar_clusters(store, rep, 0.99) if kf else SimilarClusters(entries=())
             assign(store, kf, rep, {kf - 1} if kf else set(), sims)
-            index.insert(kf, Appearance(words=words, place_template=0))
-        q = Appearance(words=tuple(range(0, 50, 3)), place_template=0)
-        ranking = index.query(q)
-        gated = orb_candidates(ranking, gate(store, [c.id for c in store.clusters]))
-        vanilla = orb_candidates(ranking, None)
+            apps[kf] = Appearance(words=words, place_template=0)
+            index.insert(kf, apps[kf])
+        qa = Appearance(words=tuple(range(0, 50, 3)), place_template=0)
+        q, masks = query_frame(apps, qa)
+        gated = orb_candidates(None, q, qa, masks, gate(store, [c.id for c in store.clusters]))
+        vanilla = orb_candidates(index, q, qa, masks, None)
         assert gated and set(gated) <= set(vanilla)
 
     def test_aliased_keyframe_excluded_when_cluster_not_similar(self):
         shared = Appearance(words=tuple(range(12)), place_template=0)
-        store, index = orb_map({0: shared, 1: shared}, {0: 0, 1: 1}, 2)
-        ranking = index.query(shared)
-        assert orb_candidates(ranking, gate(store, [0])) == [0]  # cluster 1 is not similar
-        assert orb_candidates(ranking, None) == [0, 1]
+        apps = {0: shared, 1: shared}
+        store, index = orb_map(apps, {0: 0, 1: 1}, 2)
+        q, masks = query_frame(apps, shared)
+        assert orb_candidates(None, q, shared, masks, gate(store, [0])) == [0]  # cluster 1 is not similar
+        assert orb_candidates(index, q, shared, masks, None) == [0, 1]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -240,10 +251,33 @@ class TestOrbCandidates:
         apps = {kf: Appearance(words=tuple(words), place_template=0) for kf, words in enumerate(bags)}
         cluster_of = {kf: data.draw(st.integers(0, n_clusters - 1)) for kf in apps}
         similar = data.draw(st.lists(st.integers(0, n_clusters - 1), unique=True))
-        store, index = orb_map(apps, cluster_of, n_clusters)
+        store, _index = orb_map(apps, cluster_of, n_clusters)
         q = Appearance(words=tuple(query), place_template=0)
         expected = merged_cluster_indexes(q, apps, cluster_of, similar)
-        assert orb_candidates(index.query(q), gate(store, similar)) == expected
+        q_id, masks = query_frame(apps, q)
+        assert orb_candidates(None, q_id, q, masks, gate(store, similar)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bags=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=16), max_size=20),
+        far=st.lists(st.lists(st.integers(100, 107), min_size=1, max_size=6), min_size=1, max_size=4),
+        query=st.lists(st.integers(0, 7), min_size=1, max_size=16),
+        data=st.data(),
+    )
+    def test_gated_scores_equal_the_index_ranking_in_the_gate(self, bags, far, query, data):
+        # a small vocabulary repeats words within a bag; the `far` keyframes share no word with
+        # the query and are always in the gate
+        apps = {kf: Appearance(words=tuple(words), place_template=0) for kf, words in enumerate(bags + far)}
+        index = InvertedIndex()
+        for kf, app in apps.items():
+            index.insert(kf, app)
+        similar = data.draw(st.sets(st.sampled_from(range(len(bags))))) if bags else set()
+        similar |= set(range(len(bags), len(apps)))
+        qa = Appearance(words=tuple(query), place_template=0)
+        q, masks = query_frame(apps, qa)
+        ranking = index.query(qa)
+        assert orb_candidates(None, q, qa, masks, similar) == [k for k in ranking if k in similar]
+        assert orb_candidates(index, q, qa, masks, None) == ranking
 
 
 @pytest.fixture
@@ -366,19 +400,56 @@ class TestRunPipeline:
         if policy == "orb":
             assert rec.subset_violations > 0
 
-    @pytest.mark.parametrize("policy, owner, attr", [("orb", InvertedIndex, "query"), ("rgbd", gating, "_rgbd_base")],
-                             ids=["orb", "rgbd"])
-    def test_one_gate_input_per_frame(self, monkeypatch, tiny_dataset, policy, owner, attr):
-        # the audits check the ranking or base the policy was given; they compute none of their own
-        real, calls = getattr(owner, attr), count()
+    @pytest.mark.parametrize("policy, gated, owner, per_frame", [
+        ("orb", True, InvertedIndex, {"__init__": 0, "query": 0, "insert": 0}),
+        ("orb", False, InvertedIndex, {"query": 1, "insert": 1}),
+        ("rgbd", True, gating, {"_rgbd_base": 1}),
+    ], ids=["orb", "orb-vanilla", "rgbd"])
+    def test_one_gate_input_per_frame(self, monkeypatch, tiny_dataset, policy, gated, owner, per_frame):
+        # the audits check the candidates or base the policy was given; they compute none of their own.
+        # A gated orb run scores its gate and keeps no index; a vanilla one queries and grows its index
+        # once per frame
+        calls = {attr: count() for attr in per_frame}
 
-        def counted(*args, **kwargs):
-            next(calls)
-            return real(*args, **kwargs)
+        def counted(attr):
+            real = getattr(owner, attr)
 
-        monkeypatch.setattr(owner, attr, counted)
-        run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=True, min_matches=20, seed=2))
-        assert next(calls) == len(tiny_dataset.frames)
+            def wrapper(*args, **kwargs):
+                next(calls[attr])
+                return real(*args, **kwargs)
+            return wrapper
+
+        for attr in per_frame:
+            monkeypatch.setattr(owner, attr, counted(attr))
+        run_pipeline(tiny_dataset, PolicyParams(policy=policy, gated=gated, min_matches=20, seed=2))
+        assert {attr: next(c) for attr, c in calls.items()} == {
+            attr: n * len(tiny_dataset.frames) for attr, n in per_frame.items()
+        }
+
+    def test_poses_only_for_committed_matches(self, monkeypatch, dataset_cache):
+        # each word-sharing candidate pair seeds its generator once; only a committed match draws its pose
+        ds = dataset_cache("c_hall", 0)
+        ds.word_masks  # derived before numpy's generator is counted
+        p = PolicyParams(policy="orb", gated=True, min_matches=20, seed=0)
+        seeded, sharing, poses = [], [], count()
+        real_rng, real_match, real_between = np.random.default_rng, gating.match_frames, frontend.between
+
+        def match(a_id, b_id, shared, *rest):
+            if shared:
+                sharing.append((p.seed, a_id, b_id))
+            return real_match(a_id, b_id, shared, *rest)
+
+        def between(a, b):
+            next(poses)
+            return real_between(a, b)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeded.append(seed) or real_rng(seed))
+        monkeypatch.setattr(gating, "match_frames", match)
+        monkeypatch.setattr(frontend, "between", between)
+        rec = run_pipeline(ds, p)
+        loop_edges = [e for e in rec.graph.edges if e.kind == "loop"]
+        assert sharing and seeded == sharing
+        assert next(poses) == len(loop_edges) > len(rec.loop_edges) > 0
 
     def test_rtab_memory_trace_shape(self, tiny_dataset, small_rtab_memory):
         p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=2, rtab=RtabParams(real_time_threshold=8.0))

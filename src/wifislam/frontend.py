@@ -5,7 +5,7 @@ and scores only the keyframes of its Wi-Fi gate, from their word masks.
 
 Pixels are out of scope; a frame's appearance is a multiset of visual-word
 ids drawn from the scene template of the corridor it was taken in. Matching
-degrades the shared-word count with a deterministic seeded dropout (features
+degrades the shared-word count with a deterministic per-pair dropout (features
 randomly absent from individual frames, each word kept with DROPOUT_KEEP)
 and gates transform estimation on true geometric separation, at most
 INLIER_DISTANCE. Two *distant* frames that share a scene template are
@@ -16,21 +16,33 @@ Shared-word counts come from `word_masks`: one integer per frame, built once
 per dataset, with one bit per visual-word token that at least two frames carry, so
 a pair's count is one AND and a popcount. `match_frames` takes that count from
 its caller. A candidate that shares no word with the query is rejected before
-its seeded draw is made, yet the pipeline still charges it 1.0
+its dropout draw is made, yet the pipeline still charges it 1.0
 visual-comparison unit; rtab candidates are mostly such pairs, so rtab wall
 time and loop_cost diverge.
 
-`match_frames` is the accept step: the seeded dropout draw and the transform
-tests. The pose step, `MatchResult.relative`, runs only when read, and the
-pipeline reads it only for the matches it commits, at most two per frame.
+`match_frames` is the accept step: the dropout draw and the transform tests.
+The pose step, `MatchResult.relative`, runs only when read, and the pipeline
+reads it only for the matches it commits, at most two per frame.
+
+Match draws are counter-based, after Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3" (SC 2011): a pair's k-th draw is the splitmix64 finalizer
+(Steele, Lea and Flood, OOPSLA 2014) of the pair's 64-bit key plus k
+golden-ratio steps, so it is a pure function of (seed, a_id, b_id, k) and no
+generator state exists. The key folds in every 64-bit limb of the seed. Draw 0
+is the dropout count, the inverse of Binomial(shared, DROPOUT_KEEP)'s CDF
+table; draws 1-3 are the match noise, standard normals by inverse CDF of
+open-interval uniforms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -56,22 +68,86 @@ NOISE_THETA = 0.01  # std of the noise on an accepted match's rotation, rad
 MATCH_INFORMATION = np.diag([1.0 / NOISE_XY**2, 1.0 / NOISE_XY**2, 1.0 / NOISE_THETA**2])
 
 
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter step, 2**64 / golden ratio
+_OPEN_UNIT = 2.0**-52  # (52-bit integer + 0.5) * _OPEN_UNIT lies in (0, 1), never at either end
+_STD_NORMAL = NormalDist()
+
+
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer: a bijection of [0, 2**64) whose output bits each depend on every input bit."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=64)
+def _seed_key(seed: int) -> int:
+    """One 64-bit key for a non-negative seed of any size: every 64-bit limb is
+    folded in, so seeds 2**64 apart do not share their draws."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    key = _GAMMA
+    while True:
+        key = _mix64(key ^ (seed & _MASK64))
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def _pair_key(seed: int, a_id: int, b_id: int) -> int:
+    """The ordered pair's key; every match draw of the pair derives from it."""
+    return _mix64(_mix64(_seed_key(seed) ^ a_id) ^ b_id)
+
+
+def _draw(key: int, k: int) -> int:
+    """Draw ``k`` of the pair keyed ``key``: a uniform 64-bit integer."""
+    return _mix64((key + k * _GAMMA) & _MASK64)
+
+
+def _normal(key: int, k: int) -> float:
+    """Draw ``k`` as a standard normal: the inverse CDF at its top 52 bits, centred in (0, 1)."""
+    return _STD_NORMAL.inv_cdf(((_draw(key, k) >> 12) + 0.5) * _OPEN_UNIT)
+
+
+@lru_cache(maxsize=None)  # one table per distinct shared-word count, at most the largest word bag
+def _dropout_cdf(n: int) -> tuple[int, ...]:
+    """P(X <= j) for j in 0..n-1, X ~ Binomial(n, DROPOUT_KEEP), in units of
+    2**-64 rounded down, so a uniform 64-bit draw ``u`` gives
+    ``X = bisect_right(table, u)``, exact to 2**-64 per count.
+
+    Computed in integers from DROPOUT_KEEP as the decimal it is written as,
+    p / d = 4 / 5: term j is C(n, j) p**j (d - p)**(n - j), each from the last
+    by an exact division, and the CDF is their running sum over d**n. So no
+    term overflows or underflows at any n, the table never decreases and every
+    entry is below 2**64: a count of n keeps a non-zero chance.
+    """
+    keep = Fraction(repr(DROPOUT_KEEP))
+    p, q = keep.numerator, keep.denominator - keep.numerator
+    scale = keep.denominator**n
+    table, cum, term = [], 0, q**n
+    for j in range(n):
+        cum += term
+        table.append((cum << 64) // scale)
+        term = term * (n - j) * p // ((j + 1) * q)
+    return tuple(table)
+
+
 @dataclass(frozen=True, eq=False)
 class MatchResult:
     """One pair's accept step: the thinned shared-word count and, when a
     transform was found, the pose step's inputs.
 
     ``ends`` are the two poses whose relation an accepted match recovers
-    (true poses, or template poses for an alias) and ``rng`` the pair's
-    generator, left just past its binomial draw. `relative` draws the match
-    noise from ``rng`` on first read and is cached, so the generator is drawn
-    from once and every read returns the same pose. Equality compares
-    `num_matches`, `accepted` and `relative`.
+    (true poses, or template poses for an alias) and ``key`` the pair's draw
+    key. `relative` makes the pair's draws 1-3, the match noise, on first read
+    and is cached, so each is made once and every read returns the same pose.
+    Equality compares `num_matches`, `accepted` and `relative`.
     """
 
     num_matches: int
     ends: tuple[Pose2, Pose2] | None = field(default=None, repr=False)
-    rng: np.random.Generator | None = field(default=None, repr=False)
+    key: int | None = field(default=None, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -83,7 +159,7 @@ class MatchResult:
         if self.ends is None:
             return None
         rel = between(*self.ends)
-        nx, ny, nth = self.rng.normal(0.0, 1.0, size=3)
+        nx, ny, nth = (_normal(self.key, k) for k in (1, 2, 3))
         return Pose2(rel.x + NOISE_XY * nx, rel.y + NOISE_XY * ny, rel.theta + NOISE_THETA * nth)
 
     def __eq__(self, other: object) -> bool:
@@ -163,18 +239,18 @@ def match_frames(
 
     ``shared`` is the pair's multiset shared-word count, which the caller
     reads from its `word_masks`; it is not recounted here. The count is
-    thinned by an independent per-word dropout seeded from (seed, frame ids),
-    so results are reproducible per pair.
+    thinned by an independent per-word dropout, the pair's draw 0, so results
+    are a pure function of (seed, a_id, b_id) and the inputs, whatever the
+    order pairs are matched in. ``seed`` must be non-negative.
     Acceptance requires num_matches >= min_matches; transform estimation then
     succeeds with the true relative pose when the frames are geometrically
     within `INLIER_DISTANCE`, succeeds with the alias-implied (false) pose when
     distant frames share a scene template, and fails otherwise.
     """
     if not shared:
-        # the pair's generator depends only on (seed, a_id, b_id): skipping it draws nothing else
         return _NO_SHARED_WORDS
-    rng = np.random.default_rng((seed, a_id, b_id))
-    num = int(rng.binomial(shared, DROPOUT_KEEP))
+    key = _pair_key(seed, a_id, b_id)
+    num = bisect_right(_dropout_cdf(shared), _draw(key, 0))
     if num < min_matches:
         return MatchResult(num_matches=num)
 
@@ -188,7 +264,7 @@ def match_frames(
     else:
         # enough matched words but no feasible transform: RANSAC-style rejection
         return MatchResult(num_matches=num)
-    return MatchResult(num_matches=num, ends=ends, rng=rng)
+    return MatchResult(num_matches=num, ends=ends, key=key)
 
 
 class InvertedIndex:

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from wifislam import frontend, simworld
 from wifislam.frontend import (
     DROPOUT_KEEP,
     INLIER_DISTANCE,
@@ -47,13 +54,35 @@ def brute_scored(q, apps):
     return sorted(((kf, n) for kf, n in scored if n > 0), key=lambda e: (-e[1], e[0]))
 
 
+@lru_cache(maxsize=None)
+def ref_dropout_cdf(n):
+    """P(X <= j) for j in 0..n-1, X ~ Binomial(n, DROPOUT_KEEP), as exact fractions from `math.comb`."""
+    p = Fraction(repr(DROPOUT_KEEP))  # 4/5, the decimal the constant is written as
+    cdf, cum = [], Fraction(0)
+    for j in range(n):
+        cum += comb(n, j) * p**j * (1 - p) ** (n - j)
+        cdf.append(cum)
+    return cdf
+
+
+def ref_count(n, u):
+    """Inverse of the exact CDF at the 64-bit draw ``u``: the least j with u < floor(P(X <= j) * 2**64)."""
+    return next((j for j, f in enumerate(ref_dropout_cdf(n)) if u < math.floor(f * 2**64)), n)
+
+
+def ref_normal(u):
+    """Standard normal at the 64-bit draw ``u``: the inverse CDF at its top 52 bits, centred in (0, 1)."""
+    return NormalDist().inv_cdf(Fraction((u >> 12) * 2 + 1, 2**53))
+
+
 def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
-    """(num_matches, accepted, relative) of match_frames as it was before the zero-share
-    exit and the deferred pose: the pair's generator is always built, a zero-share pair
-    simply draws nothing from it, and every accepted pair draws its pose at once."""
+    """(num_matches, accepted, relative) of match_frames without the zero-share
+    exit or the deferred pose: every pair derives its key, a zero-share pair
+    counts 0 matches, and every accepted pair draws its pose at once. The key and
+    its draws are the frontend's; the inversions are this file's exact ones."""
     shared = ref_shared(a, b)
-    rng = np.random.default_rng((seed, a_id, b_id))
-    num = int(rng.binomial(shared, DROPOUT_KEEP)) if shared else 0
+    key = frontend._pair_key(seed, a_id, b_id)
+    num = ref_count(shared, frontend._draw(key, 0)) if shared else 0
     if num < min_matches:
         return num, False, None
     dx = truth_a.gt_pose.x - truth_b.gt_pose.x
@@ -64,7 +93,7 @@ def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
         rel = between(truth_a.template_pose, truth_b.template_pose)
     else:
         return num, False, None
-    nx, ny, nth = rng.normal(0.0, 1.0, size=3)
+    nx, ny, nth = (ref_normal(frontend._draw(key, k)) for k in (1, 2, 3))
     noisy = Pose2(rel.x + NOISE_XY * nx, rel.y + NOISE_XY * ny, rel.theta + NOISE_THETA * nth)
     return num, True, noisy
 
@@ -166,17 +195,122 @@ class TestMatchFrames:
         assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, a, a, t, t, MIN_MATCHES, 0)
         assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0).accepted
 
-    def test_pose_step_draws_once(self):
-        # the pose is drawn from the pair's generator on first read and kept: a second read draws nothing
+    def test_pose_step_draws_once(self, monkeypatch):
+        # the accept step makes draw 0 only; the pose step makes draws 1-3 on first read and keeps the pose
         a, b = app(range(60)), app(range(30, 90))
+        draws, real_draw = [], frontend._draw
+        monkeypatch.setattr(frontend, "_draw", lambda key, k: draws.append(k) or real_draw(key, k))
         mr = match(5, 9, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, 123)
-        assert mr.accepted
+        assert mr.accepted and draws == [0]
         pose = mr.relative
-        state = mr.rng.bit_generator.state
-        assert mr.relative is pose and mr.rng.bit_generator.state == state
+        assert draws == [0, 1, 2, 3]
+        assert mr.relative is pose and draws == [0, 1, 2, 3]
         assert mr == match(5, 9, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, 123)
+        del draws[:]
         rejected = match(5, 9, a, b, truth(0, 0), truth(1, 0), 1000, 123)
-        assert not rejected.accepted and rejected.relative is None and rejected.rng is None
+        assert not rejected.accepted and rejected.relative is None and rejected.key is None
+        assert draws == [0]
+
+
+def largest_preset_bag(dataset_cache):
+    return max(len(f.appearance.words) for name in simworld.preset_worlds() for f in dataset_cache(name, 0).frames)
+
+
+class TestCounterDraws:
+    """The match draws: a pure function of (seed, a_id, b_id, k), with no generator state."""
+
+    def test_draws_are_splitmix64(self):
+        # key 0's draws 1-3 are splitmix64's first three outputs from state 0 (Steele, Lea and Flood, 2014)
+        assert [frontend._draw(0, k) for k in (1, 2, 3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_dropout_cdf_equals_exact_reference(self, dataset_cache):
+        largest = largest_preset_bag(dataset_cache)
+        assert largest == 136  # three bins of 38 corridor and 6 alias words, plus 4 jitter words
+        for n in (1, 2, 3, 7, 20, 60, 100, largest, 500, 1600):  # 0.2**n underflows a float from n = 463
+            table = frontend._dropout_cdf(n)
+            assert len(table) == n
+            assert list(table) == [math.floor(f * 2**64) for f in ref_dropout_cdf(n)], n
+            assert all(x <= y for x, y in zip(table, table[1:])), n
+            assert table[-1] < 2**64, n  # below 1 before the last count: a count of n can be drawn
+        assert frontend._dropout_cdf(1600)[0] == 0 and frontend._dropout_cdf(1600)[-1] == 2**64 - 1
+
+    def test_binomial_fits_exact_pmf(self, dataset_cache):
+        # chi-square of 20,000 counts per n against the exact pmf, cells merged until each expects >= 20
+        for n in (1, 5, 20, 60, largest_preset_bag(dataset_cache)):
+            cdf = [float(f) for f in ref_dropout_cdf(n)] + [1.0]
+            pmf = np.diff([0.0] + cdf)
+            draws = 20_000
+            bag = app(range(n))
+            counts = np.bincount(
+                [match(n, b, bag, bag, truth(0, 0), truth(0, 0), n + 1, 0).num_matches for b in range(draws)],
+                minlength=n + 1,
+            )
+            observed, expected, o, e = [], [], 0, 0.0
+            for j in range(n + 1):
+                o, e = o + counts[j], e + draws * pmf[j]
+                if e >= 20:
+                    observed.append(o)
+                    expected.append(e)
+                    o, e = 0, 0.0
+            observed[-1] += o
+            expected[-1] += e
+            chi2 = sum((ob - ex) ** 2 / ex for ob, ex in zip(observed, expected))
+            assert stats.chi2.sf(chi2, len(observed) - 1) > 1e-3, (n, chi2, len(observed))
+            mean = counts @ np.arange(n + 1) / draws
+            assert abs(mean - n * DROPOUT_KEEP) < 5 * math.sqrt(n * DROPOUT_KEEP * (1 - DROPOUT_KEEP) / draws), n
+
+    def test_normals_are_standard(self):
+        # the match noise of 10,000 keys, 30,000 normals: mean, variance and a KS bound at fixed seeds
+        keys = [frontend._pair_key(7, a, a + 1) for a in range(10_000)]
+        z = np.array([frontend._normal(key, k) for key in keys for k in (1, 2, 3)])
+        n = len(z)
+        assert abs(z.mean()) < 4 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 4 * math.sqrt(2 / n)
+        assert stats.kstest(z, "norm").statistic < 1.63 / math.sqrt(n)  # the 1% critical value
+        # draws 1-3 of one key are not correlated with each other
+        by_k = z.reshape(-1, 3)
+        assert np.abs(np.corrcoef(by_k, rowvar=False) - np.eye(3)).max() < 4 / math.sqrt(len(keys))
+
+    def test_order_independent(self, dataset_cache):
+        # a pair's result is a function of the pair: shuffled, with cold caches, every pair draws the same
+        ds = dataset_cache("c_hall", 0)
+        frames = ds.frames
+        truths = [FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
+                  for f in frames]
+        masks = ds.word_masks
+        pairs = [(i, j) for i in range(0, len(frames), 3) for j in range(i) if masks[i] & masks[j]]
+
+        def results(order):
+            return {
+                (i, j): (mr.num_matches, mr.accepted, mr.relative)
+                for i, j in order
+                for mr in [match_frames(i, j, (masks[i] & masks[j]).bit_count(), frames[i].appearance,
+                                        frames[j].appearance, truths[i], truths[j], 10, 3)]
+            }
+
+        first = results(pairs)
+        frontend._dropout_cdf.cache_clear()
+        frontend._seed_key.cache_clear()
+        shuffled = pairs[:]
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != pairs and results(shuffled) == first
+        assert sum(acc for _n, acc, _r in first.values()) > 100
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1, 2**70])
+    def test_seeds_two_to_the_64_apart_differ(self, seed):
+        # every 64-bit limb of the seed enters the key: a seed and the one 2**64 above share no draws
+        assert PolicyParams(seed=seed + 2**64).seed == seed + 2**64
+        a, b = app(range(60)), app(range(30, 90))
+        low = [match(i, i + 1, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, seed) for i in range(50)]
+        high = [match(i, i + 1, a, b, truth(0, 0), truth(1, 0), MIN_MATCHES, seed + 2**64) for i in range(50)]
+        assert frontend._seed_key(seed) != frontend._seed_key(seed + 2**64)
+        assert [r.num_matches for r in low] != [r.num_matches for r in high]
+        assert all(x.relative != y.relative for x, y in zip(low, high) if x.accepted and y.accepted)
+
+    def test_negative_seed_rejected(self):
+        a = app(range(40))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            match(0, 1, a, a, truth(0, 0), truth(0, 0), MIN_MATCHES, -1)
 
 
 class TestSharedWordCount:

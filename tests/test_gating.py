@@ -427,12 +427,11 @@ class TestRunPipeline:
         }
 
     def test_poses_only_for_committed_matches(self, monkeypatch, dataset_cache):
-        # each word-sharing candidate pair seeds its generator once; only a committed match draws its pose
+        # each word-sharing candidate pair derives its draw key once; only a committed match draws its pose
         ds = dataset_cache("c_hall", 0)
-        ds.word_masks  # derived before numpy's generator is counted
         p = PolicyParams(policy="orb", gated=True, min_matches=20, seed=0)
-        seeded, sharing, poses = [], [], count()
-        real_rng, real_match, real_between = np.random.default_rng, gating.match_frames, frontend.between
+        keyed, sharing, poses = [], [], count()
+        real_key, real_match, real_between = frontend._pair_key, gating.match_frames, frontend.between
 
         def match(a_id, b_id, shared, *rest):
             if shared:
@@ -443,12 +442,12 @@ class TestRunPipeline:
             next(poses)
             return real_between(a, b)
 
-        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeded.append(seed) or real_rng(seed))
+        monkeypatch.setattr(frontend, "_pair_key", lambda *args: keyed.append(args) or real_key(*args))
         monkeypatch.setattr(gating, "match_frames", match)
         monkeypatch.setattr(frontend, "between", between)
         rec = run_pipeline(ds, p)
         loop_edges = [e for e in rec.graph.edges if e.kind == "loop"]
-        assert sharing and seeded == sharing
+        assert sharing and keyed == sharing
         assert next(poses) == len(loop_edges) > len(rec.loop_edges) > 0
 
     def test_rtab_memory_trace_shape(self, tiny_dataset, small_rtab_memory):

@@ -288,8 +288,8 @@ def write_report(path: str | Path, rows: Sequence[dict[str, str]]) -> None:
 
 def read_report(path: str | Path) -> list[dict[str, str]]:
     """The rows of a report file, none when it does not exist. Raises BadReport for a
-    header that lacks a report column or has an unknown one, and for a row whose length
-    differs from the header's."""
+    header that lacks a report column, has an unknown one or repeats one, and for a row
+    whose length differs from the header's."""
     if not Path(path).exists():
         return []
     with open(path, newline="") as fh:
@@ -297,8 +297,10 @@ def read_report(path: str | Path) -> list[dict[str, str]]:
         header = next(reader, [])
         missing = [c for c in REPORT_COLUMNS if c not in header]
         unknown = [c for c in header if c not in REPORT_COLUMNS]
-        if missing or unknown:
-            raise BadReport(f"{path}:1: report header: missing columns {missing}, unknown columns {unknown}")
+        repeated = [c for c in REPORT_COLUMNS if header.count(c) > 1]
+        if missing or unknown or repeated:
+            raise BadReport(f"{path}:1: report header: missing columns {missing}, "
+                            f"unknown columns {unknown}, repeated columns {repeated}")
         rows = []
         for row in reader:
             if len(row) != len(header):

@@ -5,11 +5,13 @@ its readings as the columns of one `Scans`. A dwell's readings are aggregated in
 one signature: BSSIDs that differ only in the last nibble of the MAC belong to the
 same physical access point and are averaged together, and the averaged dBm value is
 mapped to a non-negative strength so that absent APs add exactly zero to similarity.
+Each signature is scaled to unit length once, when it is built, so a similarity is
+one dot product over the shared APs.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -83,23 +85,27 @@ class Scans:
 class Signature:
     """Per-AP strength vector collected during one dwell.
 
-    ``entries`` maps masked AP ids to strengths and iterates in ascending
-    ApId order so downstream consumers are deterministic. ``sum_sq`` is the
-    sum of the squared strengths, kept for similarity queries.
+    ``entries`` maps masked AP ids to finite, non-negative strengths and iterates
+    in ascending ApId order so downstream consumers are deterministic. ``unit``
+    holds the same entries scaled to Euclidean length 1 (all zeros when every
+    strength is 0), kept for similarity queries.
     """
 
     entries: Mapping[str, float]
     collected_at: float
     pause_index: int
-    sum_sq: float = field(init=False, repr=False, compare=False)
+    unit: Mapping[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = dict(sorted(self.entries.items()))
         for ap, s in ordered.items():
-            if s < 0:
-                raise ValueError(f"negative strength {s} for {ap}")
+            if not 0.0 <= s < math.inf:
+                raise ValueError(f"strength {s} for {ap} is not finite and non-negative")
+        top = max(ordered.values(), default=0.0) or 1.0  # scale first: squares of tiny strengths underflow
+        scaled = {ap: s / top for ap, s in ordered.items()}
+        norm = math.sqrt(sum(x * x for x in scaled.values())) or 1.0
         object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "sum_sq", sum(s * s for s in ordered.values()))
+        object.__setattr__(self, "unit", {ap: x / norm for ap, x in scaled.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -124,28 +130,18 @@ def signatures_of(scans: Scans) -> tuple[Signature, ...]:
 def cosine_similarity(a: Signature, b: Signature) -> float:
     """Cosine similarity over the union of AP ids; absent APs count as zero.
 
-    Returns a value in [0, 1] (strengths are non-negative), exactly 0.0 for
-    disjoint AP sets and symmetric in its arguments.
+    The dot product of the two unit vectors, summed in ascending ApId order:
+    a value in [0, 1] (strengths are non-negative), exactly 0.0 for disjoint AP
+    sets or an all-zero signature, and exactly symmetric in its arguments.
     """
     if not a.entries or not b.entries:
         raise EmptySignature("cosine_similarity requires non-empty signatures")
-    if min(a.sum_sq, b.sum_sq) < sys.float_info.min:
-        # squares of strengths below ~1e-154 lose precision or vanish:
-        # divide each vector by its largest strength, which leaves the cosine unchanged
-        ma, mb = max(a.entries.values()), max(b.entries.values())
-        if ma == 0.0 or mb == 0.0:
-            return 0.0
-        a = Signature({ap: s / ma for ap, s in a.entries.items()}, a.collected_at, a.pause_index)
-        b = Signature({ap: s / mb for ap, s in b.entries.items()}, b.collected_at, b.pause_index)
-        return cosine_similarity(a, b)
-    dot = 0.0
-    for ap, sa in a.entries.items():
-        sb = b.entries.get(ap)
-        if sb is not None:
-            dot += sa * sb
-    if dot == 0.0:
-        return 0.0
-    return min(1.0, dot / (a.sum_sq**0.5 * b.sum_sq**0.5))
+    dot, bu = 0.0, b.unit
+    for ap, x in a.unit.items():
+        y = bu.get(ap)
+        if y is not None:
+            dot += x * y
+    return min(1.0, dot)
 
 
 def associate_frames(

@@ -596,7 +596,7 @@ def test_removed_setting_exit_2(gen_dir, tmp_path, capsys, command, setting):
 
 
 @pytest.mark.parametrize("command", ["report", "sweep"])
-@pytest.mark.parametrize("fault", ["old_header", "short_row", "removed_columns"])
+@pytest.mark.parametrize("fault", ["old_header", "short_row", "removed_columns", "repeated_column"])
 def test_malformed_report_exit_3(gen_dir, tmp_path, capsys, command, fault):
     bad = tmp_path / "runs" / "r0" / "report_row.csv"
     bad.parent.mkdir(parents=True)
@@ -607,6 +607,10 @@ def test_malformed_report_exit_3(gen_dir, tmp_path, capsys, command, fault):
         header = [*evaluation.KEY_COLUMNS, *REMOVED_COLUMNS, *evaluation.REPORT_COLUMNS[len(evaluation.KEY_COLUMNS):]]
         bad.write_text(",".join(header) + "\n")
         named = f"{bad}:1: report header: missing columns [], unknown columns {REMOVED_COLUMNS}"
+    elif fault == "repeated_column":  # a row that would silently keep its later fp value
+        header = [*evaluation.REPORT_COLUMNS, "fp"]
+        bad.write_text(",".join(header) + "\n" + ",".join(["1"] * len(header)) + "\n")
+        named = f"{bad}:1: report header: missing columns [], unknown columns [], repeated columns ['fp']"
     else:
         bad.write_text(",".join(evaluation.REPORT_COLUMNS) + "\nb_hall,orb\n")
         named = f"{bad}:2: 2 fields"

@@ -323,7 +323,8 @@ def test_key_fields_keep_the_old_strings(policy, gated, seed, min_matches, wifi_
     ("dataset,policy\nb_hall,orb\n", 1, "missing columns ['gated', "),
     (",".join(REPORT_COLUMNS) + ",extra\n", 1, "unknown columns ['extra']"),
     (",".join(REPORT_COLUMNS) + "\n" + ",".join(["1"] * len(REPORT_COLUMNS)) + "\nb_hall,orb\n", 3, "2 fields"),
-], ids=["old_header", "unknown_column", "short_row"])
+    (",".join(REPORT_COLUMNS) + ",fp\n" + ",".join(["1"] * len(REPORT_COLUMNS)) + ",2\n", 1, "repeated columns ['fp']"),
+], ids=["old_header", "unknown_column", "short_row", "repeated_column"])
 def test_read_report_names_file_and_line(tmp_path, text, line, named):
     path = tmp_path / "report.csv"
     path.write_text(text)

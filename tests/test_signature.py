@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -125,6 +128,12 @@ class TestSignatureFromWindow:
         s = sig({"0A:00:00:00:02:00": 1.0, "0A:00:00:00:01:00": 2.0})
         assert list(s.entries) == sorted(s.entries)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_strength_not_finite_and_non_negative_rejected(self, bad):
+        with pytest.raises(ValueError) as exc:
+            sig({"0A:00:00:00:01:00": 30.0, "0A:00:00:00:02:00": bad})
+        assert "0A:00:00:00:02:00" in str(exc.value)
+
 
 def _mac(ap, radio, lower):
     mac = f"0A:00:00:00:{ap:02X}:{0xF0 | radio:02X}" if ap % 2 else f"AA:BB:CC:{ap:02X}:00:{radio:X}0"
@@ -202,7 +211,7 @@ class TestCosineSimilarity:
     def test_symmetric_and_bounded(self, ea, eb):
         a, b = sig(ea), sig(eb)
         s1, s2 = cosine_similarity(a, b), cosine_similarity(b, a)
-        assert s1 == pytest.approx(s2, abs=1e-12)
+        assert s1 == s2
         assert 0.0 <= s1 <= 1.0
 
     @given(aps, st.floats(min_value=0.01, max_value=50.0))
@@ -214,6 +223,44 @@ class TestCosineSimilarity:
         if sum(v * v for v in entries.values()) == 0.0:
             return  # all-zero vector: similarity degenerates to 0 by convention
         assert cosine_similarity(a, scaled) == pytest.approx(1.0, abs=1e-9)
+
+
+def ref_cosine(ea, eb):
+    """The exact cosine of two strength vectors in rationals, rounded once at the end."""
+    dot = sum(Fraction(v) * Fraction(eb[ap]) for ap, v in ea.items() if ap in eb)
+    na, nb = (sum(Fraction(v) ** 2 for v in e.values()) for e in (ea, eb))
+    return math.sqrt(float(dot * dot / (na * nb)))
+
+
+class TestUnitVector:
+    """Each signature keeps its unit vector; a similarity is one dot product of two of them."""
+
+    ap = st.integers(min_value=0, max_value=20).map(lambda k: f"0A:00:00:00:{k:02X}:00")
+    wide = st.dictionaries(ap, st.floats(min_value=1e-300, max_value=1e3), min_size=1, max_size=8)
+    with_zeros = st.dictionaries(ap, st.just(0.0) | st.floats(min_value=1e-300, max_value=1e3), min_size=1, max_size=8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide, wide)
+    @example({"0A:00:00:00:00:00": 1e3, "0A:00:00:00:01:00": 1e-300}, {"0A:00:00:00:01:00": 1e-300})
+    @example({"0A:00:00:00:00:00": 3e-162}, {"0A:00:00:00:00:00": 3e-164})  # squares underflow
+    @example({"0A:00:00:00:00:00": 1e3, "0A:00:00:00:01:00": 1e3}, {"0A:00:00:00:00:00": 1e-300, "0A:00:00:00:01:00": 1e-300})
+    def test_matches_exact_reference(self, ea, eb):
+        assert cosine_similarity(sig(ea), sig(eb)) == pytest.approx(ref_cosine(ea, eb), rel=0, abs=1e-12)
+
+    @given(wide)
+    @example({"0A:00:00:00:00:00": 1e-300})
+    @example({"0A:00:00:00:00:00": 5e-324, "0A:00:00:00:01:00": 1e3})  # a subnormal next to the largest
+    def test_unit_has_norm_one(self, entries):
+        s = sig(entries)
+        assert list(s.unit) == list(s.entries)
+        assert math.fsum(x * x for x in s.unit.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    @given(st.dictionaries(ap, st.just(0.0), min_size=1, max_size=4), with_zeros)
+    def test_all_zero_scores_zero(self, zeros, other):
+        z = sig(zeros)
+        assert all(x == 0.0 for x in z.unit.values())
+        assert cosine_similarity(z, sig(other)) == 0.0 and cosine_similarity(sig(other), z) == 0.0
+        assert cosine_similarity(z, z) == 0.0
 
 
 class TestAssociateFrames:

@@ -10,6 +10,7 @@ cluster's members this step; otherwise it seeds a new cluster.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -45,11 +46,19 @@ class AssignmentOutcome:
 
 
 class ClusterStore:
-    """Ordered clusters plus a keyframe -> cluster index; single writer."""
+    """Ordered clusters plus a keyframe -> cluster index; single writer.
+
+    It also keeps, per signature it has been queried with, that signature's similarity to
+    each cluster's representative in cluster id order. Representatives are frozen and
+    clusters only appended, so a query scores only the clusters made since its signature's
+    last one. The row holds the signature itself, so its ``id`` is not reused while the
+    store lives.
+    """
 
     def __init__(self) -> None:
         self.clusters: list[Cluster] = []
         self._cluster_of: dict[int, int] = {}
+        self._rows: dict[int, tuple[Signature, array]] = {}  # id(signature) -> (signature, similarities)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -68,16 +77,21 @@ class ClusterStore:
         self.clusters[cluster_id].members.append(keyframe_id)
         self._cluster_of[keyframe_id] = cluster_id
 
+    def _similarities(self, sig: Signature) -> array:
+        """sig's `cosine_similarity` to every cluster's representative, in cluster id order."""
+        row = self._rows.get(id(sig))
+        if row is None:
+            row = self._rows[id(sig)] = (sig, array("d"))
+        scores = row[1]
+        scores.extend(cosine_similarity(sig, c.representative) for c in self.clusters[len(scores):])
+        return scores
+
 
 def similar_clusters(store: ClusterStore, sig: Signature, threshold: float) -> SimilarClusters:
     """All clusters whose representative scores >= threshold against sig."""
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    scored = []
-    for c in store.clusters:
-        s = cosine_similarity(sig, c.representative)
-        if s >= threshold:
-            scored.append((c.id, s))
+    scored = [(cid, s) for cid, s in enumerate(store._similarities(sig)) if s >= threshold]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return SimilarClusters(entries=tuple(scored))
 

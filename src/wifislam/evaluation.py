@@ -29,7 +29,7 @@ from .clustering import ClusterStore, assign, members_of, similar_clusters
 from .frontend import word_masks
 from .gating import PolicyParams, RunRecord
 from .posegraph import kabsch_align, apply_rigid, rmse
-from .signature import NoSignatures, Signature, cosine_similarity
+from .signature import NoSignatures, Signature, similarity_matrix
 from .simworld import DataError, Dataset, Frame
 
 
@@ -112,11 +112,9 @@ def similarity_distance_curve(
         raise NoSignatures(f"need at least 2 dwell signatures, got {len(signatures)}")
     times = [f.t for f in dataset.frames]
     pos = [dataset.frames[max(bisect_right(times, s.collected_at) - 1, 0)].gt_pose for s in signatures]
-    pts = []
-    for i in range(len(signatures)):
-        for j in range(i + 1, len(signatures)):
-            d = math.hypot(pos[i].x - pos[j].x, pos[i].y - pos[j].y)
-            pts.append((d, cosine_similarity(signatures[i], signatures[j])))
+    i, j = np.triu_indices(len(signatures), 1)  # every pair, row by row
+    sims = similarity_matrix(signatures)[i, j].tolist()
+    pts = [(math.hypot(pos[a].x - pos[b].x, pos[a].y - pos[b].y), s) for a, b, s in zip(i.tolist(), j.tolist(), sims)]
     rho = float(spearmanr([p[0] for p in pts], [p[1] for p in pts]).statistic)
     return pts, rho
 

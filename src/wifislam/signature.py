@@ -56,8 +56,9 @@ def mask_bssid(bssid: str) -> str:
 
 
 def strength_of(rssi_dbm: float) -> float:
-    """Map dBm to a non-negative strength: dB above the -100 dBm floor, clamped at 0."""
-    return max(0.0, rssi_dbm - STRENGTH_FLOOR_DBM)
+    """Map dBm to a non-negative strength: dB above the -100 dBm floor, clamped at 0.
+    A NaN reading stays NaN, which `Signature` rejects."""
+    return max(rssi_dbm - STRENGTH_FLOOR_DBM, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +143,26 @@ def cosine_similarity(a: Signature, b: Signature) -> float:
         if y is not None:
             dot += x * y
     return min(1.0, dot)
+
+
+def similarity_matrix(signatures: Sequence[Signature]) -> np.ndarray:
+    """Every pair's `cosine_similarity` as one symmetric matrix, equal to the scalar bit for bit.
+
+    The unit vectors are the rows of one dense matrix, an absent AP's entry 0.0. Each AP's
+    products are added to every pair's sum in ascending ApId order, as the scalar adds them; an
+    AP the two do not share adds 0.0, which leaves the sum unchanged.
+    """
+    if not all(s.entries for s in signatures):
+        raise EmptySignature("similarity_matrix requires non-empty signatures")
+    aps = sorted(set().union(*(s.unit for s in signatures)))
+    col = {ap: k for k, ap in enumerate(aps)}
+    units = np.zeros((len(aps), len(signatures)))  # one row per AP, one column per signature
+    for j, s in enumerate(signatures):
+        units[[col[ap] for ap in s.unit], j] = list(s.unit.values())
+    dot = np.zeros((len(signatures), len(signatures)))
+    for row in units:
+        dot += np.multiply.outer(row, row)
+    return np.minimum(dot, 1.0)
 
 
 def associate_frames(

@@ -19,7 +19,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, asdict, fields, is_dataclass
 from functools import cache, cached_property
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -735,7 +735,7 @@ SCANS_HEADER = "timestamp_s,bssid,rssi_dbm,dwell_index"
 LOOPS_HEADER = "id_a,id_b"
 
 MAX_DWELLS = 1 << 20  # dwell indices lie below this
-_SCAN_ROWS = 1024  # scans.csv rows parsed and checked per numpy pass; bounds the reader's memory
+_SCAN_ROWS = 1024  # scans.csv lines split and checked per numpy pass; bounds the reader's memory
 
 T = TypeVar("T")
 
@@ -852,32 +852,47 @@ class _LineFault(ValueError):
         self.line = line
 
 
-def _read_rows(path: Path, header: str, parse: Callable[[Iterator[tuple[int, list[str]]]], T]) -> T:
-    """Check a dataset CSV's header, then ``parse`` its non-blank rows as (line number, fields),
-    split into as many fields as the header has. Any fault raises DataError naming the file
-    and the line."""
-    n_fields = header.count(",") + 1
-    lineno = 1
-
-    def rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
-        nonlocal lineno
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if line:
-                parts = line.split(",")
-                if len(parts) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
-                yield lineno, parts
-
+def _read_csv(path: Path, header: str, parse: Callable[[TextIO], T]) -> T:
+    """Check a dataset CSV's header, then ``parse`` the rest of the open file. Any fault
+    raises DataError naming the file, and the line of a `_LineFault`."""
     try:
         with open(path, newline="") as fh:
             if fh.readline().strip() != header:
-                raise ValueError(f"expected header {header}")
-            return parse(rows(fh))
+                raise _LineFault(1, f"expected header {header}")
+            return parse(fh)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    except (OverflowError, ValueError) as exc:
-        raise DataError(f"{path}:{exc.line if isinstance(exc, _LineFault) else lineno}: {exc}") from exc
+    except _LineFault as exc:
+        raise DataError(f"{path}:{exc.line}: {exc}") from exc
+    except (OverflowError, ValueError) as exc:  # a fault in reading the file, not in a row
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _per_row(parse: Callable[[Iterator[tuple[int, list[str]]]], T], n_fields: int) -> Callable[[TextIO], T]:
+    """``parse`` over a file's non-blank lines as (line number, fields), each split into ``n_fields``
+    fields; any fault it or the split raises is blamed on the last line read."""
+
+    def parse_file(fh: TextIO) -> T:
+        lineno = 1
+
+        def rows() -> Iterator[tuple[int, list[str]]]:
+            nonlocal lineno
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if line:
+                    parts = line.split(",")
+                    if len(parts) != n_fields:
+                        raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
+                    yield lineno, parts
+
+        try:
+            return parse(rows())
+        except _LineFault:
+            raise
+        except (OverflowError, ValueError) as exc:
+            raise _LineFault(lineno, str(exc)) from exc
+
+    return parse_file
 
 
 def _finite(text: str) -> float:
@@ -909,28 +924,37 @@ def _frames(rows: Iterator[tuple[int, list[str]]]) -> tuple[Frame, ...]:
     return tuple(frames)
 
 
-def _scans(rows: Iterator[tuple[int, list[str]]]) -> Scans:
-    """Readings grouped by dwell, each dwell's in row order. The columns are checked in bulk, and
-    `_check_scan_rows` names the first faulty row. A dwell whose mean reading time (its signature's
-    ``collected_at``) is earlier than the previous dwell's is blamed on its first reading."""
+def _scans(fh: TextIO) -> Scans:
+    """Readings grouped by dwell, each dwell's in row order. The file is read `_SCAN_ROWS` lines at a
+    time; each chunk's rows are split and checked in bulk, and a chunk with a fault is checked again
+    row by row (`_check_scan_rows`), which names the first faulty row. A dwell whose mean reading
+    time (its signature's ``collected_at``) is earlier than the previous dwell's is blamed on its
+    first reading."""
     lines, columns, bssids = [], [], {}  # bssids: each distinct BSSID's code, in order of first use
-    while not columns or len(columns[-1][0]) == _SCAN_ROWS:  # until a chunk comes back short
-        fields = []
+    start, chunk = 2, []  # start: the line number of the next chunk's first line
+    while not columns or len(chunk) == _SCAN_ROWS:  # until a chunk comes back short
+        chunk = list(islice(fh, _SCAN_ROWS))
+        text = list(map(str.strip, chunk))
+        rows = list(filter(None, text))
+        at = np.flatnonzero(list(map(bool, text))) + start  # each row's line number
+        start += len(text)
         try:
-            for line, p in islice(rows, _SCAN_ROWS):
-                lines.append(line)
-                fields.append(p)
-            t_s, bssid, rssi, dwell = zip(*fields) if fields else ((),) * 4
-            t, r = (np.array(list(map(float, column)), dtype=float) for column in (t_s, rssi))
-            d = np.array(list(map(int, dwell)), dtype=np.int64)
+            if not set(map(str.count, rows, repeat(","))) <= {3}:
+                raise ValueError("a scan row without 4 fields")
+            fields = ",".join(rows).split(",") if rows else []
+            t, r = (np.array(list(map(float, fields[k::4])), dtype=float) for k in (0, 2))
+            d = np.array(list(map(int, fields[3::4])), dtype=np.int64)
             known = len(bssids)
-            code = np.array([bssids.setdefault(b, len(bssids)) for b in bssid], dtype=np.int64)
+            for b in dict.fromkeys(fields[1::4]):
+                bssids.setdefault(b, len(bssids))
+            code = np.array(list(map(bssids.__getitem__, fields[1::4])), dtype=np.int64)
             list(map(mask_bssid, list(bssids)[known:]))  # each distinct BSSID must be a MAC
             if not (np.isfinite(t) & np.isfinite(r) & (r <= 0) & (d >= 0) & (d < MAX_DWELLS)).all():
                 raise ValueError("a faulty scan row")
-        except (OverflowError, ValueError):  # a fault in an earlier row comes before a row's wrong field count
-            _check_scan_rows(lines[len(lines) - len(fields):], fields)
+        except (OverflowError, ValueError):
+            _check_scan_rows(at.tolist(), rows)
             raise
+        lines.append(at)
         columns.append((d, t, code, r))
     d, t, code, r = (np.concatenate(column) for column in zip(*columns))
     order = np.argsort(d, kind="stable")
@@ -940,15 +964,21 @@ def _scans(rows: Iterator[tuple[int, list[str]]]) -> Scans:
     late = np.flatnonzero(np.less(means[1:], means[:-1]))  # dwell k + 1 has an earlier mean than dwell k
     if late.size:
         k = int(late[0])
-        raise _LineFault(lines[order[first[k + 1]]], f"dwell {dwells[k + 1]} (mean time {means[k + 1]!r} s) is "
-                                                     f"earlier than dwell {dwells[k]} ({means[k]!r} s)")
+        raise _LineFault(int(np.concatenate(lines)[order[first[k + 1]]]),
+                         f"dwell {dwells[k + 1]} (mean time {means[k + 1]!r} s) is "
+                         f"earlier than dwell {dwells[k]} ({means[k]!r} s)")
     return scans
 
 
-def _check_scan_rows(lines: list[int], fields: list[list[str]]) -> None:
-    """Raise the first faulty scan row's fault; a row's fields are checked dwell, timestamp, RSSI, BSSID."""
-    for line, (t_s, bssid, rssi, dwell) in zip(lines, fields):
+def _check_scan_rows(lines: list[int], rows: list[str]) -> None:
+    """Raise the first faulty scan row's fault. A row's field count is checked first, then its
+    fields in the order dwell, timestamp, RSSI, BSSID."""
+    for line, row in zip(lines, rows):
         try:
+            parts = row.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            t_s, bssid, rssi, dwell = parts
             if not 0 <= int(dwell) < MAX_DWELLS:
                 raise ValueError(f"dwell index {int(dwell)} outside [0, {MAX_DWELLS})")
             _finite(t_s)
@@ -976,11 +1006,12 @@ def load_dataset(path: str | Path) -> Dataset:
     Every fault in its files raises DataError naming the file (and the line of a CSV row)."""
     root = Path(path)
     world, seed = _read_world_file(root / "world.json", _saved_world)
-    frames = _read_rows(root / "frames.csv", FRAMES_HEADER, _frames)
+    frames = _read_csv(root / "frames.csv", FRAMES_HEADER, _per_row(_frames, FRAMES_HEADER.count(",") + 1))
     return Dataset(
         seed=seed,
         frames=frames,
-        scans=_read_rows(root / "scans.csv", SCANS_HEADER, _scans),
-        gt_loop_pairs=_read_rows(root / "loops_gt.csv", LOOPS_HEADER, lambda rows: _loop_rows(rows, len(frames))),
+        scans=_read_csv(root / "scans.csv", SCANS_HEADER, _scans),
+        gt_loop_pairs=_read_csv(root / "loops_gt.csv", LOOPS_HEADER,
+                                _per_row(lambda rows: _loop_rows(rows, len(frames)), LOOPS_HEADER.count(",") + 1)),
         world=world,
     )

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wifislam import gating, simworld
+from wifislam import clustering, gating, simworld
 from wifislam.clustering import (
     ClusterStore,
     DuplicateAssignment,
@@ -90,6 +92,65 @@ class TestSimilarClusters:
                 key=lambda e: (-e[1], e[0]),
             )
             assert list(got) == want
+
+
+def brute_similar(store, probe, threshold):
+    """The filter `similar_clusters` must equal: every cluster scored afresh, then sorted."""
+    return tuple(sorted(
+        ((c.id, cosine_similarity(probe, c.representative)) for c in store.clusters
+         if cosine_similarity(probe, c.representative) >= threshold),
+        key=lambda e: (-e[1], e[0]),
+    ))
+
+
+class TestPerStoreRows:
+    """A store scores each (signature, representative) pair once and reuses the score."""
+
+    thresholds = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.sampled_from([1.0, 0.5, 0.85])
+    ops = st.lists(st.one_of(
+        st.tuples(st.just("cluster"), st.integers(0, 5)),
+        st.tuples(st.sampled_from(["assign", "query"]), st.integers(0, 5), st.booleans(), thresholds),
+    ), max_size=40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(1, 6).map(AP), st.floats(0.0, 60.0), min_size=1, max_size=4),
+                    min_size=6, max_size=6), ops)
+    def test_queries_equal_brute_force(self, pool, ops):
+        """Clusters made by `assign` and `_new_cluster` between repeated queries, with the pool's
+        own signature objects and with fresh copies of them, at varying thresholds."""
+        pool = [sig(e, pause=k) for k, e in enumerate(pool)]
+        store, keyframe = ClusterStore(), 0
+        for kind, k, *query in ops:
+            if kind == "cluster":
+                store._new_cluster(pool[k])
+                continue
+            fresh, threshold = query
+            probe = sig(dict(pool[k].entries), pause=k) if fresh else pool[k]
+            got = similar_clusters(store, probe, threshold)
+            assert got.entries == brute_similar(store, probe, threshold)
+            if kind == "assign":
+                assign(store, keyframe, probe, {keyframe - 1} if keyframe else set(), got)
+                keyframe += 1
+
+    def test_gated_orb_scores_each_pair_once(self, monkeypatch, dataset_cache):
+        scored, queried, pairs_queried = Counter(), set(), 0
+        cosine, query = clustering.cosine_similarity, gating.similar_clusters
+
+        def counted(a, b):
+            scored[id(a), id(b)] += 1
+            return cosine(a, b)
+
+        def recorded(store, probe, threshold):
+            nonlocal pairs_queried
+            queried.update((id(probe), id(c.representative)) for c in store.clusters)
+            pairs_queried += len(store.clusters)
+            return query(store, probe, threshold)
+
+        monkeypatch.setattr(clustering, "cosine_similarity", counted)
+        monkeypatch.setattr(gating, "similar_clusters", recorded)
+        gating.run_pipeline(dataset_cache("j_hall", 0), gating.PolicyParams(policy="orb", gated=True, seed=0))
+        assert scored == Counter(dict.fromkeys(queried, 1))
+        assert len(queried) < pairs_queried  # the run asks about a scored pair again
 
 
 class TestAssign:

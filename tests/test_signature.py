@@ -18,6 +18,7 @@ from wifislam.signature import (
     cosine_similarity,
     mask_bssid,
     signatures_of,
+    similarity_matrix,
     strength_of,
 )
 from wifislam.simworld import MAX_DWELLS
@@ -102,6 +103,9 @@ class TestStrengthOf:
         if r1 <= r2:
             assert strength_of(r1) <= strength_of(r2)
 
+    def test_nan_propagates(self):
+        assert math.isnan(strength_of(math.nan))
+
 
 class TestSignatureFromWindow:
     """`signatures_of` aggregates each dwell's window of readings into one signature."""
@@ -133,6 +137,12 @@ class TestSignatureFromWindow:
         with pytest.raises(ValueError) as exc:
             sig({"0A:00:00:00:01:00": 30.0, "0A:00:00:00:02:00": bad})
         assert "0A:00:00:00:02:00" in str(exc.value)
+
+    def test_nan_reading_rejected(self):
+        """A NaN RSSI is an error naming its AP, not an AP heard at strength 0."""
+        scans = scans_of([(0.0, "AA:BB:CC:DD:EE:F3", math.nan, 0), (1.0, "0A:00:00:00:01:F0", -50.0, 0)])
+        with pytest.raises(ValueError, match="strength nan for AA:BB:CC:DD:EE:F0 "):
+            signatures_of(scans)
 
 
 def _mac(ap, radio, lower):
@@ -261,6 +271,44 @@ class TestUnitVector:
         assert all(x == 0.0 for x in z.unit.values())
         assert cosine_similarity(z, sig(other)) == 0.0 and cosine_similarity(sig(other), z) == 0.0
         assert cosine_similarity(z, z) == 0.0
+
+
+def scalar_matrix(signatures):
+    """Every pair's `cosine_similarity`, row by row."""
+    return [[cosine_similarity(a, b) for b in signatures] for a in signatures]
+
+
+class TestSimilarityMatrix:
+    """`similarity_matrix` equals `cosine_similarity` on every pair, bit for bit."""
+
+    ap = st.integers(min_value=0, max_value=20).map(lambda k: f"0A:00:00:00:{k:02X}:00")
+    strengths = st.dictionaries(
+        ap, st.just(0.0) | st.floats(min_value=5e-324, max_value=1e-150) | st.floats(min_value=1e-300, max_value=1e3),
+        min_size=1, max_size=8,
+    )
+
+    @pytest.mark.parametrize("name", ["c_hall", "b_hall", "j_hall", "a_hall"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_scalar_on_presets(self, dataset_cache, name, seed):
+        sigs = dataset_cache(name, seed).signatures
+        assert similarity_matrix(sigs).tolist() == scalar_matrix(sigs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(strengths, min_size=1, max_size=6))
+    @example([{"0A:00:00:00:00:00": 3e-162}, {"0A:00:00:00:00:00": 3e-164, "0A:00:00:00:01:00": 5e-324}])  # tiny
+    @example([{"0A:00:00:00:00:00": 0.0, "0A:00:00:00:01:00": 0.0}, {"0A:00:00:00:01:00": 7.0}])  # all zero
+    @example([{"0A:00:00:00:00:00": 5.0}, {"0A:00:00:00:01:00": 7.0}, {"0A:00:00:00:02:00": 1e-300}])  # disjoint
+    def test_equals_scalar(self, entries):
+        sigs = [sig(e) for e in entries]
+        assert similarity_matrix(sigs).tolist() == scalar_matrix(sigs)
+
+    @pytest.mark.parametrize("entries", [[{}], [{"0A:00:00:00:01:00": 30.0}, {}]], ids=["alone", "with_other"])
+    def test_empty_raises(self, entries):
+        sigs = [sig(e) for e in entries]
+        with pytest.raises(EmptySignature):
+            cosine_similarity(sigs[-1], sigs[0])
+        with pytest.raises(EmptySignature):
+            similarity_matrix(sigs)
 
 
 class TestAssociateFrames:

@@ -518,7 +518,7 @@ class TestLoadDataset:
     def test_bad_scan_row_names_its_line(self, saved_b_hall, tmp_path, row, field, value, reason):
         """A fault on a data row, after a valid lower-case BSSID, is blamed on that row; a
         later row with another fault does not move the blame. The reader checks
-        ``simworld._SCAN_ROWS`` = 1024 rows at a time."""
+        ``simworld._SCAN_ROWS`` = 1024 lines at a time."""
         d = Path(shutil.copytree(saved_b_hall, tmp_path / "d"))
         path = d / "scans.csv"
         lines = path.read_text().split("\n")
@@ -656,3 +656,148 @@ class TestLoadDataset:
                 load_dataset(d)
             except DataError as exc:
                 assert str(exc).startswith(str(d / name))
+
+
+def reference_scans(path):
+    """The per-row reading of ``scans.csv`` that the chunked reader must equal: the same `Scans`,
+    or a DataError with the same message. Each non-blank line is stripped and split on its own;
+    a row's field count is checked first, then its dwell, timestamp, RSSI and BSSID."""
+
+    def finite(text):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"non-finite number {text!r}")
+        return float(text)
+
+    readings, bssids = [], {}  # (dwell, t, code, rssi, line) per row; bssids in order of first use
+    with open(path, newline="") as fh:
+        if fh.readline().strip() != simworld.SCANS_HEADER:
+            raise DataError(f"{path}:1: expected header {simworld.SCANS_HEADER}")
+        for line, text in enumerate(fh, start=2):
+            text = text.strip()
+            if not text:
+                continue
+            try:
+                parts = text.split(",")
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(parts)}")
+                t_s, bssid, rssi, dwell = parts
+                if not 0 <= int(dwell) < simworld.MAX_DWELLS:
+                    raise ValueError(f"dwell index {int(dwell)} outside [0, {simworld.MAX_DWELLS})")
+                t = finite(t_s)
+                if finite(rssi) > 0:
+                    raise ValueError(f"rssi must be <= 0 dBm, got {float(rssi)}")
+                mask_bssid(bssid)
+            except ValueError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from exc
+            readings.append((int(dwell), t, bssids.setdefault(bssid, len(bssids)), float(rssi), line))
+    readings.sort(key=lambda r: r[0])  # stable: each dwell's readings stay in row order
+    by_dwell = {}
+    for r in readings:
+        by_dwell.setdefault(r[0], []).append(r)
+    means = [(d, sum(r[1] for r in rs) / len(rs), rs[0][4]) for d, rs in by_dwell.items()]
+    for (d0, m0, _), (d, m, line) in zip(means, means[1:]):
+        if m < m0:
+            raise DataError(f"{path}:{line}: dwell {d} (mean time {m!r} s) is earlier than dwell {d0} ({m0!r} s)")
+    d, t, code, rssi, _ = zip(*readings) if readings else ((),) * 5
+    return simworld.Scans(np.array(d, dtype=np.int64), np.array(t, dtype=float), np.array(code, dtype=np.int64),
+                          np.array(rssi, dtype=float), tuple(bssids))
+
+
+def scans_or_message(load, path):
+    """What a reader makes of ``path``: its Scans as comparable columns, or its DataError message."""
+    try:
+        s = load()
+    except DataError as exc:
+        return str(exc)
+    return [(c.dtype.str, c.tolist()) for c in (s.dwell, s.t, s.bssid, s.rssi)] + [s.bssids]
+
+
+class TestChunkedScans:
+    """`load_dataset` reads ``scans.csv`` ``simworld._SCAN_ROWS`` lines at a time and splits each
+    chunk in one pass; it must equal the per-row reading on every file."""
+
+    def assert_like_reference(self, d, expect_fault=None):
+        path = d / "scans.csv"
+        got = scans_or_message(lambda: load_dataset(d).scans, path)
+        assert got == scans_or_message(lambda: reference_scans(path), path)
+        if expect_fault is not None:
+            assert got == f"{path}:{expect_fault}"
+
+    def b_hall_rows(self, saved_b_hall, tmp_path):
+        d = Path(shutil.copytree(saved_b_hall, tmp_path / "d"))
+        return d, (d / "scans.csv").read_text().split("\n")
+
+    def test_saved_file(self, saved_b_hall, tmp_path):
+        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
+        assert len(lines) > 3 * simworld._SCAN_ROWS
+        self.assert_like_reference(d)
+
+    def test_crlf_line_ends(self, saved_b_hall, tmp_path):
+        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
+        (d / "scans.csv").write_bytes("\r\n".join(lines).encode())
+        self.assert_like_reference(d)
+        assert load_dataset(d).scans == load_dataset(saved_b_hall).scans
+
+    def test_blank_and_padded_lines(self, saved_b_hall, tmp_path):
+        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
+        n = simworld._SCAN_ROWS
+        for k in (3, n - 1, n + 5):
+            lines[k] = f" \t{lines[k]}  "
+        lines[2 * n:2 * n] = ["", "   ", "\t"]  # blank lines that push later rows across a chunk boundary
+        lines[5:5] = [" "] * (n + 3)  # a whole chunk of blank lines
+        (d / "scans.csv").write_text("\n".join(lines))
+        self.assert_like_reference(d)
+        assert load_dataset(d).scans == load_dataset(saved_b_hall).scans
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_whole_chunks(self, saved_b_hall, tmp_path, chunks):
+        """A file of exactly whole chunks, so the last chunk read comes back empty."""
+        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
+        rows = [line for line in lines[1:] if line]
+        (d / "scans.csv").write_text("\n".join([lines[0], *rows[:chunks * simworld._SCAN_ROWS]]) + "\n")
+        self.assert_like_reference(d)
+        assert len(load_dataset(d).scans.dwell) == chunks * simworld._SCAN_ROWS
+
+    def test_field_count_in_first_row_of_second_chunk(self, saved_b_hall, tmp_path):
+        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
+        n = simworld._SCAN_ROWS
+        lines[n + 1] += ",0"  # data row n + 1, on line n + 2
+        (d / "scans.csv").write_text("\n".join(lines))
+        self.assert_like_reference(d, f"{n + 2}: expected 4 fields, got 5")
+
+    @pytest.mark.parametrize("value_first", [True, False])
+    def test_value_and_field_count_faults_in_one_chunk(self, saved_b_hall, tmp_path, value_first):
+        """The earlier of two faulty rows is named, whichever kind of fault each has."""
+        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
+        value_row, count_row = (10, 20) if value_first else (20, 10)
+        lines[value_row] = lines[value_row].rsplit(",", 2)[0] + ",nan," + lines[value_row].rsplit(",", 1)[1]
+        lines[count_row] = "broken,row"
+        (d / "scans.csv").write_text("\n".join(lines))
+        reason = "non-finite number 'nan'" if value_first else "expected 4 fields, got 2"
+        self.assert_like_reference(d, f"{min(value_row, count_row) + 1}: {reason}")
+
+    def test_short_row_then_long_row(self, tiny_copy):
+        """Rows of 3 and 5 fields whose commas add up to two rows' worth are still a fault."""
+        (tiny_copy / "scans.csv").write_text(
+            f"{simworld.SCANS_HEADER}\n0.5,AA:BB:CC:DD:EE:F3,-55.5\n0,0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n")
+        self.assert_like_reference(tiny_copy, "2: expected 4 fields, got 3")
+
+    rows = st.tuples(
+        st.sampled_from(["0.5", "1.25", " 2.0", "1_0.5", "nan", "x", "-3.0"]),
+        st.sampled_from(["AA:BB:CC:DD:EE:F3", "aa:bb:cc:dd:ee:f4", "0A:00:00:00:01:F0", "ZZ:00:00:00:00:00"]),
+        st.sampled_from(["-55.5", "-60", "0", "5.0", "-inf", " -70 "]),
+        st.sampled_from(["0", "1", "2", "-1", "1048576", "1_0", "y"]),
+    ).map(",".join) | st.sampled_from(["0.5,AA:BB:CC:DD:EE:F3,-55.5,0", "1.5,aa:bb:cc:dd:ee:f4,-60,0",
+                                       "9.0,0A:00:00:00:01:F0,-70,1"]) | \
+        st.sampled_from(["", "  ", "\t", "broken,row", "0.5,AA:BB:CC:DD:EE:F3,-55.5", "0,0.5,AA:BB:CC:DD:EE:F3,-55.5,0"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rows, max_size=14), st.sampled_from(["\n", "\r\n", "\r"]), st.integers(1, 4))
+    def test_equals_per_row_reading(self, tmp_path_factory, lines, newline, chunk_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simworld, "_SCAN_ROWS", chunk_rows)
+            d = tmp_path_factory.mktemp("scans")
+            (d / "scans.csv").write_bytes(newline.join([simworld.SCANS_HEADER, *lines]).encode())
+            path = d / "scans.csv"
+            got = scans_or_message(lambda: simworld._read_csv(path, simworld.SCANS_HEADER, simworld._scans), path)
+            assert got == scans_or_message(lambda: reference_scans(path), path)

@@ -57,7 +57,7 @@ from .clustering import (
     write_cluster_dump,
 )
 from .frontend import MATCH_INFORMATION, Appearance, InvertedIndex, MatchResult, match_frames
-from .posegraph import GraphEdge, PoseGraph, compose, optimize, write_trajectory
+from .posegraph import PoseGraph, compose, optimize, write_trajectory
 from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
 
 VISUAL_COMPARE_COST = 1.0
@@ -311,7 +311,7 @@ def _window(graph: PoseGraph, since_edge: int) -> set[int]:
     """The keyframes an in-run optimization frees: the newest `OPT_WINDOW` and
     those within `OPT_WINDOW_HOPS` hops of either end of the graph's edges from
     index ``since_edge`` on, less the anchor."""
-    ends = {k for e in graph.edges[since_edge:] for k in (e.from_id, e.to_id)}
+    ends = set(graph.edges[since_edge:].ravel().tolist())
     free = set(graph.ids[-OPT_WINDOW:]).union(_hops_from(graph, list(ends), OPT_WINDOW_HOPS))
     free.discard(graph.ids[0])
     return free
@@ -411,7 +411,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             graph.add_node(i, compose(graph.nodes[i - 1], f.odom_delta))
             sxy, sth = onoise.sigmas(math.hypot(f.odom_delta.x, f.odom_delta.y))
             info = np.diag([1.0 / sxy**2, 1.0 / sxy**2, 1.0 / sth**2])
-            graph.add_edge(GraphEdge(from_id=i - 1, to_id=i, relative=f.odom_delta, information=info))
+            graph.add_edge(i - 1, i, f.odom_delta, info)
 
         t0 = time.perf_counter()
         accepted: list[tuple[int, MatchResult]] = []
@@ -437,9 +437,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             if group:
                 committed.append(max(group, key=lambda cm: (cm[1].num_matches, -cm[0])))
         for c, mr in committed:
-            graph.add_edge(
-                GraphEdge(from_id=i, to_id=c, relative=mr.relative, information=MATCH_INFORMATION, kind="loop")
-            )
+            graph.add_edge(i, c, mr.relative, MATCH_INFORMATION)
 
         loop_to = -1
         if loop_hits:
@@ -458,7 +456,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         opt_iters_now = 0
         periodic = i > 0 and i % OPT_EVERY == 0
-        if graph.edges and (periodic or (pending_opt and i - last_opt >= OPT_MIN_SPACING)):
+        if len(graph.edges) and (periodic or (pending_opt and i - last_opt >= OPT_MIN_SPACING)):
             t0 = time.perf_counter()
             stats: dict = {}
             graph = optimize(graph, max_iters=OPT_MAX_ITERS, stats=stats, free=_window(graph, opt_edges))
@@ -473,7 +471,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         prev_matches = accepted_ids
         records.append(FrameRecord(candidate_count=len(cands), loop_to=loop_to, **pools))
 
-    if graph.edges:
+    if len(graph.edges):
         t0 = time.perf_counter()
         stats = {}
         graph = optimize(graph, max_iters=FINAL_OPT_MAX_ITERS, stats=stats)

@@ -9,17 +9,20 @@ which gives simple closed-form Jacobians:
     d r / d x_j = [[ c,  s,   0], [-s,  c,   0], [0, 0,  1]]
 with c = cos(theta_i), s = sin(theta_i) and (px, py) the predicted relative
 translation. Node ids are 0, 1, 2, ... in insertion order, and each is its
-node's row in the graph's arrays. The gauge is fixed by holding node 0 (the
-anchor) constant. `optimize` may also be given a set of free nodes, in which
-case every other node is held constant too: an edge with one fixed end then
-acts as a prior on its free end, and the gauge is the anchor plus the fixed
-nodes.
+node's row in the graph's arrays. Each edge is one row of the graph's edge
+arrays, in insertion order, which `PoseGraph.add_edge` checks before it
+stores it; no Python object is kept per edge. The gauge is fixed by holding
+node 0 (the anchor) constant. `optimize` may also be given a set of free
+nodes, in which case every other node is held constant too: an edge with one
+fixed end then acts as a prior on its free end, and the gauge is the anchor
+plus the fixed nodes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,21 +88,6 @@ def between(a: Pose2, b: Pose2) -> Pose2:
     c, s = math.cos(a.theta), math.sin(a.theta)
     dx, dy = b.x - a.x, b.y - a.y
     return Pose2(c * dx + s * dy, -s * dx + c * dy, b.theta - a.theta)
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    from_id: int
-    to_id: int
-    relative: Pose2
-    information: np.ndarray  # 3x3 SPD
-    kind: str = "odometry"  # {"odometry", "loop"}
-
-    def __post_init__(self) -> None:
-        if self.from_id == self.to_id:
-            raise ValueError("self edges are not allowed")
-        info = np.asarray(self.information, dtype=float)
-        object.__setattr__(self, "information", info)
 
 
 def _reserve(buf: np.ndarray, n: int) -> np.ndarray:
@@ -222,12 +210,13 @@ class PoseGraph:
     in the graph's arrays; node 0 is the optimizer's gauge anchor and, by
     default, the free variables are nodes 1 onwards. The graph owns the
     optimizer's state and grows it in `add_node` and `add_edge`: an (n, 3)
-    node-state array, edge arrays of endpoints, measurements and information
-    matrices, neighbour lists in edge order and a union-find of the connected
-    components. ``nodes`` (id -> pose) is a read-only view and ``ids`` is
-    ``range(n)``; ``edges`` and `neighbors` return the graph's own lists,
-    which callers must not modify. Every id argument outside ``ids`` is
-    rejected, negative ones included.
+    node-state array; one row per edge, in insertion order, of its end ids,
+    measurement and information matrix; neighbour lists in edge order and a
+    union-find of the connected components. ``nodes`` (id -> pose) is a
+    read-only view, ``ids`` is ``range(n)`` and ``edges`` is a read-only
+    (m, 2) array view of the edges' (from, to) ids; `neighbors` returns the
+    graph's own lists, which callers must not modify. Every id argument
+    outside ``ids`` is rejected, negative ones included.
     """
 
     def __init__(self) -> None:
@@ -235,9 +224,8 @@ class PoseGraph:
         self._adj: list[list[int]] = []  # neighbour ids of each node, in edge order
         self._parent: list[int] = []  # union-find over node ids
         self._components = 0
-        self._edges: list[GraphEdge] = []
-        self._ii = np.empty(16, dtype=np.intp)
-        self._jj = np.empty(16, dtype=np.intp)
+        self._m = 0  # edges: rows [0, _m) of the edge arrays
+        self._ij = np.empty((16, 2), dtype=np.intp)  # from- and to-id
         self._z = np.empty((16, 3))
         self._omega = np.empty((16, 3, 3))
         self._validated = 0  # edges [0, _validated) passed `_check_information`
@@ -252,8 +240,10 @@ class PoseGraph:
         return range(len(self._parent))
 
     @property
-    def edges(self) -> list[GraphEdge]:
-        return self._edges
+    def edges(self) -> np.ndarray:
+        view = self._ij[: self._m]
+        view.flags.writeable = False
+        return view
 
     def neighbors(self, node_id: int) -> list[int]:
         """Ids joined to ``node_id`` by an edge, once per edge, in edge order."""
@@ -272,22 +262,27 @@ class PoseGraph:
         self._parent.append(n)
         self._components += 1
 
-    def add_edge(self, edge: GraphEdge) -> None:
-        a, b = edge.from_id, edge.to_id
+    def add_edge(self, from_id: int, to_id: int, relative: Pose2, information) -> None:
+        """Append the edge ``from_id -> to_id`` that measures ``relative`` with
+        ``information``. Raises TypeError for an id that is not an integer,
+        ValueError for a self edge, `DanglingEdge` for an id outside ``ids`` and
+        `BadInformation` for information that is not 3x3, each leaving the
+        graph as it was; `optimize` checks that it is symmetric positive
+        definite."""
+        a, b = operator.index(from_id), operator.index(to_id)
+        if a == b:
+            raise ValueError("self edges are not allowed")
         if a not in self.ids or b not in self.ids:
             raise DanglingEdge(f"edge {a}->{b} references a missing node")
-        k = len(self._edges)
-        if k == len(self._ii):
-            self._ii, self._jj, self._z, self._omega = (
-                _reserve(buf, k + 1) for buf in (self._ii, self._jj, self._z, self._omega)
-            )
-        self._ii[k] = a
-        self._jj[k] = b
-        rel = edge.relative
-        self._z[k] = (rel.x, rel.y, rel.theta)
-        # a wrong shape is reported by `optimize`, as it always was
-        self._omega[k] = edge.information if edge.information.shape == (3, 3) else np.nan
-        self._edges.append(edge)
+        info = np.asarray(information, dtype=float)
+        if info.shape != (3, 3):
+            raise BadInformation(f"edge {a}->{b}: information must be 3x3")
+        k = self._m
+        self._ij, self._z, self._omega = (_reserve(buf, k + 1) for buf in (self._ij, self._z, self._omega))
+        self._ij[k] = a, b
+        self._z[k] = relative.x, relative.y, relative.theta
+        self._omega[k] = info
+        self._m = k + 1
         self._adj[a].append(b)
         self._adj[b].append(a)
         ra, rb = self._find(a), self._find(b)
@@ -303,44 +298,32 @@ class PoseGraph:
         return s
 
 
-def _single_edge(edge: GraphEdge, nodes: Mapping[int, Pose2]):
-    """One edge as `_residuals_vec` arguments: its two node states, ``ii``, ``jj`` and ``z``."""
-    if edge.from_id not in nodes or edge.to_id not in nodes:
-        raise DanglingEdge(f"edge {edge.from_id}->{edge.to_id} references a missing node")
-    a, b, rel = nodes[edge.from_id], nodes[edge.to_id], edge.relative
+def residual(a: Pose2, b: Pose2, z: Pose2) -> np.ndarray:
+    """The residual `optimize` uses for an edge from pose ``a`` to pose ``b`` that measures ``z``."""
+    return residual_jacobians(a, b, z)[0]
+
+
+def residual_jacobians(a: Pose2, b: Pose2, z: Pose2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """That residual and its Jacobians wrt ``a`` and ``b``, as `optimize` uses them."""
     x = np.array([[a.x, a.y, a.theta], [b.x, b.y, b.theta]])
-    return x, np.array([0]), np.array([1]), np.array([[rel.x, rel.y, rel.theta]])
-
-
-def residual(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> np.ndarray:
-    """The residual `optimize` uses for one edge."""
-    return _residuals_vec(*_single_edge(edge, nodes))[0][0]
-
-
-def residual_jacobians(edge: GraphEdge, nodes: Mapping[int, Pose2]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual and its Jacobians wrt the from- and to-node parameters, as `optimize` uses them."""
-    r, px, py, c, s = _residuals_vec(*_single_edge(edge, nodes))
+    r, px, py, c, s = _residuals_vec(x, np.array([0]), np.array([1]), np.array([[z.x, z.y, z.theta]]))
     ja, jb = _jacobians_vec(c, s, px, py)
     return r[0], ja[0], jb[0]
 
 
 def total_error(graph: PoseGraph) -> float:
     """Weighted squared error of the graph: `optimize`'s ``error_initial``."""
-    n_edges = len(graph.edges)
-    x = graph._x[: len(graph.ids)]
-    r = _residuals_vec(x, graph._ii[:n_edges], graph._jj[:n_edges], graph._z[:n_edges])[0]
-    return _weighted_error(r, graph._omega[:n_edges])
+    m = graph._m
+    ii, jj = graph._ij[:m].T
+    return _weighted_error(_residuals_vec(graph._x[: len(graph.ids)], ii, jj, graph._z[:m])[0], graph._omega[:m])
 
 
-def _check_information(edges: Sequence[GraphEdge]) -> None:
-    for edge in edges:
-        if edge.information.shape != (3, 3):
-            raise BadInformation(f"edge {edge.from_id}->{edge.to_id}: information must be 3x3")
-    stacked = np.array([e.information for e in edges])
-    if not np.allclose(stacked, np.transpose(stacked, (0, 2, 1)), atol=1e-9):
+def _check_information(omega: np.ndarray) -> None:
+    """BadInformation unless each of the (k, 3, 3) matrices is symmetric positive definite."""
+    if not np.allclose(omega, np.transpose(omega, (0, 2, 1)), atol=1e-9):
         raise BadInformation("information matrices must be symmetric")
     try:
-        np.linalg.cholesky(stacked)  # batched; fails on any non-PD member
+        np.linalg.cholesky(omega)  # batched; fails on any non-PD member
     except np.linalg.LinAlgError:
         raise BadInformation("information matrices must be positive definite") from None
 
@@ -437,27 +420,27 @@ def optimize(
 
     Raises ValueError for a graph without edges or a ``free`` that is empty,
     holds the anchor or names an id missing from the graph; `BadInformation`
-    for an information matrix that is not 3x3 symmetric positive definite
-    (checked once per edge, on the first call that sees it) and
-    `DisconnectedGraph` when a node is unreachable from the anchor. Each
-    leaves the graph as it was.
+    for an information matrix that is not symmetric positive definite
+    (checked once per edge, on the first call that sees it, from the edge
+    rows; `add_edge` rejects one that is not 3x3) and `DisconnectedGraph`
+    when a node is unreachable from the anchor. Each leaves the graph as it
+    was.
     """
-    edges = graph.edges
-    if not edges:
+    n_nodes, n_edges = len(graph.ids), graph._m
+    if not n_edges:
         raise ValueError("optimize requires at least one edge")
-    n_nodes, n_edges = len(graph.ids), len(edges)
     free_rows = np.arange(1, n_nodes) if free is None else _free_rows(graph, free)
     if graph._validated < n_edges:
-        _check_information(edges[graph._validated:])
+        _check_information(graph._omega[graph._validated : n_edges])
         graph._validated = n_edges
 
     _check_connected(graph)
 
     var = np.full(n_nodes, -1, dtype=np.intp)  # variable index of each node, -1 when fixed
     var[free_rows] = np.arange(len(free_rows))
-    vi, vj = var[graph._ii[:n_edges]], var[graph._jj[:n_edges]]
+    vi, vj = var[graph._ij[:n_edges]].T
     act = np.flatnonzero((vi >= 0) | (vj >= 0))  # the edges with a free end; all of them by default
-    ii, jj, z, omega = graph._ii[act], graph._jj[act], graph._z[act], graph._omega[act]
+    (ii, jj), z, omega = graph._ij[act].T, graph._z[act], graph._omega[act]
     nvars = 3 * len(free_rows)
 
     x = graph._x[:n_nodes]

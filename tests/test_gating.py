@@ -27,7 +27,7 @@ from wifislam.gating import (
     run_pipeline,
     save_run,
 )
-from wifislam.posegraph import GraphEdge, Pose2, PoseGraph
+from wifislam.posegraph import Pose2, PoseGraph
 from wifislam.signature import Signature, associate_frames, signatures_of
 from wifislam.simworld import template_pose_of
 
@@ -45,7 +45,7 @@ def chain_graph(n):
     g.add_node(0, Pose2())
     for k in range(1, n):
         g.add_node(k, Pose2(float(k), 0, 0))
-        g.add_edge(GraphEdge(k - 1, k, Pose2(1, 0, 0), I3))
+        g.add_edge(k - 1, k, Pose2(1, 0, 0), I3)
     return g
 
 
@@ -314,7 +314,8 @@ class TestRunPipeline:
         ds = simworld.synthesize(cfg, seed=0)
         rec = run_pipeline(ds, PolicyParams(policy="orb", gated=True, min_matches=20, seed=0))
         assert rec.loop_edges == []
-        odo = [e for e in rec.graph.edges if e.kind == "odometry"]
+        edges = rec.graph.edges
+        odo = edges[edges[:, 0] < edges[:, 1]]  # odometry runs i - 1 -> i, a committed match i -> an earlier keyframe
         assert len(odo) == len(ds.frames) - 1
 
     def test_gated_orb_closes_loop_without_fp(self, tiny_dataset):
@@ -446,7 +447,8 @@ class TestRunPipeline:
         monkeypatch.setattr(gating, "match_frames", match)
         monkeypatch.setattr(frontend, "between", between)
         rec = run_pipeline(ds, p)
-        loop_edges = [e for e in rec.graph.edges if e.kind == "loop"]
+        edges = rec.graph.edges
+        loop_edges = edges[edges[:, 0] > edges[:, 1]]  # a committed match runs i -> an earlier keyframe
         assert sharing and keyed == sharing
         assert next(poses) == len(loop_edges) > len(rec.loop_edges) > 0
 

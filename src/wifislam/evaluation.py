@@ -26,11 +26,10 @@ from scipy.spatial import cKDTree
 from scipy.stats import spearmanr
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters
-from .frontend import word_masks
 from .gating import PolicyParams, RunRecord
 from .posegraph import kabsch_align, apply_rigid, rmse
 from .signature import NoSignatures, Signature, similarity_matrix
-from .simworld import DataError, Dataset, Frame
+from .simworld import DataError, Dataset
 
 
 MATCH_RADIUS = 5  # frames an accepted loop edge may lie from a ground-truth pair in report rows
@@ -110,11 +109,11 @@ def similarity_distance_curve(
     ``collected_at`` (the first frame when none is); frame times must ascend."""
     if len(signatures) < 2:
         raise NoSignatures(f"need at least 2 dwell signatures, got {len(signatures)}")
-    times = [f.t for f in dataset.frames]
-    pos = [dataset.frames[max(bisect_right(times, s.collected_at) - 1, 0)].gt_pose for s in signatures]
+    times, xy = dataset.frames.t.tolist(), dataset.frames.gt[:, :2].tolist()
+    pos = [xy[max(bisect_right(times, s.collected_at) - 1, 0)] for s in signatures]
     i, j = np.triu_indices(len(signatures), 1)  # every pair, row by row
     sims = similarity_matrix(signatures)[i, j].tolist()
-    pts = [(math.hypot(pos[a].x - pos[b].x, pos[a].y - pos[b].y), s) for a, b, s in zip(i.tolist(), j.tolist(), sims)]
+    pts = [(math.dist(pos[a], pos[b]), s) for a, b, s in zip(i.tolist(), j.tolist(), sims)]
     rho = float(spearmanr([p[0] for p in pts], [p[1] for p in pts]).statistic)
     return pts, rho
 
@@ -144,51 +143,38 @@ class CdfCurve:
         return f
 
 
-def build_map_clusters(
-    map_frames: Sequence[Frame], frame_sig: dict[int, Signature], threshold: float
-) -> ClusterStore:
+def build_map_clusters(map_ids: Sequence[int], frame_sig: dict[int, Signature], threshold: float) -> ClusterStore:
     """Cluster the mapping split: consecutive map frames act as the linking edge."""
     store = ClusterStore()
     prev: int | None = None
-    for f in map_frames:
-        sims = similar_clusters(store, frame_sig[f.id], threshold)
-        linked = {prev} if prev is not None else set()
-        assign(store, f.id, frame_sig[f.id], linked, sims)
-        prev = f.id
+    for i in map_ids:
+        sims = similar_clusters(store, frame_sig[i], threshold)
+        assign(store, i, frame_sig[i], {prev} if prev is not None else set(), sims)
+        prev = i
     return store
 
 
 def localize_queries(
-    map_frames: Sequence[Frame],
-    map_store: ClusterStore,
-    frame_sig: dict[int, Signature],
-    query_frames: Sequence[Frame],
-    threshold: float,
+    dataset: Dataset, map_ids: Sequence[int], map_store: ClusterStore, query_ids: Sequence[int], threshold: float
 ) -> tuple[CdfCurve, int]:
-    """Locate each query at the best map frame within its similar clusters.
+    """Locate each query frame at the best of the dataset's map frames within its similar clusters.
 
-    The winner is the map frame with the highest shared-word count (ties go
-    to the lowest frame id); queries whose signature matches no cluster fall
-    back to a global scan and are counted.
+    The winner is the map frame with the highest shared-word count, read from the dataset's
+    `word_masks`, so a query must not be a map frame (ties go to the lowest frame id); queries
+    whose signature matches no cluster fall back to a global scan and are counted.
     """
-    if not map_frames:
+    if not map_ids:
         raise EmptyMap("no map frames")
-    by_id = {f.id: f for f in map_frames}
-    masks = word_masks([f.appearance for f in (*map_frames, *query_frames)])
-    map_mask = {f.id: m for f, m in zip(map_frames, masks)}
+    frame_sig, masks, xy = dataset.frame_signatures, dataset.word_masks, dataset.frames.gt[:, :2].tolist()
     fallbacks = 0
     errors = []
-    for q, q_mask in zip(query_frames, masks[len(map_frames):]):
-        sims = similar_clusters(map_store, frame_sig[q.id], threshold)
-        cand_ids = members_of(map_store, sims)
+    for q in query_ids:
+        cand_ids = members_of(map_store, similar_clusters(map_store, frame_sig[q], threshold))
         if not cand_ids:
             fallbacks += 1
-            cand_ids = [f.id for f in map_frames]
-        best = max(cand_ids, key=lambda kf: ((q_mask & map_mask[kf]).bit_count(), -kf))
-        chosen = by_id[best]
-        errors.append(
-            math.hypot(chosen.gt_pose.x - q.gt_pose.x, chosen.gt_pose.y - q.gt_pose.y)
-        )
+            cand_ids = map_ids
+        best = max(cand_ids, key=lambda kf: ((masks[q] & masks[kf]).bit_count(), -kf))
+        errors.append(math.dist(xy[best], xy[q]))
     return CdfCurve.from_errors(errors), fallbacks
 
 
@@ -198,18 +184,15 @@ def localize_dataset(
     """Split the dataset by time into map/query phases and run the localizer."""
     if not 0 < split < 1:
         raise ValueError("split must be in (0, 1)")
-    frames = dataset.frames
-    if not frames:
+    n = len(dataset.frames)
+    if not n:
         raise EmptyMap("dataset has no frames")
-    n_map = int(round(split * len(frames)))
-    if n_map < 1 or n_map >= len(frames):
+    n_map = int(round(split * n))
+    if n_map < 1 or n_map >= n:
         raise EmptyMap("split leaves an empty map or query phase")
-    frame_sig = dataset.frame_signatures
-    map_frames = frames[:n_map]
-    query_frames = frames[n_map:]
-    store = build_map_clusters(map_frames, frame_sig, threshold)
-    curve, fallbacks = localize_queries(map_frames, store, frame_sig, query_frames, threshold)
-    return curve, fallbacks, len(map_frames), len(query_frames)
+    store = build_map_clusters(range(n_map), dataset.frame_signatures, threshold)
+    curve, fallbacks = localize_queries(dataset, range(n_map), store, range(n_map, n), threshold)
+    return curve, fallbacks, n_map, n - n_map
 
 
 # ---------------------------------------------------------------------------

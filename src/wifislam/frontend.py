@@ -43,7 +43,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
@@ -192,43 +191,56 @@ def _word_tokens(words: tuple[int, ...]) -> frozenset:
     return frozenset(tokens)
 
 
-def word_masks(bags: Sequence[Appearance]) -> list[int]:
-    """One bit mask per bag such that, for entries i != j, the multiset
-    intersection size of bags i and j is ``(m[i] & m[j]).bit_count()``.
+_MASK_ROWS = 32  # masks whose bits are set per numpy pass of word_masks; bounds its memory
 
-    Each `_word_tokens` token that occurs in at least two of the bags gets a
-    bit; a token found in only one bag can be shared with no other and gets
-    none, so the width is the shared vocabulary of the bags, not their total
-    size. The diagonal i == j is not covered: ``m[i].bit_count()`` leaves out
-    bag i's single-bag tokens.
+
+def word_masks(words: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """One bit mask per bag, bag i being ``words[offsets[i]:offsets[i + 1]]`` (ids below 2**31), such
+    that for bags i != j the multiset intersection size of the two is ``(m[i] & m[j]).bit_count()``.
+
+    A bag's k-th copy of a word is the token (word, k), so set intersection size equals multiset
+    intersection size. Each token that occurs in at least two of the bags gets a bit, numbered in
+    the order of the first bag holding it, so an early bag's mask is a small integer; a token found
+    in only one bag can be shared with no other and gets none. The diagonal i == j is not covered:
+    ``m[i].bit_count()`` leaves out bag i's single-bag tokens.
     """
-    token_sets = [_word_tokens(b.words) for b in bags]
-    bags_with = Counter(chain.from_iterable(token_sets))
-    bit = {t: k for k, t in enumerate(t for t, n in bags_with.items() if n > 1)}
-    width = (len(bit) + 7) // 8
+    key = np.asarray(words, dtype=np.int64) << 32
+    key |= np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
+    key.sort()  # by word, then bag
+    bag = key.astype(np.int32)  # the low half
+    word = np.right_shift(key, 32, out=key).astype(np.int32)  # the high half
+    del key
+    start = np.ones(len(word), dtype=bool)  # the first copy of a word in a bag
+    start[1:] = (word[1:] != word[:-1]) | (bag[1:] != bag[:-1])
+    at = np.arange(len(word), dtype=np.int32)
+    copy = at - np.maximum.accumulate(np.where(start, at, 0))  # k: the copies of the word before this one in its bag
+    if copy.any():  # to (k, word, bag) order
+        order = np.argsort(copy, kind="stable")
+        word, bag, copy = word[order], bag[order], copy[order]
+        del order
+    start[1:] = (word[1:] != word[:-1]) | (copy[1:] != copy[:-1])  # from here, the first copy of a token
+    del at, word, copy
+    firsts = np.flatnonzero(start)
+    shared = np.diff(firsts, append=len(start)) > 1  # the token is in two bags or more
+    bit = np.full(len(firsts), -1, dtype=np.int32)
+    bit[shared] = np.argsort(np.argsort(bag[firsts[shared]], kind="stable"), kind="stable")  # by first bag
+    bit = bit[np.cumsum(start, dtype=np.int32) - 1]
+    bag, bit = bag[bit >= 0], bit[bit >= 0]
     masks = []
-    for tokens in token_sets:
-        buf = bytearray(width)
-        for t in tokens:
-            k = bit.get(t)
-            if k is not None:
-                buf[k >> 3] |= 1 << (k & 7)
-        masks.append(int.from_bytes(buf, "little"))
+    for lo in range(0, len(offsets) - 1, _MASK_ROWS):
+        sel = (bag >= lo) & (bag < lo + _MASK_ROWS)
+        rows = np.zeros((min(_MASK_ROWS, len(offsets) - 1 - lo), bit[sel].max(initial=-1) + 1), dtype=bool)
+        rows[bag[sel] - lo, bit[sel]] = True
+        masks.extend(int.from_bytes(row, "little") for row in np.packbits(rows, axis=1, bitorder="little"))
     return masks
-
-
-def shared_word_count(a: Appearance, b: Appearance) -> int:
-    """Multiset intersection size of the two word bags: the one-pair view of `word_masks`."""
-    ma, mb = word_masks((a, b))
-    return (ma & mb).bit_count()
 
 
 def match_frames(
     a_id: int,
     b_id: int,
     shared: int,
-    a: Appearance,
-    b: Appearance,
+    a_template: int,
+    b_template: int,
     truth_a: FrameTruth,
     truth_b: FrameTruth,
     min_matches: int,
@@ -259,7 +271,7 @@ def match_frames(
     separation = (dx * dx + dy * dy) ** 0.5
     if separation <= INLIER_DISTANCE:
         ends = (truth_a.gt_pose, truth_b.gt_pose)
-    elif a.place_template == b.place_template:
+    elif a_template == b_template:
         ends = (truth_a.template_pose, truth_b.template_pose)
     else:
         # enough matched words but no feasible transform: RANSAC-style rejection

@@ -57,7 +57,7 @@ from .clustering import (
     write_cluster_dump,
 )
 from .frontend import MATCH_INFORMATION, Appearance, InvertedIndex, MatchResult, match_frames
-from .posegraph import PoseGraph, compose, optimize, write_trajectory
+from .posegraph import Pose2, PoseGraph, compose, optimize, write_trajectory
 from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
 
 VISUAL_COMPARE_COST = 1.0
@@ -180,11 +180,12 @@ class RunRecord:
     @property
     def est(self) -> list:
         """(keyframe_id, t, Pose2) of the final graph, one per frame."""
-        return [(f.id, f.t, self.graph.nodes[f.id]) for f in self.dataset.frames]
+        return [(i, t, self.graph.nodes[i]) for i, t in enumerate(self.dataset.frames.t.tolist())]
 
     @property
     def gt(self) -> list:
-        return [(f.id, f.t, f.gt_pose) for f in self.dataset.frames]
+        times = self.dataset.frames.t.tolist()
+        return [(i, t, truth.gt_pose) for i, (t, truth) in enumerate(zip(times, self.dataset.truths))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     """Drive the full per-frame loop; deterministic for a fixed (dataset, params)."""
     frames = dataset.frames
     frame_sig, truths, masks = dataset.frame_signatures, dataset.truths, dataset.word_masks  # frame ids are indices
+    times, templates = frames.t, frames.template.tolist()  # times stay numpy: no float object per frame
     onoise = dataset.world.config.odom_noise
 
     graph = PoseGraph()
@@ -371,9 +373,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     last_opt = -(1 << 30)
     opt_edges = 0  # edges in the graph at the previous in-run optimization
 
-    for f in frames:
-        i = f.id
-        sig = frame_sig[i]
+    for i, sig in frame_sig.items():  # every frame, in order
+        appearance = frames.appearance(i) if index is not None else None  # vanilla orb's only
 
         sims: SimilarClusters | None = None
         similar: set[int] | None = None  # the frame's Wi-Fi gate
@@ -399,19 +400,20 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             pools = dict(stm=len(memory.stm), wm=len(memory.wm), ltm=len(memory.ltm), immune=len(memory.immune),
                          transfers=len(transfers), retrievals=len(retrievals))
         else:
-            cands = orb_candidates(index, i, f.appearance, masks, similar)
+            cands = orb_candidates(index, i, appearance, masks, similar)
 
         if similar is not None and not (set(cands) - similar) <= base:
             gating_violations += 1
 
         # the keyframe joins the graph on its composed odometry estimate
         if i == 0:
-            graph.add_node(0, f.gt_pose)
+            graph.add_node(0, truths[0].gt_pose)
         else:
-            graph.add_node(i, compose(graph.nodes[i - 1], f.odom_delta))
-            sxy, sth = onoise.sigmas(math.hypot(f.odom_delta.x, f.odom_delta.y))
+            step = Pose2(*frames.odom[i])
+            graph.add_node(i, compose(graph.nodes[i - 1], step))
+            sxy, sth = onoise.sigmas(math.hypot(step.x, step.y))
             info = np.diag([1.0 / sxy**2, 1.0 / sxy**2, 1.0 / sth**2])
-            graph.add_edge(i - 1, i, f.odom_delta, info)
+            graph.add_edge(i - 1, i, step, info)
 
         t0 = time.perf_counter()
         accepted: list[tuple[int, MatchResult]] = []
@@ -420,7 +422,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             shared = (masks[i] & masks[c]).bit_count()
             if audit_orb and not (shared and 0 <= c < i):
                 leaked = True
-            mr = match_frames(i, c, shared, f.appearance, frames[c].appearance, truths[i], truths[c],
+            mr = match_frames(i, c, shared, templates[i], templates[c], truths[i], truths[c],
                               params.min_matches, params.seed)
             if mr.accepted:
                 accepted.append((c, mr))
@@ -430,8 +432,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         # commit one transformation per category per keyframe event, like the
         # host systems: the strongest match wins, ties to the lowest id; only a
         # committed match's pose is drawn
-        loop_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t > LOOP_PAIR_GAP_S]
-        local_hits = [(c, mr) for c, mr in accepted if f.t - frames[c].t <= LOOP_PAIR_GAP_S]
+        loop_hits = [(c, mr) for c, mr in accepted if times[i] - times[c] > LOOP_PAIR_GAP_S]
+        local_hits = [(c, mr) for c, mr in accepted if times[i] - times[c] <= LOOP_PAIR_GAP_S]
         committed: list[tuple[int, MatchResult]] = []
         for group in (local_hits, loop_hits):
             if group:
@@ -452,7 +454,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             management_cost += (len(sims) + 1) * WIFI_COMPARE_COST
             wall["management_s"] += time.perf_counter() - t0
         if index is not None:
-            index.insert(i, f.appearance)
+            index.insert(i, appearance)
 
         opt_iters_now = 0
         periodic = i > 0 and i % OPT_EVERY == 0

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from bisect import bisect_left
 from dataclasses import dataclass, asdict, fields, is_dataclass
 from functools import cache, cached_property
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -28,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from . import frontend
 from .frontend import Appearance, FrameTruth
-from .posegraph import Pose2, between
+from .posegraph import Pose2, between, wrap_angle
 from .signature import Scans, Signature, associate_frames, mask_bssid, signatures_of
 
 FRAME_RATE_HZ = 2.0  # simulated keyframe rate while moving
@@ -127,10 +126,6 @@ class Corridor:
     def origin_pose(self) -> Pose2:
         return Pose2(self.x1, self.y1, self.heading)
 
-    def point_at(self, arc: float) -> tuple[float, float]:
-        f = arc / self.length
-        return (self.x1 + f * (self.x2 - self.x1), self.y1 + f * (self.y2 - self.y1))
-
 
 SHAPES = ("square_loop", "figure_eight", "nine_loop", "long_track")  # the cases of _shape_corridors
 
@@ -216,37 +211,51 @@ class WorldConfig:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    pose: Pose2
-    corridor: int
-    corridor_arc: float
+class PathPoints:
+    """Points along a trajectory as columns: point i lies ``arc[i]`` m along the path, reached at ``t[i]`` s,
+    at (``x[i]``, ``y[i]``) heading ``heading[i]``, ``corridor_arc[i]`` m along corridor ``corridor[i]``."""
 
-
-@dataclass(frozen=True)
-class DwellMark:
-    index: int
-    arc: float
-    t_arrival: float
-    x: float
-    y: float
+    arc: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray  # in (-pi, pi]
+    corridor: np.ndarray  # int
+    corridor_arc: np.ndarray
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    samples: tuple[TrajectorySample, ...]
-    dwells: tuple[DwellMark, ...]
+    samples: PathPoints  # one per frame
+    dwells: PathPoints
     corridors: tuple[Corridor, ...]
     path_length: float
 
 
-@dataclass(frozen=True)
-class Frame:
-    id: int
-    t: float
-    gt_pose: Pose2
-    odom_delta: Pose2
-    appearance: Appearance
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Every frame of a dataset as columns. Frame i (its id is i) was taken at ``t[i]`` s at the
+    ground-truth pose ``gt[i]`` (x, y, theta), ``odom[i]`` the odometry step from frame i - 1 (zeros
+    for frame 0), in a corridor of scene template ``template[i]``, and saw the word bag
+    ``words[offsets[i]:offsets[i + 1]]``. Angles lie in (-pi, pi]. Two are equal when their columns are."""
+
+    t: np.ndarray
+    gt: np.ndarray  # (n, 3)
+    odom: np.ndarray  # (n, 3)
+    template: np.ndarray  # int
+    words: np.ndarray  # int64, every bag in frame order
+    offsets: np.ndarray  # (n + 1,) int
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Frames) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def appearance(self, i: int) -> Appearance:
+        """Frame i's word bag and template as Python ints."""
+        return Appearance(tuple(self.words[self.offsets[i]:self.offsets[i + 1]].tolist()), int(self.template[i]))
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,7 @@ class Dataset:
     and kept; a `dataclasses.replace` copy derives its own."""
 
     seed: int
-    frames: tuple[Frame, ...]
+    frames: Frames
     scans: Scans
     gt_loop_pairs: frozenset[tuple[int, int]]
     world: World
@@ -282,20 +291,18 @@ class Dataset:
     @cached_property
     def frame_signatures(self) -> dict[int, Signature]:
         """Each frame id's signature: the latest collected at or before the frame (the first, before any)."""
-        return associate_frames([(f.id, f.t) for f in self.frames], self.signatures)
+        return associate_frames(list(enumerate(self.frames.t.tolist())), self.signatures)
 
     @cached_property
     def truths(self) -> tuple[FrameTruth, ...]:
         """Each frame's `FrameTruth`, in frame order."""
-        return tuple(
-            FrameTruth(f.gt_pose, template_pose_of(self.world, f.gt_pose, f.appearance.place_template))
-            for f in self.frames
-        )
+        return tuple(FrameTruth(pose, template_pose_of(self.world, pose, template))
+                     for pose, template in zip(starmap(Pose2, self.frames.gt.tolist()), self.frames.template.tolist()))
 
     @cached_property
     def word_masks(self) -> tuple[int, ...]:
         """`frontend.word_masks` of the frames' word bags, in frame order."""
-        return tuple(frontend.word_masks([f.appearance for f in self.frames]))
+        return tuple(frontend.word_masks(self.frames.words, self.frames.offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -438,49 +445,27 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
     change), dwells only advance the clock.
     """
     corridors, route = _shape_corridors(spec, template_of or {})
-    leg_arc: list[tuple[float, float, int, float]] = []  # start_arc, end_arc, corridor, corridor_arc_offset
-    total = 0.0
-    for cid, a0, a1 in route:
-        length = a1 - a0
-        leg_arc.append((total, total + length, cid, a0))
-        total += length
-
-    n_dwells = int(math.floor(total / spec.pause_every + 1e-9))
-    dwell_arcs = [k * spec.pause_every for k in range(1, n_dwells + 1)]
-
-    def locate(arc: float) -> tuple[int, float]:
-        for start, end, cid, off in leg_arc:
-            if start - 1e-9 <= arc < end - 1e-9:
-                return cid, off + (arc - start)
-        start, end, cid, off = leg_arc[-1]
-        return cid, off + (arc - start)
+    leg_corridor, leg_a0, leg_a1 = (np.array(column) for column in zip(*route))
+    ends = np.cumsum(leg_a1 - leg_a0)  # each leg's end along the path, summed leg by leg
+    starts = np.concatenate(([0.0], ends[:-1]))
+    total = float(ends[-1])
+    dwell_arcs = np.arange(1, int(math.floor(total / spec.pause_every + 1e-9)) + 1) * spec.pause_every
 
     spacing = spec.speed / FRAME_RATE_HZ
     arcs = [k * spacing for k in range(int(total / spacing) + 1) if k * spacing <= total + 1e-9]
     if total - arcs[-1] > 1e-9:
         arcs.append(total)
+    geometry = np.array([(c.x1, c.y1, c.x2, c.y2, c.length, wrap_angle(c.heading)) for c in corridors]).T
 
-    samples = []
-    for arc in arcs:
-        cid, carc = locate(arc)
-        x, y = corridors[cid].point_at(carc)
-        t = arc / spec.speed + bisect_left(dwell_arcs, arc - 1e-9) * spec.pause_duration
-        samples.append(
-            TrajectorySample(t=t, pose=Pose2(x, y, corridors[cid].heading), corridor=cid, corridor_arc=carc)
-        )
+    def points(arc: np.ndarray) -> PathPoints:  # a point's time counts the dwells before it
+        leg = np.minimum(np.searchsorted(ends - 1e-9, arc, side="right"), len(ends) - 1)  # the first leg not ended
+        corridor, corridor_arc = leg_corridor[leg], leg_a0[leg] + (arc - starts[leg])
+        x1, y1, x2, y2, length, heading = geometry[:, corridor]
+        f = corridor_arc / length
+        t = arc / spec.speed + np.searchsorted(dwell_arcs, arc - 1e-9) * spec.pause_duration
+        return PathPoints(arc, t, x1 + f * (x2 - x1), y1 + f * (y2 - y1), heading, corridor, corridor_arc)
 
-    dwells = []
-    for k, darc in enumerate(dwell_arcs):
-        cid, carc = locate(darc)
-        x, y = corridors[cid].point_at(carc)
-        pauses_before = bisect_left(dwell_arcs, darc - 1e-9)
-        dwells.append(
-            DwellMark(index=k, arc=darc, t_arrival=darc / spec.speed + pauses_before * spec.pause_duration, x=x, y=y)
-        )
-
-    return Trajectory(
-        samples=tuple(samples), dwells=tuple(dwells), corridors=tuple(corridors), path_length=total
-    )
+    return Trajectory(points(np.array(arcs)), points(dwell_arcs), tuple(corridors), total)
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +487,23 @@ def _alias_word(template: int, word_bin: int) -> int:
     return _ALIAS_WORD_BASE + (template * _BINS_PER_CORRIDOR + word_bin) * _WORDS_PER_BIN
 
 
-def _frame_words(model: AppearanceModel, corridor: Corridor, corridor_idx: int, corridor_arc: float, frame_id: int) -> tuple[int, ...]:
-    n_bins = max(1, math.ceil(corridor.length / model.bin_meters))
-    center = min(int(corridor_arc / model.bin_meters), n_bins - 1)
-    words: list[int] = []
-    for b in range(center - model.window_bins, center + model.window_bins + 1):
-        if not 0 <= b < n_bins:
-            continue
-        c, a = _corridor_word(corridor_idx, b), _alias_word(corridor.template, b)
-        words.extend(range(c, c + model.unique_words_per_bin))
-        words.extend(range(a, a + model.alias_words_per_bin))
-    jitter = _JITTER_WORD_BASE + frame_id * _JITTER_WORDS_PER_FRAME
-    words.extend(range(jitter, jitter + model.jitter_words))
-    return tuple(sorted(words))
+def _frame_words(model: AppearanceModel, corridors: Sequence[Corridor], corridor: np.ndarray, arc: np.ndarray,
+                 template: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The word bags of frames 0, 1, ... taken ``arc`` m along corridor ``corridor`` of scene template
+    ``template``, as one flat array and its offsets. A frame sees its word bin and ``window_bins`` on
+    either side, and each bag is sorted: its corridor words, then its alias words, bin by bin, then its
+    jitter words."""
+    n_bins = np.array([max(1, math.ceil(c.length / model.bin_meters)) for c in corridors])[corridor, None]
+    bins = np.minimum((arc / model.bin_meters).astype(np.int64)[:, None], n_bins - 1)
+    bins = bins + np.arange(-model.window_bins, model.window_bins + 1)  # (frame, bin)
+    seen = ((bins >= 0) & (bins < n_bins))[..., None]  # the corridor has the bin
+    firsts = (_corridor_word(corridor[:, None], bins), _alias_word(template[:, None], bins))
+    grid = [np.where(seen, first[..., None] + np.arange(count), -1).reshape(len(arc), -1)
+            for first, count in zip(firsts, (model.unique_words_per_bin, model.alias_words_per_bin))]
+    grid = np.hstack([*grid, _JITTER_WORD_BASE + np.arange(len(arc))[:, None] * _JITTER_WORDS_PER_FRAME
+                      + np.arange(model.jitter_words)])
+    kept = grid >= 0
+    return grid[kept], np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +556,24 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
     rng_odom = np.random.default_rng((seed, 3))
     aps = _place_aps(config, plan, rng_aps)
 
-    frames: list[Frame] = []
-    prev_pose: Pose2 | None = None
-    for i, s in enumerate(traj.samples):
-        corridor = traj.corridors[s.corridor]
-        words = _frame_words(config.appearance, corridor, s.corridor, s.corridor_arc, i)
-        appearance = Appearance(words=words, place_template=corridor.template)
-        if prev_pose is None:
-            delta = Pose2()
-        else:
-            true_delta = between(prev_pose, s.pose)
-            sxy, sth = config.odom_noise.sigmas(math.hypot(true_delta.x, true_delta.y))
-            ex, ey, eth = rng_odom.normal(0.0, 1.0, size=3)
-            delta = Pose2(true_delta.x + sxy * ex, true_delta.y + sxy * ey, true_delta.theta + sth * eth)
-        frames.append(Frame(id=i, t=s.t, gt_pose=s.pose, odom_delta=delta, appearance=appearance))
-        prev_pose = s.pose
+    samples = traj.samples
+    templates = np.array([c.template for c in traj.corridors])[samples.corridor]
+    words, bounds = _frame_words(config.appearance, traj.corridors, samples.corridor, samples.corridor_arc, templates)
+    gt = np.column_stack([samples.x, samples.y, samples.heading])
+    odom = [(0.0, 0.0, 0.0)]
+    noise = rng_odom.normal(0.0, 1.0, size=(len(gt) - 1, 3)).tolist()  # 3 draws per step, in frame order
+    for a, b, (ex, ey, eth) in zip(gt.tolist(), gt[1:].tolist(), noise):
+        true_delta = between(Pose2(*a), Pose2(*b))
+        sxy, sth = config.odom_noise.sigmas(math.hypot(true_delta.x, true_delta.y))
+        odom.append((true_delta.x + sxy * ex, true_delta.y + sxy * ey, wrap_angle(true_delta.theta + sth * eth)))
+    frames = Frames(samples.t, gt, np.array(odom), templates, words, bounds)
 
     # one standard-normal draw per (dwell, scan, AP, radio), in that order; a reading under the
     # visibility floor still uses up its draw
-    params = config.propagation
-    shape = (len(traj.dwells), config.scans_per_dwell, len(aps), config.bssids_per_ap)
-    field = np.array(mean_rssi(aps, [(d.x, d.y) for d in traj.dwells], plan, params)).reshape(shape[0], 1, shape[2], 1)
+    params, dwells = config.propagation, traj.dwells
+    shape = (len(dwells.t), config.scans_per_dwell, len(aps), config.bssids_per_ap)
+    points = list(zip(dwells.x.tolist(), dwells.y.tolist()))
+    field = np.array(mean_rssi(aps, points, plan, params)).reshape(shape[0], 1, shape[2], 1)
     levels = field + params.noise_sigma_db * rng_scan.normal(size=shape)
     dwell, scan, k, radio = np.nonzero(~(levels < params.visibility_floor_dbm))  # in drawing order
     offsets = (np.arange(config.scans_per_dwell) + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell
@@ -597,18 +583,17 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
     world = World(config=config, plan=plan, aps=aps, corridors=traj.corridors)
     return Dataset(
         seed=seed,
-        frames=tuple(frames),
-        scans=Scans(dwell, np.array([d.t_arrival for d in traj.dwells])[dwell] + offsets[scan],
+        frames=frames,
+        scans=Scans(dwell, dwells.t[dwell] + offsets[scan],
                     k * config.bssids_per_ap + radio, np.minimum(levels[dwell, scan, k, radio], 0.0), bssids),
         gt_loop_pairs=frozenset(gt_loop_pairs),
         world=world,
     )
 
 
-def _loop_pairs(frames: Sequence[Frame]) -> set[tuple[int, int]]:
+def _loop_pairs(frames: Frames) -> set[tuple[int, int]]:
     """All frame pairs (a, b), a < b, closer than LOOP_PAIR_RADIUS_M with a time gap above LOOP_PAIR_GAP_S."""
-    pos = np.array([[f.gt_pose.x, f.gt_pose.y] for f in frames], dtype=float).reshape(-1, 2)
-    ts = np.array([f.t for f in frames], dtype=float)
+    pos, ts = frames.gt[:, :2], frames.t
     # the tree's slightly wider radius only nominates pairs; the exact d² test decides boundary pairs
     ii, jj = cKDTree(pos).query_pairs(LOOP_PAIR_RADIUS_M * (1 + 1e-9), output_type="ndarray").T
     d2 = ((pos[ii] - pos[jj]) ** 2).sum(axis=1)
@@ -735,7 +720,9 @@ SCANS_HEADER = "timestamp_s,bssid,rssi_dbm,dwell_index"
 LOOPS_HEADER = "id_a,id_b"
 
 MAX_DWELLS = 1 << 20  # dwell indices lie below this
+MAX_WORD_ID = 1 << 31  # visual word ids lie below this
 _SCAN_ROWS = 1024  # scans.csv lines split and checked per numpy pass; bounds the reader's memory
+_FRAME_ROWS = 128  # frames.csv lines, each about 1.5 kB, split and checked per numpy pass
 
 T = TypeVar("T")
 
@@ -743,15 +730,13 @@ T = TypeVar("T")
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    frames = dataset.frames
     with open(out / "frames.csv", "w", newline="") as fh:
         fh.write(FRAMES_HEADER + "\n")
-        for f in dataset.frames:
-            words = "|".join(str(w) for w in f.appearance.words)
-            fh.write(
-                f"{f.id},{f.t!r},{f.gt_pose.x!r},{f.gt_pose.y!r},{f.gt_pose.theta!r},"
-                f"{f.odom_delta.x!r},{f.odom_delta.y!r},{f.odom_delta.theta!r},"
-                f"{f.appearance.place_template},{words}\n"
-            )
+        bags = ("|".join(map(str, bag.tolist())) for bag in np.split(frames.words, frames.offsets[1:-1]))
+        for i, (t, (x, y, theta), (dx, dy, dtheta), template, words) in enumerate(
+                zip(frames.t.tolist(), frames.gt.tolist(), frames.odom.tolist(), frames.template.tolist(), bags)):
+            fh.write(f"{i},{t!r},{x!r},{y!r},{theta!r},{dx!r},{dy!r},{dtheta!r},{template},{words}\n")
     with open(out / "scans.csv", "w", newline="") as fh:
         fh.write(SCANS_HEADER + "\n")
         fh.writelines(f"{t!r},{bssid},{rssi!r},{d}\n" for t, bssid, rssi, d in dataset.scans.rows())
@@ -868,33 +853,6 @@ def _read_csv(path: Path, header: str, parse: Callable[[TextIO], T]) -> T:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _per_row(parse: Callable[[Iterator[tuple[int, list[str]]]], T], n_fields: int) -> Callable[[TextIO], T]:
-    """``parse`` over a file's non-blank lines as (line number, fields), each split into ``n_fields``
-    fields; any fault it or the split raises is blamed on the last line read."""
-
-    def parse_file(fh: TextIO) -> T:
-        lineno = 1
-
-        def rows() -> Iterator[tuple[int, list[str]]]:
-            nonlocal lineno
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if line:
-                    parts = line.split(",")
-                    if len(parts) != n_fields:
-                        raise ValueError(f"expected {n_fields} fields, got {len(parts)}")
-                    yield lineno, parts
-
-        try:
-            return parse(rows())
-        except _LineFault:
-            raise
-        except (OverflowError, ValueError) as exc:
-            raise _LineFault(lineno, str(exc)) from exc
-
-    return parse_file
-
-
 def _finite(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
@@ -902,46 +860,84 @@ def _finite(text: str) -> float:
     return v
 
 
-def _frames(rows: Iterator[tuple[int, list[str]]]) -> tuple[Frame, ...]:
-    """Frames in row order. A row's id must be its index, its timestamp no earlier
-    than the previous row's, and its word bag non-empty."""
-    frames: list[Frame] = []
-    for _, p in rows:
-        k, t = int(p[0]), _finite(p[1])
-        if k != len(frames):
-            raise ValueError(f"frame id {k} is not the row index {len(frames)}")
-        if frames and t < frames[-1].t:
-            raise ValueError(f"timestamp {t!r} s is earlier than the previous frame's {frames[-1].t!r} s")
+def _chunks(fh: TextIO, size: int) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """The rest of a file ``size`` lines at a time, at least one chunk: each chunk's non-blank lines,
+    stripped, and their line numbers."""
+    start, chunk = 2, None  # start: the line number of the next chunk's first line
+    while chunk is None or len(chunk) == size:  # until a chunk comes back short
+        chunk = list(islice(fh, size))
+        text = list(map(str.strip, chunk))
+        yield np.flatnonzero(list(map(bool, text))) + start, list(filter(None, text))
+        start += len(text)
+
+
+def _fields(rows: list[str], n: int) -> list[str]:
+    """The fields of every row, row after row; ValueError unless each row has ``n``."""
+    if not set(map(str.count, rows, repeat(","))) <= {n - 1}:
+        raise ValueError(f"a row without {n} fields")
+    return ",".join(rows).split(",") if rows else []
+
+
+def _frames(fh: TextIO) -> Frames:
+    """Frames in row order, read `_FRAME_ROWS` lines at a time as `_scans` reads; a chunk with a fault
+    is checked again row by row (``check``), which names the first faulty row. A row's id must be its
+    index, its timestamp no earlier than the previous row's, and its word bag non-empty, each word
+    ASCII decimal digits for an integer below `MAX_WORD_ID`."""
+    columns, n, last_t = [], 0, -math.inf  # n: the rows read
+
+    def check(p: list[str]) -> None:  # the fields of row n in the order id, time, bag, poses, words, template
+        nonlocal n, last_t
+        i, t = int(p[0]), _finite(p[1])
+        if i != n:
+            raise ValueError(f"frame id {i} is not the row index {n}")
+        if t < last_t:
+            raise ValueError(f"timestamp {t!r} s is earlier than the previous frame's {last_t!r} s")
         if not p[9]:
             raise ValueError("empty word bag")
-        frames.append(Frame(
-            id=k,
-            t=t,
-            gt_pose=Pose2(_finite(p[2]), _finite(p[3]), _finite(p[4])),
-            odom_delta=Pose2(_finite(p[5]), _finite(p[6]), _finite(p[7])),
-            appearance=Appearance(tuple(map(int, p[9].split("|"))), int(p[8])),
-        ))
-    return tuple(frames)
+        list(map(_finite, p[2:8]))
+        for w in p[9].split("|"):
+            if not (w.isascii() and w.isdigit() and int(w) < MAX_WORD_ID):
+                int(w)  # a word int() rejects keeps int()'s message
+                raise ValueError(f"word {w!r} is not a decimal integer in [0, {MAX_WORD_ID})")
+        if not -1 << 63 <= int(p[8]) < 1 << 63:
+            raise ValueError(f"template id {int(p[8])} does not fit in 64 bits")
+        n, last_t = n + 1, t
+
+    for at, rows in _chunks(fh, _FRAME_ROWS):
+        try:
+            fields = _fields(rows, 10)
+            values = np.array([list(map(float, fields[k::10])) for k in range(1, 8)]).reshape(7, -1)  # t, gt, odom
+            template = np.array(list(map(int, fields[8::10])), dtype=np.int64)
+            bags = fields[9::10]
+            text = "|".join(bags)  # a fault: a byte besides ASCII digits and "|", or an empty word
+            if bags and (text.encode().translate(None, b"0123456789|") or "||" in f"|{text}|"):
+                raise ValueError("a faulty word bag")
+            words = np.fromstring(text, dtype=np.int64, sep="|") if bags else np.zeros(0, dtype=np.int64)
+            t = np.concatenate(([last_t], values[0]))
+            if (list(map(int, fields[0::10])) != list(range(n, n + len(rows))) or not np.isfinite(values).all()
+                    or (t[1:] < t[:-1]).any() or (words >= MAX_WORD_ID).any()):
+                raise ValueError("a faulty frame row")
+        except (OverflowError, ValueError):
+            _check_rows(at.tolist(), rows, 10, check)
+            raise
+        columns.append((values, template, words, np.array(list(map(str.count, bags, repeat("|"))), dtype=np.int64) + 1))
+        n, last_t = n + len(rows), float(t[-1])
+    values, template, words, sizes = (np.concatenate(column, axis=-1) for column in zip(*columns))
+    t, gt, odom = values[0], values[1:4].T, values[4:7].T
+    gt[:, 2], odom[:, 2] = (list(map(wrap_angle, theta.tolist())) for theta in (gt[:, 2], odom[:, 2]))  # as Pose2 does
+    return Frames(t, gt, odom, template, words, np.concatenate(([0], np.cumsum(sizes))))
 
 
 def _scans(fh: TextIO) -> Scans:
     """Readings grouped by dwell, each dwell's in row order. The file is read `_SCAN_ROWS` lines at a
-    time; each chunk's rows are split and checked in bulk, and a chunk with a fault is checked again
-    row by row (`_check_scan_rows`), which names the first faulty row. A dwell whose mean reading
+    time (`_chunks`); each chunk's rows are split and checked in bulk, and a chunk with a fault is checked
+    again row by row (`_check_scan_row`), which names the first faulty row. A dwell whose mean reading
     time (its signature's ``collected_at``) is earlier than the previous dwell's is blamed on its
     first reading."""
     lines, columns, bssids = [], [], {}  # bssids: each distinct BSSID's code, in order of first use
-    start, chunk = 2, []  # start: the line number of the next chunk's first line
-    while not columns or len(chunk) == _SCAN_ROWS:  # until a chunk comes back short
-        chunk = list(islice(fh, _SCAN_ROWS))
-        text = list(map(str.strip, chunk))
-        rows = list(filter(None, text))
-        at = np.flatnonzero(list(map(bool, text))) + start  # each row's line number
-        start += len(text)
+    for at, rows in _chunks(fh, _SCAN_ROWS):
         try:
-            if not set(map(str.count, rows, repeat(","))) <= {3}:
-                raise ValueError("a scan row without 4 fields")
-            fields = ",".join(rows).split(",") if rows else []
+            fields = _fields(rows, 4)
             t, r = (np.array(list(map(float, fields[k::4])), dtype=float) for k in (0, 2))
             d = np.array(list(map(int, fields[3::4])), dtype=np.int64)
             known = len(bssids)
@@ -952,7 +948,7 @@ def _scans(fh: TextIO) -> Scans:
             if not (np.isfinite(t) & np.isfinite(r) & (r <= 0) & (d >= 0) & (d < MAX_DWELLS)).all():
                 raise ValueError("a faulty scan row")
         except (OverflowError, ValueError):
-            _check_scan_rows(at.tolist(), rows)
+            _check_rows(at.tolist(), rows, 4, _check_scan_row)
             raise
         lines.append(at)
         columns.append((d, t, code, r))
@@ -970,33 +966,41 @@ def _scans(fh: TextIO) -> Scans:
     return scans
 
 
-def _check_scan_rows(lines: list[int], rows: list[str]) -> None:
-    """Raise the first faulty scan row's fault. A row's field count is checked first, then its
-    fields in the order dwell, timestamp, RSSI, BSSID."""
+def _check_rows(lines: list[int], rows: list[str], n: int, check: Callable[[list[str]], None]) -> None:
+    """``check`` the fields of each row in turn, after its field count (``n``); the first fault
+    found is raised naming its row's line."""
     for line, row in zip(lines, rows):
         try:
-            parts = row.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"expected 4 fields, got {len(parts)}")
-            t_s, bssid, rssi, dwell = parts
-            if not 0 <= int(dwell) < MAX_DWELLS:
-                raise ValueError(f"dwell index {int(dwell)} outside [0, {MAX_DWELLS})")
-            _finite(t_s)
-            if _finite(rssi) > 0:
-                raise ValueError(f"rssi must be <= 0 dBm, got {float(rssi)}")
-            mask_bssid(bssid)
+            p = row.split(",")
+            if len(p) != n:
+                raise ValueError(f"expected {n} fields, got {len(p)}")
+            check(p)
         except ValueError as exc:
             raise _LineFault(line, str(exc)) from exc
 
 
-def _loop_rows(rows: Iterator[tuple[int, list[str]]], n_frames: int) -> frozenset[tuple[int, int]]:
+def _check_scan_row(p: list[str]) -> None:  # the fields in the order dwell, timestamp, RSSI, BSSID
+    t_s, bssid, rssi, dwell = p
+    if not 0 <= int(dwell) < MAX_DWELLS:
+        raise ValueError(f"dwell index {int(dwell)} outside [0, {MAX_DWELLS})")
+    _finite(t_s)
+    if _finite(rssi) > 0:
+        raise ValueError(f"rssi must be <= 0 dBm, got {float(rssi)}")
+    mask_bssid(bssid)
+
+
+def _loop_rows(fh: TextIO, n_frames: int) -> frozenset[tuple[int, int]]:
     """Ground-truth loop pairs. Each row must name two frames, the earlier first."""
     pairs = set()
-    for _, (a, b) in rows:
-        a, b = int(a), int(b)
+
+    def add(p: list[str]) -> None:
+        a, b = int(p[0]), int(p[1])
         if not 0 <= a < b < n_frames:
             raise ValueError(f"loop pair {a},{b} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count")
         pairs.add((a, b))
+
+    for at, rows in _chunks(fh, _SCAN_ROWS):
+        _check_rows(at.tolist(), rows, 2, add)
     return frozenset(pairs)
 
 
@@ -1006,12 +1010,11 @@ def load_dataset(path: str | Path) -> Dataset:
     Every fault in its files raises DataError naming the file (and the line of a CSV row)."""
     root = Path(path)
     world, seed = _read_world_file(root / "world.json", _saved_world)
-    frames = _read_csv(root / "frames.csv", FRAMES_HEADER, _per_row(_frames, FRAMES_HEADER.count(",") + 1))
+    frames = _read_csv(root / "frames.csv", FRAMES_HEADER, _frames)
     return Dataset(
         seed=seed,
         frames=frames,
         scans=_read_csv(root / "scans.csv", SCANS_HEADER, _scans),
-        gt_loop_pairs=_read_csv(root / "loops_gt.csv", LOOPS_HEADER,
-                                _per_row(lambda rows: _loop_rows(rows, len(frames)), LOOPS_HEADER.count(",") + 1)),
+        gt_loop_pairs=_read_csv(root / "loops_gt.csv", LOOPS_HEADER, lambda fh: _loop_rows(fh, len(frames))),
         world=world,
     )

@@ -487,6 +487,19 @@ def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("word", ["-5", "99999999999999999999999", "1_0", "٣"])
+def test_word_outside_the_domain_exit_3(gen_dir, tmp_path, capsys, word):
+    """int() accepts each of these words; the loader takes only ASCII decimal words below 2**31."""
+    dataset = shutil.copytree(gen_dir, tmp_path / "d")
+    path = dataset / "frames.csv"
+    lines = path.read_text().split("\n")
+    lines[1] += "|" + word
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert run_on_dataset("localize", dataset, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:2: word {word!r} is not a decimal integer in [0, 2147483648)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
 def test_no_signatures_exit_3(gen_dir, tmp_path, capsys, command):
     dataset = tmp_path / "no_scans"

@@ -235,7 +235,7 @@ def test_spatial_coherence_zero_noise(dataset_cache):
     cfg = replace(base, propagation=replace(base.propagation, noise_sigma_db=0.0))
     ds = dataset_cache("c_hall_zero_noise", 0, config=cfg)
     rec = gating.run_pipeline(ds, gating.PolicyParams(policy="orb", gated=True, min_matches=20, seed=0))
-    pos = {f.id: (f.gt_pose.x, f.gt_pose.y) for f in ds.frames}
+    pos = dict(enumerate(map(tuple, ds.frames.gt[:, :2].tolist())))
 
     def mean_pairwise(points):
         pairs = [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wifislam import gating
+from wifislam import gating, simworld
 from wifislam.clustering import members_of, similar_clusters
 from wifislam.evaluation import (
     KEY_COLUMNS,
@@ -214,13 +214,20 @@ class TestCdf:
         assert c.fraction_within(10) == 1.0
 
 
+def with_rows(ds, rows):
+    """A copy of ``ds`` whose frames are ``ds``'s frames ``rows``, in that order, numbered anew."""
+    f = ds.frames
+    bags = [f.words[f.offsets[i]:f.offsets[i + 1]] for i in rows]
+    frames = simworld.Frames(f.t[rows], f.gt[rows], f.odom[rows], f.template[rows], np.concatenate(bags),
+                             np.cumsum([0, *map(len, bags)]))
+    return dataclasses.replace(ds, frames=frames)
+
+
 class TestLocalize:
     def test_query_identical_to_map_frame(self, dataset_cache):
-        ds = dataset_cache("c_hall", 0)
-        frame_sig = ds.frame_signatures
-        map_frames = ds.frames[:150]
-        store = build_map_clusters(map_frames, frame_sig, 0.85)
-        curve, fallbacks = localize_queries(map_frames, store, frame_sig, [map_frames[40]], 0.85)
+        ds = with_rows(dataset_cache("c_hall", 0), [*range(150), 40])  # query frame 150 repeats map frame 40
+        store = build_map_clusters(range(150), ds.frame_signatures, 0.85)
+        curve, fallbacks = localize_queries(ds, range(150), store, [150], 0.85)
         assert curve.errors[0] < 1e-9
 
     def test_split_counts(self, dataset_cache):
@@ -233,33 +240,35 @@ class TestLocalize:
     def test_picks_the_brute_force_best_map_frame(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
         frame_sig = ds.frame_signatures
-        n_map = int(round(0.4 * len(ds.frames)))
-        map_frames, query_frames = ds.frames[:n_map], ds.frames[n_map:]
-        store = build_map_clusters(map_frames, frame_sig, 0.85)
+        n = len(ds.frames)
+        n_map = int(round(0.4 * n))
+        map_ids, query_ids = range(n_map), range(n_map, n)
+        store = build_map_clusters(map_ids, frame_sig, 0.85)
+        apps = [ds.frames.appearance(i) for i in range(n)]
+        xy = ds.frames.gt[:, :2].tolist()
 
         def shared(a, b):
             return sum((Counter(a.words) & Counter(b.words)).values())
 
         errors, fallbacks = [], 0
-        for q in query_frames:
-            cand_ids = members_of(store, similar_clusters(store, frame_sig[q.id], 0.85))
+        for q in query_ids:
+            cand_ids = members_of(store, similar_clusters(store, frame_sig[q], 0.85))
             if not cand_ids:
                 fallbacks += 1
-                cand_ids = [f.id for f in map_frames]
+                cand_ids = list(map_ids)
             # highest multiset shared-word count, ties to the lowest id
-            best = min(cand_ids, key=lambda kf: (-shared(q.appearance, ds.frames[kf].appearance), kf))
-            chosen = ds.frames[best]
-            err = math.hypot(chosen.gt_pose.x - q.gt_pose.x, chosen.gt_pose.y - q.gt_pose.y)
+            best = min(cand_ids, key=lambda kf: (-shared(apps[q], apps[kf]), kf))
+            err = math.hypot(xy[best][0] - xy[q][0], xy[best][1] - xy[q][1])
             errors.append(err)
-            one, _ = localize_queries(map_frames, store, frame_sig, [q], 0.85)
-            assert one.errors == (err,), q.id
-        assert localize_queries(map_frames, store, frame_sig, query_frames, 0.85) == (
+            one, _ = localize_queries(ds, map_ids, store, [q], 0.85)
+            assert one.errors == (err,), q
+        assert localize_queries(ds, map_ids, store, query_ids, 0.85) == (
             CdfCurve.from_errors(errors), fallbacks)
         assert len(set(errors)) > 1
 
     def test_empty_map(self):
         with pytest.raises(EmptyMap):
-            localize_queries([], None, {}, [], 0.85)
+            localize_queries(None, [], None, [], 0.85)
 
     def test_gated_localization_beats_alias_separation(self, dataset_cache):
         # aliased corridors are ~20 m apart in c_hall; gating keeps errors below that

@@ -26,8 +26,6 @@ from wifislam.frontend import (
     InvertedIndex,
     MatchResult,
     match_frames,
-    shared_word_count,
-    word_masks,
 )
 from wifislam.gating import PolicyParams
 from wifislam.posegraph import Pose2, between
@@ -43,9 +41,25 @@ def ref_shared(a, b):
     return sum((Counter(a.words) & Counter(b.words)).values())
 
 
+def flat_bags(bags):
+    """Word bags as `frontend.word_masks` takes them: one flat int64 array and its offsets."""
+    return np.array([w for b in bags for w in b], dtype=np.int64), np.cumsum([0, *map(len, bags)])
+
+
+def word_masks(apps):
+    """`frontend.word_masks` of Appearance bags, handed over as one flat word array."""
+    return frontend.word_masks(*flat_bags([a.words for a in apps]))
+
+
+def shared_word_count(a, b):
+    """Multiset intersection size of the two word bags: the one-pair view of `word_masks`."""
+    ma, mb = word_masks((a, b))
+    return (ma & mb).bit_count()
+
+
 def match(a_id, b_id, a, b, *rest, **kw):
     """match_frames given the pair's reference shared-word count."""
-    return match_frames(a_id, b_id, ref_shared(a, b), a, b, *rest, **kw)
+    return match_frames(a_id, b_id, ref_shared(a, b), a.place_template, b.place_template, *rest, **kw)
 
 
 def brute_scored(q, apps):
@@ -166,23 +180,21 @@ class TestMatchFrames:
 
     def test_equals_always_draw_reference_on_every_pair(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
-        frames = ds.frames
-        truths = [
-            FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
-            for f in frames
-        ]
+        apps = [ds.frames.appearance(i) for i in range(len(ds.frames))]
+        poses = [Pose2(*p) for p in ds.frames.gt.tolist()]
+        truths = [FrameTruth(p, template_pose_of(ds.world, p, a.place_template)) for p, a in zip(poses, apps)]
         min_matches = PolicyParams().min_matches
-        masks = word_masks([f.appearance for f in frames])
+        masks = frontend.word_masks(ds.frames.words, ds.frames.offsets)
         zero_share = accepted = 0
-        for fa in frames:
-            for fb in frames:
-                shared = ref_shared(fa.appearance, fb.appearance)
-                if fa.id != fb.id:  # the pipeline's count; word_masks leaves the diagonal out
-                    assert (masks[fa.id] & masks[fb.id]).bit_count() == shared, (fa.id, fb.id)
-                pair = (fa.appearance, fb.appearance, truths[fa.id], truths[fb.id], min_matches, 0)
-                got = match_frames(fa.id, fb.id, shared, *pair)  # the accept step
+        for ia, fa in enumerate(apps):
+            for ib, fb in enumerate(apps):
+                shared = ref_shared(fa, fb)
+                if ia != ib:  # the pipeline's count; word_masks leaves the diagonal out
+                    assert (masks[ia] & masks[ib]).bit_count() == shared, (ia, ib)
+                rest = (truths[ia], truths[ib], min_matches, 0)
+                got = match_frames(ia, ib, shared, fa.place_template, fb.place_template, *rest)  # the accept step
                 pose = got.relative  # the pose step
-                assert (got.num_matches, got.accepted, pose) == always_draw_match(fa.id, fb.id, *pair), (fa.id, fb.id)
+                assert (got.num_matches, got.accepted, pose) == always_draw_match(ia, ib, fa, fb, *rest), (ia, ib)
                 zero_share += shared == 0
                 accepted += got.accepted
         assert zero_share > 0 and accepted > 0
@@ -191,9 +203,10 @@ class TestMatchFrames:
         # the count is the caller's: equal bags with shared=0 draw nothing, disjoint bags with a count can match
         a, b = app(range(40)), app(range(100, 140))
         t = truth(0, 0)
-        assert match_frames(0, 1, 0, a, a, t, t, MIN_MATCHES, 0) == MatchResult(0)
-        assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, a, a, t, t, MIN_MATCHES, 0)
-        assert match_frames(0, 1, 40, a, b, t, t, MIN_MATCHES, 0).accepted
+        assert match(0, 1, a, a, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, 0, 0, t, t, MIN_MATCHES, 0)
+        assert match_frames(0, 1, 0, 0, 0, t, t, MIN_MATCHES, 0) == MatchResult(0)
+        assert match(0, 1, a, b, t, t, MIN_MATCHES, 0) == MatchResult(0)
+        assert match_frames(0, 1, 40, 0, 0, t, t, MIN_MATCHES, 0).accepted
 
     def test_pose_step_draws_once(self, monkeypatch):
         # the accept step makes draw 0 only; the pose step makes draws 1-3 on first read and keeps the pose
@@ -213,7 +226,7 @@ class TestMatchFrames:
 
 
 def largest_preset_bag(dataset_cache):
-    return max(len(f.appearance.words) for name in simworld.preset_worlds() for f in dataset_cache(name, 0).frames)
+    return max(int(np.diff(dataset_cache(name, 0).frames.offsets).max()) for name in simworld.preset_worlds())
 
 
 class TestCounterDraws:
@@ -274,18 +287,18 @@ class TestCounterDraws:
     def test_order_independent(self, dataset_cache):
         # a pair's result is a function of the pair: shuffled, with cold caches, every pair draws the same
         ds = dataset_cache("c_hall", 0)
-        frames = ds.frames
-        truths = [FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
-                  for f in frames]
+        templates = ds.frames.template.tolist()
+        poses = [Pose2(*p) for p in ds.frames.gt.tolist()]
+        truths = [FrameTruth(p, template_pose_of(ds.world, p, tpl)) for p, tpl in zip(poses, templates)]
         masks = ds.word_masks
-        pairs = [(i, j) for i in range(0, len(frames), 3) for j in range(i) if masks[i] & masks[j]]
+        pairs = [(i, j) for i in range(0, len(poses), 3) for j in range(i) if masks[i] & masks[j]]
 
         def results(order):
             return {
                 (i, j): (mr.num_matches, mr.accepted, mr.relative)
                 for i, j in order
-                for mr in [match_frames(i, j, (masks[i] & masks[j]).bit_count(), frames[i].appearance,
-                                        frames[j].appearance, truths[i], truths[j], 10, 3)]
+                for mr in [match_frames(i, j, (masks[i] & masks[j]).bit_count(), templates[i], templates[j],
+                                        truths[i], truths[j], 10, 3)]
             }
 
         first = results(pairs)
@@ -377,6 +390,34 @@ def test_word_masks_leave_the_diagonal_out():
     ma, mb = word_masks([a, b])
     assert (ma & mb).bit_count() == ref_shared(a, b) == 1
     assert ma.bit_count() == 1 < ref_shared(a, a) == 4
+
+
+EDGE_WORDS = st.integers(0, 7) | st.sampled_from([0, 2**31 - 2, 2**31 - 1])  # the ends of the word id range
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bags=st.lists(st.lists(EDGE_WORDS, max_size=12), min_size=2, max_size=8),
+    word=EDGE_WORDS,
+    copies=st.tuples(st.integers(300, 340), st.integers(0, 345)),
+    data=st.data(),
+)
+def test_flat_word_masks_match_reference_on_every_pair(bags, word, copies, data):
+    # bag 0 holds one word at least 300 times and bag 1 some of those copies, in any order in each bag
+    for k, n in enumerate(copies):
+        bags[k] = data.draw(st.permutations(bags[k] + [word] * n), label=f"bag {k}")
+    masks = frontend.word_masks(*flat_bags(bags))
+    assert len(masks) == len(bags)
+    for i, a in enumerate(bags):
+        for j, b in enumerate(bags):
+            if i != j:
+                assert (masks[i] & masks[j]).bit_count() == ref_shared(app(a), app(b)), (i, j)
+    # bits are numbered by the first bag holding their token, so bag i's mask fits the tokens of bags 0..i
+    tokens = [{(w, k) for w, n in Counter(b).items() for k in range(n)} for b in bags]
+    shared, seen = {t for t in set().union(*tokens) if sum(t in ts for ts in tokens) > 1}, set()
+    for i, ts in enumerate(tokens):
+        seen |= ts & shared
+        assert masks[i].bit_length() <= len(seen), i
 
 
 @settings(max_examples=100, deadline=None)

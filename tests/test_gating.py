@@ -204,7 +204,8 @@ def gate(store, similar_ids):
 def query_frame(apps, query):
     """The query as the frame after the keyframes of ``apps`` (ids 0..n-1): its id and
     the word masks of all those frames, as a dataset gives them."""
-    return len(apps), word_masks([*apps.values(), query])
+    bags = [a.words for a in (*apps.values(), query)]
+    return len(apps), word_masks(np.array([w for b in bags for w in b], dtype=np.int64), np.cumsum([0, *map(len, bags)]))
 
 
 class TestOrbCandidates:
@@ -490,14 +491,22 @@ class TestDatasetInputs:
         ds = tiny_dataset
         sigs = list(signatures_of(ds.scans))
         assert list(ds.signatures) == sigs
-        assert ds.frame_signatures == associate_frames([(f.id, f.t) for f in ds.frames], sigs)
+        frames = ds.frames
+        assert ds.frame_signatures == associate_frames([(i, t) for i, t in enumerate(frames.t.tolist())], sigs)
+        poses = [Pose2(*p) for p in frames.gt.tolist()]
         assert list(ds.truths) == [
-            FrameTruth(f.gt_pose, template_pose_of(ds.world, f.gt_pose, f.appearance.place_template))
-            for f in ds.frames
+            FrameTruth(p, template_pose_of(ds.world, p, frames.appearance(i).place_template))
+            for i, p in enumerate(poses)
         ]
-        assert list(ds.word_masks) == word_masks([f.appearance for f in ds.frames])
+        assert list(ds.word_masks) == word_masks(frames.words, frames.offsets)
         for name in ("signatures", "frame_signatures", "truths", "word_masks"):
             assert getattr(ds, name) is getattr(ds, name), name
+
+    def test_trajectories_hold_python_numbers(self, tiny_dataset):
+        """The frame table's numpy columns do not leak into a run's trajectories."""
+        rec = run_pipeline(tiny_dataset, PolicyParams(policy="orb", gated=True, min_matches=20, seed=2))
+        for k, t, p in rec.est + rec.gt:
+            assert (type(k), type(t), type(p.x), type(p.y), type(p.theta)) == (int, float, float, float, float)
 
     @pytest.mark.parametrize("policy", gating.POLICIES)
     def test_reruns_equal_a_run_on_a_fresh_copy(self, tiny_dataset, small_rtab_memory, policy):

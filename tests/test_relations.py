@@ -6,7 +6,7 @@ import pytest
 
 from wifislam import gating
 from wifislam.gating import PolicyParams, run_pipeline
-from wifislam.posegraph import compose
+from wifislam.posegraph import Pose2, compose
 
 
 def _est_bits(rec) -> str:
@@ -36,11 +36,11 @@ def test_no_possible_match_gives_dead_reckoning(dataset_cache):
     ds = dataset_cache("j_hall", 0)
     assert run_pipeline(ds, PolicyParams(policy="orb", gated=True, seed=0)).loop_edges  # closes loops at defaults
     frames = ds.frames
-    chain = [frames[0].gt_pose]
-    for f in frames[1:]:
-        chain.append(compose(chain[-1], f.odom_delta))
-    dead_reckoning = repr([(f.id, f.t, p.x, p.y, p.theta) for f, p in zip(frames, chain)])
-    unreachable = max(len(f.appearance.words) for f in frames) + 1
+    chain = [Pose2(*frames.gt[0].tolist())]
+    for step in frames.odom[1:].tolist():
+        chain.append(compose(chain[-1], Pose2(*step)))
+    dead_reckoning = repr([(i, t, p.x, p.y, p.theta) for (i, t), p in zip(enumerate(frames.t.tolist()), chain)])
+    unreachable = max(len(frames.appearance(i).words) for i in range(len(frames))) + 1
     for policy in ("orb", "rgbd", "rtab"):
         for gated in (False, True):
             rec = run_pipeline(ds, PolicyParams(policy=policy, gated=gated, min_matches=unreachable, seed=0))

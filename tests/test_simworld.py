@@ -4,7 +4,7 @@ import json
 import math
 import shutil
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifislam import simworld
-from wifislam.frontend import Appearance
-from wifislam.posegraph import Pose2, compose
+from wifislam.posegraph import Pose2, compose, wrap_angle
 from wifislam.signature import mask_bssid
 from wifislam.simworld import (
     FRAME_RATE_HZ,
@@ -24,7 +23,6 @@ from wifislam.simworld import (
     BadWorld,
     DataError,
     FloorPlan,
-    Frame,
     PropagationParams,
     TrajectorySpec,
     Wall,
@@ -169,7 +167,7 @@ class TestRssi:
     def test_field_equals_scalar_formula(self, dataset_cache, name):
         ds = dataset_cache(name, 0)
         dwells = generate_trajectory(ds.world.config.trajectory, ds.world.config.template_of).dwells
-        points = [(d.x, d.y) for d in dwells[::3]]
+        points = list(zip(dwells.x[::3].tolist(), dwells.y[::3].tolist()))
         params = ds.world.config.propagation
         expected = [[reference_rssi(ap, p, ds.world.plan.walls, params) for ap in ds.world.aps] for p in points]
         assert mean_rssi(ds.world.aps, points, ds.world.plan, params) == expected
@@ -179,19 +177,19 @@ class TestTrajectory:
     def test_square_loop_closes(self):
         spec = TrajectorySpec(shape="square_loop", scale=20.0, speed=1.0, laps=1.0)
         traj = generate_trajectory(spec)
-        first, last = traj.samples[0].pose, traj.samples[-1].pose
-        assert math.hypot(first.x - last.x, first.y - last.y) < 1e-9
+        x, y = traj.samples.x, traj.samples.y
+        assert math.hypot(x[0] - x[-1], y[0] - y[-1]) < 1e-9
 
     def test_dwell_count_floor_rule(self):
         spec = TrajectorySpec(shape="square_loop", scale=20.0, speed=1.0, pause_every=3.5, laps=1.0)
         traj = generate_trajectory(spec)
         assert traj.path_length == pytest.approx(80.0)
-        assert len(traj.dwells) == 22
+        assert len(traj.dwells.t) == 22
 
     def test_figure_eight_single_crossing(self):
         spec = TrajectorySpec(shape="figure_eight", scale=12.0, speed=1.0)
         traj = generate_trajectory(spec)
-        pts = [(s.pose.x, s.pose.y) for s in traj.samples]
+        pts = list(zip(traj.samples.x.tolist(), traj.samples.y.tolist()))
         crossings = set()
         for i in range(len(pts)):
             for j in range(i + 8, len(pts)):
@@ -203,7 +201,7 @@ class TestTrajectory:
         spec = TrajectorySpec(shape="square_loop", scale=20.0, speed=1.0, pause_every=3.5, pause_duration=10.0)
         traj = generate_trajectory(spec)
         # total duration = travel time + dwell time
-        assert traj.samples[-1].t == pytest.approx(80.0 / 1.0 + 22 * 10.0)
+        assert traj.samples.t[-1] == pytest.approx(80.0 / 1.0 + 22 * 10.0)
 
     def test_times_count_the_earlier_dwells_at_12_laps(self):
         config = preset_worlds()["j_hall"]
@@ -213,14 +211,41 @@ class TestTrajectory:
         arcs = [k * spacing for k in range(int(total / spacing) + 1) if k * spacing <= total + 1e-9]
         if total - arcs[-1] > 1e-9:
             arcs.append(total)
-        dwell_arcs = [d.arc for d in traj.dwells]
+        dwell_arcs = traj.dwells.arc.tolist()
 
         def t_at(arc):
             return arc / spec.speed + sum(1 for d in dwell_arcs if d < arc - 1e-9) * spec.pause_duration
 
-        assert len(traj.dwells) > 100
-        assert [s.t for s in traj.samples] == [t_at(a) for a in arcs]
-        assert [d.t_arrival for d in traj.dwells] == [t_at(a) for a in dwell_arcs]
+        assert len(dwell_arcs) > 100
+        assert traj.samples.arc.tolist() == arcs
+        assert traj.samples.t.tolist() == [t_at(a) for a in arcs]
+        assert traj.dwells.t.tolist() == [t_at(a) for a in dwell_arcs]
+
+    @pytest.mark.parametrize("laps", [0.3, 1.1, 2.5, 12.0])
+    @pytest.mark.parametrize("name", ["c_hall", "b_hall", "j_hall", "a_hall"])
+    def test_points_equal_the_leg_by_leg_reference(self, name, laps):
+        """Each point lies on the first route leg that has not ended 1e-9 m before it (the last leg
+        past the end), at its offset into that leg, interpolated along the leg's corridor."""
+        config = preset_worlds()[name]
+        spec = replace(config.trajectory, laps=laps)
+        corridors, route = simworld._shape_corridors(spec, config.template_of)
+        legs, start = [], 0.0  # (start, end, corridor, offset into the corridor) along the path
+        for cid, a0, a1 in route:
+            legs.append((start, start + (a1 - a0), cid, a0))
+            start += a1 - a0
+
+        def reference(arc):
+            start, _, cid, off = next((leg for leg in legs if leg[0] - 1e-9 <= arc < leg[1] - 1e-9), legs[-1])
+            c, carc = corridors[cid], off + (arc - start)
+            f = carc / c.length
+            return c.x1 + f * (c.x2 - c.x1), c.y1 + f * (c.y2 - c.y1), wrap_angle(c.heading), cid, carc
+
+        traj = generate_trajectory(spec, config.template_of)
+        assert traj.path_length == start
+        for points in (traj.samples, traj.dwells):
+            got = zip(points.x.tolist(), points.y.tolist(), points.heading.tolist(), points.corridor.tolist(),
+                      points.corridor_arc.tolist())
+            assert list(got) == [reference(arc) for arc in points.arc.tolist()]
 
     def test_unknown_shape(self):
         with pytest.raises(BadWorld, match="unknown trajectory shape 'spiral'; valid shapes: square_loop, "):
@@ -231,17 +256,18 @@ class TestSynthesize:
     def test_zero_noise_odometry_composes_to_gt(self, tiny_world):
         cfg = replace(tiny_world, odom_noise=replace(tiny_world.odom_noise, sigma_xy_per_m=0.0, sigma_theta_per_m=0.0))
         ds = synthesize(cfg, seed=0)
-        pose = ds.frames[0].gt_pose
-        for f in ds.frames[1:]:
-            pose = compose(pose, f.odom_delta)
-            assert math.hypot(pose.x - f.gt_pose.x, pose.y - f.gt_pose.y) < 1e-9
+        gt, odom = ds.frames.gt.tolist(), ds.frames.odom.tolist()
+        pose = Pose2(*gt[0])
+        for (x, y, _theta), step in zip(gt[1:], odom[1:]):
+            pose = compose(pose, Pose2(*step))
+            assert math.hypot(pose.x - x, pose.y - y) < 1e-9
 
     def test_alias_corridors_share_template(self):
         ds = synthesize(preset_worlds()["c_hall"], seed=0)
         templates = {}
-        for f in ds.frames:
-            cid = corridor_of_frame(ds.world, f.gt_pose, f.appearance.place_template)
-            templates.setdefault(cid, set()).add(f.appearance.place_template)
+        for p, template in zip(ds.frames.gt.tolist(), ds.frames.template.tolist()):
+            cid = corridor_of_frame(ds.world, Pose2(*p), template)
+            templates.setdefault(cid, set()).add(template)
         assert templates[0] == templates[2] == {0}
 
     def test_zero_noise_readings_are_the_field(self, tiny_world):
@@ -252,12 +278,12 @@ class TestSynthesize:
         dwells = generate_trajectory(cfg.trajectory, cfg.template_of).dwells
         rows = list(ds.scans.rows())
         levels = []
-        for d in dwells:
+        for index, xy in enumerate(zip(dwells.x.tolist(), dwells.y.tolist())):
             for ap in ds.world.aps:
-                level = reference_rssi(ap, (d.x, d.y), ds.world.plan.walls, params)
+                level = reference_rssi(ap, xy, ds.world.plan.walls, params)
                 levels.append(level)
                 n_readings = 0 if level < params.visibility_floor_dbm else cfg.scans_per_dwell * cfg.bssids_per_ap
-                heard = [rssi for _, bssid, rssi, di in rows if di == d.index and bssid[:-1] == ap.ap_id[:-1]]
+                heard = [rssi for _, bssid, rssi, di in rows if di == index and bssid[:-1] == ap.ap_id[:-1]]
                 assert heard == [min(level, 0.0)] * n_readings
         assert min(levels) < params.visibility_floor_dbm < 0.0 < max(levels)  # the floor and the clip both act
 
@@ -269,10 +295,11 @@ class TestSynthesize:
         ds = synthesize(cfg, seed=7)
         rng_scan = np.random.default_rng((7, 2))
         expected, floored, clipped = [], 0, 0
-        for d in generate_trajectory(cfg.trajectory, cfg.template_of).dwells:
-            base = [reference_rssi(ap, (d.x, d.y), walls, params) for ap in ds.world.aps]
+        dwells = generate_trajectory(cfg.trajectory, cfg.template_of).dwells
+        for index, (x, y, t_arrival) in enumerate(zip(dwells.x.tolist(), dwells.y.tolist(), dwells.t.tolist())):
+            base = [reference_rssi(ap, (x, y), walls, params) for ap in ds.world.aps]
             for sidx in range(cfg.scans_per_dwell):
-                t = d.t_arrival + (sidx + 0.5) * cfg.trajectory.pause_duration / cfg.scans_per_dwell
+                t = t_arrival + (sidx + 0.5) * cfg.trajectory.pause_duration / cfg.scans_per_dwell
                 for k, ap in enumerate(ds.world.aps):
                     for radio in range(1, cfg.bssids_per_ap + 1):
                         rssi = base[k] + params.noise_sigma_db * float(rng_scan.normal())
@@ -280,7 +307,7 @@ class TestSynthesize:
                             floored += 1
                             continue
                         clipped += rssi > 0.0
-                        expected.append((t, ap.ap_id[:-1] + f"{radio:X}", min(rssi, 0.0), d.index))
+                        expected.append((t, ap.ap_id[:-1] + f"{radio:X}", min(rssi, 0.0), index))
         assert floored and clipped  # the floor and the clip both act
         assert list(ds.scans.rows()) == expected
         assert ds.scans.t.dtype == ds.scans.rssi.dtype == np.float64
@@ -309,40 +336,38 @@ class TestSynthesize:
         assert ds.gt_loop_pairs
         for a, b in ds.gt_loop_pairs:
             assert a < b
-            assert ds.frames[b].t - ds.frames[a].t > 30.0
+            assert ds.frames.t[b] - ds.frames.t[a] > 30.0
 
     def test_template_pose_consistent_for_aliases(self):
         ds = synthesize(preset_worlds()["c_hall"], seed=0)
         # two frames at the same corridor arc in aliased corridors map to the
         # same template-local position
         by_corridor = {}
-        for f in ds.frames:
-            cid = corridor_of_frame(ds.world, f.gt_pose, f.appearance.place_template)
-            by_corridor.setdefault(cid, []).append(f)
+        for p, template in zip(ds.frames.gt.tolist(), ds.frames.template.tolist()):
+            f = (Pose2(*p), template)
+            by_corridor.setdefault(corridor_of_frame(ds.world, *f), []).append(f)
         f0 = by_corridor[0][3]
-        tpl0 = template_pose_of(ds.world, f0.gt_pose, f0.appearance.place_template)
-        twin = min(
-            by_corridor[2],
-            key=lambda f: abs(
-                template_pose_of(ds.world, f.gt_pose, f.appearance.place_template).x - tpl0.x
-            ),
-        )
-        tpl2 = template_pose_of(ds.world, twin.gt_pose, twin.appearance.place_template)
+        tpl0 = template_pose_of(ds.world, *f0)
+        twin = min(by_corridor[2], key=lambda f: abs(template_pose_of(ds.world, *f).x - tpl0.x))
+        tpl2 = template_pose_of(ds.world, *twin)
         assert abs(tpl0.x - tpl2.x) < 0.5 and abs(tpl0.y - tpl2.y) < 1e-6
 
 
 def dense_loop_pairs(frames):
     """Reference ground-truth pairs from the full N x N distance and time-gap matrices."""
-    pos = np.array([[f.gt_pose.x, f.gt_pose.y] for f in frames], dtype=float).reshape(-1, 2)
-    ts = np.array([f.t for f in frames], dtype=float)
+    pos, ts = frames.gt[:, :2], frames.t
     d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
     dt = np.abs(ts[:, None] - ts[None, :])
     ii, jj = np.nonzero((d2 < LOOP_PAIR_RADIUS_M**2) & (dt > LOOP_PAIR_GAP_S))
     return {(int(a), int(b)) for a, b in zip(ii, jj) if a < b}
 
 
-def frame_at(i, t, x, y):
-    return Frame(id=i, t=t, gt_pose=Pose2(x, y, 0.0), odom_delta=Pose2(), appearance=Appearance((1,), 0))
+def frames_at(points):
+    """A Frames table of frames at the given (t, x, y), heading 0, each with the word bag (1,)."""
+    txy = np.array(points, dtype=float).reshape(-1, 3)
+    n = len(txy)
+    return simworld.Frames(txy[:, 0], np.column_stack([txy[:, 1:], np.zeros(n)]), np.zeros((n, 3)),
+                           np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), np.arange(n + 1))
 
 
 class TestLoopPairs:
@@ -355,19 +380,19 @@ class TestLoopPairs:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_few_frames(self, n):
-        frames = [frame_at(i, 100.0 * i, 0.5 * i, 0.0) for i in range(n)]
+        frames = frames_at([(100.0 * i, 0.5 * i, 0.0) for i in range(n)])
         assert _loop_pairs(frames) == dense_loop_pairs(frames) == ({(0, 1)} if n == 2 else set())
 
     def test_boundaries(self):
         r, gap = LOOP_PAIR_RADIUS_M, LOOP_PAIR_GAP_S
         inside = math.nextafter(r, 0.0)
-        frames = [
-            frame_at(0, 0.0, 0.0, 0.0),
-            frame_at(1, 100.0, r, 0.0),  # exactly R from frame 0: not a pair
-            frame_at(2, 200.0, 0.0, inside),  # just inside R of frame 0
-            frame_at(3, 200.0 + gap, 0.0, inside),  # frame 2's twin exactly the gap later: not a pair
-            frame_at(4, 300.0, 0.6 * r, 0.8 * r),  # R away by a sum of squares
-        ]
+        frames = frames_at([
+            (0.0, 0.0, 0.0),
+            (100.0, r, 0.0),  # frame 1, exactly R from frame 0: not a pair
+            (200.0, 0.0, inside),  # frame 2, just inside R of frame 0
+            (200.0 + gap, 0.0, inside),  # frame 2's twin exactly the gap later: not a pair
+            (300.0, 0.6 * r, 0.8 * r),  # frame 4, R away by a sum of squares
+        ])
         pairs = _loop_pairs(frames)
         assert pairs == dense_loop_pairs(frames)
         assert (0, 2) in pairs and (0, 1) not in pairs and (2, 3) not in pairs
@@ -421,8 +446,12 @@ class TestPresets:
             Wall(0.0, 0.0, 1.0, math.inf)
 
 
+def column_kinds(frames):
+    return [getattr(frames, c.name).dtype.kind for c in fields(frames)]
+
+
 class TestSerialization:
-    def test_roundtrip_equality(self, tiny_world, tmp_path):
+    def test_roundtrip_equality(self, tiny_world, dataset_cache, tmp_path):
         ds = synthesize(tiny_world, seed=3)
         save_dataset(ds, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
@@ -431,6 +460,16 @@ class TestSerialization:
         assert loaded.scans == ds.scans
         assert loaded.world.aps == ds.world.aps
         assert loaded.world.corridors == ds.world.corridors
+        for name in preset_worlds():
+            for seed in (0, 1, 2):
+                ds = dataset_cache(name, seed)
+                written = save_dataset(ds, tmp_path / f"{name}-{seed}" / "a")
+                loaded = load_dataset(written)
+                assert loaded.frames == ds.frames, (name, seed)
+                assert column_kinds(loaded.frames) == column_kinds(ds.frames) == list("fffiii"), (name, seed)
+                rewritten = save_dataset(loaded, tmp_path / f"{name}-{seed}" / "b")
+                for f in DATASET_FILES:
+                    assert (written / f).read_bytes() == (rewritten / f).read_bytes(), (name, seed, f)
 
     def test_byte_identical_rewrites(self, tiny_world, tmp_path):
         ds = synthesize(tiny_world, seed=3)
@@ -801,3 +840,162 @@ class TestChunkedScans:
             path = d / "scans.csv"
             got = scans_or_message(lambda: simworld._read_csv(path, simworld.SCANS_HEADER, simworld._scans), path)
             assert got == scans_or_message(lambda: reference_scans(path), path)
+
+
+def reference_frames(path):
+    """The per-row reading of ``frames.csv`` that the chunked reader must equal: its columns, or a
+    DataError with the same message. Each non-blank line is stripped and split on its own and its
+    fields are checked in the order id, timestamp, id against the row index, time order, bag
+    emptiness, poses, words and template. A word must be ASCII decimal digits for an integer
+    below 2**31, and a template must fit in 64 bits."""
+
+    def finite(text):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"non-finite number {text!r}")
+        return float(text)
+
+    rows = []  # (t, gt pose, odometry pose, template, words) per row
+    with open(path, newline="") as fh:
+        if fh.readline().strip() != simworld.FRAMES_HEADER:
+            raise DataError(f"{path}:1: expected header {simworld.FRAMES_HEADER}")
+        for line, text in enumerate(fh, start=2):
+            text = text.strip()
+            if not text:
+                continue
+            try:
+                p = text.split(",")
+                if len(p) != 10:
+                    raise ValueError(f"expected 10 fields, got {len(p)}")
+                k, t = int(p[0]), finite(p[1])
+                if k != len(rows):
+                    raise ValueError(f"frame id {k} is not the row index {len(rows)}")
+                if rows and t < rows[-1][0]:
+                    raise ValueError(f"timestamp {t!r} s is earlier than the previous frame's {rows[-1][0]!r} s")
+                if not p[9]:
+                    raise ValueError("empty word bag")
+                gt, odom = Pose2(*map(finite, p[2:5])), Pose2(*map(finite, p[5:8]))
+                words = []
+                for w in p[9].split("|"):
+                    words.append(int(w))
+                    if not (w.isascii() and w.isdigit() and words[-1] < 2**31):
+                        raise ValueError(f"word {w!r} is not a decimal integer in [0, 2147483648)")
+                if not -(2**63) <= int(p[8]) < 2**63:
+                    raise ValueError(f"template id {int(p[8])} does not fit in 64 bits")
+            except ValueError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from exc
+            rows.append((t, gt, odom, int(p[8]), words))
+    return [[r[0] for r in rows], [[r[1].x, r[1].y, r[1].theta] for r in rows],
+            [[r[2].x, r[2].y, r[2].theta] for r in rows], [r[3] for r in rows], [w for r in rows for w in r[4]],
+            np.cumsum([0, *(len(r[4]) for r in rows)]).tolist()]
+
+
+def frames_or_message(load, path):
+    """What a reader makes of ``path``: its frame columns as Python values, or its DataError message."""
+    try:
+        f = load()
+    except DataError as exc:
+        return str(exc)
+    return f if isinstance(f, list) else [c.tolist() for c in (f.t, f.gt, f.odom, f.template, f.words, f.offsets)]
+
+
+def read_frames(path):
+    return simworld._read_csv(path, simworld.FRAMES_HEADER, simworld._frames)
+
+
+FRAME_FAULTS = {  # fault -> (edit, reason), each of data row r's fields and the previous row's
+    "field_count": (lambda r, p, prev: [*p, "7"], lambda r, p, prev: "expected 10 fields, got 11"),
+    "non_numeric": (lambda r, p, prev: p[:2] + ["x"] + p[3:], lambda r, p, prev: "could not convert string to float: 'x'"),
+    "non_finite": (lambda r, p, prev: p[:6] + ["inf"] + p[7:], lambda r, p, prev: "non-finite number 'inf'"),
+    "id_not_index": (lambda r, p, prev: [str(r + 5)] + p[1:], lambda r, p, prev: f"frame id {r + 5} is not the row index {r}"),
+    "earlier_timestamp": (lambda r, p, prev: [p[0], repr(float(prev[1]) - 1.0)] + p[2:],
+                          lambda r, p, prev: f"timestamp {float(p[1])!r} s is earlier than the previous frame's "
+                                             f"{float(prev[1])!r} s"),
+    "empty_bag": (lambda r, p, prev: p[:9] + [""], lambda r, p, prev: "empty word bag"),
+    "non_numeric_word": (lambda r, p, prev: p[:9] + [p[9].replace("|", "|x|", 1)],
+                         lambda r, p, prev: "invalid literal for int() with base 10: 'x'"),
+    "negative_word": (lambda r, p, prev: p[:9] + ["-5|" + p[9]],
+                      lambda r, p, prev: "word '-5' is not a decimal integer in [0, 2147483648)"),
+}
+
+
+class TestChunkedFrames:
+    """`load_dataset` reads ``frames.csv`` ``simworld._FRAME_ROWS`` lines at a time and checks each chunk
+    in bulk; every fault must name the line and reason that the per-row reading gives."""
+
+    @pytest.mark.parametrize("where", ["first", "chunk_end", "chunk_start", "last"])
+    @pytest.mark.parametrize("fault", FRAME_FAULTS)
+    def test_fault_names_its_row(self, saved_b_hall, tmp_path, fault, where):
+        d = Path(shutil.copytree(saved_b_hall, tmp_path / "d"))
+        path = d / "frames.csv"
+        lines = path.read_text().split("\n")
+        n = len(lines) - 2  # data rows: less the header and the empty string after the last newline
+        assert n > simworld._FRAME_ROWS + 1
+        r = {"first": 0, "chunk_end": simworld._FRAME_ROWS - 1, "chunk_start": simworld._FRAME_ROWS, "last": n - 1}[where]
+        if fault == "earlier_timestamp":
+            r = max(r, 1)  # the first row has no previous one
+        edit, reason = FRAME_FAULTS[fault]
+        lines[r + 1] = ",".join(edit(r, lines[r + 1].split(","), lines[r].split(",")))
+        path.write_text("\n".join(lines))
+        expected = f"{path}:{r + 2}: {reason(r, lines[r + 1].split(','), lines[r].split(','))}"
+        assert frames_or_message(lambda: load_dataset(d).frames, path) == expected
+        assert frames_or_message(lambda: reference_frames(path), path) == expected
+
+    def test_saved_file(self, saved_b_hall):
+        path = saved_b_hall / "frames.csv"
+        got = frames_or_message(lambda: read_frames(path), path)
+        assert got == frames_or_message(lambda: reference_frames(path), path)
+        assert len(got[0]) > simworld._FRAME_ROWS
+
+    @pytest.mark.parametrize("word", ["-5", "99999999999999999999999", "1_0", "٣"])
+    def test_word_outside_the_domain_is_rejected(self, dataset_cache, tmp_path, word):
+        """Only ASCII decimal words below 2**31 load: not a sign, a number past 2**31, an underscore
+        or a non-ASCII digit, each of which int() accepts."""
+        d = save_dataset(dataset_cache("a_hall", 0), tmp_path / "d")
+        path = d / "frames.csv"
+        lines = path.read_text().split("\n")
+        p = lines[5].split(",")
+        lines[5] = ",".join(p[:9] + [p[9] + "|" + word])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_dataset(d)
+        assert str(exc.value) == f"{path}:6: word {word!r} is not a decimal integer in [0, 2147483648)"
+
+    def test_largest_word_loads(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text(f"{simworld.FRAMES_HEADER}\n0,0.0,0,0,0,0,0,0,0,2147483647|0|0007\n")
+        frames = read_frames(path)
+        assert frames.words.tolist() == [2**31 - 1, 0, 7] and frames.offsets.tolist() == [0, 3]
+
+    # mostly valid values, so that faults come after valid rows of earlier chunks
+    rows = st.tuples(
+        st.sampled_from(["index"] * 20 + ["index + 1", "x", " index", "1_0"]),
+        st.sampled_from(["inc"] * 20 + ["dec", "nan", "x", "1_0.5"]),
+        st.sampled_from(["0.0"] * 12 + ["-1.25", "7", "4.0", " 2.0", "inf", "x"]),
+        st.sampled_from(["0", "1"] * 6 + ["-1", "9223372036854775807", "x", "99999999999999999999999"]),
+        st.sampled_from(["1|2|3", "5", "3|3|3", "2147483647|0", "0007"] * 4 + [
+            "", "1||2", "1|", "|1", "-5", "1_0", "٣", "x", "2147483648", " 7"]),
+        st.sampled_from([""] * 20 + [",0"]),
+    ) | st.sampled_from(["", "  ", "\t", "broken,row"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(rows, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]), st.integers(1, 4),
+           st.integers(2, 7))
+    def test_equals_per_row_reading(self, tmp_path_factory, rows, newline, chunk_rows, pose_field):
+        lines, k = [], 0
+        for row in rows:
+            if isinstance(row, str):
+                lines.append(row)
+                continue
+            ident, t, pose, template, bag, extra = row
+            fields = ["0.0"] * 10
+            fields[0] = ident.replace("index + 1", str(k + 1)).replace("index", str(k))
+            fields[1] = {"inc": repr(float(k)), "dec": repr(k - 1.5)}.get(t, t)
+            fields[pose_field], fields[8], fields[9] = pose, template, bag
+            lines.append(",".join(fields) + extra)
+            k += 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simworld, "_FRAME_ROWS", chunk_rows)
+            path = tmp_path_factory.mktemp("frames") / "frames.csv"
+            path.write_bytes(newline.join([simworld.FRAMES_HEADER, *lines]).encode())
+            got = frames_or_message(lambda: read_frames(path), path)
+            assert got == frames_or_message(lambda: reference_frames(path), path)

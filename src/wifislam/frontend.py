@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
@@ -137,15 +138,16 @@ class MatchResult:
     """One pair's accept step: the thinned shared-word count and, when a
     transform was found, the pose step's inputs.
 
-    ``ends`` are the two poses whose relation an accepted match recovers
-    (true poses, or template poses for an alias) and ``key`` the pair's draw
-    key. `relative` makes the pair's draws 1-3, the match noise, on first read
-    and is cached, so each is made once and every read returns the same pose.
+    ``ends`` are the two poses, as (x, y, theta) lists, whose relation an
+    accepted match recovers (true poses, or template poses for an alias) and
+    ``key`` the pair's draw key. `relative` makes the pair's draws 1-3, the
+    match noise, on first read and is cached, so each is made once and every
+    read returns the same pose.
     Equality compares `num_matches`, `accepted` and `relative`.
     """
 
     num_matches: int
-    ends: tuple[Pose2, Pose2] | None = field(default=None, repr=False)
+    ends: tuple[list[float], list[float]] | None = field(default=None, repr=False)
     key: int | None = field(default=None, repr=False)
 
     @property
@@ -157,7 +159,7 @@ class MatchResult:
         """Pose of b in a's frame with the match noise added; None unless accepted."""
         if self.ends is None:
             return None
-        rel = between(*self.ends)
+        rel = between(*(Pose2(*end) for end in self.ends))
         nx, ny, nth = (_normal(self.key, k) for k in (1, 2, 3))
         return Pose2(rel.x + NOISE_XY * nx, rel.y + NOISE_XY * ny, rel.theta + NOISE_THETA * nth)
 
@@ -168,14 +170,6 @@ class MatchResult:
 
 
 _NO_SHARED_WORDS = MatchResult(num_matches=0)  # the result of every zero-share pair
-
-
-@dataclass(frozen=True)
-class FrameTruth:
-    """Simulator-side truth backing transform estimation for one frame."""
-
-    gt_pose: Pose2
-    template_pose: Pose2  # gt pose expressed in the frame's scene-template frame
 
 
 @lru_cache(maxsize=8192)
@@ -239,15 +233,14 @@ def match_frames(
     a_id: int,
     b_id: int,
     shared: int,
-    a_template: int,
-    b_template: int,
-    truth_a: FrameTruth,
-    truth_b: FrameTruth,
+    templates: Sequence[int],
+    gt: np.ndarray,
+    template_poses: np.ndarray,
     min_matches: int,
     seed: int,
 ) -> MatchResult:
-    """Accept step of matching two frames; an accepted result's `relative` is
-    the pose of b in a's frame.
+    """Accept step of matching frames ``a_id`` and ``b_id``; an accepted
+    result's `relative` is the pose of b in a's frame.
 
     ``shared`` is the pair's multiset shared-word count, which the caller
     reads from its `word_masks`; it is not recounted here. The count is
@@ -257,7 +250,10 @@ def match_frames(
     Acceptance requires num_matches >= min_matches; transform estimation then
     succeeds with the true relative pose when the frames are geometrically
     within `INLIER_DISTANCE`, succeeds with the alias-implied (false) pose when
-    distant frames share a scene template, and fails otherwise.
+    distant frames share a scene template, and fails otherwise. ``templates``,
+    ``gt`` and ``template_poses`` hold every frame's scene template,
+    ground-truth pose and template pose (x, y, theta) by frame id; only a
+    pair whose count passes reads the two frames' rows.
     """
     if not shared:
         return _NO_SHARED_WORDS
@@ -266,13 +262,14 @@ def match_frames(
     if num < min_matches:
         return MatchResult(num_matches=num)
 
-    dx = truth_a.gt_pose.x - truth_b.gt_pose.x
-    dy = truth_a.gt_pose.y - truth_b.gt_pose.y
+    a, b = gt[a_id].tolist(), gt[b_id].tolist()  # Python floats: each step computes as on Pose2s
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
     separation = (dx * dx + dy * dy) ** 0.5
     if separation <= INLIER_DISTANCE:
-        ends = (truth_a.gt_pose, truth_b.gt_pose)
-    elif a_template == b_template:
-        ends = (truth_a.template_pose, truth_b.template_pose)
+        ends = (a, b)
+    elif templates[a_id] == templates[b_id]:
+        ends = (template_poses[a_id].tolist(), template_poses[b_id].tolist())
     else:
         # enough matched words but no feasible transform: RANSAC-style rejection
         return MatchResult(num_matches=num)

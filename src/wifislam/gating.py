@@ -23,8 +23,9 @@ A run's settings, its `PolicyParams`, are only those a workload varies. The
 sizes of rgbd's base and random subset and of rtab's short-term memory and
 transfer batch are module constants (`RGBD_PREDECESSORS` ... `RTAB_TRANSFER_BATCH`).
 
-The pipeline reads each frame's signature, truth and word mask from the
-``Dataset``, which derives them once for every run on it. A run records each
+The pipeline reads each frame's signature, word mask and template pose from
+the ``Dataset``, which derives them once for every run on it, and its
+ground-truth pose and template from the frame table. A run records each
 frame's decisions once, in a ``FrameRecord``; the ``RunRecord``'s loop events,
 memory trace, loop edges and loop cost are views over those records, and
 ``save_run`` writes them, with each frame's Wi-Fi cluster, as the rows of one
@@ -184,8 +185,8 @@ class RunRecord:
 
     @property
     def gt(self) -> list:
-        times = self.dataset.frames.t.tolist()
-        return [(i, t, truth.gt_pose) for i, (t, truth) in enumerate(zip(times, self.dataset.truths))]
+        frames = self.dataset.frames
+        return [(i, t, Pose2(*p)) for i, (t, p) in enumerate(zip(frames.t.tolist(), frames.gt.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def orb_candidates(
 def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     """Drive the full per-frame loop; deterministic for a fixed (dataset, params)."""
     frames = dataset.frames
-    frame_sig, truths, masks = dataset.frame_signatures, dataset.truths, dataset.word_masks  # frame ids are indices
+    frame_sig, masks, template_poses = dataset.frame_signatures, dataset.word_masks, dataset.template_poses
     times, templates = frames.t, frames.template.tolist()  # times stay numpy: no float object per frame
     onoise = dataset.world.config.odom_noise
 
@@ -407,7 +408,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         # the keyframe joins the graph on its composed odometry estimate
         if i == 0:
-            graph.add_node(0, truths[0].gt_pose)
+            graph.add_node(0, Pose2(*frames.gt[0].tolist()))
         else:
             step = Pose2(*frames.odom[i])
             graph.add_node(i, compose(graph.nodes[i - 1], step))
@@ -422,8 +423,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             shared = (masks[i] & masks[c]).bit_count()
             if audit_orb and not (shared and 0 <= c < i):
                 leaked = True
-            mr = match_frames(i, c, shared, templates[i], templates[c], truths[i], truths[c],
-                              params.min_matches, params.seed)
+            mr = match_frames(i, c, shared, templates, frames.gt, template_poses, params.min_matches, params.seed)
             if mr.accepted:
                 accepted.append((c, mr))
         subset_violations += leaked

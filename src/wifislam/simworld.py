@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, asdict, fields, is_dataclass
 from functools import cache, cached_property
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -26,8 +26,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import frontend
-from .frontend import Appearance, FrameTruth
-from .posegraph import Pose2, between, wrap_angle
+from .frontend import Appearance
+from .posegraph import Pose2, _wrap_angles, between, wrap_angle
 from .signature import Scans, Signature, associate_frames, mask_bssid, signatures_of
 
 FRAME_RATE_HZ = 2.0  # simulated keyframe rate while moving
@@ -121,10 +121,6 @@ class Corridor:
     @property
     def heading(self) -> float:
         return math.atan2(self.y2 - self.y1, self.x2 - self.x1)
-
-    @property
-    def origin_pose(self) -> Pose2:
-        return Pose2(self.x1, self.y1, self.heading)
 
 
 SHAPES = ("square_loop", "figure_eight", "nine_loop", "long_track")  # the cases of _shape_corridors
@@ -294,10 +290,18 @@ class Dataset:
         return associate_frames(list(enumerate(self.frames.t.tolist())), self.signatures)
 
     @cached_property
-    def truths(self) -> tuple[FrameTruth, ...]:
-        """Each frame's `FrameTruth`, in frame order."""
-        return tuple(FrameTruth(pose, template_pose_of(self.world, pose, template))
-                     for pose, template in zip(starmap(Pose2, self.frames.gt.tolist()), self.frames.template.tolist()))
+    def template_poses(self) -> np.ndarray:
+        """Each frame's ground-truth pose in the frame of its corridor (`frame_corridors`), whose origin is the
+        corridor's start and whose x axis runs along it, as an (n, 3) array, angles in (-pi, pi]: the pose an
+        aliased match recovers, shared by frames at one place in corridors of one scene template."""
+        corridors, gt = self.world.corridors, self.frames.gt
+        headings = [wrap_angle(c.heading) for c in corridors]
+        columns = ([c.x1 for c in corridors], [c.y1 for c in corridors], headings,
+                   list(map(math.cos, headings)), list(map(math.sin, headings)))  # per corridor, by math as `between`
+        at = frame_corridors(corridors, gt, self.frames.template)
+        x1, y1, heading, c, s = (np.array(column, dtype=float)[at] for column in columns)
+        dx, dy = gt[:, 0] - x1, gt[:, 1] - y1
+        return np.column_stack([c * dx + s * dy, -s * dx + c * dy, _wrap_angles(gt[:, 2] - heading)])
 
     @cached_property
     def word_masks(self) -> tuple[int, ...]:
@@ -601,36 +605,22 @@ def _loop_pairs(frames: Frames) -> set[tuple[int, int]]:
     return set(zip(ii[keep].tolist(), jj[keep].tolist()))
 
 
-def corridor_of_frame(world: World, gt_pose: Pose2, template: int) -> int:
-    """Recover which corridor a frame was taken in from its pose and template.
-
-    Frames lie exactly on their corridor in ground truth, so the nearest
-    corridor among those carrying the frame's template is the original one.
-    """
-    best = None
-    for idx, c in enumerate(world.corridors):
-        if c.template != template:
-            continue
-        d = _point_segment_distance((gt_pose.x, gt_pose.y), c)
-        if best is None or d < best[0] - 1e-12:
-            best = (d, idx)
-    if best is None:
-        raise BadWorld(f"no corridor carries template {template}")
-    return best[1]
-
-
-def _point_segment_distance(p: tuple[float, float], c: Corridor) -> float:
-    vx, vy = c.x2 - c.x1, c.y2 - c.y1
-    wx, wy = p[0] - c.x1, p[1] - c.y1
-    L2 = vx * vx + vy * vy
-    f = 0.0 if L2 == 0 else max(0.0, min(1.0, (wx * vx + wy * vy) / L2))
-    return math.hypot(p[0] - (c.x1 + f * vx), p[1] - (c.y1 + f * vy))
-
-
-def template_pose_of(world: World, gt_pose: Pose2, template: int) -> Pose2:
-    """The frame's pose expressed in its scene template's local frame."""
-    corridor = world.corridors[corridor_of_frame(world, gt_pose, template)]
-    return between(corridor.origin_pose, gt_pose)
+def frame_corridors(corridors: Sequence[Corridor], gt: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """The corridor each frame was taken in, by index: of the corridors carrying the frame's ``template``,
+    the one nearest its position ``gt[:, :2]``, the first of those within 1e-12 of the nearest. A frame lies
+    exactly on its corridor, so that is the one. One numpy pass per corridor, over every frame."""
+    x, y = gt[:, 0], gt[:, 1]
+    at, nearest = np.full(len(gt), -1), np.full(len(gt), math.inf)
+    for k, c in enumerate(corridors):
+        vx, vy = c.x2 - c.x1, c.y2 - c.y1
+        length2 = vx * vx + vy * vy
+        f = np.clip(((x - c.x1) * vx + (y - c.y1) * vy) / length2, 0.0, 1.0) if length2 else 0.0
+        d = np.hypot(x - (c.x1 + f * vx), y - (c.y1 + f * vy))
+        closer = (template == c.template) & (d < nearest - 1e-12)
+        at[closer], nearest[closer] = k, d[closer]
+    if (at < 0).any():
+        raise BadWorld(f"no corridor carries template {template[at < 0][0]}")
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -878,11 +868,12 @@ def _fields(rows: list[str], n: int) -> list[str]:
     return ",".join(rows).split(",") if rows else []
 
 
-def _frames(fh: TextIO) -> Frames:
+def _frames(fh: TextIO, templates: Sequence[int]) -> Frames:
     """Frames in row order, read `_FRAME_ROWS` lines at a time as `_scans` reads; a chunk with a fault
     is checked again row by row (``check``), which names the first faulty row. A row's id must be its
-    index, its timestamp no earlier than the previous row's, and its word bag non-empty, each word
-    ASCII decimal digits for an integer below `MAX_WORD_ID`."""
+    index, its timestamp no earlier than the previous row's, its word bag non-empty, each word ASCII
+    decimal digits for an integer below `MAX_WORD_ID`, and its template one of ``templates``, those the
+    world's corridors carry."""
     columns, n, last_t = [], 0, -math.inf  # n: the rows read
 
     def check(p: list[str]) -> None:  # the fields of row n in the order id, time, bag, poses, words, template
@@ -901,6 +892,8 @@ def _frames(fh: TextIO) -> Frames:
                 raise ValueError(f"word {w!r} is not a decimal integer in [0, {MAX_WORD_ID})")
         if not -1 << 63 <= int(p[8]) < 1 << 63:
             raise ValueError(f"template id {int(p[8])} does not fit in 64 bits")
+        if int(p[8]) not in templates:
+            raise ValueError(f"no corridor carries template {int(p[8])}")
         n, last_t = n + 1, t
 
     for at, rows in _chunks(fh, _FRAME_ROWS):
@@ -915,7 +908,8 @@ def _frames(fh: TextIO) -> Frames:
             words = np.fromstring(text, dtype=np.int64, sep="|") if bags else np.zeros(0, dtype=np.int64)
             t = np.concatenate(([last_t], values[0]))
             if (list(map(int, fields[0::10])) != list(range(n, n + len(rows))) or not np.isfinite(values).all()
-                    or (t[1:] < t[:-1]).any() or (words >= MAX_WORD_ID).any()):
+                    or (t[1:] < t[:-1]).any() or (words >= MAX_WORD_ID).any()
+                    or not np.isin(template, templates).all()):
                 raise ValueError("a faulty frame row")
         except (OverflowError, ValueError):
             _check_rows(at.tolist(), rows, 10, check)
@@ -1010,7 +1004,8 @@ def load_dataset(path: str | Path) -> Dataset:
     Every fault in its files raises DataError naming the file (and the line of a CSV row)."""
     root = Path(path)
     world, seed = _read_world_file(root / "world.json", _saved_world)
-    frames = _read_csv(root / "frames.csv", FRAMES_HEADER, _frames)
+    templates = [c.template for c in world.corridors]
+    frames = _read_csv(root / "frames.csv", FRAMES_HEADER, lambda fh: _frames(fh, templates))
     return Dataset(
         seed=seed,
         frames=frames,

@@ -22,14 +22,12 @@ from wifislam.frontend import (
     NOISE_THETA,
     NOISE_XY,
     Appearance,
-    FrameTruth,
     InvertedIndex,
     MatchResult,
     match_frames,
 )
 from wifislam.gating import PolicyParams
 from wifislam.posegraph import Pose2, between
-from wifislam.simworld import template_pose_of
 
 
 def app(words, template=0):
@@ -57,9 +55,16 @@ def shared_word_count(a, b):
     return (ma & mb).bit_count()
 
 
-def match(a_id, b_id, a, b, *rest, **kw):
-    """match_frames given the pair's reference shared-word count."""
-    return match_frames(a_id, b_id, ref_shared(a, b), a.place_template, b.place_template, *rest, **kw)
+def rows(a_id, b_id, a, b, truth_a, truth_b):
+    """match_frames' templates, ground-truth poses and template poses, by id, of frames ``a_id`` and ``b_id`` alone."""
+    return ({a_id: a.place_template, b_id: b.place_template},
+            {a_id: np.array(truth_a[0], dtype=float), b_id: np.array(truth_b[0], dtype=float)},
+            {a_id: np.array(truth_a[1], dtype=float), b_id: np.array(truth_b[1], dtype=float)})
+
+
+def match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
+    """match_frames given the pair's reference shared-word count, and the two truths as its frames' rows."""
+    return match_frames(a_id, b_id, ref_shared(a, b), *rows(a_id, b_id, a, b, truth_a, truth_b), min_matches, seed)
 
 
 def brute_scored(q, apps):
@@ -93,18 +98,20 @@ def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
     """(num_matches, accepted, relative) of match_frames without the zero-share
     exit or the deferred pose: every pair derives its key, a zero-share pair
     counts 0 matches, and every accepted pair draws its pose at once. The key and
-    its draws are the frontend's; the inversions are this file's exact ones."""
+    its draws are the frontend's; the inversions are this file's exact ones. A
+    truth is a frame's (ground-truth pose, template pose), each (x, y, theta)."""
     shared = ref_shared(a, b)
     key = frontend._pair_key(seed, a_id, b_id)
     num = ref_count(shared, frontend._draw(key, 0)) if shared else 0
     if num < min_matches:
         return num, False, None
-    dx = truth_a.gt_pose.x - truth_b.gt_pose.x
-    dy = truth_a.gt_pose.y - truth_b.gt_pose.y
+    (gt_a, template_a), (gt_b, template_b) = ((Pose2(*p), Pose2(*q)) for p, q in (truth_a, truth_b))
+    dx = gt_a.x - gt_b.x
+    dy = gt_a.y - gt_b.y
     if (dx * dx + dy * dy) ** 0.5 <= INLIER_DISTANCE:
-        rel = between(truth_a.gt_pose, truth_b.gt_pose)
+        rel = between(gt_a, gt_b)
     elif a.place_template == b.place_template:
-        rel = between(truth_a.template_pose, truth_b.template_pose)
+        rel = between(template_a, template_b)
     else:
         return num, False, None
     nx, ny, nth = (ref_normal(frontend._draw(key, k)) for k in (1, 2, 3))
@@ -113,7 +120,8 @@ def always_draw_match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
 
 
 def truth(x, y, theta=0.0, tx=0.0, ty=0.0, tth=0.0):
-    return FrameTruth(gt_pose=Pose2(x, y, theta), template_pose=Pose2(tx, ty, tth))
+    """A frame's ground-truth pose and template pose, as rows."""
+    return (x, y, theta), (tx, ty, tth)
 
 
 MIN_MATCHES = 10
@@ -181,8 +189,8 @@ class TestMatchFrames:
     def test_equals_always_draw_reference_on_every_pair(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
         apps = [ds.frames.appearance(i) for i in range(len(ds.frames))]
-        poses = [Pose2(*p) for p in ds.frames.gt.tolist()]
-        truths = [FrameTruth(p, template_pose_of(ds.world, p, a.place_template)) for p, a in zip(poses, apps)]
+        templates = ds.frames.template.tolist()
+        truths = list(zip(ds.frames.gt.tolist(), ds.template_poses.tolist()))
         min_matches = PolicyParams().min_matches
         masks = frontend.word_masks(ds.frames.words, ds.frames.offsets)
         zero_share = accepted = 0
@@ -191,10 +199,10 @@ class TestMatchFrames:
                 shared = ref_shared(fa, fb)
                 if ia != ib:  # the pipeline's count; word_masks leaves the diagonal out
                     assert (masks[ia] & masks[ib]).bit_count() == shared, (ia, ib)
-                rest = (truths[ia], truths[ib], min_matches, 0)
-                got = match_frames(ia, ib, shared, fa.place_template, fb.place_template, *rest)  # the accept step
+                got = match_frames(ia, ib, shared, templates, ds.frames.gt, ds.template_poses, min_matches, 0)  # accept
                 pose = got.relative  # the pose step
-                assert (got.num_matches, got.accepted, pose) == always_draw_match(ia, ib, fa, fb, *rest), (ia, ib)
+                expected = always_draw_match(ia, ib, fa, fb, truths[ia], truths[ib], min_matches, 0)
+                assert (got.num_matches, got.accepted, pose) == expected, (ia, ib)
                 zero_share += shared == 0
                 accepted += got.accepted
         assert zero_share > 0 and accepted > 0
@@ -203,10 +211,11 @@ class TestMatchFrames:
         # the count is the caller's: equal bags with shared=0 draw nothing, disjoint bags with a count can match
         a, b = app(range(40)), app(range(100, 140))
         t = truth(0, 0)
-        assert match(0, 1, a, a, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, 0, 0, t, t, MIN_MATCHES, 0)
-        assert match_frames(0, 1, 0, 0, 0, t, t, MIN_MATCHES, 0) == MatchResult(0)
+        frames = rows(0, 1, a, a, t, t)
+        assert match(0, 1, a, a, t, t, MIN_MATCHES, 0) == match_frames(0, 1, 40, *frames, MIN_MATCHES, 0)
+        assert match_frames(0, 1, 0, *frames, MIN_MATCHES, 0) == MatchResult(0)
         assert match(0, 1, a, b, t, t, MIN_MATCHES, 0) == MatchResult(0)
-        assert match_frames(0, 1, 40, 0, 0, t, t, MIN_MATCHES, 0).accepted
+        assert match_frames(0, 1, 40, *frames, MIN_MATCHES, 0).accepted
 
     def test_pose_step_draws_once(self, monkeypatch):
         # the accept step makes draw 0 only; the pose step makes draws 1-3 on first read and keeps the pose
@@ -288,17 +297,15 @@ class TestCounterDraws:
         # a pair's result is a function of the pair: shuffled, with cold caches, every pair draws the same
         ds = dataset_cache("c_hall", 0)
         templates = ds.frames.template.tolist()
-        poses = [Pose2(*p) for p in ds.frames.gt.tolist()]
-        truths = [FrameTruth(p, template_pose_of(ds.world, p, tpl)) for p, tpl in zip(poses, templates)]
         masks = ds.word_masks
-        pairs = [(i, j) for i in range(0, len(poses), 3) for j in range(i) if masks[i] & masks[j]]
+        pairs = [(i, j) for i in range(0, len(masks), 3) for j in range(i) if masks[i] & masks[j]]
 
         def results(order):
             return {
                 (i, j): (mr.num_matches, mr.accepted, mr.relative)
                 for i, j in order
-                for mr in [match_frames(i, j, (masks[i] & masks[j]).bit_count(), templates[i], templates[j],
-                                        truths[i], truths[j], 10, 3)]
+                for mr in [match_frames(i, j, (masks[i] & masks[j]).bit_count(), templates, ds.frames.gt,
+                                        ds.template_poses, 10, 3)]
             }
 
         first = results(pairs)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from wifislam import frontend, gating, simworld
 from wifislam.clustering import ClusterStore, SimilarClusters, assign, members_of, similar_clusters
-from wifislam.frontend import Appearance, FrameTruth, InvertedIndex, word_masks
+from wifislam.frontend import Appearance, InvertedIndex, word_masks
 from wifislam.gating import (
     MemoryCorruption,
     MemoryState,
@@ -27,9 +27,8 @@ from wifislam.gating import (
     run_pipeline,
     save_run,
 )
-from wifislam.posegraph import Pose2, PoseGraph
+from wifislam.posegraph import Pose2, PoseGraph, between
 from wifislam.signature import Signature, associate_frames, signatures_of
-from wifislam.simworld import template_pose_of
 
 
 def sig(entries, t=0.0, pause=0):
@@ -493,13 +492,12 @@ class TestDatasetInputs:
         assert list(ds.signatures) == sigs
         frames = ds.frames
         assert ds.frame_signatures == associate_frames([(i, t) for i, t in enumerate(frames.t.tolist())], sigs)
-        poses = [Pose2(*p) for p in frames.gt.tolist()]
-        assert list(ds.truths) == [
-            FrameTruth(p, template_pose_of(ds.world, p, frames.appearance(i).place_template))
-            for i, p in enumerate(poses)
-        ]
+        corridors = simworld.frame_corridors(ds.world.corridors, frames.gt, frames.template).tolist()
+        origins = [Pose2(c.x1, c.y1, c.heading) for c in map(ds.world.corridors.__getitem__, corridors)]
+        poses = [between(o, Pose2(*p)) for o, p in zip(origins, frames.gt.tolist())]
+        assert ds.template_poses.tolist() == [[p.x, p.y, p.theta] for p in poses]
         assert list(ds.word_masks) == word_masks(frames.words, frames.offsets)
-        for name in ("signatures", "frame_signatures", "truths", "word_masks"):
+        for name in ("signatures", "frame_signatures", "template_poses", "word_masks"):
             assert getattr(ds, name) is getattr(ds, name), name
 
     def test_trajectories_hold_python_numbers(self, tiny_dataset):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from wifislam import gating
-from wifislam.gating import PolicyParams, run_pipeline
+from wifislam.gating import PolicyParams, run_pipeline, save_run
 from wifislam.posegraph import Pose2, compose
+from wifislam.signature import mask_bssid, similarity_matrix
 
 
 def _est_bits(rec) -> str:
@@ -48,3 +52,39 @@ def test_no_possible_match_gives_dead_reckoning(dataset_cache):
             assert rec.graph.edges.tolist() == [[k - 1, k] for k in range(1, len(frames))]
             assert rec.opt_iterations == 0
             assert _est_bits(rec) == dead_reckoning, (policy, gated)
+
+
+def _mac(value: int) -> str:
+    return ":".join(f"{value >> shift & 0xFF:02X}" for shift in range(40, -1, -8))
+
+
+@pytest.mark.parametrize("preset", ["a_hall", "b_hall", "c_hall", "j_hall"])
+def test_relabelled_bssids_give_the_same_runs(dataset_cache, tmp_path, preset):
+    """Renaming the BSSIDs by a bijection that keeps the order of their masked
+    (per-AP) names, and each BSSID's radio nibble, leaves every run output
+    unchanged but the AP names of the cluster dump: a signature sums over its
+    APs in ascending name order and reads nothing else of a name."""
+    ds = dataset_cache(preset, 0)
+    aps = sorted({mask_bssid(b) for b in ds.scans.bssids})
+    renamed = {ap: _mac(0x02_C0_FF_EE_00_00 + 0x130 * k) for k, ap in enumerate(aps)}  # increasing, low nibble 0
+    assert sorted(renamed.values()) == list(renamed.values()) and not set(renamed.values()) & set(aps)
+    bssids = tuple(renamed[mask_bssid(b)][:-1] + b[-1] for b in ds.scans.bssids)
+    relabelled = replace(ds, scans=replace(ds.scans, bssids=bssids))
+    # every similarity keeps its bits; a bijection that reverses the order moves some in the last place
+    assert (similarity_matrix(relabelled.signatures) == similarity_matrix(ds.signatures)).all()
+    original_name = {new: ap for ap, new in renamed.items()}
+    for policy in gating.POLICIES:
+        params = PolicyParams(policy=policy, gated=True, seed=0)
+        runs = [save_run(run_pipeline(d, params), tmp_path / f"{policy}{k}") for k, d in enumerate((ds, relabelled))]
+        files = sorted(p.name for p in runs[0].iterdir())
+        assert files == sorted(p.name for p in runs[1].iterdir())
+        for name in files:
+            a, b = ((run / name).read_text() for run in runs)
+            if name == "cluster_representatives.jsonl":
+                assert a != b  # the dump names the APs
+                dump = [json.loads(line) for line in b.splitlines()]
+                for rec in dump:
+                    rec["entries"] = {original_name[ap]: s for ap, s in rec["entries"].items()}
+                b = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in dump)
+            if name != "timings.json":
+                assert a == b, (policy, name)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifislam import simworld
-from wifislam.posegraph import Pose2, compose, wrap_angle
+from wifislam.posegraph import Pose2, between, compose, wrap_angle
 from wifislam.signature import mask_bssid
 from wifislam.simworld import (
     FRAME_RATE_HZ,
@@ -21,14 +21,18 @@ from wifislam.simworld import (
     AccessPoint,
     AppearanceModel,
     BadWorld,
+    Corridor,
+    Dataset,
     DataError,
     FloorPlan,
+    Frames,
     PropagationParams,
     TrajectorySpec,
     Wall,
     WorldConfig,
+    World,
     _loop_pairs,
-    corridor_of_frame,
+    frame_corridors,
     generate_trajectory,
     load_dataset,
     load_world_config,
@@ -36,7 +40,6 @@ from wifislam.simworld import (
     preset_worlds,
     save_dataset,
     synthesize,
-    template_pose_of,
     wall_crossings,
 )
 
@@ -75,6 +78,37 @@ def segments_cross(p1, p2, q1, q2) -> bool:
 
 def reference_crossings(walls, sources, points):
     return [[sum(segments_cross(s, p, (w.x1, w.y1), (w.x2, w.y2)) for w in walls) for s in sources] for p in points]
+
+
+def corridor_of_frame(world, gt_pose, template):
+    """Reference corridor of one frame: the nearest of the corridors carrying its template, each tried
+    in turn, a later one winning only when nearer by more than 1e-12 (the scalar form of `frame_corridors`)."""
+    best = None
+    for idx, c in enumerate(world.corridors):
+        if c.template != template:
+            continue
+        vx, vy = c.x2 - c.x1, c.y2 - c.y1
+        wx, wy = gt_pose.x - c.x1, gt_pose.y - c.y1
+        length2 = vx * vx + vy * vy
+        f = 0.0 if length2 == 0 else max(0.0, min(1.0, (wx * vx + wy * vy) / length2))
+        d = math.hypot(gt_pose.x - (c.x1 + f * vx), gt_pose.y - (c.y1 + f * vy))
+        if best is None or d < best[0] - 1e-12:
+            best = (d, idx)
+    if best is None:
+        raise BadWorld(f"no corridor carries template {template}")
+    return best[1]
+
+
+def template_pose_of(world, gt_pose, template):
+    """Reference template pose of one frame: its pose in the frame of its corridor's start, heading along it."""
+    corridor = world.corridors[corridor_of_frame(world, gt_pose, template)]
+    return between(Pose2(corridor.x1, corridor.y1, corridor.heading), gt_pose)
+
+
+def reference_template_poses(ds):
+    """Each frame's (corridor, template pose) from the scalar references."""
+    frames = [(Pose2(*p), template) for p, template in zip(ds.frames.gt.tolist(), ds.frames.template.tolist())]
+    return [corridor_of_frame(ds.world, *f) for f in frames], [template_pose_of(ds.world, *f) for f in frames]
 
 
 def reference_rssi(ap, pos, walls, params):
@@ -265,8 +299,8 @@ class TestSynthesize:
     def test_alias_corridors_share_template(self):
         ds = synthesize(preset_worlds()["c_hall"], seed=0)
         templates = {}
-        for p, template in zip(ds.frames.gt.tolist(), ds.frames.template.tolist()):
-            cid = corridor_of_frame(ds.world, Pose2(*p), template)
+        for cid, template in zip(frame_corridors(ds.world.corridors, ds.frames.gt, ds.frames.template).tolist(),
+                                 ds.frames.template.tolist()):
             templates.setdefault(cid, set()).add(template)
         assert templates[0] == templates[2] == {0}
 
@@ -343,14 +377,58 @@ class TestSynthesize:
         # two frames at the same corridor arc in aliased corridors map to the
         # same template-local position
         by_corridor = {}
-        for p, template in zip(ds.frames.gt.tolist(), ds.frames.template.tolist()):
-            f = (Pose2(*p), template)
-            by_corridor.setdefault(corridor_of_frame(ds.world, *f), []).append(f)
-        f0 = by_corridor[0][3]
-        tpl0 = template_pose_of(ds.world, *f0)
-        twin = min(by_corridor[2], key=lambda f: abs(template_pose_of(ds.world, *f).x - tpl0.x))
-        tpl2 = template_pose_of(ds.world, *twin)
-        assert abs(tpl0.x - tpl2.x) < 0.5 and abs(tpl0.y - tpl2.y) < 1e-6
+        for cid, tpl in zip(frame_corridors(ds.world.corridors, ds.frames.gt, ds.frames.template).tolist(),
+                            ds.template_poses.tolist()):
+            by_corridor.setdefault(cid, []).append(tpl)
+        tpl0 = by_corridor[0][3]
+        tpl2 = min(by_corridor[2], key=lambda tpl: abs(tpl[0] - tpl0[0]))
+        assert abs(tpl0[0] - tpl2[0]) < 0.5 and abs(tpl0[1] - tpl2[1]) < 1e-6
+
+
+class TestTemplatePoses:
+    """`frame_corridors` and `Dataset.template_poses`, numpy passes over every frame, equal the scalar
+    references bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["a_hall", "b_hall", "c_hall", "j_hall"])
+    def test_columns_equal_the_scalar_reference(self, dataset_cache, preset, seed):
+        self.check(dataset_cache(preset, seed))
+
+    def test_three_lap_j_hall(self):
+        config = preset_worlds()["j_hall"]
+        self.check(synthesize(replace(config, trajectory=replace(config.trajectory, laps=3.0)), seed=1))
+
+    @staticmethod
+    def check(ds):
+        corridors, poses = reference_template_poses(ds)
+        assert frame_corridors(ds.world.corridors, ds.frames.gt, ds.frames.template).tolist() == corridors
+        assert set(corridors) == set(range(len(ds.world.corridors)))  # every corridor has a frame
+        assert ds.template_poses.dtype == np.float64 and ds.template_poses.shape == (len(ds.frames), 3)
+        assert repr(ds.template_poses.tolist()) == repr([[p.x, p.y, p.theta] for p in poses])  # -0.0 too
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_first_corridor_wins_a_shared_corner(self, dataset_cache, first):
+        """A frame on the corner two corridors of one template share lies at distance 0 from both; the
+        first of them is its corridor. The other frames lie inside one corridor each."""
+        legs = [Corridor(0.0, 0.0, 10.0, 0.0, 4), Corridor(10.0, 0.0, 10.0, 10.0, 4), Corridor(0.0, 5.0, 9.0, 5.0, 1)]
+        legs = legs[first:first + 1] + legs[1 - first:2 - first] + legs[2:]
+        gt = np.array([[10.0, 0.0, 0.5], [4.0, 0.0, 0.0], [10.0, 3.0, -3.0], [2.0, 5.0, math.pi]])
+        template = np.array([4, 4, 4, 1])
+        ds = dataset_cache("c_hall", 0)
+        ds = Dataset(ds.seed, Frames(np.arange(4.0), gt, np.zeros((4, 3)), template, np.arange(4), np.arange(5)),
+                     ds.scans, frozenset(), World(ds.world.config, ds.world.plan, ds.world.aps, tuple(legs)))
+        corridors, poses = reference_template_poses(ds)
+        assert corridors[0] == 0  # the first corridor of template 4 wins the tie
+        assert frame_corridors(ds.world.corridors, gt, template).tolist() == corridors
+        assert repr(ds.template_poses.tolist()) == repr([[p.x, p.y, p.theta] for p in poses])
+        assert ds.template_poses[0].tolist() == ([10.0, 0.0, 0.5] if first == 0 else [0.0, 0.0, 0.5 - math.pi / 2])
+
+    def test_a_template_no_corridor_carries_is_rejected(self, dataset_cache):
+        ds = dataset_cache("c_hall", 0)
+        template = ds.frames.template.copy()
+        template[5] = 7
+        with pytest.raises(BadWorld, match="no corridor carries template 7"):
+            frame_corridors(ds.world.corridors, ds.frames.gt, template)
 
 
 def dense_loop_pairs(frames):
@@ -646,7 +724,8 @@ class TestLoadDataset:
     @pytest.mark.parametrize("field, value, reason", [
         (1, "-1.0", "timestamp -1.0 s is earlier than the previous frame's 0.0 s"),
         (9, "", "empty word bag"),
-    ], ids=["earlier_timestamp", "empty_words"])
+        (8, "7", "no corridor carries template 7"),
+    ], ids=["earlier_timestamp", "empty_words", "uncarried_template"])
     def test_bad_frame_row_names_line(self, tiny_copy, field, value, reason):
         path = tiny_copy / "frames.csv"
         lines = path.read_text().split("\n")
@@ -842,12 +921,13 @@ class TestChunkedScans:
             assert got == scans_or_message(lambda: reference_scans(path), path)
 
 
-def reference_frames(path):
+def reference_frames(path, templates):
     """The per-row reading of ``frames.csv`` that the chunked reader must equal: its columns, or a
     DataError with the same message. Each non-blank line is stripped and split on its own and its
     fields are checked in the order id, timestamp, id against the row index, time order, bag
     emptiness, poses, words and template. A word must be ASCII decimal digits for an integer
-    below 2**31, and a template must fit in 64 bits."""
+    below 2**31, and a template must fit in 64 bits and be one of ``templates``, those the
+    corridors carry."""
 
     def finite(text):
         if not math.isfinite(float(text)):
@@ -881,6 +961,8 @@ def reference_frames(path):
                         raise ValueError(f"word {w!r} is not a decimal integer in [0, 2147483648)")
                 if not -(2**63) <= int(p[8]) < 2**63:
                     raise ValueError(f"template id {int(p[8])} does not fit in 64 bits")
+                if int(p[8]) not in templates:
+                    raise ValueError(f"no corridor carries template {int(p[8])}")
             except ValueError as exc:
                 raise DataError(f"{path}:{line}: {exc}") from exc
             rows.append((t, gt, odom, int(p[8]), words))
@@ -898,8 +980,11 @@ def frames_or_message(load, path):
     return f if isinstance(f, list) else [c.tolist() for c in (f.t, f.gt, f.odom, f.template, f.words, f.offsets)]
 
 
-def read_frames(path):
-    return simworld._read_csv(path, simworld.FRAMES_HEADER, simworld._frames)
+def read_frames(path, templates):
+    return simworld._read_csv(path, simworld.FRAMES_HEADER, lambda fh: simworld._frames(fh, templates))
+
+
+B_HALL_TEMPLATES = sorted(set(preset_worlds()["b_hall"].template_of.values()))  # 0-6, one per corridor but 5
 
 
 FRAME_FAULTS = {  # fault -> (edit, reason), each of data row r's fields and the previous row's
@@ -915,6 +1000,8 @@ FRAME_FAULTS = {  # fault -> (edit, reason), each of data row r's fields and the
                          lambda r, p, prev: "invalid literal for int() with base 10: 'x'"),
     "negative_word": (lambda r, p, prev: p[:9] + ["-5|" + p[9]],
                       lambda r, p, prev: "word '-5' is not a decimal integer in [0, 2147483648)"),
+    "uncarried_template": (lambda r, p, prev: p[:8] + ["7"] + p[9:],
+                           lambda r, p, prev: "no corridor carries template 7"),
 }
 
 
@@ -938,12 +1025,12 @@ class TestChunkedFrames:
         path.write_text("\n".join(lines))
         expected = f"{path}:{r + 2}: {reason(r, lines[r + 1].split(','), lines[r].split(','))}"
         assert frames_or_message(lambda: load_dataset(d).frames, path) == expected
-        assert frames_or_message(lambda: reference_frames(path), path) == expected
+        assert frames_or_message(lambda: reference_frames(path, B_HALL_TEMPLATES), path) == expected
 
     def test_saved_file(self, saved_b_hall):
         path = saved_b_hall / "frames.csv"
-        got = frames_or_message(lambda: read_frames(path), path)
-        assert got == frames_or_message(lambda: reference_frames(path), path)
+        got = frames_or_message(lambda: read_frames(path, B_HALL_TEMPLATES), path)
+        assert got == frames_or_message(lambda: reference_frames(path, B_HALL_TEMPLATES), path)
         assert len(got[0]) > simworld._FRAME_ROWS
 
     @pytest.mark.parametrize("word", ["-5", "99999999999999999999999", "1_0", "٣"])
@@ -963,7 +1050,7 @@ class TestChunkedFrames:
     def test_largest_word_loads(self, tmp_path):
         path = tmp_path / "frames.csv"
         path.write_text(f"{simworld.FRAMES_HEADER}\n0,0.0,0,0,0,0,0,0,0,2147483647|0|0007\n")
-        frames = read_frames(path)
+        frames = read_frames(path, [0])
         assert frames.words.tolist() == [2**31 - 1, 0, 7] and frames.offsets.tolist() == [0, 3]
 
     # mostly valid values, so that faults come after valid rows of earlier chunks
@@ -997,5 +1084,6 @@ class TestChunkedFrames:
             mp.setattr(simworld, "_FRAME_ROWS", chunk_rows)
             path = tmp_path_factory.mktemp("frames") / "frames.csv"
             path.write_bytes(newline.join([simworld.FRAMES_HEADER, *lines]).encode())
-            got = frames_or_message(lambda: read_frames(path), path)
-            assert got == frames_or_message(lambda: reference_frames(path), path)
+            templates = [0, 1, 2**63 - 1]  # -1 is carried by no corridor
+            got = frames_or_message(lambda: read_frames(path, templates), path)
+            assert got == frames_or_message(lambda: reference_frames(path, templates), path)

@@ -78,7 +78,7 @@ def _ranged(cast, ok, expected: str):
 
 _split_fraction = _ranged(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
 _similarity = _ranged(float, lambda v: 0 < v <= 1, "a similarity in (0, 1]")
-_jobs = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_non_negative = _ranged(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _check_out(path: str, is_dir: bool) -> None:
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a dataset from a preset or world.json")
     g.add_argument("--world", required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_non_negative, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen, out_is_dir=True)
 
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dataset", required=True)
     s.add_argument("--grid", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--jobs", type=_jobs, default=0, help="worker processes (default: cpu count)")
+    s.add_argument("--jobs", type=_non_negative, default=0, help="worker processes (default: cpu count)")
     s.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("curve", help="similarity-vs-distance curve over dwell pairs")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, fields, is_dataclass
 from functools import cache, cached_property
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Sequence, TextIO, TypeVar
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -78,12 +78,6 @@ class Wall:
 
     def __post_init__(self) -> None:
         check_setting_types(self, finite=True)
-
-
-@dataclass(frozen=True)
-class FloorPlan:
-    walls: tuple[Wall, ...]
-    bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,6 @@ class PathPoints:
 class Trajectory:
     samples: PathPoints  # one per frame
     dwells: PathPoints
-    corridors: tuple[Corridor, ...]
     path_length: float
 
 
@@ -256,10 +249,11 @@ class Frames:
 
 @dataclass(frozen=True)
 class World:
-    """Everything about the generated world needed to interpret a dataset."""
+    """Everything about the generated world needed to interpret a dataset; `derive_world` derives it
+    from the config and the seed. Its walls are ``config.extra_walls``."""
 
     config: WorldConfig
-    plan: FloorPlan
+    bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
     aps: tuple[AccessPoint, ...]
     corridors: tuple[Corridor, ...]
 
@@ -365,11 +359,11 @@ def wall_crossings(walls: Sequence[Wall], sources: Sequence[tuple[float, float]]
 
 
 def mean_rssi(
-    aps: Sequence[AccessPoint], points: Sequence[tuple[float, float]], plan: FloorPlan, params: PropagationParams
+    aps: Sequence[AccessPoint], points: Sequence[tuple[float, float]], walls: Sequence[Wall], params: PropagationParams
 ) -> list[list[float]]:
     """Noise-free mean RSSI in dBm of each AP at each point, indexed [point][ap]:
     log-distance path loss with per-wall attenuation."""
-    crossings = wall_crossings(plan.walls, [(ap.x, ap.y) for ap in aps], points).tolist()
+    crossings = wall_crossings(walls, [(ap.x, ap.y) for ap in aps], points).tolist()
     return [
         [
             ap.tx_power_at_1m
@@ -469,7 +463,7 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
         t = arc / spec.speed + np.searchsorted(dwell_arcs, arc - 1e-9) * spec.pause_duration
         return PathPoints(arc, t, x1 + f * (x2 - x1), y1 + f * (y2 - y1), heading, corridor, corridor_arc)
 
-    return Trajectory(points(np.array(arcs)), points(dwell_arcs), tuple(corridors), total)
+    return Trajectory(points(np.array(arcs)), points(dwell_arcs), total)
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +508,28 @@ def _frame_words(model: AppearanceModel, corridors: Sequence[Corridor], corridor
 # synthesis
 
 
-def _make_plan(config: WorldConfig, corridors: Sequence[Corridor]) -> FloorPlan:
-    xs = [c.x1 for c in corridors] + [c.x2 for c in corridors]
-    ys = [c.y1 for c in corridors] + [c.y2 for c in corridors]
-    for w in config.extra_walls:
-        xs.extend([w.x1, w.x2])
-        ys.extend([w.y1, w.y2])
+def derive_world(config: WorldConfig, seed: int) -> World:
+    """The world of a dataset of ``config`` at ``seed``: its corridors, its bounds (every corridor and
+    wall end, ``margin`` further out) and its APs, placed by the seed's (seed, 1) stream. ValueError
+    for a seed that is not an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    corridors, _ = _shape_corridors(config.trajectory, config.template_of)
+    segments = (*corridors, *config.extra_walls)
+    xs, ys = [x for s in segments for x in (s.x1, s.x2)], [y for s in segments for y in (s.y1, s.y2)]
     m = config.margin
     bounds = (min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m)
-    return FloorPlan(walls=tuple(config.extra_walls), bounds=bounds)
+    return World(config, bounds, _place_aps(config, bounds, np.random.default_rng((seed, 1))), tuple(corridors))
 
 
 def _ap_mac(i: int) -> str:
     return f"0A:00:{(i >> 8) & 0xFF:02X}:00:{i & 0xFF:02X}:00"
 
 
-def _place_aps(config: WorldConfig, plan: FloorPlan, rng: np.random.Generator) -> tuple[AccessPoint, ...]:
+def _place_aps(config: WorldConfig, bounds: tuple[float, float, float, float],
+               rng: np.random.Generator) -> tuple[AccessPoint, ...]:
     """Jittered-grid placement: even coverage with per-seed variation."""
-    xmin, ymin, xmax, ymax = plan.bounds
+    xmin, ymin, xmax, ymax = bounds
     w, h = xmax - xmin, ymax - ymin
     cols = max(1, round(math.sqrt(config.ap_count * w / h)))
     rows = max(1, math.ceil(config.ap_count / cols))
@@ -550,19 +548,18 @@ def _place_aps(config: WorldConfig, plan: FloorPlan, rng: np.random.Generator) -
 def synthesize(config: WorldConfig, seed: int) -> Dataset:
     """Generate a full dataset: frames, scan readings, gt loop pairs, world snapshot.
 
-    Pure function of (config, seed): one rng stream drives AP placement,
-    RSSI noise, and odometry drift in a fixed order.
+    Pure function of (config, seed): the seed's streams (seed, 1), (seed, 2) and (seed, 3) drive
+    AP placement (`derive_world`), RSSI noise and odometry drift.
     """
+    world = derive_world(config, seed)
     traj = generate_trajectory(config.trajectory, config.template_of)
-    plan = _make_plan(config, traj.corridors)
-    rng_aps = np.random.default_rng((seed, 1))
     rng_scan = np.random.default_rng((seed, 2))
     rng_odom = np.random.default_rng((seed, 3))
-    aps = _place_aps(config, plan, rng_aps)
+    aps = world.aps
 
     samples = traj.samples
-    templates = np.array([c.template for c in traj.corridors])[samples.corridor]
-    words, bounds = _frame_words(config.appearance, traj.corridors, samples.corridor, samples.corridor_arc, templates)
+    templates = np.array([c.template for c in world.corridors])[samples.corridor]
+    words, bounds = _frame_words(config.appearance, world.corridors, samples.corridor, samples.corridor_arc, templates)
     gt = np.column_stack([samples.x, samples.y, samples.heading])
     odom = [(0.0, 0.0, 0.0)]
     noise = rng_odom.normal(0.0, 1.0, size=(len(gt) - 1, 3)).tolist()  # 3 draws per step, in frame order
@@ -577,14 +574,13 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
     params, dwells = config.propagation, traj.dwells
     shape = (len(dwells.t), config.scans_per_dwell, len(aps), config.bssids_per_ap)
     points = list(zip(dwells.x.tolist(), dwells.y.tolist()))
-    field = np.array(mean_rssi(aps, points, plan, params)).reshape(shape[0], 1, shape[2], 1)
+    field = np.array(mean_rssi(aps, points, config.extra_walls, params)).reshape(shape[0], 1, shape[2], 1)
     levels = field + params.noise_sigma_db * rng_scan.normal(size=shape)
     dwell, scan, k, radio = np.nonzero(~(levels < params.visibility_floor_dbm))  # in drawing order
     offsets = (np.arange(config.scans_per_dwell) + 0.5) * config.trajectory.pause_duration / config.scans_per_dwell
     bssids = tuple(ap.ap_id[:-1] + f"{radio:X}" for ap in aps for radio in range(1, config.bssids_per_ap + 1))
 
     gt_loop_pairs = _loop_pairs(frames)
-    world = World(config=config, plan=plan, aps=aps, corridors=traj.corridors)
     return Dataset(
         seed=seed,
         frames=frames,
@@ -711,7 +707,7 @@ LOOPS_HEADER = "id_a,id_b"
 
 MAX_DWELLS = 1 << 20  # dwell indices lie below this
 MAX_WORD_ID = 1 << 31  # visual word ids lie below this
-_SCAN_ROWS = 1024  # scans.csv lines split and checked per numpy pass; bounds the reader's memory
+_SCAN_ROWS = 1024  # scans.csv and loops_gt.csv lines split and checked per numpy pass; bounds the readers' memory
 _FRAME_ROWS = 128  # frames.csv lines, each about 1.5 kB, split and checked per numpy pass
 
 T = TypeVar("T")
@@ -723,7 +719,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     frames = dataset.frames
     with open(out / "frames.csv", "w", newline="") as fh:
         fh.write(FRAMES_HEADER + "\n")
-        bags = ("|".join(map(str, bag.tolist())) for bag in np.split(frames.words, frames.offsets[1:-1]))
+        offsets = frames.offsets.tolist()  # a bag's list "[1, 2]" is written "1|2"
+        bags = (str(frames.words[a:b].tolist())[1:-1].replace(", ", "|") for a, b in zip(offsets, offsets[1:]))
         for i, (t, (x, y, theta), (dx, dy, dtheta), template, words) in enumerate(
                 zip(frames.t.tolist(), frames.gt.tolist(), frames.odom.tolist(), frames.template.tolist(), bags)):
             fh.write(f"{i},{t!r},{x!r},{y!r},{theta!r},{dx!r},{dy!r},{dtheta!r},{template},{words}\n")
@@ -735,19 +732,18 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         for a, b in sorted(dataset.gt_loop_pairs):
             fh.write(f"{a},{b}\n")
     with open(out / "world.json", "w") as fh:
-        json.dump(_world_to_json(dataset), fh, indent=1, sort_keys=True)
+        json.dump(_world_to_json(dataset.world, dataset.seed), fh, indent=1, sort_keys=True)
         fh.write("\n")
     return out
 
 
-def _world_to_json(dataset: Dataset) -> dict:
-    w = dataset.world
+def _world_to_json(w: World, seed: int) -> dict:
     cfg = w.config
     return {
-        "name": dataset.name,
-        "seed": dataset.seed,
-        "bounds": list(w.plan.bounds),
-        "walls": [[wl.x1, wl.y1, wl.x2, wl.y2] for wl in w.plan.walls],
+        "name": cfg.name,
+        "seed": seed,
+        "bounds": list(w.bounds),
+        "walls": [[wl.x1, wl.y1, wl.x2, wl.y2] for wl in cfg.extra_walls],
         "aps": [{"mac": a.ap_id, "x": a.x, "y": a.y, "tx_power_at_1m": a.tx_power_at_1m} for a in w.aps],
         "propagation": asdict(cfg.propagation),
         "corridors": [
@@ -785,15 +781,19 @@ def _config_from_json(wj: dict) -> WorldConfig:
 
 
 def _saved_world(wj: dict) -> tuple[World, int]:
-    """The World and seed recorded in a saved dataset's world.json."""
-    config = _config_from_json(wj)
-    plan = FloorPlan(walls=config.extra_walls, bounds=tuple(wj["bounds"]))
-    aps = tuple(
-        AccessPoint(ap_id=a["mac"], x=a["x"], y=a["y"], tx_power_at_1m=a["tx_power_at_1m"])
-        for a in wj["aps"]
-    )
-    corridors = tuple(Corridor(c["x1"], c["y1"], c["x2"], c["y2"], c["template"]) for c in wj["corridors"])
-    return World(config=config, plan=plan, aps=aps, corridors=corridors), wj["seed"]
+    """The World and seed of a saved dataset's world.json, derived from its config and seed. Its keys that
+    follow from those (``bounds``, ``aps``, ``corridors``) are checked, not read: ValueError unless each
+    equals the derived world's as `_world_to_json` renders it."""
+    config, seed = _config_from_json(wj), wj["seed"]
+    out_of_step = "{!r} differs from the world its config and seed derive"
+    if len(wj["aps"]) != config.ap_count:  # counted before any AP is placed, so a bad ap_count sizes no work
+        raise ValueError(out_of_step.format("aps"))
+    world = derive_world(config, seed)
+    rendered = _world_to_json(world, seed)
+    for key in ("bounds", "aps", "corridors"):
+        if wj[key] != rendered[key]:
+            raise ValueError(out_of_step.format(key))
+    return world, seed
 
 
 def _read_world_file(path: Path, build: Callable[[dict], T]) -> T:
@@ -850,31 +850,61 @@ def _finite(text: str) -> float:
     return v
 
 
-def _chunks(fh: TextIO, size: int) -> Iterator[tuple[np.ndarray, list[str]]]:
-    """The rest of a file ``size`` lines at a time, at least one chunk: each chunk's non-blank lines,
-    stripped, and their line numbers."""
-    start, chunk = 2, None  # start: the line number of the next chunk's first line
+def _table(fh: TextIO, size: int, n_fields: int, parse: Callable[[list[str]], T],
+           check: Callable[[list[str]], None]) -> list[tuple[np.ndarray, T]]:
+    """The rest of a dataset CSV, read ``size`` lines at a time: for each chunk (at least one), the line
+    numbers of its non-blank lines and ``parse`` of their stripped rows' fields, row after row. A chunk
+    with a fault (a row without ``n_fields`` fields, or a ValueError or OverflowError from ``parse``) is
+    checked again row by row, its field count and then ``check`` of its fields, and the first fault found
+    is raised naming its row's line; if none is, the chunk's own fault is raised."""
+    out, start, chunk = [], 2, None  # start: the line number of the next chunk's first line
     while chunk is None or len(chunk) == size:  # until a chunk comes back short
         chunk = list(islice(fh, size))
         text = list(map(str.strip, chunk))
-        yield np.flatnonzero(list(map(bool, text))) + start, list(filter(None, text))
+        lines, rows = np.flatnonzero(list(map(bool, text))) + start, list(filter(None, text))
         start += len(text)
+        try:
+            if not set(map(str.count, rows, repeat(","))) <= {n_fields - 1}:
+                raise ValueError(f"a row without {n_fields} fields")
+            out.append((lines, parse(",".join(rows).split(",") if rows else [])))
+        except (OverflowError, ValueError):
+            for line, row in zip(lines.tolist(), rows):
+                try:
+                    p = row.split(",")
+                    if len(p) != n_fields:
+                        raise ValueError(f"expected {n_fields} fields, got {len(p)}")
+                    check(p)
+                except ValueError as exc:
+                    raise _LineFault(line, str(exc)) from exc
+            raise
+    return out
 
 
-def _fields(rows: list[str], n: int) -> list[str]:
-    """The fields of every row, row after row; ValueError unless each row has ``n``."""
-    if not set(map(str.count, rows, repeat(","))) <= {n - 1}:
-        raise ValueError(f"a row without {n} fields")
-    return ",".join(rows).split(",") if rows else []
+def _ints(texts: list[str]) -> np.ndarray:
+    return np.array(list(map(int, texts)), dtype=np.int64)
 
 
 def _frames(fh: TextIO, templates: Sequence[int]) -> Frames:
-    """Frames in row order, read `_FRAME_ROWS` lines at a time as `_scans` reads; a chunk with a fault
-    is checked again row by row (``check``), which names the first faulty row. A row's id must be its
-    index, its timestamp no earlier than the previous row's, its word bag non-empty, each word ASCII
-    decimal digits for an integer below `MAX_WORD_ID`, and its template one of ``templates``, those the
-    world's corridors carry."""
-    columns, n, last_t = [], 0, -math.inf  # n: the rows read
+    """Frames in row order, read `_FRAME_ROWS` lines at a time (`_table`); ``check`` names the first
+    faulty row of a faulty chunk. A row's id must be its index, its timestamp no earlier than the previous
+    row's, its word bag non-empty, each word ASCII decimal digits for an integer below `MAX_WORD_ID`, and
+    its template one of ``templates``, those the world's corridors carry."""
+    n, last_t = 0, -math.inf  # the rows read, and the last one's time
+
+    def parse(fields: list[str]) -> tuple[np.ndarray, ...]:
+        nonlocal n, last_t
+        values = np.array([list(map(float, fields[k::10])) for k in range(1, 8)]).reshape(7, -1)  # t, gt, odom
+        template, bags = _ints(fields[8::10]), fields[9::10]
+        text = "|".join(bags)  # a fault: a byte besides ASCII digits and "|", or an empty word
+        if bags and (text.encode().translate(None, b"0123456789|") or "||" in f"|{text}|"):
+            raise ValueError("a faulty word bag")
+        words = np.fromstring(text, dtype=np.int64, sep="|") if bags else np.zeros(0, dtype=np.int64)
+        t = np.concatenate(([last_t], values[0]))
+        if (list(map(int, fields[0::10])) != list(range(n, n + len(bags))) or not np.isfinite(values).all()
+                or (t[1:] < t[:-1]).any() or (words >= MAX_WORD_ID).any() or not np.isin(template, templates).all()):
+            raise ValueError("a faulty frame row")
+        n, last_t = n + len(bags), float(t[-1])
+        return values, template, words, np.array(list(map(str.count, bags, repeat("|"))), dtype=np.int64) + 1
 
     def check(p: list[str]) -> None:  # the fields of row n in the order id, time, bag, poses, words, template
         nonlocal n, last_t
@@ -896,56 +926,32 @@ def _frames(fh: TextIO, templates: Sequence[int]) -> Frames:
             raise ValueError(f"no corridor carries template {int(p[8])}")
         n, last_t = n + 1, t
 
-    for at, rows in _chunks(fh, _FRAME_ROWS):
-        try:
-            fields = _fields(rows, 10)
-            values = np.array([list(map(float, fields[k::10])) for k in range(1, 8)]).reshape(7, -1)  # t, gt, odom
-            template = np.array(list(map(int, fields[8::10])), dtype=np.int64)
-            bags = fields[9::10]
-            text = "|".join(bags)  # a fault: a byte besides ASCII digits and "|", or an empty word
-            if bags and (text.encode().translate(None, b"0123456789|") or "||" in f"|{text}|"):
-                raise ValueError("a faulty word bag")
-            words = np.fromstring(text, dtype=np.int64, sep="|") if bags else np.zeros(0, dtype=np.int64)
-            t = np.concatenate(([last_t], values[0]))
-            if (list(map(int, fields[0::10])) != list(range(n, n + len(rows))) or not np.isfinite(values).all()
-                    or (t[1:] < t[:-1]).any() or (words >= MAX_WORD_ID).any()
-                    or not np.isin(template, templates).all()):
-                raise ValueError("a faulty frame row")
-        except (OverflowError, ValueError):
-            _check_rows(at.tolist(), rows, 10, check)
-            raise
-        columns.append((values, template, words, np.array(list(map(str.count, bags, repeat("|"))), dtype=np.int64) + 1))
-        n, last_t = n + len(rows), float(t[-1])
-    values, template, words, sizes = (np.concatenate(column, axis=-1) for column in zip(*columns))
+    chunks = (columns for _, columns in _table(fh, _FRAME_ROWS, 10, parse, check))
+    values, template, words, sizes = (np.concatenate(column, axis=-1) for column in zip(*chunks))
     t, gt, odom = values[0], values[1:4].T, values[4:7].T
     gt[:, 2], odom[:, 2] = (list(map(wrap_angle, theta.tolist())) for theta in (gt[:, 2], odom[:, 2]))  # as Pose2 does
     return Frames(t, gt, odom, template, words, np.concatenate(([0], np.cumsum(sizes))))
 
 
 def _scans(fh: TextIO) -> Scans:
-    """Readings grouped by dwell, each dwell's in row order. The file is read `_SCAN_ROWS` lines at a
-    time (`_chunks`); each chunk's rows are split and checked in bulk, and a chunk with a fault is checked
-    again row by row (`_check_scan_row`), which names the first faulty row. A dwell whose mean reading
-    time (its signature's ``collected_at``) is earlier than the previous dwell's is blamed on its
-    first reading."""
-    lines, columns, bssids = [], [], {}  # bssids: each distinct BSSID's code, in order of first use
-    for at, rows in _chunks(fh, _SCAN_ROWS):
-        try:
-            fields = _fields(rows, 4)
-            t, r = (np.array(list(map(float, fields[k::4])), dtype=float) for k in (0, 2))
-            d = np.array(list(map(int, fields[3::4])), dtype=np.int64)
-            known = len(bssids)
-            for b in dict.fromkeys(fields[1::4]):
-                bssids.setdefault(b, len(bssids))
-            code = np.array(list(map(bssids.__getitem__, fields[1::4])), dtype=np.int64)
-            list(map(mask_bssid, list(bssids)[known:]))  # each distinct BSSID must be a MAC
-            if not (np.isfinite(t) & np.isfinite(r) & (r <= 0) & (d >= 0) & (d < MAX_DWELLS)).all():
-                raise ValueError("a faulty scan row")
-        except (OverflowError, ValueError):
-            _check_rows(at.tolist(), rows, 4, _check_scan_row)
-            raise
-        lines.append(at)
-        columns.append((d, t, code, r))
+    """Readings grouped by dwell, each dwell's in row order, read `_SCAN_ROWS` lines at a time (`_table`);
+    `_check_scan_row` names the first faulty row of a faulty chunk. A dwell whose mean reading time (its
+    signature's ``collected_at``) is earlier than the previous dwell's is blamed on its first reading."""
+    bssids = {}  # each distinct BSSID's code, in order of first use
+
+    def parse(fields: list[str]) -> tuple[np.ndarray, ...]:
+        t, r = (np.array(list(map(float, fields[k::4])), dtype=float) for k in (0, 2))
+        d = _ints(fields[3::4])
+        known = len(bssids)
+        for b in dict.fromkeys(fields[1::4]):
+            bssids.setdefault(b, len(bssids))
+        code = np.array(list(map(bssids.__getitem__, fields[1::4])), dtype=np.int64)
+        list(map(mask_bssid, list(bssids)[known:]))  # each distinct BSSID must be a MAC
+        if not (np.isfinite(t) & np.isfinite(r) & (r <= 0) & (d >= 0) & (d < MAX_DWELLS)).all():
+            raise ValueError("a faulty scan row")
+        return d, t, code, r
+
+    lines, columns = zip(*_table(fh, _SCAN_ROWS, 4, parse, _check_scan_row))
     d, t, code, r = (np.concatenate(column) for column in zip(*columns))
     order = np.argsort(d, kind="stable")
     scans = Scans(d[order], t[order], code[order], r[order], tuple(bssids))
@@ -960,19 +966,6 @@ def _scans(fh: TextIO) -> Scans:
     return scans
 
 
-def _check_rows(lines: list[int], rows: list[str], n: int, check: Callable[[list[str]], None]) -> None:
-    """``check`` the fields of each row in turn, after its field count (``n``); the first fault
-    found is raised naming its row's line."""
-    for line, row in zip(lines, rows):
-        try:
-            p = row.split(",")
-            if len(p) != n:
-                raise ValueError(f"expected {n} fields, got {len(p)}")
-            check(p)
-        except ValueError as exc:
-            raise _LineFault(line, str(exc)) from exc
-
-
 def _check_scan_row(p: list[str]) -> None:  # the fields in the order dwell, timestamp, RSSI, BSSID
     t_s, bssid, rssi, dwell = p
     if not 0 <= int(dwell) < MAX_DWELLS:
@@ -984,18 +977,21 @@ def _check_scan_row(p: list[str]) -> None:  # the fields in the order dwell, tim
 
 
 def _loop_rows(fh: TextIO, n_frames: int) -> frozenset[tuple[int, int]]:
-    """Ground-truth loop pairs. Each row must name two frames, the earlier first."""
-    pairs = set()
+    """Ground-truth loop pairs, read `_SCAN_ROWS` lines at a time (`_table`). Each row must name two
+    frames, the earlier first."""
+    def parse(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        a, b = _ints(fields[0::2]), _ints(fields[1::2])
+        if not ((0 <= a) & (a < b) & (b < n_frames)).all():
+            raise ValueError("a faulty loop pair")
+        return a, b
 
-    def add(p: list[str]) -> None:
+    def check(p: list[str]) -> None:
         a, b = int(p[0]), int(p[1])
         if not 0 <= a < b < n_frames:
             raise ValueError(f"loop pair {a},{b} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count")
-        pairs.add((a, b))
 
-    for at, rows in _chunks(fh, _SCAN_ROWS):
-        _check_rows(at.tolist(), rows, 2, add)
-    return frozenset(pairs)
+    a, b = (np.concatenate(column) for column in zip(*(pair for _, pair in _table(fh, _SCAN_ROWS, 2, parse, check))))
+    return frozenset(zip(a.tolist(), b.tolist()))
 
 
 def load_dataset(path: str | Path) -> Dataset:

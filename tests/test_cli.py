@@ -434,6 +434,16 @@ def _broken_dataset(gen_dir, root, fault):
         del wj["aps"]
         (d / "world.json").write_text(json.dumps(wj))
         return d, f"{d / 'world.json'}: missing key 'aps'"
+    world_edits = {  # a key that follows from the config and the seed, edited out of step with them
+        "corridor_template_string": ("corridors", lambda wj: wj["corridors"][0].__setitem__("template", "0")),
+        "moved_ap": ("aps", lambda wj: wj["aps"][3].__setitem__("x", wj["aps"][3]["x"] + 1.0)),
+    }
+    if fault in world_edits:
+        key, edit = world_edits[fault]
+        wj = json.loads((d / "world.json").read_text())
+        edit(wj)
+        (d / "world.json").write_text(json.dumps(wj))
+        return d, f"{d / 'world.json'}: {key!r} differs from the world its config and seed derive"
     if fault == "unsorted_dwells":  # dwell 1 scanned 1000 s earlier, before dwell 0
         lines = (d / "scans.csv").read_text().split("\n")
         moved = [k for k, line in enumerate(lines) if k and line.split(",")[-1] == "1"]
@@ -478,7 +488,8 @@ def _broken_dataset(gen_dir, root, fault):
 @pytest.mark.parametrize(
     "fault",
     ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
-     "unsorted_frames", "nan_odometry", "nan_rssi", "inf_timestamp", "reversed_loop_pair"],
+     "unsorted_frames", "nan_odometry", "nan_rssi", "inf_timestamp", "reversed_loop_pair", "corridor_template_string",
+     "moved_ap"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)
@@ -544,6 +555,7 @@ def test_unwritable_out_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, 
     ("localize", "--wifi-threshold", "1.5"),
     ("localize", "--wifi-threshold", "nan"),
     ("sweep", "--jobs", "-1"),
+    ("gen", "--seed", "-1"),  # numpy's generators take no negative seed
 ])
 def test_bad_flag_value_exit_2(gen_dir, tmp_path, capsys, monkeypatch, command, flag, value):
     def no_work(*args, **kwargs):

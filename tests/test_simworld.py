@@ -24,7 +24,6 @@ from wifislam.simworld import (
     Corridor,
     Dataset,
     DataError,
-    FloorPlan,
     Frames,
     PropagationParams,
     TrajectorySpec,
@@ -32,6 +31,7 @@ from wifislam.simworld import (
     WorldConfig,
     World,
     _loop_pairs,
+    derive_world,
     frame_corridors,
     generate_trajectory,
     load_dataset,
@@ -43,7 +43,6 @@ from wifislam.simworld import (
     wall_crossings,
 )
 
-PLAIN = FloorPlan(walls=(), bounds=(-50, -50, 50, 50))
 NOISELESS = PropagationParams(noise_sigma_db=0.0)
 
 
@@ -125,18 +124,18 @@ def reference_rssi(ap, pos, walls, params):
 class TestRssi:
     def test_reference_distance(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
-        assert mean_rssi([ap], [(1.0, 0.0)], PLAIN, NOISELESS) == [[pytest.approx(-30.0)]]
+        assert mean_rssi([ap], [(1.0, 0.0)], (), NOISELESS) == [[pytest.approx(-30.0)]]
 
     def test_monotone_decreasing(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
-        vals = [row[0] for row in mean_rssi([ap], [(d, 0.0) for d in (1.5, 3, 6, 12, 24)], PLAIN, NOISELESS)]
+        vals = [row[0] for row in mean_rssi([ap], [(d, 0.0) for d in (1.5, 3, 6, 12, 24)], (), NOISELESS)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_wall_formula_hand_value(self):
         ap = AccessPoint("0A:00:00:00:00:00", 0.0, 0.0, tx_power_at_1m=-30.0)
-        plan = FloorPlan(walls=(Wall(5.0, -1.0, 5.0, 1.0),), bounds=(-50, -50, 50, 50))
         params = PropagationParams(path_loss_exponent=3.0, wall_loss_db=5.0, noise_sigma_db=0.0)
-        assert mean_rssi([ap], [(10.0, 0.0)], plan, params) == [[pytest.approx(-65.0, abs=1e-9)]]
+        walls = (Wall(5.0, -1.0, 5.0, 1.0),)
+        assert mean_rssi([ap], [(10.0, 0.0)], walls, params) == [[pytest.approx(-65.0, abs=1e-9)]]
 
     def test_crossing_count(self):
         walls = (Wall(1, -1, 1, 1), Wall(2, -1, 2, 1), Wall(3, 5, 4, 5))
@@ -146,7 +145,7 @@ class TestRssi:
         walls = (Wall(1, -1, 1, 1),)
         assert wall_crossings(walls, [], [(0.0, 0.0)] * 3).shape == (3, 0)
         assert wall_crossings(walls, [(0.0, 0.0)] * 2, []).shape == (0, 2)
-        assert mean_rssi([], [(0.0, 0.0)], PLAIN, NOISELESS) == [[]]
+        assert mean_rssi([], [(0.0, 0.0)], (), NOISELESS) == [[]]
 
     def test_crossings_match_reference_on_random_segments(self):
         rng = np.random.default_rng(0)
@@ -203,8 +202,9 @@ class TestRssi:
         dwells = generate_trajectory(ds.world.config.trajectory, ds.world.config.template_of).dwells
         points = list(zip(dwells.x[::3].tolist(), dwells.y[::3].tolist()))
         params = ds.world.config.propagation
-        expected = [[reference_rssi(ap, p, ds.world.plan.walls, params) for ap in ds.world.aps] for p in points]
-        assert mean_rssi(ds.world.aps, points, ds.world.plan, params) == expected
+        walls = ds.world.config.extra_walls
+        expected = [[reference_rssi(ap, p, walls, params) for ap in ds.world.aps] for p in points]
+        assert mean_rssi(ds.world.aps, points, walls, params) == expected
 
 
 class TestTrajectory:
@@ -314,7 +314,7 @@ class TestSynthesize:
         levels = []
         for index, xy in enumerate(zip(dwells.x.tolist(), dwells.y.tolist())):
             for ap in ds.world.aps:
-                level = reference_rssi(ap, xy, ds.world.plan.walls, params)
+                level = reference_rssi(ap, xy, walls, params)
                 levels.append(level)
                 n_readings = 0 if level < params.visibility_floor_dbm else cfg.scans_per_dwell * cfg.bssids_per_ap
                 heard = [rssi for _, bssid, rssi, di in rows if di == index and bssid[:-1] == ap.ap_id[:-1]]
@@ -416,7 +416,7 @@ class TestTemplatePoses:
         template = np.array([4, 4, 4, 1])
         ds = dataset_cache("c_hall", 0)
         ds = Dataset(ds.seed, Frames(np.arange(4.0), gt, np.zeros((4, 3)), template, np.arange(4), np.arange(5)),
-                     ds.scans, frozenset(), World(ds.world.config, ds.world.plan, ds.world.aps, tuple(legs)))
+                     ds.scans, frozenset(), World(ds.world.config, ds.world.bounds, ds.world.aps, tuple(legs)))
         corridors, poses = reference_template_poses(ds)
         assert corridors[0] == 0  # the first corridor of template 4 wins the tie
         assert frame_corridors(ds.world.corridors, gt, template).tolist() == corridors
@@ -522,6 +522,27 @@ class TestPresets:
     def test_wall_checks_itself(self):
         with pytest.raises(ValueError, match="y2 must be finite, got inf"):
             Wall(0.0, 0.0, 1.0, math.inf)
+
+
+class TestDerivedWorld:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["c_hall", "b_hall", "j_hall", "a_hall", "tiny"])
+    def test_equals_the_synthesized_world(self, dataset_cache, tiny_world, name, seed):
+        config = tiny_world if name == "tiny" else preset_worlds()[name]
+        world = derive_world(config, seed)
+        assert world == dataset_cache(name, seed, tiny_world if name == "tiny" else None).world
+        segments = (*world.corridors, *config.extra_walls)
+        xs, ys = [v for g in segments for v in (g.x1, g.x2)], [v for g in segments for v in (g.y1, g.y2)]
+        m = config.margin
+        assert world.bounds == (min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m)
+        assert len(world.aps) == config.ap_count
+        assert all(world.bounds[0] < ap.x < world.bounds[2] and world.bounds[1] < ap.y < world.bounds[3]
+                   for ap in world.aps)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, None])
+    def test_unusable_seed(self, tiny_world, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            derive_world(tiny_world, seed)
 
 
 def column_kinds(frames):
@@ -709,6 +730,46 @@ class TestLoadDataset:
             load_dataset(tiny_copy)
         assert str(exc.value) == f"{path}: missing key {key!r}"
 
+    @pytest.mark.parametrize("key, edit", [
+        ("bounds", lambda wj: wj["bounds"].__setitem__(0, wj["bounds"][0] - 1.0)),
+        ("aps", lambda wj: wj["aps"][1].__setitem__("x", wj["aps"][1]["x"] + 0.5)),
+        ("aps", lambda wj: wj["aps"].pop()),
+        ("aps", lambda wj: wj.__setitem__("seed", wj["seed"] + 1)),  # another seed places other APs
+        ("corridors", lambda wj: wj["corridors"][0].__setitem__("template", "0")),
+        ("corridors", lambda wj: wj["corridors"][2].__setitem__("x2", 7.0)),
+    ], ids=["bounds", "moved_ap", "dropped_ap", "other_seed", "template_string", "moved_corridor"])
+    def test_derived_key_out_of_step(self, tiny_copy, key, edit):
+        """``bounds``, ``aps`` and ``corridors`` follow from the config and the seed; the loader checks them."""
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        edit(wj)
+        path.write_text(json.dumps(wj))
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}: {key!r} differs from the world its config and seed derive"
+
+    def test_ap_count_is_checked_before_any_ap_is_placed(self, tiny_copy, monkeypatch):
+        """An ``ap_count`` other than the number of ``aps`` is rejected before the world is derived, so a
+        corrupt count, however large, sizes no work."""
+        monkeypatch.setattr(simworld, "derive_world", lambda *args: pytest.fail("the world was derived"))
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        wj["ap_count"] = 10**12
+        path.write_text(json.dumps(wj))
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}: 'aps' differs from the world its config and seed derive"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None])
+    def test_unusable_seed(self, tiny_copy, seed):
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        wj["seed"] = seed
+        path.write_text(json.dumps(wj))
+        with pytest.raises(DataError) as exc:
+            load_dataset(tiny_copy)
+        assert str(exc.value) == f"{path}: seed must be an integer >= 0, got {seed!r}"
+
     @pytest.mark.parametrize("theta", ["inf", "nan"])
     def test_non_finite_angle_names_line(self, tiny_copy, theta):
         path = tiny_copy / "frames.csv"
@@ -739,16 +800,20 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("row", ["7,5", "3,99999", "-4,2", "6,6"],
                              ids=["reversed", "past_last_frame", "negative", "self_pair"])
-    def test_bad_loop_pair_names_line(self, tiny_copy, row):
+    def test_bad_loop_pair_names_line(self, tiny_copy, monkeypatch, row):
+        """The row is named on a middle line; then, read 4 lines at a time, on the first and the last line
+        of the first chunk and on the first line of the second."""
         path = tiny_copy / "loops_gt.csv"
-        lines = path.read_text().split("\n")
-        lines.insert(2, row)
-        path.write_text("\n".join(lines))
+        saved = path.read_text().split("\n")
         n_frames = len((tiny_copy / "frames.csv").read_text().split()) - 1
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
         reason = f"loop pair {row} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count"
-        assert str(exc.value) == f"{path}:3: {reason}"
+        assert len(saved) > 6  # the header, at least 5 pairs and the last line's end
+        for chunk_rows, k in ((simworld._SCAN_ROWS, 2), (4, 1), (4, 4), (4, 5)):  # the row goes on line k + 1
+            monkeypatch.setattr(simworld, "_SCAN_ROWS", chunk_rows)
+            path.write_text("\n".join(saved[:k] + [row] + saved[k:]))
+            with pytest.raises(DataError) as exc:
+                load_dataset(tiny_copy)
+            assert str(exc.value) == f"{path}:{k + 1}: {reason}"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -919,6 +984,68 @@ class TestChunkedScans:
             path = d / "scans.csv"
             got = scans_or_message(lambda: simworld._read_csv(path, simworld.SCANS_HEADER, simworld._scans), path)
             assert got == scans_or_message(lambda: reference_scans(path), path)
+
+
+def reference_loops(path, n_frames):
+    """The per-row reading of ``loops_gt.csv`` that the chunked reader must equal: the same pairs, or a
+    DataError with the same message. Each non-blank line is stripped and split on its own; a row's field
+    count is checked first, then its pair."""
+    pairs = set()
+    with open(path, newline="") as fh:
+        if fh.readline().strip() != simworld.LOOPS_HEADER:
+            raise DataError(f"{path}:1: expected header {simworld.LOOPS_HEADER}")
+        for line, text in enumerate(fh, start=2):
+            text = text.strip()
+            if not text:
+                continue
+            try:
+                parts = text.split(",")
+                if len(parts) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(parts)}")
+                a, b = int(parts[0]), int(parts[1])
+                if not 0 <= a < b < n_frames:
+                    raise ValueError(f"loop pair {a},{b} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count")
+            except ValueError as exc:
+                raise DataError(f"{path}:{line}: {exc}") from exc
+            pairs.add((a, b))
+    return frozenset(pairs)
+
+
+def pairs_or_message(load):
+    """What a reader makes of a ``loops_gt.csv``: its pairs, or its DataError message."""
+    try:
+        return load()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestChunkedLoops:
+    """`load_dataset` reads ``loops_gt.csv`` ``simworld._SCAN_ROWS`` lines at a time and splits each
+    chunk in one pass; it must equal the per-row reading on every file."""
+
+    N_FRAMES = 10
+
+    def read(self, path):
+        return simworld._read_csv(path, simworld.LOOPS_HEADER, lambda fh: simworld._loop_rows(fh, self.N_FRAMES))
+
+    def test_saved_file(self, tiny_copy):
+        path = tiny_copy / "loops_gt.csv"
+        n_frames = len((tiny_copy / "frames.csv").read_text().split()) - 1
+        assert load_dataset(tiny_copy).gt_loop_pairs == reference_loops(path, n_frames)
+
+    ids = st.sampled_from(["0", "3", "9", "10", " 5", "1_0", "-1", "x", "2.0", "99999999999999999999999"])
+    rows = st.tuples(ids, ids).map(",".join) | st.sampled_from(["0,1", "2,9", "0,1", "", "  ", "1,2,3", "4"])
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(rows, max_size=16), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_equals_per_row_reading(self, tmp_path_factory, chunk_rows, lines, newline):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simworld, "_SCAN_ROWS", chunk_rows)
+            path = tmp_path_factory.mktemp("loops") / "loops_gt.csv"
+            path.write_bytes(newline.join([simworld.LOOPS_HEADER, *lines]).encode())
+            assert pairs_or_message(lambda: self.read(path)) == pairs_or_message(
+                lambda: reference_loops(path, self.N_FRAMES))
 
 
 def reference_frames(path, templates):

@@ -13,7 +13,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .signature import Signature, cosine_similarity
 
@@ -27,22 +27,6 @@ class Cluster:
     id: int
     representative: Signature  # frozen at creation, never updated
     members: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SimilarClusters:
-    """(cluster id, similarity) pairs, descending score, ties by ascending id."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class AssignmentOutcome:
-    cluster_id: int
-    created: bool
 
 
 class ClusterStore:
@@ -87,13 +71,14 @@ class ClusterStore:
         return scores
 
 
-def similar_clusters(store: ClusterStore, sig: Signature, threshold: float) -> SimilarClusters:
-    """All clusters whose representative scores >= threshold against sig."""
+def similar_clusters(store: ClusterStore, sig: Signature, threshold: float) -> tuple[tuple[int, float], ...]:
+    """The (cluster id, similarity) pairs of every cluster whose representative scores >= threshold
+    against sig, by descending score, ties by ascending id."""
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     scored = [(cid, s) for cid, s in enumerate(store._similarities(sig)) if s >= threshold]
     scored.sort(key=lambda e: (-e[1], e[0]))
-    return SimilarClusters(entries=tuple(scored))
+    return tuple(scored)
 
 
 def assign(
@@ -101,32 +86,30 @@ def assign(
     keyframe_id: int,
     sig: Signature,
     edges_gained: Iterable[int],
-    similar: SimilarClusters,
-) -> AssignmentOutcome:
+    similar: Sequence[tuple[int, float]],
+) -> None:
     """Assign a keyframe to a cluster, creating one if no similar cluster is linked.
 
-    The keyframe joins the highest-similarity similar cluster containing one
-    of its new edge neighbors (ties break to the lowest cluster id, which the
-    sort order of ``similar`` already provides). Without such a cluster a new
-    one is created with ``sig`` as its frozen representative.
+    The keyframe joins the highest-similarity cluster of ``similar`` (the
+    pairs `similar_clusters` returns) containing one of its new edge neighbors
+    (ties break to the lowest cluster id, which the sort order of ``similar``
+    already provides). Without such a cluster a new one is created with
+    ``sig`` as its frozen representative.
     """
     if store.cluster_of(keyframe_id) is not None:
         raise DuplicateAssignment(f"keyframe {keyframe_id} already assigned")
     neighbor_clusters = {store.cluster_of(n) for n in edges_gained}
     neighbor_clusters.discard(None)
-    for cid, _score in similar.entries:
-        if cid in neighbor_clusters:
-            store._add_member(cid, keyframe_id)
-            return AssignmentOutcome(cluster_id=cid, created=False)
-    c = store._new_cluster(sig)
-    store._add_member(c.id, keyframe_id)
-    return AssignmentOutcome(cluster_id=c.id, created=True)
+    cid = next((cid for cid, _score in similar if cid in neighbor_clusters), None)
+    if cid is None:
+        cid = store._new_cluster(sig).id
+    store._add_member(cid, keyframe_id)
 
 
-def members_of(store: ClusterStore, similar: SimilarClusters) -> list[int]:
+def members_of(store: ClusterStore, similar: Sequence[tuple[int, float]]) -> list[int]:
     """Member keyframes of the listed (disjoint) clusters, score order then insertion order."""
     out: list[int] = []
-    for cid, _ in similar.entries:
+    for cid, _ in similar:
         out.extend(store.clusters[cid].members)
     return out
 

@@ -35,10 +35,6 @@ from .simworld import DataError, Dataset
 MATCH_RADIUS = 5  # frames an accepted loop edge may lie from a ground-truth pair in report rows
 
 
-class NoCorrespondence(ValueError):
-    """Estimate and ground truth share no keyframe ids."""
-
-
 class EmptyMap(DataError):
     """Localization was attempted with an empty map split."""
 
@@ -86,13 +82,11 @@ def score_loops(
 def trajectory_error(
     est: Sequence[tuple[int, float, object]], gt: Sequence[tuple[int, float, object]]
 ) -> float:
-    """Kabsch-align the estimate onto ground truth and return positional RMSE."""
-    gt_by_id = {kf: pose for kf, _t, pose in gt}
-    pairs = [(pose, gt_by_id[kf]) for kf, _t, pose in est if kf in gt_by_id]
-    if not pairs:
-        raise NoCorrespondence("no common keyframe ids between estimate and ground truth")
-    p = [(e.x, e.y) for e, _ in pairs]
-    q = [(g.x, g.y) for _, g in pairs]
+    """Kabsch-align the estimate onto ground truth and return positional RMSE. The two pair up by
+    position, as a run's do (both hold its frame ids 0..n-1 in order); `kabsch_align` raises
+    LengthMismatch when their lengths differ."""
+    p = [(pose.x, pose.y) for _kf, _t, pose in est]
+    q = [(pose.x, pose.y) for _kf, _t, pose in gt]
     rot, t = kabsch_align(p, q)
     return rmse(apply_rigid(rot, t, p), q)
 
@@ -122,27 +116,6 @@ def similarity_distance_curve(
 # cluster-gated localization
 
 
-@dataclass(frozen=True)
-class CdfCurve:
-    errors: tuple[float, ...]  # sorted ascending
-    fractions: tuple[float, ...]  # non-decreasing, ends at 1.0
-
-    @classmethod
-    def from_errors(cls, errors: Sequence[float]) -> "CdfCurve":
-        e = sorted(float(x) for x in errors)
-        n = len(e)
-        return cls(errors=tuple(e), fractions=tuple((k + 1) / n for k in range(n)))
-
-    def fraction_within(self, x: float) -> float:
-        f = 0.0
-        for e, frac in zip(self.errors, self.fractions):
-            if e <= x:
-                f = frac
-            else:
-                break
-        return f
-
-
 def build_map_clusters(map_ids: Sequence[int], frame_sig: dict[int, Signature], threshold: float) -> ClusterStore:
     """Cluster the mapping split: consecutive map frames act as the linking edge."""
     store = ClusterStore()
@@ -156,8 +129,9 @@ def build_map_clusters(map_ids: Sequence[int], frame_sig: dict[int, Signature], 
 
 def localize_queries(
     dataset: Dataset, map_ids: Sequence[int], map_store: ClusterStore, query_ids: Sequence[int], threshold: float
-) -> tuple[CdfCurve, int]:
-    """Locate each query frame at the best of the dataset's map frames within its similar clusters.
+) -> tuple[tuple[float, ...], int]:
+    """Locate each query frame at the best of the dataset's map frames within its similar clusters;
+    return the localization errors, sorted ascending, and the fallback count.
 
     The winner is the map frame with the highest shared-word count, read from the dataset's
     `word_masks`, so a query must not be a map frame (ties go to the lowest frame id); queries
@@ -175,13 +149,14 @@ def localize_queries(
             cand_ids = map_ids
         best = max(cand_ids, key=lambda kf: ((masks[q] & masks[kf]).bit_count(), -kf))
         errors.append(math.dist(xy[best], xy[q]))
-    return CdfCurve.from_errors(errors), fallbacks
+    return tuple(sorted(errors)), fallbacks
 
 
 def localize_dataset(
     dataset: Dataset, split: float = 0.4, threshold: float = 0.85
-) -> tuple[CdfCurve, int, int, int]:
-    """Split the dataset by time into map/query phases and run the localizer."""
+) -> tuple[tuple[float, ...], int, int, int]:
+    """Split the dataset by time into map/query phases and run the localizer: the sorted errors and
+    fallback count of `localize_queries`, then the map and query frame counts."""
     if not 0 < split < 1:
         raise ValueError("split must be in (0, 1)")
     n = len(dataset.frames)
@@ -191,8 +166,8 @@ def localize_dataset(
     if n_map < 1 or n_map >= n:
         raise EmptyMap("split leaves an empty map or query phase")
     store = build_map_clusters(range(n_map), dataset.frame_signatures, threshold)
-    curve, fallbacks = localize_queries(dataset, range(n_map), store, range(n_map, n), threshold)
-    return curve, fallbacks, n_map, n - n_map
+    errors, fallbacks = localize_queries(dataset, range(n_map), store, range(n_map, n), threshold)
+    return errors, fallbacks, n_map, n - n_map
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +265,13 @@ def read_report(path: str | Path) -> list[dict[str, str]]:
         return rows
 
 
-def write_cdf_csv(path: str | Path, curve: CdfCurve, fallbacks: int = 0) -> None:
+def write_cdf_csv(path: str | Path, errors: Sequence[float], fallbacks: int = 0) -> None:
+    """The empirical CDF of ``errors``, sorted ascending: the k-th (from 0) beside the fraction (k + 1) / n."""
+    n = len(errors)
     with open(path, "w", newline="") as fh:
         fh.write("error_m,fraction\n")
-        for e, f in zip(curve.errors, curve.fractions):
-            fh.write(f"{e!r},{f!r}\n")
+        for k, e in enumerate(errors):
+            fh.write(f"{e!r},{(k + 1) / n!r}\n")
         fh.write(f"# fallback_queries={fallbacks}\n")
 
 

@@ -26,10 +26,10 @@ transfer batch are module constants (`RGBD_PREDECESSORS` ... `RTAB_TRANSFER_BATC
 The pipeline reads each frame's signature, word mask and template pose from
 the ``Dataset``, which derives them once for every run on it, and its
 ground-truth pose and template from the frame table. A run records each
-frame's decisions once, in a ``FrameRecord``; the ``RunRecord``'s loop events,
-memory trace, loop edges and loop cost are views over those records, and
-``save_run`` writes them, with each frame's Wi-Fi cluster, as the rows of one
-file, ``frame_trace.csv``.
+frame's decisions once, as one entry of each of its trace columns
+(`FRAME_COLUMNS`); the ``RunRecord``'s loop events, memory trace, loop edges
+and loop cost are views over those columns, and ``save_run`` writes them, with
+each frame's Wi-Fi cluster, as the columns of one file, ``frame_trace.csv``.
 
 Costs are deterministic: one visual comparison costs 1 unit, one Wi-Fi
 cluster comparison 0.02 units, one optimizer iteration 0.1 units. Wall-clock
@@ -43,20 +43,13 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .clustering import (
-    ClusterStore,
-    SimilarClusters,
-    assign,
-    members_of,
-    similar_clusters,
-    write_cluster_dump,
-)
+from .clustering import ClusterStore, assign, members_of, similar_clusters, write_cluster_dump
 from .frontend import MATCH_INFORMATION, Appearance, InvertedIndex, MatchResult, match_frames
 from .posegraph import Pose2, PoseGraph, compose, optimize, write_trajectory
 from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
@@ -81,6 +74,11 @@ RTAB_STM_CAPACITY = 15  # keyframes in rtab's short-term memory
 RTAB_TRANSFER_BATCH = 10  # working-memory keyframes moved to long-term memory at a time
 
 POLICIES = ("rgbd", "rtab", "orb")
+
+# a run's per-frame trace: how many keyframes its policy compared the frame with, the loop closure it
+# committed (-1 when none) and, in rtab runs only, the memory pool sizes after its step and the keyframes
+# the step moved
+FRAME_COLUMNS = ("candidate_count", "loop_to", "stm", "wm", "ltm", "immune", "transfers", "retrievals")
 
 
 class MemoryCorruption(RuntimeError):
@@ -128,30 +126,18 @@ class MemoryState:
             raise MemoryCorruption("immune frames must live in WM")
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    """One frame's decisions: how many keyframes its policy compared it with, the loop closure it committed
-    (-1 when none) and, under rtab only, the memory pool sizes after its step and the keyframes the step moved."""
-
-    candidate_count: int
-    loop_to: int
-    stm: int | None = None
-    wm: int | None = None
-    ltm: int | None = None
-    immune: int | None = None
-    transfers: int | None = None
-    retrievals: int | None = None
-
-
 @dataclass
 class RunRecord:
-    """One run: its dataset, settings, final graph and cluster store, a FrameRecord per frame id, and totals."""
+    """One run: its dataset, settings, final graph and cluster store, its per-frame trace and totals.
+
+    ``frames`` maps each of the run's `FRAME_COLUMNS` (rtab's pool columns only in rtab runs) to a
+    list with one int per frame id."""
 
     dataset: Dataset
     params: PolicyParams
     graph: PoseGraph
     store: ClusterStore | None
-    frames: list[FrameRecord]
+    frames: dict[str, list[int]]
     clustering_cost: float
     management_cost: float
     opt_iterations: int
@@ -160,23 +146,23 @@ class RunRecord:
     wall: dict
 
     @property
-    def events(self) -> list[FrameRecord]:
-        """The per-frame loop events: every frame's record."""
+    def events(self) -> dict[str, list[int]]:
+        """The per-frame loop events: the whole trace."""
         return self.frames
 
     @property
-    def memory_trace(self) -> list[FrameRecord]:
-        """The per-frame rtab memory trace: every frame's record under rtab, none otherwise."""
-        return self.frames if self.params.policy == "rtab" else []
+    def memory_trace(self) -> dict[str, list[int]]:
+        """The per-frame rtab memory trace: the whole trace under rtab, empty otherwise."""
+        return self.frames if self.params.policy == "rtab" else {}
 
     @property
     def loop_edges(self) -> list[tuple[int, int]]:
         """(from_id, to_id) of each committed loop closure, time gap > simworld.LOOP_PAIR_GAP_S."""
-        return [(i, fr.loop_to) for i, fr in enumerate(self.frames) if fr.loop_to >= 0]
+        return [(i, to) for i, to in enumerate(self.frames["loop_to"]) if to >= 0]
 
     @property
     def loop_cost(self) -> float:
-        return sum(fr.candidate_count for fr in self.frames) * VISUAL_COMPARE_COST
+        return sum(self.frames["candidate_count"]) * VISUAL_COMPARE_COST
 
     @property
     def est(self) -> list:
@@ -361,7 +347,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     audit_orb = params.policy == "orb" and params.gated
     memory = MemoryState()
 
-    records: list[FrameRecord] = []
+    columns = FRAME_COLUMNS if params.policy == "rtab" else FRAME_COLUMNS[:2]  # rtab's pool columns come last
+    trace: dict[str, list[int]] = {name: [] for name in columns}
     clustering_cost = management_cost = 0.0
     opt_iterations = 0
     subset_violations = 0
@@ -377,7 +364,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     for i, sig in frame_sig.items():  # every frame, in order
         appearance = frames.appearance(i) if index is not None else None  # vanilla orb's only
 
-        sims: SimilarClusters | None = None
+        sims: tuple[tuple[int, float], ...] = ()
         similar: set[int] | None = None  # the frame's Wi-Fi gate
         if params.gated:
             t0 = time.perf_counter()
@@ -388,7 +375,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         # candidate selection happens before the frame enters the graph;
         # gated candidates outside `similar` may come only from `base`
-        pools: dict[str, int] = {}  # rtab: its memory pools after the step and the keyframes the step moved
+        pools: tuple[int, ...] = ()  # rtab: its memory pools after the step and the keyframes the step moved
         base: set[int] = set()
         if params.policy == "rgbd":
             base = _rgbd_base(graph)
@@ -398,8 +385,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
                 memory, i, params, prev_step_cost,
                 graph=graph, similar=similar, recent_matches=prev_matches,
             )
-            pools = dict(stm=len(memory.stm), wm=len(memory.wm), ltm=len(memory.ltm), immune=len(memory.immune),
-                         transfers=len(transfers), retrievals=len(retrievals))
+            pools = (len(memory.stm), len(memory.wm), len(memory.ltm), len(memory.immune),
+                     len(transfers), len(retrievals))
         else:
             cands = orb_candidates(index, i, appearance, masks, similar)
 
@@ -471,7 +458,8 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
 
         prev_step_cost = len(cands) * VISUAL_COMPARE_COST + opt_iters_now * OPT_ITERATION_COST
         prev_matches = accepted_ids
-        records.append(FrameRecord(candidate_count=len(cands), loop_to=loop_to, **pools))
+        for column, value in zip(trace.values(), (len(cands), loop_to, *pools)):
+            column.append(value)
 
     if len(graph.edges):
         t0 = time.perf_counter()
@@ -485,7 +473,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
         params=params,
         graph=graph,
         store=store,
-        frames=records,
+        frames=trace,
         clustering_cost=clustering_cost,
         management_cost=management_cost,
         opt_iterations=opt_iterations,
@@ -558,8 +546,10 @@ def save_run(record: RunRecord, out_dir: str | Path) -> Path:
     store = record.store or ClusterStore()  # a vanilla run has no clusters
     with open(out / "frame_trace.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")  # None is written as an empty cell
-        w.writerow(["frame", *(f.name for f in fields(FrameRecord)), "cluster"])
-        w.writerows([i, *astuple(fr), store.cluster_of(i)] for i, fr in enumerate(record.frames))
+        w.writerow(["frame", *FRAME_COLUMNS, "cluster"])
+        n = len(record.frames["loop_to"])
+        columns = [record.frames.get(name, [None] * n) for name in FRAME_COLUMNS]  # rtab's pools: rtab runs only
+        w.writerows(zip(range(n), *columns, map(store.cluster_of, range(n))))
     write_cluster_dump(store, out / "cluster_representatives.jsonl")
     with open(out / "timings.json", "w") as fh:
         json.dump(record.wall, fh, indent=1, sort_keys=True)

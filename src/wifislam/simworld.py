@@ -37,6 +37,7 @@ LOOP_PAIR_GAP_S = 30.0  # ... and further apart in time than this
 # word-id spaces (disjoint while each field keeps to its width; see _corridor_word)
 _ALIAS_WORD_BASE = 1 << 28
 _JITTER_WORD_BASE = 1 << 29
+MAX_WORD_ID = 1 << 31  # visual word ids lie below this
 
 
 class DataError(ValueError):
@@ -174,10 +175,15 @@ class WorldConfig:
     def __post_init__(self) -> None:
         """TypeError or ValueError for a setting of the wrong type, a non-finite float, a
         ``bin_meters`` <= 0, word counts that leave every word bag empty, a non-int template or
-        a word count, template or corridor's number of bins past its field of the word ids."""
+        a word count, template or corridor's number of bins past its field of the word ids;
+        BadWorld for more APs than their MACs can number, or a path that may hold more frames
+        than the word ids or more dwells than the dwell indices have room for. The path is
+        measured from its lap length, so no route is built."""
         check_setting_types(self, finite=True)  # each Wall has checked itself
         if self.bssids_per_ap > 15:  # the radio number is the BSSID's last hex digit
             raise BadWorld(f"bssids_per_ap must be at most 15, got {self.bssids_per_ap}")
+        if self.ap_count > _AP_IDS:
+            raise BadWorld(f"ap_count must be at most {_AP_IDS}, got {self.ap_count}")
         model = self.appearance
         if model.bin_meters <= 0:
             raise ValueError(f"bin_meters must be positive, got {model.bin_meters!r}")
@@ -193,11 +199,20 @@ class WorldConfig:
         for key, width in widths.items():
             if getattr(model, key) > width:
                 raise ValueError(f"{key} must be at most {width}, got {getattr(model, key)}")
-        corridors, _ = _shape_corridors(self.trajectory, self.template_of)
+        spec = self.trajectory
+        corridors, loop, tail = _shape_corridors(spec, self.template_of)
         n_bins = math.ceil(max(c.length for c in corridors) / model.bin_meters)  # as `_frame_words` counts them
         if n_bins > _BINS_PER_CORRIDOR:
             raise ValueError(f"bin_meters {model.bin_meters!r} gives a corridor {n_bins} word bins; "
                              f"at most {_BINS_PER_CORRIDOR} fit")
+        path = spec.laps * sum(corridors[i].length for i in loop) + sum(a1 - a0 for _i, a0, a1 in tail)
+        frames = path / (spec.speed / FRAME_RATE_HZ) + 2  # at least `generate_trajectory`'s count; may be inf
+        if frames > _FRAMES:
+            raise BadWorld(f"the trajectory ({spec.laps!r} laps) may have up to {frames:.0f} frames; "
+                           f"the word ids have room for {_FRAMES}")
+        if path / spec.pause_every > MAX_DWELLS:
+            raise BadWorld(f"the trajectory ({spec.laps!r} laps) has up to {path / spec.pause_every:.0f} dwells; "
+                           f"the dwell indices have room for {MAX_DWELLS}")
 
 
 @dataclass(frozen=True)
@@ -385,8 +400,10 @@ def _square(scale: float, origin=(0.0, 0.0)) -> list[tuple[tuple[float, float], 
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple[list[Corridor], list[tuple[int, float, float]]]:
-    """Corridor geometry plus a route of (corridor index, arc_from, arc_to) legs."""
+def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple[
+        list[Corridor], list[int], list[tuple[int, float, float]]]:
+    """Corridor geometry, the indices of the corridors one lap walks, and the (corridor index,
+    arc_from, arc_to) legs walked after the last lap."""
     s = spec.scale
     segs: list[tuple[tuple[float, float], tuple[float, float]]]
     if spec.shape == "square_loop":
@@ -418,10 +435,15 @@ def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple
     corridors = [
         Corridor(a[0], a[1], b[0], b[1], template_of.get(i, i)) for i, (a, b) in enumerate(segs)
     ]
+    return corridors, loop, tail
 
+
+def _route(laps: float, corridors: Sequence[Corridor], loop: Sequence[int],
+           tail: Sequence[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
+    """The (corridor index, arc_from, arc_to) legs of ``laps`` laps of ``loop``, then ``tail``'s."""
     route: list[tuple[int, float, float]] = []
     lap_len = sum(corridors[i].length for i in loop)
-    full, frac = int(spec.laps), spec.laps - int(spec.laps)
+    full, frac = int(laps), laps - int(laps)
     for _ in range(full):
         route.extend((i, 0.0, corridors[i].length) for i in loop)
     remaining = frac * lap_len
@@ -432,7 +454,7 @@ def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple
         route.append((i, 0.0, take))
         remaining -= take
     route.extend(tail)
-    return corridors, route
+    return route
 
 
 def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None = None) -> Trajectory:
@@ -442,7 +464,8 @@ def generate_trajectory(spec: TrajectorySpec, template_of: dict[int, int] | None
     exact path end; no samples are emitted while dwelling (the pose would not
     change), dwells only advance the clock.
     """
-    corridors, route = _shape_corridors(spec, template_of or {})
+    corridors, loop, tail = _shape_corridors(spec, template_of or {})
+    route = _route(spec.laps, corridors, loop, tail)
     leg_corridor, leg_a0, leg_a1 = (np.array(column) for column in zip(*route))
     ends = np.cumsum(leg_a1 - leg_a0)  # each leg's end along the path, summed leg by leg
     starts = np.concatenate(([0.0], ends[:-1]))
@@ -475,6 +498,7 @@ _WORDS_PER_BIN = 256  # a bin's corridor or alias words are its first word (belo
 _BINS_PER_CORRIDOR = 2048
 _TEMPLATES = _ALIAS_WORD_BASE // (_BINS_PER_CORRIDOR * _WORDS_PER_BIN)  # 512; template 512 would reach the jitter words
 _JITTER_WORDS_PER_FRAME = 64
+_FRAMES = (MAX_WORD_ID - _JITTER_WORD_BASE) // _JITTER_WORDS_PER_FRAME  # frames whose jitter words fit
 
 
 def _corridor_word(corridor: int, word_bin: int) -> int:
@@ -514,12 +538,15 @@ def derive_world(config: WorldConfig, seed: int) -> World:
     for a seed that is not an integer >= 0."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    corridors, _ = _shape_corridors(config.trajectory, config.template_of)
+    corridors, _loop, _tail = _shape_corridors(config.trajectory, config.template_of)
     segments = (*corridors, *config.extra_walls)
     xs, ys = [x for s in segments for x in (s.x1, s.x2)], [y for s in segments for y in (s.y1, s.y2)]
     m = config.margin
     bounds = (min(xs) - m, min(ys) - m, max(xs) + m, max(ys) + m)
     return World(config, bounds, _place_aps(config, bounds, np.random.default_rng((seed, 1))), tuple(corridors))
+
+
+_AP_IDS = 1 << 16  # `_ap_mac` numbers APs in two bytes of the MAC
 
 
 def _ap_mac(i: int) -> str:
@@ -706,7 +733,6 @@ SCANS_HEADER = "timestamp_s,bssid,rssi_dbm,dwell_index"
 LOOPS_HEADER = "id_a,id_b"
 
 MAX_DWELLS = 1 << 20  # dwell indices lie below this
-MAX_WORD_ID = 1 << 31  # visual word ids lie below this
 _SCAN_ROWS = 1024  # scans.csv and loops_gt.csv lines split and checked per numpy pass; bounds the readers' memory
 _FRAME_ROWS = 128  # frames.csv lines, each about 1.5 kB, split and checked per numpy pass
 

@@ -5,6 +5,8 @@ import csv
 import shutil
 import subprocess
 import sys
+import time
+
 import pytest
 
 from wifislam import cli, evaluation, simworld
@@ -96,6 +98,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert reason.format(world=world) in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    def test_endless_path_exit_2_at_once(self, tmp_path, capsys):
+        """A path too long for the word ids is refused from its lap length, before any route is built."""
+        world = tmp_path / "w.json"
+        world.write_text(WORLD.replace('"scale": 5.0', '"scale": 5.0, "laps": 1e12'))
+        t0 = time.perf_counter()
+        assert run_cli("gen", "--world", world, "--seed", "0", "--out", tmp_path / "x") == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"{world}: the trajectory (1000000000000.0 laps) may have up to " in capsys.readouterr().err
 
 
 class TestRun:
@@ -438,6 +449,11 @@ def _broken_dataset(gen_dir, root, fault):
         "corridor_template_string": ("corridors", lambda wj: wj["corridors"][0].__setitem__("template", "0")),
         "moved_ap": ("aps", lambda wj: wj["aps"][3].__setitem__("x", wj["aps"][3]["x"] + 1.0)),
     }
+    if fault == "endless_path":  # a setting edited to a path too long for the word ids
+        wj = json.loads((d / "world.json").read_text())
+        wj["trajectory"]["laps"] = 1e12
+        (d / "world.json").write_text(json.dumps(wj))
+        return d, f"{d / 'world.json'}: the trajectory (1000000000000.0 laps) may have up to "
     if fault in world_edits:
         key, edit = world_edits[fault]
         wj = json.loads((d / "world.json").read_text())
@@ -489,7 +505,7 @@ def _broken_dataset(gen_dir, root, fault):
     "fault",
     ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
      "unsorted_frames", "nan_odometry", "nan_rssi", "inf_timestamp", "reversed_loop_pair", "corridor_template_string",
-     "moved_ap"],
+     "moved_ap", "endless_path"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)

@@ -11,7 +11,6 @@ from wifislam import clustering, gating, simworld
 from wifislam.clustering import (
     ClusterStore,
     DuplicateAssignment,
-    SimilarClusters,
     assign,
     members_of,
     similar_clusters,
@@ -45,13 +44,13 @@ class TestSimilarClusters:
     def test_identity_hit(self):
         store = ClusterStore()
         rep = sig({AP(1): 30.0})
-        assign(store, 0, rep, set(), SimilarClusters(entries=()))
+        assign(store, 0, rep, set(), ())
         out = similar_clusters(store, rep, 0.85)
-        assert out.entries == ((0, 1.0),)
+        assert out == ((0, 1.0),)
 
     def test_disjoint_empty(self, store_abc):
         out = similar_clusters(store_abc, sig({AP(9): 10.0}), 0.5)
-        assert out.entries == ()
+        assert out == ()
 
     def test_filter_and_sort(self):
         store = ClusterStore()
@@ -62,14 +61,14 @@ class TestSimilarClusters:
             x = target
             y = math.sqrt(1 - x * x)
             rep = sig({AP(1): 100 * x, AP(2): 100 * y})
-            assign(store, k, rep, set(), SimilarClusters(entries=()))
+            assign(store, k, rep, set(), ())
         out = similar_clusters(store, sig({AP(1): 50.0}), 0.85)
-        assert [cid for cid, _ in out.entries] == [2, 0]
-        scores = [s for _, s in out.entries]
+        assert [cid for cid, _ in out] == [2, 0]
+        scores = [s for _, s in out]
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_store_is_empty_result(self):
-        assert similar_clusters(ClusterStore(), sig({AP(1): 1.0}), 0.9).entries == ()
+        assert similar_clusters(ClusterStore(), sig({AP(1): 1.0}), 0.9) == ()
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
@@ -82,7 +81,7 @@ class TestSimilarClusters:
         for _ in range(50):
             probe = sig({AP(int(k)): float(v) for k, v in enumerate(rng.uniform(0, 60, size=3), start=1)})
             thr = float(rng.uniform(0.2, 0.999))
-            got = similar_clusters(store_abc, probe, thr).entries
+            got = similar_clusters(store_abc, probe, thr)
             want = sorted(
                 (
                     (c.id, cosine_similarity(probe, c.representative))
@@ -127,7 +126,7 @@ class TestPerStoreRows:
             fresh, threshold = query
             probe = sig(dict(pool[k].entries), pause=k) if fresh else pool[k]
             got = similar_clusters(store, probe, threshold)
-            assert got.entries == brute_similar(store, probe, threshold)
+            assert got == brute_similar(store, probe, threshold)
             if kind == "assign":
                 assign(store, keyframe, probe, {keyframe - 1} if keyframe else set(), got)
                 keyframe += 1
@@ -156,8 +155,8 @@ class TestPerStoreRows:
 class TestAssign:
     def test_first_frame_new_cluster(self):
         store = ClusterStore()
-        out = assign(store, 0, sig({AP(1): 5.0}), set(), SimilarClusters(entries=()))
-        assert out.cluster_id == 0 and out.created
+        assign(store, 0, sig({AP(1): 5.0}), set(), ())
+        assert len(store) == 1 and store.cluster_of(0) == 0
         assert store.clusters[0].members == [0]
 
     def test_joins_highest_similarity_linked_cluster(self, store_abc):
@@ -165,20 +164,20 @@ class TestAssign:
         sims = similar_clusters(store_abc, probe, 0.5)
         assert len(sims) >= 2
         # edges into members of clusters 0 and 1; scores rank 0 above 1
-        out = assign(store_abc, 10, probe, {0, 1}, sims)
-        assert not out.created
-        assert out.cluster_id == sims.entries[0][0]
+        assign(store_abc, 10, probe, {0, 1}, sims)
+        assert len(store_abc) == 3  # no cluster created
+        assert store_abc.cluster_of(10) == sims[0][0]
 
     def test_similar_but_no_edge_creates_new(self, store_abc):
         probe = store_abc.clusters[0].representative
         sims = similar_clusters(store_abc, probe, 0.9)
-        assert sims.entries
-        out = assign(store_abc, 10, probe, set(), sims)
-        assert out.created and out.cluster_id == 3
+        assert sims
+        assign(store_abc, 10, probe, set(), sims)
+        assert len(store_abc) == 4 and store_abc.cluster_of(10) == 3
 
     def test_duplicate_assignment(self, store_abc):
         with pytest.raises(DuplicateAssignment):
-            assign(store_abc, 0, sig({AP(1): 5.0}), set(), SimilarClusters(entries=()))
+            assign(store_abc, 0, sig({AP(1): 5.0}), set(), ())
 
     def test_ids_dense_ascending(self, store_abc):
         assert [c.id for c in store_abc.clusters] == [0, 1, 2]
@@ -193,10 +192,10 @@ class TestAssign:
 
 class TestMembersOf:
     def test_empty(self, store_abc):
-        assert members_of(store_abc, SimilarClusters(entries=())) == []
+        assert members_of(store_abc, ()) == []
 
     def test_union(self, store_abc):
-        sims = SimilarClusters(entries=((1, 0.9), (0, 0.8)))
+        sims = ((1, 0.9), (0, 0.8))
         assert members_of(store_abc, sims) == [1, 0]
 
     def test_single_membership_partition(self, store_abc):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -15,10 +16,8 @@ from wifislam.evaluation import (
     KEY_COLUMNS,
     REPORT_COLUMNS,
     BadReport,
-    CdfCurve,
     EmptyMap,
     LoopScore,
-    NoCorrespondence,
     build_map_clusters,
     localize_dataset,
     localize_queries,
@@ -28,8 +27,9 @@ from wifislam.evaluation import (
     score_loops,
     similarity_distance_curve,
     trajectory_error,
+    write_cdf_csv,
 )
-from wifislam.posegraph import Pose2
+from wifislam.posegraph import LengthMismatch, Pose2
 
 
 def dense_score_loops(edges, gt_pairs, match_radius):
@@ -123,10 +123,10 @@ class TestTrajectoryError:
         assert trajectory_error(self.rows(off), self.rows(pts)) < 1e-9
 
     def test_no_correspondence(self):
-        est = [(0, 0.0, Pose2())]
-        gt = [(5, 0.0, Pose2())]
-        with pytest.raises(NoCorrespondence):
-            trajectory_error(est, gt)
+        """Estimate and ground truth pair up by position: a pose without a counterpart is an error."""
+        pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]
+        with pytest.raises(LengthMismatch):
+            trajectory_error(self.rows(pts), self.rows(pts[:2]))
 
     def test_loop_closure_beats_odometry(self, dataset_cache):
         ds = dataset_cache("j_hall", 0)
@@ -201,17 +201,27 @@ class TestSimilarityCurve:
 
 
 class TestCdf:
-    def test_fractions_monotone_terminal_one(self):
-        c = CdfCurve.from_errors([3.0, 1.0, 2.0, 0.5])
-        assert list(c.errors) == sorted(c.errors)
-        assert all(b >= a for a, b in zip(c.fractions, c.fractions[1:]))
-        assert c.fractions[-1] == 1.0
+    @staticmethod
+    def rows(tmp_path, errors):
+        """The (error, fraction) rows `write_cdf_csv` writes for ``errors``, sorted as a localizer returns them."""
+        path = tmp_path / "cdf.csv"
+        write_cdf_csv(path, sorted(errors))
+        return [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:-1]]
 
-    def test_fraction_within(self):
-        c = CdfCurve.from_errors([1.0, 2.0, 3.0, 4.0])
-        assert c.fraction_within(2.5) == 0.5
-        assert c.fraction_within(0.1) == 0.0
-        assert c.fraction_within(10) == 1.0
+    def test_fractions_monotone_terminal_one(self, tmp_path):
+        rows = self.rows(tmp_path, [3.0, 1.0, 2.0, 0.5])
+        assert [e for e, _f in rows] == [0.5, 1.0, 2.0, 3.0]
+        fractions = [f for _e, f in rows]
+        assert all(b >= a for a, b in zip(fractions, fractions[1:]))
+        assert fractions[-1] == 1.0
+
+    def test_fraction_within(self, tmp_path):
+        """The CLI's ``within_4m`` formula equals the last CDF fraction at an error within the distance."""
+        errors = [1.0, 2.0, 3.0, 4.0]
+        rows = self.rows(tmp_path, errors)
+        for x, want in ((2.5, 0.5), (2.0, 0.5), (0.1, 0.0), (10, 1.0)):
+            assert bisect_right(errors, x) / len(errors) == want
+            assert max((f for e, f in rows if e <= x), default=0.0) == want
 
 
 def with_rows(ds, rows):
@@ -227,15 +237,15 @@ class TestLocalize:
     def test_query_identical_to_map_frame(self, dataset_cache):
         ds = with_rows(dataset_cache("c_hall", 0), [*range(150), 40])  # query frame 150 repeats map frame 40
         store = build_map_clusters(range(150), ds.frame_signatures, 0.85)
-        curve, fallbacks = localize_queries(ds, range(150), store, [150], 0.85)
-        assert curve.errors[0] < 1e-9
+        errors, fallbacks = localize_queries(ds, range(150), store, [150], 0.85)
+        assert errors[0] < 1e-9
 
     def test_split_counts(self, dataset_cache):
         ds = dataset_cache("c_hall", 0)
-        curve, fallbacks, n_map, n_query = localize_dataset(ds, split=0.4)
+        errors, fallbacks, n_map, n_query = localize_dataset(ds, split=0.4)
         assert abs(n_map - round(0.4 * len(ds.frames))) <= 1
         assert n_map + n_query == len(ds.frames)
-        assert len(curve.errors) == n_query
+        assert len(errors) == n_query
 
     def test_picks_the_brute_force_best_map_frame(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
@@ -261,9 +271,8 @@ class TestLocalize:
             err = math.hypot(xy[best][0] - xy[q][0], xy[best][1] - xy[q][1])
             errors.append(err)
             one, _ = localize_queries(ds, map_ids, store, [q], 0.85)
-            assert one.errors == (err,), q
-        assert localize_queries(ds, map_ids, store, query_ids, 0.85) == (
-            CdfCurve.from_errors(errors), fallbacks)
+            assert one == (err,), q
+        assert localize_queries(ds, map_ids, store, query_ids, 0.85) == (tuple(sorted(errors)), fallbacks)
         assert len(set(errors)) > 1
 
     def test_empty_map(self):
@@ -273,8 +282,8 @@ class TestLocalize:
     def test_gated_localization_beats_alias_separation(self, dataset_cache):
         # aliased corridors are ~20 m apart in c_hall; gating keeps errors below that
         ds = dataset_cache("c_hall", 0)
-        curve, _fb, _m, _q = localize_dataset(ds, split=0.4)
-        assert curve.fraction_within(10.0) > 0.95
+        errors, _fb, _m, _q = localize_dataset(ds, split=0.4)
+        assert bisect_right(errors, 10.0) / len(errors) > 0.95
 
 
 def test_report_row_fields(dataset_cache):

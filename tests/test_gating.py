@@ -5,14 +5,14 @@ import math
 import os
 from collections import deque
 from itertools import count
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifislam import frontend, gating, simworld
-from wifislam.clustering import ClusterStore, SimilarClusters, assign, members_of, similar_clusters
+from wifislam.clustering import ClusterStore, assign, members_of, similar_clusters
 from wifislam.frontend import Appearance, InvertedIndex, word_masks
 from wifislam.gating import (
     MemoryCorruption,
@@ -197,7 +197,7 @@ def orb_map(apps, cluster_of, n_clusters):
 
 def gate(store, similar_ids):
     """The pipeline's gate for a frame whose similar clusters are ``similar_ids``."""
-    return set(members_of(store, SimilarClusters(entries=tuple((cid, 0.9) for cid in similar_ids))))
+    return set(members_of(store, [(cid, 0.9) for cid in similar_ids]))
 
 
 def query_frame(apps, query):
@@ -222,7 +222,7 @@ class TestOrbCandidates:
         apps = {}
         for kf in range(20):
             words = tuple(sorted(rng.choice(50, size=8).tolist()))
-            sims = similar_clusters(store, rep, 0.99) if kf else SimilarClusters(entries=())
+            sims = similar_clusters(store, rep, 0.99) if kf else ()
             assign(store, kf, rep, {kf - 1} if kf else set(), sims)
             apps[kf] = Appearance(words=words, place_template=0)
             index.insert(kf, apps[kf])
@@ -354,15 +354,16 @@ class TestRunPipeline:
             with open(tmp_path / "frame_trace.csv", newline="") as fh:
                 trace = csv.DictReader(fh)
                 rows = list(trace)
-            assert trace.fieldnames == ["frame", *(f.name for f in fields(gating.FrameRecord)), "cluster"]
+            assert trace.fieldnames == \
+                "frame,candidate_count,loop_to,stm,wm,ltm,immune,transfers,retrievals,cluster".split(",")
             assert [r["frame"] for r in rows] == [str(i) for i in range(n)]
-            assert len(rec.frames) == n
+            assert list(rec.frames) == ["candidate_count", "loop_to", *(rtab_columns if policy == "rtab" else [])]
+            assert all(len(column) == n for column in rec.frames.values())
+            assert rec.events is rec.frames and rec.memory_trace == (rec.frames if policy == "rtab" else {})
+            for name in ["candidate_count", "loop_to", *rtab_columns]:  # rtab's pools are blank in other runs
+                assert [r[name] for r in rows] == list(map(str, rec.frames.get(name, [""] * n))), name
             cluster_of = {k: str(c.id) for c in rec.store.clusters for k in c.members} if gated else {}
-            for i, (r, fr) in enumerate(zip(rows, rec.frames)):
-                assert r["candidate_count"] == str(fr.candidate_count) and r["loop_to"] == str(fr.loop_to)
-                for c in rtab_columns:
-                    assert r[c] == (str(getattr(fr, c)) if policy == "rtab" else "")
-                assert r["cluster"] == cluster_of.get(i, "")
+            assert [r["cluster"] for r in rows] == [cluster_of.get(i, "") for i in range(n)]
             assert len(cluster_of) == (n if gated else 0)
             loop_to = [int(r["loop_to"]) for r in rows]
             assert rec.loop_edges == [(i, to) for i, to in enumerate(loop_to) if to >= 0]
@@ -455,7 +456,8 @@ class TestRunPipeline:
     def test_rtab_memory_trace_shape(self, tiny_dataset, small_rtab_memory):
         p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=2, rtab=RtabParams(real_time_threshold=8.0))
         rec = run_pipeline(tiny_dataset, p)  # internal checks raise on violation
-        assert len(rec.memory_trace) == len(tiny_dataset.frames)
+        assert list(rec.memory_trace) == list(gating.FRAME_COLUMNS)
+        assert all(len(column) == len(tiny_dataset.frames) for column in rec.memory_trace.values())
 
     def test_rtab_gated_transfer_and_retrieval_cycle(self, monkeypatch, dataset_cache):
         # a multi-cluster world under a tight budget: far clusters spill to
@@ -464,8 +466,8 @@ class TestRunPipeline:
         ds = dataset_cache("j_hall", 0)
         p = PolicyParams(policy="rtab", gated=True, min_matches=20, seed=0, rtab=RtabParams(real_time_threshold=30.0))
         rec = run_pipeline(ds, p)
-        transfers = sum(r.transfers for r in rec.memory_trace)
-        retrievals = sum(r.retrievals for r in rec.memory_trace)
+        transfers = sum(rec.memory_trace["transfers"])
+        retrievals = sum(rec.memory_trace["retrievals"])
         assert transfers > 0 and retrievals > 0
         assert len(rec.loop_edges) > 0
 
@@ -474,7 +476,7 @@ class TestRunPipeline:
         for gated in (True, False):
             p = PolicyParams(policy="rtab", gated=gated, min_matches=20, seed=2)
             rec = run_pipeline(tiny_dataset, p)
-            traces[gated] = [r.transfers for r in rec.memory_trace]
+            traces[gated] = rec.memory_trace["transfers"]
         assert traces[True] == traces[False] == [0] * len(tiny_dataset.frames)
 
     def test_vanilla_runs_have_no_store(self, tiny_dataset):

@@ -18,18 +18,29 @@ def _est_bits(rec) -> str:
     return repr([(k, t, p.x, p.y, p.theta) for k, t, p in rec.est])
 
 
-@pytest.mark.parametrize("preset", ["a_hall", "b_hall", "c_hall", "j_hall"])
-def test_a_full_gate_gives_vanilla_orb(monkeypatch, dataset_cache, preset):
-    """Gated ORB whose gate holds every earlier keyframe compares, commits and
-    optimizes exactly as vanilla ORB: a gated candidate list is the vanilla
-    list cut to the gate."""
+PRESETS = ["a_hall", "b_hall", "c_hall", "j_hall"]
+
+
+@pytest.mark.parametrize("policy, preset", [*(("orb", p) for p in PRESETS), *(("rtab", p) for p in PRESETS)],
+                         ids=[*PRESETS, *(f"rtab-{p}" for p in PRESETS)])
+def test_a_full_gate_gives_vanilla_orb(monkeypatch, dataset_cache, policy, preset):
+    """A gated run whose gate holds every earlier keyframe compares, commits and
+    optimizes exactly as the vanilla run of its policy. ORB: a gated candidate
+    list is the vanilla list cut to the gate. rtab, with the default unbounded
+    real-time budget: nothing leaves working memory, whose gated candidates are
+    then all of it, and every working-memory keyframe is immune."""
     ds = dataset_cache(preset, 0)
-    vanilla = run_pipeline(ds, PolicyParams(policy="orb", gated=False, seed=0))
+    vanilla = run_pipeline(ds, PolicyParams(policy=policy, gated=False, seed=0))
     # every frame joins the store at the end of its step, so the store's members are the earlier keyframes
     monkeypatch.setattr(gating, "members_of", lambda store, sims: [k for c in store.clusters for k in c.members])
-    gated = run_pipeline(ds, PolicyParams(policy="orb", gated=True, seed=0))
+    gated = run_pipeline(ds, PolicyParams(policy=policy, gated=True, seed=0))
     assert gated.subset_violations == gated.gating_violations == 0
-    assert gated.frames == vanilla.frames
+    expected = dict(vanilla.frames)
+    if policy == "rtab":  # only a gated run makes keyframes immune
+        assert gated.frames["immune"] == gated.frames["wm"]
+        expected["immune"] = gated.frames["wm"]
+    assert gated.frames == expected
+    assert gated.opt_iterations == vanilla.opt_iterations
     assert _est_bits(gated) == _est_bits(vanilla)
 
 
@@ -58,7 +69,7 @@ def _mac(value: int) -> str:
     return ":".join(f"{value >> shift & 0xFF:02X}" for shift in range(40, -1, -8))
 
 
-@pytest.mark.parametrize("preset", ["a_hall", "b_hall", "c_hall", "j_hall"])
+@pytest.mark.parametrize("preset", PRESETS)
 def test_relabelled_bssids_give_the_same_runs(dataset_cache, tmp_path, preset):
     """Renaming the BSSIDs by a bijection that keeps the order of their masked
     (per-AP) names, and each BSSID's radio nibble, leaves every run output

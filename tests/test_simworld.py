@@ -18,6 +18,7 @@ from wifislam.simworld import (
     FRAME_RATE_HZ,
     LOOP_PAIR_GAP_S,
     LOOP_PAIR_RADIUS_M,
+    MAX_WORD_ID,
     AccessPoint,
     AppearanceModel,
     BadWorld,
@@ -262,7 +263,8 @@ class TestTrajectory:
         past the end), at its offset into that leg, interpolated along the leg's corridor."""
         config = preset_worlds()[name]
         spec = replace(config.trajectory, laps=laps)
-        corridors, route = simworld._shape_corridors(spec, config.template_of)
+        corridors, loop, tail = simworld._shape_corridors(spec, config.template_of)
+        route = simworld._route(spec.laps, corridors, loop, tail)
         legs, start = [], 0.0  # (start, end, corridor, offset into the corridor) along the path
         for cid, a0, a1 in route:
             legs.append((start, start + (a1 - a0), cid, a0))
@@ -514,10 +516,27 @@ class TestPresets:
         ({"appearance": AppearanceModel(unique_words_per_bin=257)}, "unique_words_per_bin must be at most 256"),
         ({"template_of": {0: 512}}, "template_of values must be in 0..511, got 512"),
         ({"appearance": AppearanceModel(bin_meters=0.005)}, "gives a corridor 2400 word bins; at most 2048 fit"),
-    ], ids=["no_words", "unique_words_257", "template_512", "corridor_bins_2400"])
+        # the id fields: the APs' MAC numbering, and the path's frames and dwells, counted from its lap length
+        ({"ap_count": 65537}, "ap_count must be at most 65536, got 65537"),
+        ({"trajectory": TrajectorySpec("figure_eight", 12.0, laps=40_000)},
+         r"\(40000 laps\) has up to 1097143 dwells; the dwell indices have room for 1048576"),
+        ({"trajectory": TrajectorySpec("figure_eight", 12.0, pause_every=1e9, laps=185_000)},
+         r"\(185000 laps\) may have up to 25371431 frames; the word ids have room for 25165824"),
+    ], ids=["no_words", "unique_words_257", "template_512", "corridor_bins_2400", "ap_count_65537", "dwells_1097143",
+            "frames_25371431"])
     def test_replaced_preset_checks_itself(self, change, reason):
         with pytest.raises(ValueError, match=reason):
             replace(preset_worlds()["b_hall"], **change)
+
+    def test_id_fields_admit_the_largest_worlds(self):
+        """Just inside each limit a world is accepted: 65,536 APs, with distinct MACs; a path of 1,042,286
+        dwells; one of 24,685,716 frames, whose last jitter words still fit below `MAX_WORD_ID`."""
+        config = preset_worlds()["b_hall"]  # 96 m laps, a frame every 0.7 m, a dwell every 3.5 m
+        assert replace(config, ap_count=65536).ap_count == 65536
+        assert len({simworld._ap_mac(i) for i in range(65536)}) == 65536
+        replace(config, trajectory=replace(config.trajectory, laps=38_000))
+        replace(config, trajectory=replace(config.trajectory, laps=180_000, pause_every=1e9))
+        assert simworld._JITTER_WORD_BASE + simworld._FRAMES * simworld._JITTER_WORDS_PER_FRAME == MAX_WORD_ID
 
     def test_wall_checks_itself(self):
         with pytest.raises(ValueError, match="y2 must be finite, got inf"):
@@ -750,15 +769,18 @@ class TestLoadDataset:
 
     def test_ap_count_is_checked_before_any_ap_is_placed(self, tiny_copy, monkeypatch):
         """An ``ap_count`` other than the number of ``aps`` is rejected before the world is derived, so a
-        corrupt count, however large, sizes no work."""
+        corrupt count, however large, sizes no work: one past the MACs' room fails the config's own check,
+        one within it the count of ``aps``."""
         monkeypatch.setattr(simworld, "derive_world", lambda *args: pytest.fail("the world was derived"))
         path = tiny_copy / "world.json"
         wj = json.loads(path.read_text())
-        wj["ap_count"] = 10**12
-        path.write_text(json.dumps(wj))
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value) == f"{path}: 'aps' differs from the world its config and seed derive"
+        for count, reason in ((10**12, "ap_count must be at most 65536, got 1000000000000"),
+                              (65536, "'aps' differs from the world its config and seed derive")):
+            wj["ap_count"] = count
+            path.write_text(json.dumps(wj))
+            with pytest.raises(DataError) as exc:
+                load_dataset(tiny_copy)
+            assert str(exc.value) == f"{path}: {reason}"
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "x", None])
     def test_unusable_seed(self, tiny_copy, seed):

@@ -1,24 +1,26 @@
-"""Synthetic visual frontend: bag-of-words appearances, frame matching, and
-the inverted index whose ranking the vanilla ORB-style policy searches. A
-vanilla ORB run queries that index once per frame; a gated run keeps no index
-and scores only the keyframes of its Wi-Fi gate, from their word masks.
+"""Synthetic visual frontend: per-frame word masks, frame matching, and the
+inverted index over the masks' bits whose ranking the vanilla ORB-style policy
+searches. A vanilla ORB run queries that index once per frame; a gated run
+keeps no index and scores only the keyframes of its Wi-Fi gate, from their
+word masks.
 
-Pixels are out of scope; a frame's appearance is a multiset of visual-word
-ids drawn from the scene template of the corridor it was taken in. Matching
-degrades the shared-word count with a deterministic per-pair dropout (features
-randomly absent from individual frames, each word kept with DROPOUT_KEEP)
-and gates transform estimation on true geometric separation, at most
-INLIER_DISTANCE. Two *distant* frames that share a scene template are
+Pixels are out of scope; a frame's view is a multiset of visual-word ids, its
+word bag, drawn from the scene template of the corridor it was taken in.
+Matching degrades the shared-word count with a deterministic per-pair dropout
+(features randomly absent from individual frames, each word kept with
+DROPOUT_KEEP) and gates transform estimation on true geometric separation, at
+most INLIER_DISTANCE. Two *distant* frames that share a scene template are
 perceptual aliases: matching succeeds and returns the transform implied by
-the shared appearance, which is how false loop closures enter the graph.
+the shared words, which is how false loop closures enter the graph.
 
 Shared-word counts come from `word_masks`: one integer per frame, built once
-per dataset, with one bit per visual-word token that at least two frames carry, so
-a pair's count is one AND and a popcount. `match_frames` takes that count from
-its caller. A candidate that shares no word with the query is rejected before
-its dropout draw is made, yet the pipeline still charges it 1.0
-visual-comparison unit; rtab candidates are mostly such pairs, so rtab wall
-time and loop_cost diverge.
+per dataset, with one bit per visual-word token that at least two frames
+carry, so a pair's count is one AND and a popcount. The masks are the only
+form in which a frame's words reach any scorer, the inverted index included.
+`match_frames` takes that count from its caller. A candidate that shares no
+word with the query is rejected before its dropout draw is made, yet the
+pipeline still charges it 1.0 visual-comparison unit; rtab candidates are
+mostly such pairs, so rtab wall time and loop_cost diverge.
 
 `match_frames` is the accept step: the dropout draw and the transform tests.
 The pose step, `MatchResult.relative`, runs only when read, and the pipeline
@@ -48,15 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from .posegraph import Pose2, between
-
-
-@dataclass(frozen=True)
-class Appearance:
-    """Visual words of one frame; the template id is simulation metadata and
-    must stay invisible to candidate-selection policies."""
-
-    words: tuple[int, ...]
-    place_template: int
 
 
 DROPOUT_KEEP = 0.8  # chance that a shared word survives in a match
@@ -172,19 +165,6 @@ class MatchResult:
 _NO_SHARED_WORDS = MatchResult(num_matches=0)  # the result of every zero-share pair
 
 
-@lru_cache(maxsize=8192)
-def _word_tokens(words: tuple[int, ...]) -> frozenset:
-    """The bag as a set: the first `w` is `w` itself, its k-th repeat is `(w, k)`,
-    so set intersection size equals multiset intersection size."""
-    seen: dict[int, int] = {}
-    tokens = []
-    for w in words:
-        k = seen.get(w, 0)
-        seen[w] = k + 1
-        tokens.append((w, k) if k else w)
-    return frozenset(tokens)
-
-
 _MASK_ROWS = 32  # masks whose bits are set per numpy pass of word_masks; bounds its memory
 
 
@@ -227,6 +207,15 @@ def word_masks(words: np.ndarray, offsets: np.ndarray) -> list[int]:
         rows[bag[sel] - lo, bit[sel]] = True
         masks.extend(int.from_bytes(row, "little") for row in np.packbits(rows, axis=1, bitorder="little"))
     return masks
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The numbers of the bits set in ``mask``, a non-negative int, in ascending order."""
+    if not mask:
+        return []
+    bits = np.unpackbits(np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8),
+                         bitorder="little")
+    return np.flatnonzero(bits).tolist()
 
 
 def match_frames(
@@ -277,28 +266,33 @@ def match_frames(
 
 
 class InvertedIndex:
-    """word token -> keyframes observing it; queries rank by shared-word count."""
+    """Word-mask bit -> keyframes carrying it; queries rank by shared-word count.
+
+    Keyframes and queries are given as `word_masks` bits, and every mask passed to one index
+    must come from one `word_masks` call, as ``Dataset.word_masks`` does: a bit names a
+    token only within its call. A keyframe's count is then its multiset shared-word count
+    with the query, for any two different frames. A mask of 0 shares no word with any other
+    frame, so inserting it posts nothing.
+    """
 
     def __init__(self) -> None:
-        self._postings: dict[object, list[int]] = {}  # keyframes in insertion order
+        self._postings: dict[int, list[int]] = {}  # keyframes in insertion order
         self._ids: set[int] = set()
 
-    def insert(self, keyframe_id: int, appearance: Appearance) -> None:
-        if not appearance.words:
-            raise ValueError("keyframes must carry a non-empty word bag")
+    def insert(self, keyframe_id: int, mask: int) -> None:
         if keyframe_id in self._ids:
             raise ValueError(f"keyframe {keyframe_id} already indexed")
         self._ids.add(keyframe_id)
-        for t in _word_tokens(appearance.words):
-            self._postings.setdefault(t, []).append(keyframe_id)
+        for b in _set_bits(mask):
+            self._postings.setdefault(b, []).append(keyframe_id)
 
-    def query_scored(self, appearance: Appearance) -> list[tuple[int, int]]:
+    def query_scored(self, mask: int) -> list[tuple[int, int]]:
         """(keyframe, multiset shared-word count) sharing at least one word,
         ordered by count desc then id asc."""
         postings = self._postings
-        counts = Counter(chain.from_iterable(postings[t] for t in _word_tokens(appearance.words) if t in postings))
+        counts = Counter(chain.from_iterable(postings[b] for b in _set_bits(mask) if b in postings))
         return sorted(counts.items(), key=lambda e: (-e[1], e[0]))
 
-    def query(self, appearance: Appearance) -> list[int]:
+    def query(self, mask: int) -> list[int]:
         """Keyframes sharing at least one word, by shared count desc then id asc."""
-        return [kf for kf, _n in self.query_scored(appearance)]
+        return [kf for kf, _n in self.query_scored(mask)]

@@ -12,9 +12,9 @@ intersects it with its own candidate pool:
          gating immunizes the working-memory keyframes in ``similar`` and
          retrieves its long-term ones back before the candidate scan.
   orb  - every earlier keyframe sharing a visual word with the frame, ranked
-         by shared count; vanilla ranks the whole map with one inverted index,
-         gated scores only ``similar``, from the frames' word masks, and keeps
-         no index.
+         by shared count from the frames' word masks; vanilla ranks the whole
+         map with one inverted index over the masks' bits, gated scores only
+         ``similar`` and keeps no index.
 The pipeline audits each gated frame against those same inputs: candidates
 must lie in ``similar`` (or rgbd's base), and ORB's must be earlier keyframes
 that share a word with the frame, as vanilla ORB's are.
@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterStore, assign, members_of, similar_clusters, write_cluster_dump
-from .frontend import MATCH_INFORMATION, Appearance, InvertedIndex, MatchResult, match_frames
+from .frontend import MATCH_INFORMATION, InvertedIndex, MatchResult, match_frames
 from .posegraph import Pose2, PoseGraph, compose, optimize, write_trajectory
 from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
 
@@ -308,23 +308,21 @@ def _window(graph: PoseGraph, since_edge: int) -> set[int]:
 def orb_candidates(
     index: InvertedIndex | None,
     current: int,
-    appearance: Appearance,
     masks: Sequence[int],
     similar: set[int] | None,
 ) -> list[int]:
     """The keyframes sharing at least one visual word with frame ``current``, by
-    shared count desc then id asc.
+    shared count desc then id asc, from ``masks`` (`frontend.word_masks` of the
+    dataset's frames).
 
-    Vanilla (``similar`` is None): ``index``'s ranking of ``appearance``, the
-    frame's words, over the whole map. Gated: only the keyframes of
-    ``similar``, all earlier than ``current``, each scored from ``masks``
-    (`frontend.word_masks` of the dataset's frames); ``index`` is not read, and
-    a gated run keeps none. A gated list is thus the vanilla list cut to
-    ``similar``.
+    Vanilla (``similar`` is None): ``index``'s ranking of the frame's mask over
+    the whole map. Gated: only the keyframes of ``similar``, all earlier than
+    ``current``, each scored from its mask; ``index`` is not read, and a gated
+    run keeps none. A gated list is thus the vanilla list cut to ``similar``.
     """
-    if similar is None:
-        return index.query(appearance)
     q = masks[current]
+    if similar is None:
+        return index.query(q)
     ranked = sorted((-n, k) for k in similar if (n := (q & masks[k]).bit_count()))
     return [k for _n, k in ranked]
 
@@ -362,8 +360,6 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
     opt_edges = 0  # edges in the graph at the previous in-run optimization
 
     for i, sig in frame_sig.items():  # every frame, in order
-        appearance = frames.appearance(i) if index is not None else None  # vanilla orb's only
-
         sims: tuple[tuple[int, float], ...] = ()
         similar: set[int] | None = None  # the frame's Wi-Fi gate
         if params.gated:
@@ -388,7 +384,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             pools = (len(memory.stm), len(memory.wm), len(memory.ltm), len(memory.immune),
                      len(transfers), len(retrievals))
         else:
-            cands = orb_candidates(index, i, appearance, masks, similar)
+            cands = orb_candidates(index, i, masks, similar)
 
         if similar is not None and not (set(cands) - similar) <= base:
             gating_violations += 1
@@ -441,7 +437,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             management_cost += (len(sims) + 1) * WIFI_COMPARE_COST
             wall["management_s"] += time.perf_counter() - t0
         if index is not None:
-            index.insert(i, appearance)
+            index.insert(i, masks[i])
 
         opt_iters_now = 0
         periodic = i > 0 and i % OPT_EVERY == 0

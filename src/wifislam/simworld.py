@@ -26,7 +26,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import frontend
-from .frontend import Appearance
 from .posegraph import Pose2, _wrap_angles, between, wrap_angle
 from .signature import Scans, Signature, associate_frames, mask_bssid, signatures_of
 
@@ -177,8 +176,8 @@ class WorldConfig:
         ``bin_meters`` <= 0, word counts that leave every word bag empty, a non-int template or
         a word count, template or corridor's number of bins past its field of the word ids;
         BadWorld for more APs than their MACs can number, or a path that may hold more frames
-        than the word ids or more dwells than the dwell indices have room for. The path is
-        measured from its lap length, so no route is built."""
+        than the word ids or more dwells than the dwell indices have room for, or more route
+        legs than `_ROUTE_LEGS`. The path is measured from its lap length, so no route is built."""
         check_setting_types(self, finite=True)  # each Wall has checked itself
         if self.bssids_per_ap > 15:  # the radio number is the BSSID's last hex digit
             raise BadWorld(f"bssids_per_ap must be at most 15, got {self.bssids_per_ap}")
@@ -213,6 +212,10 @@ class WorldConfig:
         if path / spec.pause_every > MAX_DWELLS:
             raise BadWorld(f"the trajectory ({spec.laps!r} laps) has up to {path / spec.pause_every:.0f} dwells; "
                            f"the dwell indices have room for {MAX_DWELLS}")
+        legs = math.ceil(spec.laps) * len(loop) + len(tail)  # at most `_route`'s count
+        if legs > _ROUTE_LEGS:
+            raise BadWorld(f"the trajectory ({spec.laps!r} laps) has up to {legs} route legs; "
+                           f"at most {_ROUTE_LEGS} are built")
 
 
 @dataclass(frozen=True)
@@ -256,10 +259,6 @@ class Frames:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Frames) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-    def appearance(self, i: int) -> Appearance:
-        """Frame i's word bag and template as Python ints."""
-        return Appearance(tuple(self.words[self.offsets[i]:self.offsets[i + 1]].tolist()), int(self.template[i]))
 
 
 @dataclass(frozen=True)
@@ -436,6 +435,9 @@ def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple
         Corridor(a[0], a[1], b[0], b[1], template_of.get(i, i)) for i, (a, b) in enumerate(segs)
     ]
     return corridors, loop, tail
+
+
+_ROUTE_LEGS = 1 << 22  # legs `_route` may build, one per corridor per lap; bounds its memory (about 0.5 GB)
 
 
 def _route(laps: float, corridors: Sequence[Corridor], loop: Sequence[int],

@@ -21,7 +21,7 @@ import pytest
 from wifislam import evaluation, gating
 from wifislam.cli import main as cli_main
 from wifislam.clustering import ClusterStore, assign, similar_clusters
-from wifislam.frontend import Appearance, InvertedIndex
+from wifislam.frontend import InvertedIndex, word_masks
 from wifislam.posegraph import (
     Pose2,
     PoseGraph,
@@ -273,24 +273,21 @@ def test_criterion_08_oracle_equivalence():
     """Index queries and similar-cluster queries agree with brute force."""
     rng = np.random.default_rng(7)
 
+    bags = [tuple(sorted(rng.choice(300, size=int(rng.integers(3, 30)), replace=True).tolist())) for _ in range(500)]
+    queries = [tuple(rng.choice(300, size=int(rng.integers(3, 30)), replace=True).tolist()) for _ in range(100)]
+    every = bags + queries  # the masks of one word_masks call, as a dataset's are
+    masks = word_masks(np.array([w for b in every for w in b], dtype=np.int64), np.cumsum([0, *map(len, every)]))
     idx = InvertedIndex()
-    apps = {}
-    for kf in range(500):
-        words = tuple(sorted(rng.choice(300, size=int(rng.integers(3, 30)), replace=True).tolist()))
-        apps[kf] = Appearance(words=words, place_template=0)
-        idx.insert(kf, apps[kf])
+    for kf in range(len(bags)):
+        idx.insert(kf, masks[kf])
     index_ok = True
-    for _ in range(100):
-        q = Appearance(
-            words=tuple(rng.choice(300, size=int(rng.integers(3, 30)), replace=True).tolist()),
-            place_template=0,
-        )
-        shared = {kf: sum((Counter(q.words) & Counter(a.words)).values()) for kf, a in apps.items()}
+    for q, q_mask in zip(queries, masks[len(bags):]):
+        shared = {kf: sum((Counter(q) & Counter(b)).values()) for kf, b in enumerate(bags)}
         brute = sorted(
             ((n, kf) for kf, n in shared.items() if n > 0),
             key=lambda e: (-e[0], e[1]),
         )
-        index_ok &= idx.query(q) == [kf for _n, kf in brute]
+        index_ok &= idx.query(q_mask) == [kf for _n, kf in brute]
 
     ap = lambda k: f"0A:00:00:00:{k:02X}:00"
     store = ClusterStore()

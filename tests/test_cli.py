@@ -109,6 +109,19 @@ class TestGen:
         assert f"{world}: the trajectory (1000000000000.0 laps) may have up to " in capsys.readouterr().err
 
 
+    def test_many_laps_of_a_short_path_exit_2_at_once(self, tmp_path, capsys, monkeypatch):
+        """A path of few frames but billions of laps is refused from its lap count, before any route is built."""
+        monkeypatch.setattr(simworld, "synthesize", lambda *args: pytest.fail("synthesized a refused world"))
+        world = tmp_path / "w.json"
+        world.write_text(WORLD.replace('"scale": 5.0', '"scale": 1e-6, "laps": 1e9'))
+        t0 = time.perf_counter()
+        assert run_cli("gen", "--world", world, "--seed", "0", "--out", tmp_path / "x") == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"{world}: the trajectory (1000000000.0 laps) has up to 4000000000 route legs; at most 4194304 " \
+               "are built" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestRun:
     def test_run_writes_artifacts_and_honors_flags(self, gen_dir, tmp_path):
         out = tmp_path / "run1"

@@ -254,11 +254,12 @@ class TestLocalize:
         n_map = int(round(0.4 * n))
         map_ids, query_ids = range(n_map), range(n_map, n)
         store = build_map_clusters(map_ids, frame_sig, 0.85)
-        apps = [ds.frames.appearance(i) for i in range(n)]
+        bounds, words = ds.frames.offsets.tolist(), ds.frames.words.tolist()
+        bags = [Counter(words[a:b]) for a, b in zip(bounds, bounds[1:])]
         xy = ds.frames.gt[:, :2].tolist()
 
         def shared(a, b):
-            return sum((Counter(a.words) & Counter(b.words)).values())
+            return sum((a & b).values())
 
         errors, fallbacks = [], 0
         for q in query_ids:
@@ -267,7 +268,7 @@ class TestLocalize:
                 fallbacks += 1
                 cand_ids = list(map_ids)
             # highest multiset shared-word count, ties to the lowest id
-            best = min(cand_ids, key=lambda kf: (-shared(apps[q], apps[kf]), kf))
+            best = min(cand_ids, key=lambda kf: (-shared(bags[q], bags[kf]), kf))
             err = math.hypot(xy[best][0] - xy[q][0], xy[best][1] - xy[q][1])
             errors.append(err)
             one, _ = localize_queries(ds, map_ids, store, [q], 0.85)

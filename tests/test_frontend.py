@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from wifislam.frontend import (
     MATCH_INFORMATION,
     NOISE_THETA,
     NOISE_XY,
-    Appearance,
     InvertedIndex,
     MatchResult,
     match_frames,
@@ -30,8 +30,22 @@ from wifislam.gating import PolicyParams
 from wifislam.posegraph import Pose2, between
 
 
+class Bag(NamedTuple):
+    """A test frame's word bag and the scene template of its corridor."""
+
+    words: tuple[int, ...]
+    place_template: int = 0
+
+
 def app(words, template=0):
-    return Appearance(words=tuple(sorted(words)), place_template=template)
+    return Bag(tuple(sorted(words)), template)
+
+
+def frame_bags(frames):
+    """Each frame of a `Frames` table as a Bag, by frame id."""
+    bounds = frames.offsets.tolist()
+    words = frames.words.tolist()
+    return [Bag(tuple(words[a:b]), t) for a, b, t in zip(bounds, bounds[1:], frames.template.tolist())]
 
 
 def ref_shared(a, b):
@@ -45,7 +59,7 @@ def flat_bags(bags):
 
 
 def word_masks(apps):
-    """`frontend.word_masks` of Appearance bags, handed over as one flat word array."""
+    """`frontend.word_masks` of Bags, handed over as one flat word array."""
     return frontend.word_masks(*flat_bags([a.words for a in apps]))
 
 
@@ -68,7 +82,8 @@ def match(a_id, b_id, a, b, truth_a, truth_b, min_matches, seed):
 
 
 def brute_scored(q, apps):
-    """(keyframe, shared) for every keyframe sharing a word, by shared desc then id asc."""
+    """(keyframe, shared) for every keyframe of the dict ``apps`` sharing a word with the Bag ``q``,
+    by shared desc then id asc."""
     scored = ((kf, ref_shared(q, a)) for kf, a in apps.items())
     return sorted(((kf, n) for kf, n in scored if n > 0), key=lambda e: (-e[1], e[0]))
 
@@ -188,7 +203,7 @@ class TestMatchFrames:
 
     def test_equals_always_draw_reference_on_every_pair(self, dataset_cache):
         ds = dataset_cache("b_hall", 0)
-        apps = [ds.frames.appearance(i) for i in range(len(ds.frames))]
+        apps = frame_bags(ds.frames)
         templates = ds.frames.template.tolist()
         truths = list(zip(ds.frames.gt.tolist(), ds.template_poses.tolist()))
         min_matches = PolicyParams().min_matches
@@ -352,7 +367,7 @@ BAGS = st.lists(st.integers(0, 7), min_size=1, max_size=16)  # unsorted; a small
 def test_shared_word_count_matches_reference(a, b, disjoint):
     if disjoint:
         b = [w + 100 for w in b]
-    qa, qb = Appearance(tuple(a), 0), Appearance(tuple(b), 0)
+    qa, qb = Bag(tuple(a)), Bag(tuple(b))
     assert shared_word_count(qa, qb) == ref_shared(qa, qb)
     if disjoint:
         assert shared_word_count(qa, qb) == 0
@@ -370,7 +385,7 @@ def test_word_masks_match_reference_on_every_pair(bags, far, singles):
     far = [[w + 100 for w in ws] for ws in far]
     singles = [[1000 + 10 * k + w for w in ws] for k, ws in enumerate(singles)]
     words = bags + far + singles
-    apps = [Appearance(tuple(ws), 0) for ws in words]
+    apps = [Bag(tuple(ws)) for ws in words]
     masks = word_masks(apps)
     assert len(masks) == len(apps)
     for i, a in enumerate(apps):
@@ -384,8 +399,8 @@ def test_word_masks_match_reference_on_every_pair(bags, far, singles):
 @settings(max_examples=100, deadline=None)
 @given(bags=st.lists(BAGS, min_size=1, max_size=10), n_new=st.integers(1, 4))
 def test_appending_single_bag_words_keeps_the_masks(bags, n_new):
-    apps = [Appearance(tuple(ws), 0) for ws in bags]
-    fresh = [Appearance((1000 + 2 * k, 1000 + 2 * k + 1), 0) for k in range(n_new)]
+    apps = [Bag(tuple(ws)) for ws in bags]
+    fresh = [Bag((1000 + 2 * k, 1000 + 2 * k + 1)) for k in range(n_new)]
     masks = word_masks(apps + fresh)
     assert masks[: len(apps)] == word_masks(apps)
     assert masks[len(apps):] == [0] * n_new
@@ -427,58 +442,67 @@ def test_flat_word_masks_match_reference_on_every_pair(bags, word, copies, data)
         assert masks[i].bit_length() <= len(seen), i
 
 
-@settings(max_examples=100, deadline=None)
-@given(bags=st.lists(BAGS, min_size=1, max_size=12), q=BAGS, disjoint=st.booleans())
-def test_query_scored_matches_reference_scan(bags, q, disjoint):
+def indexed(keyframes, queries):
+    """An index of the dict ``keyframes`` of Bags, and the masks of the Bags ``queries``; every mask
+    comes from one `word_masks` call, as a dataset's do."""
+    masks = word_masks([*keyframes.values(), *queries])
     idx = InvertedIndex()
-    apps = {}
-    for kf, words in enumerate(bags):
-        apps[kf] = Appearance(tuple(words), 0)
-        idx.insert(kf, apps[kf])
-    query = Appearance(tuple(w + 100 for w in q) if disjoint else tuple(q), 0)
+    for kf, m in zip(keyframes, masks):
+        idx.insert(kf, m)
+    return idx, masks[len(keyframes):]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bags=st.lists(BAGS, min_size=1, max_size=12),
+    q=BAGS,
+    disjoint=st.booleans(),
+    singles=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True), max_size=3),
+)
+def test_query_scored_matches_reference_scan(bags, q, disjoint, singles):
+    # `singles` keyframes hold words found in no other bag: their masks are 0, and no query finds them
+    singles = [[1000 + 10 * k + w for w in ws] for k, ws in enumerate(singles)]
+    apps = {kf: Bag(tuple(words)) for kf, words in enumerate(bags + singles)}
+    query = Bag(tuple(w + 100 for w in q) if disjoint else tuple(q))
+    idx, (qm,) = indexed(apps, [query])
+    assert word_masks(apps.values())[len(bags):] == [0] * len(singles)
     expected = brute_scored(query, apps)
-    assert idx.query_scored(query) == expected
-    assert idx.query(query) == [kf for kf, _n in expected]
+    assert idx.query_scored(qm) == expected
+    assert idx.query(qm) == [kf for kf, _n in expected]
     if disjoint:
         assert expected == []
 
 
 class TestInvertedIndex:
     def test_empty_query(self):
-        assert InvertedIndex().query(app([1, 2])) == []
+        assert InvertedIndex().query(0b11) == []
 
     def test_count_ordering(self):
-        idx = InvertedIndex()
-        idx.insert(1, app([1, 2, 3]))
-        idx.insert(2, app([3]))
-        out = idx.query(app([1, 2, 3]))
-        assert out == [1, 2]
+        idx, (q,) = indexed({1: app([1, 2, 3]), 2: app([3])}, [app([1, 2, 3])])
+        assert idx.query(q) == [1, 2]
 
     def test_zero_overlap_absent(self):
-        idx = InvertedIndex()
-        idx.insert(1, app([10, 11]))
-        assert idx.query(app([1, 2])) == []
+        # every mask is non-zero: each bag shares its words with its twin
+        idx, (q, _twin) = indexed({1: app([10, 11]), 2: app([10, 11])}, [app([1, 2]), app([1, 2])])
+        assert q and idx.query(q) == []
 
     def test_ties_break_by_id(self):
-        idx = InvertedIndex()
-        idx.insert(5, app([1, 9]))
-        idx.insert(2, app([1, 8]))
-        assert idx.query(app([1])) == [2, 5]
+        idx, (q,) = indexed({5: app([1, 9]), 2: app([1, 8])}, [app([1])])
+        assert idx.query(q) == [2, 5]
 
-    def test_rejects_empty_words(self):
-        with pytest.raises(ValueError):
-            InvertedIndex().insert(1, Appearance(words=(), place_template=0))
+    def test_rejects_repeated_id(self):
+        idx = InvertedIndex()
+        idx.insert(1, 0b1)
+        with pytest.raises(ValueError, match="keyframe 1 already indexed"):
+            idx.insert(1, 0b10)
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(4)
-        idx = InvertedIndex()
         apps = {}
         for kf in range(500):
             words = tuple(sorted(rng.choice(200, size=rng.integers(3, 25), replace=True).tolist()))
             apps[kf] = app(words)
-            idx.insert(kf, apps[kf])
-        for _ in range(100):
-            q = app(rng.choice(200, size=rng.integers(3, 25), replace=True).tolist())
-            got = idx.query(q)
-            assert got == [kf for kf, _n in brute_scored(q, apps)]
-
+        queries = [app(rng.choice(200, size=rng.integers(3, 25), replace=True).tolist()) for _ in range(100)]
+        idx, masks = indexed(apps, queries)
+        for q, qm in zip(queries, masks):
+            assert idx.query(qm) == [kf for kf, _n in brute_scored(q, apps)]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from wifislam import frontend, gating, simworld
 from wifislam.clustering import ClusterStore, assign, members_of, similar_clusters
-from wifislam.frontend import Appearance, InvertedIndex, word_masks
+from wifislam.frontend import InvertedIndex, word_masks
 from wifislam.gating import (
     MemoryCorruption,
     MemoryState,
@@ -173,25 +173,25 @@ class TestRtabStep:
             rtab_step(state, 6, self.params(), 0.0, graph=g, similar=None)
 
 
-def merged_cluster_indexes(appearance, apps, cluster_of, similar):
-    """Gated ORB candidates the way one index per cluster gives them: query each similar
-    cluster's index and merge the scored results by shared count desc, then id asc."""
+def merged_cluster_indexes(q, masks, cluster_of, similar):
+    """Gated ORB candidates of frame ``q`` the way one index per cluster gives them: query each
+    similar cluster's index and merge the scored results by shared count desc, then id asc."""
     indexes: dict[int, InvertedIndex] = {}
-    for kf, app in apps.items():
-        indexes.setdefault(cluster_of[kf], InvertedIndex()).insert(kf, app)
-    scored = [e for cid in similar if cid in indexes for e in indexes[cid].query_scored(appearance)]
+    for kf, cid in cluster_of.items():
+        indexes.setdefault(cid, InvertedIndex()).insert(kf, masks[kf])
+    scored = [e for cid in similar if cid in indexes for e in indexes[cid].query_scored(masks[q])]
     return [kf for kf, _n in sorted(scored, key=lambda e: (-e[1], e[0]))]
 
 
-def orb_map(apps, cluster_of, n_clusters):
+def orb_map(masks, cluster_of, n_clusters):
     """A store with ``n_clusters`` clusters holding the keyframes of ``cluster_of``, and one
-    index of every keyframe in ``apps``."""
+    index of all those keyframes, from their ``masks``."""
     store, index = ClusterStore(), InvertedIndex()
     for c in range(n_clusters):
         store._new_cluster(sig({AP(c): 10.0}))
-    for kf, app in apps.items():
-        store._add_member(cluster_of[kf], kf)
-        index.insert(kf, app)
+    for kf, cid in cluster_of.items():
+        store._add_member(cid, kf)
+        index.insert(kf, masks[kf])
     return store, index
 
 
@@ -200,45 +200,43 @@ def gate(store, similar_ids):
     return set(members_of(store, [(cid, 0.9) for cid in similar_ids]))
 
 
-def query_frame(apps, query):
-    """The query as the frame after the keyframes of ``apps`` (ids 0..n-1): its id and
-    the word masks of all those frames, as a dataset gives them."""
-    bags = [a.words for a in (*apps.values(), query)]
-    return len(apps), word_masks(np.array([w for b in bags for w in b], dtype=np.int64), np.cumsum([0, *map(len, bags)]))
+def query_frame(bags, query):
+    """The word bag ``query`` as the frame after the keyframe bags ``bags`` (ids 0..n-1): its id
+    and the word masks of all those frames, as a dataset gives them."""
+    bags = [*bags, query]
+    return len(bags) - 1, word_masks(np.array([w for b in bags for w in b], dtype=np.int64),
+                                     np.cumsum([0, *map(len, bags)]))
 
 
 class TestOrbCandidates:
     def test_gated_no_similar_clusters_empty(self):
-        app = Appearance(words=(1, 2), place_template=0)
-        apps = {0: app}
-        store, _index = orb_map(apps, {0: 0}, 1)
-        q, masks = query_frame(apps, app)
-        assert orb_candidates(None, q, app, masks, gate(store, [])) == []
+        q, masks = query_frame([(1, 2)], (1, 2))
+        store, _index = orb_map(masks, {0: 0}, 1)
+        assert orb_candidates(None, q, masks, gate(store, [])) == []
 
     def test_gated_subset_of_vanilla(self):
         rng = np.random.default_rng(0)
-        store, index = ClusterStore(), InvertedIndex()
+        store = ClusterStore()
         rep = sig({AP(1): 10.0})
-        apps = {}
+        bags = []
         for kf in range(20):
-            words = tuple(sorted(rng.choice(50, size=8).tolist()))
+            bags.append(tuple(sorted(rng.choice(50, size=8).tolist())))
             sims = similar_clusters(store, rep, 0.99) if kf else ()
             assign(store, kf, rep, {kf - 1} if kf else set(), sims)
-            apps[kf] = Appearance(words=words, place_template=0)
-            index.insert(kf, apps[kf])
-        qa = Appearance(words=tuple(range(0, 50, 3)), place_template=0)
-        q, masks = query_frame(apps, qa)
-        gated = orb_candidates(None, q, qa, masks, gate(store, [c.id for c in store.clusters]))
-        vanilla = orb_candidates(index, q, qa, masks, None)
+        q, masks = query_frame(bags, tuple(range(0, 50, 3)))
+        index = InvertedIndex()
+        for kf in range(len(bags)):
+            index.insert(kf, masks[kf])
+        gated = orb_candidates(None, q, masks, gate(store, [c.id for c in store.clusters]))
+        vanilla = orb_candidates(index, q, masks, None)
         assert gated and set(gated) <= set(vanilla)
 
     def test_aliased_keyframe_excluded_when_cluster_not_similar(self):
-        shared = Appearance(words=tuple(range(12)), place_template=0)
-        apps = {0: shared, 1: shared}
-        store, index = orb_map(apps, {0: 0, 1: 1}, 2)
-        q, masks = query_frame(apps, shared)
-        assert orb_candidates(None, q, shared, masks, gate(store, [0])) == [0]  # cluster 1 is not similar
-        assert orb_candidates(index, q, shared, masks, None) == [0, 1]
+        shared = tuple(range(12))
+        q, masks = query_frame([shared, shared], shared)
+        store, index = orb_map(masks, {0: 0, 1: 1}, 2)
+        assert orb_candidates(None, q, masks, gate(store, [0])) == [0]  # cluster 1 is not similar
+        assert orb_candidates(index, q, masks, None) == [0, 1]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -248,14 +246,12 @@ class TestOrbCandidates:
         data=st.data(),
     )
     def test_gated_equals_merged_cluster_indexes(self, bags, query, n_clusters, data):
-        apps = {kf: Appearance(words=tuple(words), place_template=0) for kf, words in enumerate(bags)}
-        cluster_of = {kf: data.draw(st.integers(0, n_clusters - 1)) for kf in apps}
+        cluster_of = {kf: data.draw(st.integers(0, n_clusters - 1)) for kf in range(len(bags))}
         similar = data.draw(st.lists(st.integers(0, n_clusters - 1), unique=True))
-        store, _index = orb_map(apps, cluster_of, n_clusters)
-        q = Appearance(words=tuple(query), place_template=0)
-        expected = merged_cluster_indexes(q, apps, cluster_of, similar)
-        q_id, masks = query_frame(apps, q)
-        assert orb_candidates(None, q_id, q, masks, gate(store, similar)) == expected
+        q, masks = query_frame(bags, query)
+        store, _index = orb_map(masks, cluster_of, n_clusters)
+        expected = merged_cluster_indexes(q, masks, cluster_of, similar)
+        assert orb_candidates(None, q, masks, gate(store, similar)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -267,17 +263,16 @@ class TestOrbCandidates:
     def test_gated_scores_equal_the_index_ranking_in_the_gate(self, bags, far, query, data):
         # a small vocabulary repeats words within a bag; the `far` keyframes share no word with
         # the query and are always in the gate
-        apps = {kf: Appearance(words=tuple(words), place_template=0) for kf, words in enumerate(bags + far)}
-        index = InvertedIndex()
-        for kf, app in apps.items():
-            index.insert(kf, app)
+        keyframes = bags + far
         similar = data.draw(st.sets(st.sampled_from(range(len(bags))))) if bags else set()
-        similar |= set(range(len(bags), len(apps)))
-        qa = Appearance(words=tuple(query), place_template=0)
-        q, masks = query_frame(apps, qa)
-        ranking = index.query(qa)
-        assert orb_candidates(None, q, qa, masks, similar) == [k for k in ranking if k in similar]
-        assert orb_candidates(index, q, qa, masks, None) == ranking
+        similar |= set(range(len(bags), len(keyframes)))
+        q, masks = query_frame(keyframes, query)
+        index = InvertedIndex()
+        for kf in range(len(keyframes)):
+            index.insert(kf, masks[kf])
+        ranking = index.query(masks[q])
+        assert orb_candidates(None, q, masks, similar) == [k for k in ranking if k in similar]
+        assert orb_candidates(index, q, masks, None) == ranking
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from wifislam import gating
@@ -55,7 +56,7 @@ def test_no_possible_match_gives_dead_reckoning(dataset_cache):
     for step in frames.odom[1:].tolist():
         chain.append(compose(chain[-1], Pose2(*step)))
     dead_reckoning = repr([(i, t, p.x, p.y, p.theta) for (i, t), p in zip(enumerate(frames.t.tolist()), chain)])
-    unreachable = max(len(frames.appearance(i).words) for i in range(len(frames))) + 1
+    unreachable = int(np.diff(frames.offsets).max()) + 1  # past the largest word bag
     for policy in ("orb", "rgbd", "rtab"):
         for gated in (False, True):
             rec = run_pipeline(ds, PolicyParams(policy=policy, gated=gated, min_matches=unreachable, seed=0))

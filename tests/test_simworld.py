@@ -522,20 +522,25 @@ class TestPresets:
          r"\(40000 laps\) has up to 1097143 dwells; the dwell indices have room for 1048576"),
         ({"trajectory": TrajectorySpec("figure_eight", 12.0, pause_every=1e9, laps=185_000)},
          r"\(185000 laps\) may have up to 25371431 frames; the word ids have room for 25165824"),
+        # a short path of very many laps: few frames and dwells, but one route leg per corridor per lap
+        ({"trajectory": TrajectorySpec("figure_eight", 1e-6, laps=1e9)},
+         r"\(1000000000.0 laps\) has up to 8000000000 route legs; at most 4194304 are built"),
     ], ids=["no_words", "unique_words_257", "template_512", "corridor_bins_2400", "ap_count_65537", "dwells_1097143",
-            "frames_25371431"])
+            "frames_25371431", "legs_8000000000"])
     def test_replaced_preset_checks_itself(self, change, reason):
         with pytest.raises(ValueError, match=reason):
             replace(preset_worlds()["b_hall"], **change)
 
     def test_id_fields_admit_the_largest_worlds(self):
         """Just inside each limit a world is accepted: 65,536 APs, with distinct MACs; a path of 1,042,286
-        dwells; one of 24,685,716 frames, whose last jitter words still fit below `MAX_WORD_ID`."""
+        dwells; one of 24,685,716 frames, whose last jitter words still fit below `MAX_WORD_ID`; one of
+        4,194,304 route legs."""
         config = preset_worlds()["b_hall"]  # 96 m laps, a frame every 0.7 m, a dwell every 3.5 m
         assert replace(config, ap_count=65536).ap_count == 65536
         assert len({simworld._ap_mac(i) for i in range(65536)}) == 65536
         replace(config, trajectory=replace(config.trajectory, laps=38_000))
         replace(config, trajectory=replace(config.trajectory, laps=180_000, pause_every=1e9))
+        replace(config, trajectory=replace(config.trajectory, scale=1e-3, laps=(1 << 22) // 8))  # 8 legs a lap
         assert simworld._JITTER_WORD_BASE + simworld._FRAMES * simworld._JITTER_WORDS_PER_FRAME == MAX_WORD_ID
 
     def test_wall_checks_itself(self):

@@ -13,21 +13,22 @@ layer is meant to fix.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
 from dataclasses import dataclass, asdict, fields, is_dataclass
 from functools import cache, cached_property
-from itertools import islice, repeat
+from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import frontend
 from .posegraph import Pose2, _wrap_angles, between, wrap_angle
-from .signature import Scans, Signature, associate_frames, mask_bssid, signatures_of
+from .signature import Scans, Signature, associate_frames, signatures_of
 
 FRAME_RATE_HZ = 2.0  # simulated keyframe rate while moving
 LOOP_PAIR_RADIUS_M = 2.0  # gt loop pairs: closer than this ...
@@ -42,8 +43,8 @@ MAX_WORD_ID = 1 << 31  # visual word ids lie below this
 class DataError(ValueError):
     """A dataset or world file read from outside the program is malformed or unusable.
 
-    The loader's message reads ``<file>:<line>: <reason>`` for a fault in a row of a
-    dataset CSV, and ``<file>: <reason>`` for one in a world file.
+    The loader's message reads ``<file>:<line>: <reason>`` for a line of a dataset CSV
+    that differs from the dataset's, and ``<file>: <reason>`` for a fault in a world file.
     """
 
 
@@ -613,7 +614,7 @@ def synthesize(config: WorldConfig, seed: int) -> Dataset:
     return Dataset(
         seed=seed,
         frames=frames,
-        scans=Scans(dwell, dwells.t[dwell] + offsets[scan],
+        scans=Scans(dwell.copy(), dwells.t[dwell] + offsets[scan],  # a copy frees np.nonzero's (n, 4) array
                     k * config.bssids_per_ap + radio, np.minimum(levels[dwell, scan, k, radio], 0.0), bssids),
         gt_loop_pairs=frozenset(gt_loop_pairs),
         world=world,
@@ -733,34 +734,89 @@ def _presets() -> dict[str, WorldConfig]:
 FRAMES_HEADER = "id,t_s,gt_x,gt_y,gt_theta,odo_dx,odo_dy,odo_dtheta,template_id,words"
 SCANS_HEADER = "timestamp_s,bssid,rssi_dbm,dwell_index"
 LOOPS_HEADER = "id_a,id_b"
+CSV_FILES = ("frames.csv", "scans.csv", "loops_gt.csv")  # a dataset directory's CSVs; world.json comes last
 
 MAX_DWELLS = 1 << 20  # dwell indices lie below this
-_SCAN_ROWS = 1024  # scans.csv and loops_gt.csv lines split and checked per numpy pass; bounds the readers' memory
-_FRAME_ROWS = 128  # frames.csv lines, each about 1.5 kB, split and checked per numpy pass
+_DIGEST_BLOCK = 1 << 16  # bytes of a CSV hashed at a time
 
 T = TypeVar("T")
 
 
+def _frame_lines(frames: Frames) -> Iterator[str]:
+    yield FRAMES_HEADER + "\n"
+    offsets = frames.offsets.tolist()  # a bag's list "[1, 2]" is written "1|2"
+    bags = (str(frames.words[a:b].tolist())[1:-1].replace(", ", "|") for a, b in zip(offsets, offsets[1:]))
+    for i, (t, (x, y, theta), (dx, dy, dtheta), template, words) in enumerate(
+            zip(frames.t.tolist(), frames.gt.tolist(), frames.odom.tolist(), frames.template.tolist(), bags)):
+        yield f"{i},{t!r},{x!r},{y!r},{theta!r},{dx!r},{dy!r},{dtheta!r},{template},{words}\n"
+
+
+def _scan_lines(scans: Scans) -> Iterator[str]:
+    yield SCANS_HEADER + "\n"
+    for t, bssid, rssi, d in scans.rows():
+        yield f"{t!r},{bssid},{rssi!r},{d}\n"
+
+
+def _loop_lines(pairs: frozenset[tuple[int, int]]) -> Iterator[str]:
+    yield LOOPS_HEADER + "\n"
+    for a, b in sorted(pairs):
+        yield f"{a},{b}\n"
+
+
+def _csv_lines(dataset: Dataset) -> dict[str, Iterator[str]]:
+    """The lines of each of `CSV_FILES`, header first, as `save_dataset` writes them; made as they are read."""
+    return {"frames.csv": _frame_lines(dataset.frames), "scans.csv": _scan_lines(dataset.scans),
+            "loops_gt.csv": _loop_lines(dataset.gt_loop_pairs)}
+
+
+def _open_csv(path: Path) -> BinaryIO:
+    """A dataset CSV opened for reading bytes; DataError naming it if it cannot be opened."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _csv_digest(path: Path) -> str:
+    """sha256 of a file's bytes, read `_DIGEST_BLOCK` bytes at a time."""
+    h = hashlib.sha256()
+    with _open_csv(path) as fh:
+        for block in iter(lambda: fh.read(_DIGEST_BLOCK), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _columns_digest(dataset: Dataset) -> str:
+    """sha256 of the dataset's columns, each after its shape, as little-endian int64 or float64: the frames',
+    the readings', the sorted loop pairs; then the BSSIDs as a JSON list."""
+    f, s = dataset.frames, dataset.scans
+    pairs = np.array(sorted(dataset.gt_loop_pairs), dtype=np.int64).reshape(-1, 2)
+    h = hashlib.sha256()
+    for column in (f.t, f.gt, f.odom, f.template, f.words, f.offsets, s.dwell, s.t, s.bssid, s.rssi, pairs):
+        h.update(np.array(column.shape, dtype="<i8"))
+        h.update(np.ascontiguousarray(column, dtype="<f8" if column.dtype.kind == "f" else "<i8"))  # copies if it must
+    h.update(json.dumps(list(s.bssids)).encode())
+    return h.hexdigest()
+
+
+def _settings_digest(settings: dict) -> str:
+    """sha256 of a world-file object as canonical JSON."""
+    return hashlib.sha256(json.dumps(settings, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write a dataset directory: `CSV_FILES`, then world.json, which holds the world's settings and the
+    ``digests`` `load_dataset` checks: of those settings, of each CSV's bytes and of the dataset's columns."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frames = dataset.frames
-    with open(out / "frames.csv", "w", newline="") as fh:
-        fh.write(FRAMES_HEADER + "\n")
-        offsets = frames.offsets.tolist()  # a bag's list "[1, 2]" is written "1|2"
-        bags = (str(frames.words[a:b].tolist())[1:-1].replace(", ", "|") for a, b in zip(offsets, offsets[1:]))
-        for i, (t, (x, y, theta), (dx, dy, dtheta), template, words) in enumerate(
-                zip(frames.t.tolist(), frames.gt.tolist(), frames.odom.tolist(), frames.template.tolist(), bags)):
-            fh.write(f"{i},{t!r},{x!r},{y!r},{theta!r},{dx!r},{dy!r},{dtheta!r},{template},{words}\n")
-    with open(out / "scans.csv", "w", newline="") as fh:
-        fh.write(SCANS_HEADER + "\n")
-        fh.writelines(f"{t!r},{bssid},{rssi!r},{d}\n" for t, bssid, rssi, d in dataset.scans.rows())
-    with open(out / "loops_gt.csv", "w", newline="") as fh:
-        fh.write(LOOPS_HEADER + "\n")
-        for a, b in sorted(dataset.gt_loop_pairs):
-            fh.write(f"{a},{b}\n")
+    for name, lines in _csv_lines(dataset).items():
+        with open(out / name, "w", newline="") as fh:
+            fh.writelines(lines)
+    settings = _world_to_json(dataset.world, dataset.seed)
+    digests = {name: _csv_digest(out / name) for name in CSV_FILES}
+    digests.update(settings=_settings_digest(settings), columns=_columns_digest(dataset))
     with open(out / "world.json", "w") as fh:
-        json.dump(_world_to_json(dataset.world, dataset.seed), fh, indent=1, sort_keys=True)
+        json.dump({**settings, "digests": digests}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return out
 
@@ -792,7 +848,8 @@ def _world_to_json(w: World, seed: int) -> dict:
 def _config_from_json(wj: dict) -> WorldConfig:
     """The WorldConfig a world-file object describes: ``name``, ``trajectory``, ``template_of``
     and ``ap_count`` are required, absent settings take the dataclass defaults, and the keys
-    only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``) are not read.
+    only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``, ``digests``) are not read,
+    so ``gen --world`` on a saved world.json writes that dataset again.
     The settings are checked by `WorldConfig` itself."""
     scalars = ("tx_power_at_1m", "margin", "scans_per_dwell", "bssids_per_ap")
     return WorldConfig(
@@ -808,20 +865,23 @@ def _config_from_json(wj: dict) -> WorldConfig:
     )
 
 
-def _saved_world(wj: dict) -> tuple[World, int]:
-    """The World and seed of a saved dataset's world.json, derived from its config and seed. Its keys that
-    follow from those (``bounds``, ``aps``, ``corridors``) are checked, not read: ValueError unless each
-    equals the derived world's as `_world_to_json` renders it."""
+def _saved_world(wj: dict) -> tuple[WorldConfig, int, dict]:
+    """The config, seed and ``digests`` of a saved dataset's world.json. Its keys that follow from the config
+    and seed (``bounds``, ``aps``, ``corridors``) are checked, not read: ValueError unless each equals the
+    derived world's as `_world_to_json` renders it, or unless the settings so rendered have the recorded
+    ``digests`` ``settings``, so that no setting was edited."""
     config, seed = _config_from_json(wj), wj["seed"]
     out_of_step = "{!r} differs from the world its config and seed derive"
     if len(wj["aps"]) != config.ap_count:  # counted before any AP is placed, so a bad ap_count sizes no work
         raise ValueError(out_of_step.format("aps"))
-    world = derive_world(config, seed)
-    rendered = _world_to_json(world, seed)
+    rendered = _world_to_json(derive_world(config, seed), seed)
     for key in ("bounds", "aps", "corridors"):
         if wj[key] != rendered[key]:
             raise ValueError(out_of_step.format(key))
-    return world, seed
+    digests = {key: wj["digests"][key] for key in ("settings", *CSV_FILES, "columns")}
+    if _settings_digest(rendered) != digests["settings"]:
+        raise ValueError("the settings differ from those the dataset was saved with")
+    return config, seed, digests
 
 
 def _read_world_file(path: Path, build: Callable[[dict], T]) -> T:
@@ -847,193 +907,32 @@ def load_world_config(path: str | Path) -> WorldConfig:
     return _read_world_file(Path(path), _config_from_json)
 
 
-class _LineFault(ValueError):
-    """A fault a dataset CSV parser finds after reading, blamed on an earlier ``line``."""
-
-    def __init__(self, line: int, reason: str) -> None:
-        super().__init__(reason)
-        self.line = line
-
-
-def _read_csv(path: Path, header: str, parse: Callable[[TextIO], T]) -> T:
-    """Check a dataset CSV's header, then ``parse`` the rest of the open file. Any fault
-    raises DataError naming the file, and the line of a `_LineFault`."""
-    try:
-        with open(path, newline="") as fh:
-            if fh.readline().strip() != header:
-                raise _LineFault(1, f"expected header {header}")
-            return parse(fh)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    except _LineFault as exc:
-        raise DataError(f"{path}:{exc.line}: {exc}") from exc
-    except (OverflowError, ValueError) as exc:  # a fault in reading the file, not in a row
-        raise DataError(f"{path}: {exc}") from exc
-
-
-def _finite(text: str) -> float:
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite number {text!r}")
-    return v
-
-
-def _table(fh: TextIO, size: int, n_fields: int, parse: Callable[[list[str]], T],
-           check: Callable[[list[str]], None]) -> list[tuple[np.ndarray, T]]:
-    """The rest of a dataset CSV, read ``size`` lines at a time: for each chunk (at least one), the line
-    numbers of its non-blank lines and ``parse`` of their stripped rows' fields, row after row. A chunk
-    with a fault (a row without ``n_fields`` fields, or a ValueError or OverflowError from ``parse``) is
-    checked again row by row, its field count and then ``check`` of its fields, and the first fault found
-    is raised naming its row's line; if none is, the chunk's own fault is raised."""
-    out, start, chunk = [], 2, None  # start: the line number of the next chunk's first line
-    while chunk is None or len(chunk) == size:  # until a chunk comes back short
-        chunk = list(islice(fh, size))
-        text = list(map(str.strip, chunk))
-        lines, rows = np.flatnonzero(list(map(bool, text))) + start, list(filter(None, text))
-        start += len(text)
-        try:
-            if not set(map(str.count, rows, repeat(","))) <= {n_fields - 1}:
-                raise ValueError(f"a row without {n_fields} fields")
-            out.append((lines, parse(",".join(rows).split(",") if rows else [])))
-        except (OverflowError, ValueError):
-            for line, row in zip(lines.tolist(), rows):
-                try:
-                    p = row.split(",")
-                    if len(p) != n_fields:
-                        raise ValueError(f"expected {n_fields} fields, got {len(p)}")
-                    check(p)
-                except ValueError as exc:
-                    raise _LineFault(line, str(exc)) from exc
-            raise
-    return out
-
-
-def _ints(texts: list[str]) -> np.ndarray:
-    return np.array(list(map(int, texts)), dtype=np.int64)
-
-
-def _frames(fh: TextIO, templates: Sequence[int]) -> Frames:
-    """Frames in row order, read `_FRAME_ROWS` lines at a time (`_table`); ``check`` names the first
-    faulty row of a faulty chunk. A row's id must be its index, its timestamp no earlier than the previous
-    row's, its word bag non-empty, each word ASCII decimal digits for an integer below `MAX_WORD_ID`, and
-    its template one of ``templates``, those the world's corridors carry."""
-    n, last_t = 0, -math.inf  # the rows read, and the last one's time
-
-    def parse(fields: list[str]) -> tuple[np.ndarray, ...]:
-        nonlocal n, last_t
-        values = np.array([list(map(float, fields[k::10])) for k in range(1, 8)]).reshape(7, -1)  # t, gt, odom
-        template, bags = _ints(fields[8::10]), fields[9::10]
-        text = "|".join(bags)  # a fault: a byte besides ASCII digits and "|", or an empty word
-        if bags and (text.encode().translate(None, b"0123456789|") or "||" in f"|{text}|"):
-            raise ValueError("a faulty word bag")
-        words = np.fromstring(text, dtype=np.int64, sep="|") if bags else np.zeros(0, dtype=np.int64)
-        t = np.concatenate(([last_t], values[0]))
-        if (list(map(int, fields[0::10])) != list(range(n, n + len(bags))) or not np.isfinite(values).all()
-                or (t[1:] < t[:-1]).any() or (words >= MAX_WORD_ID).any() or not np.isin(template, templates).all()):
-            raise ValueError("a faulty frame row")
-        n, last_t = n + len(bags), float(t[-1])
-        return values, template, words, np.array(list(map(str.count, bags, repeat("|"))), dtype=np.int64) + 1
-
-    def check(p: list[str]) -> None:  # the fields of row n in the order id, time, bag, poses, words, template
-        nonlocal n, last_t
-        i, t = int(p[0]), _finite(p[1])
-        if i != n:
-            raise ValueError(f"frame id {i} is not the row index {n}")
-        if t < last_t:
-            raise ValueError(f"timestamp {t!r} s is earlier than the previous frame's {last_t!r} s")
-        if not p[9]:
-            raise ValueError("empty word bag")
-        list(map(_finite, p[2:8]))
-        for w in p[9].split("|"):
-            if not (w.isascii() and w.isdigit() and int(w) < MAX_WORD_ID):
-                int(w)  # a word int() rejects keeps int()'s message
-                raise ValueError(f"word {w!r} is not a decimal integer in [0, {MAX_WORD_ID})")
-        if not -1 << 63 <= int(p[8]) < 1 << 63:
-            raise ValueError(f"template id {int(p[8])} does not fit in 64 bits")
-        if int(p[8]) not in templates:
-            raise ValueError(f"no corridor carries template {int(p[8])}")
-        n, last_t = n + 1, t
-
-    chunks = (columns for _, columns in _table(fh, _FRAME_ROWS, 10, parse, check))
-    values, template, words, sizes = (np.concatenate(column, axis=-1) for column in zip(*chunks))
-    t, gt, odom = values[0], values[1:4].T, values[4:7].T
-    gt[:, 2], odom[:, 2] = (list(map(wrap_angle, theta.tolist())) for theta in (gt[:, 2], odom[:, 2]))  # as Pose2 does
-    return Frames(t, gt, odom, template, words, np.concatenate(([0], np.cumsum(sizes))))
-
-
-def _scans(fh: TextIO) -> Scans:
-    """Readings grouped by dwell, each dwell's in row order, read `_SCAN_ROWS` lines at a time (`_table`);
-    `_check_scan_row` names the first faulty row of a faulty chunk. A dwell whose mean reading time (its
-    signature's ``collected_at``) is earlier than the previous dwell's is blamed on its first reading."""
-    bssids = {}  # each distinct BSSID's code, in order of first use
-
-    def parse(fields: list[str]) -> tuple[np.ndarray, ...]:
-        t, r = (np.array(list(map(float, fields[k::4])), dtype=float) for k in (0, 2))
-        d = _ints(fields[3::4])
-        known = len(bssids)
-        for b in dict.fromkeys(fields[1::4]):
-            bssids.setdefault(b, len(bssids))
-        code = np.array(list(map(bssids.__getitem__, fields[1::4])), dtype=np.int64)
-        list(map(mask_bssid, list(bssids)[known:]))  # each distinct BSSID must be a MAC
-        if not (np.isfinite(t) & np.isfinite(r) & (r <= 0) & (d >= 0) & (d < MAX_DWELLS)).all():
-            raise ValueError("a faulty scan row")
-        return d, t, code, r
-
-    lines, columns = zip(*_table(fh, _SCAN_ROWS, 4, parse, _check_scan_row))
-    d, t, code, r = (np.concatenate(column) for column in zip(*columns))
-    order = np.argsort(d, kind="stable")
-    scans = Scans(d[order], t[order], code[order], r[order], tuple(bssids))
-    dwells, first, at = np.unique(scans.dwell, return_index=True, return_inverse=True)
-    means = (np.bincount(at, weights=scans.t) / np.bincount(at)).tolist()
-    late = np.flatnonzero(np.less(means[1:], means[:-1]))  # dwell k + 1 has an earlier mean than dwell k
-    if late.size:
-        k = int(late[0])
-        raise _LineFault(int(np.concatenate(lines)[order[first[k + 1]]]),
-                         f"dwell {dwells[k + 1]} (mean time {means[k + 1]!r} s) is "
-                         f"earlier than dwell {dwells[k]} ({means[k]!r} s)")
-    return scans
-
-
-def _check_scan_row(p: list[str]) -> None:  # the fields in the order dwell, timestamp, RSSI, BSSID
-    t_s, bssid, rssi, dwell = p
-    if not 0 <= int(dwell) < MAX_DWELLS:
-        raise ValueError(f"dwell index {int(dwell)} outside [0, {MAX_DWELLS})")
-    _finite(t_s)
-    if _finite(rssi) > 0:
-        raise ValueError(f"rssi must be <= 0 dBm, got {float(rssi)}")
-    mask_bssid(bssid)
-
-
-def _loop_rows(fh: TextIO, n_frames: int) -> frozenset[tuple[int, int]]:
-    """Ground-truth loop pairs, read `_SCAN_ROWS` lines at a time (`_table`). Each row must name two
-    frames, the earlier first."""
-    def parse(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        a, b = _ints(fields[0::2]), _ints(fields[1::2])
-        if not ((0 <= a) & (a < b) & (b < n_frames)).all():
-            raise ValueError("a faulty loop pair")
-        return a, b
-
-    def check(p: list[str]) -> None:
-        a, b = int(p[0]), int(p[1])
-        if not 0 <= a < b < n_frames:
-            raise ValueError(f"loop pair {a},{b} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count")
-
-    a, b = (np.concatenate(column) for column in zip(*(pair for _, pair in _table(fh, _SCAN_ROWS, 2, parse, check))))
-    return frozenset(zip(a.tolist(), b.tolist()))
+def _first_difference(path: Path, lines: Iterator[str]) -> int:
+    """The number of the first line of ``path`` that differs from ``lines``, a line only one of the two has
+    included; 0 if the file holds exactly ``lines``."""
+    with _open_csv(path) as fh:
+        for k, (got, want) in enumerate(zip_longest(fh, (line.encode() for line in lines)), start=1):
+            if got != want:
+                return k
+    return 0
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load a dataset directory written by save_dataset; the one reader of the dataset format.
+    """Load a dataset directory written by `save_dataset`, the one reader of the dataset format: the dataset
+    `synthesize` derives from world.json's config and seed, checked against the ``digests`` recorded there.
 
-    Every fault in its files raises DataError naming the file (and the line of a CSV row)."""
+    world.json is checked before anything is synthesized, each CSV's bytes and the synthesized columns after.
+    Every fault raises DataError naming world.json, or the first line that differs from what `save_dataset`
+    writes for the config and seed in the first CSV whose bytes differ from their digest."""
     root = Path(path)
-    world, seed = _read_world_file(root / "world.json", _saved_world)
-    templates = [c.template for c in world.corridors]
-    frames = _read_csv(root / "frames.csv", FRAMES_HEADER, lambda fh: _frames(fh, templates))
-    return Dataset(
-        seed=seed,
-        frames=frames,
-        scans=_read_csv(root / "scans.csv", SCANS_HEADER, _scans),
-        gt_loop_pairs=_read_csv(root / "loops_gt.csv", LOOPS_HEADER, lambda fh: _loop_rows(fh, len(frames))),
-        world=world,
-    )
+    config, seed, digests = _read_world_file(root / "world.json", _saved_world)
+    edited = [name for name in CSV_FILES if _csv_digest(root / name) != digests[name]]
+    dataset = synthesize(config, seed)
+    if not edited and _columns_digest(dataset) == digests["columns"]:
+        return dataset
+    lines = _csv_lines(dataset)
+    for name in edited:
+        line = _first_difference(root / name, lines[name])
+        if line:
+            raise DataError(f"{root / name}:{line}: differs from the dataset world.json's config and seed derive")
+    raise DataError(f"{root / 'world.json'}: the dataset its config and seed derive differs from its 'digests'")

@@ -80,7 +80,8 @@ class TestGen:
         out = tmp_path / "from_json"
         code = run_cli("gen", "--world", gen_dir / "world.json", "--seed", "0", "--out", out)
         assert code == 0
-        assert (gen_dir / "frames.csv").read_bytes() == (out / "frames.csv").read_bytes()
+        for name in ("frames.csv", "scans.csv", "loops_gt.csv", "world.json"):
+            assert (gen_dir / name).read_bytes() == (out / name).read_bytes(), name
 
     @pytest.mark.parametrize("text, reason", [
         ('{"name": "w", "trajectory": {"shape": "square_loop", "scale": 5.0}, "template_of": {}}',
@@ -447,6 +448,9 @@ def run_on_dataset(command, dataset, tmp_path):
     return run_cli(command, "--dataset", dataset, "--out", tmp_path / "o")
 
 
+DIFFERS = "differs from the dataset world.json's config and seed derive"
+
+
 def _broken_dataset(gen_dir, root, fault):
     """A copy of the dataset with one fault; returns its path and the text stderr must show."""
     d = root / "broken"
@@ -467,6 +471,11 @@ def _broken_dataset(gen_dir, root, fault):
         wj["trajectory"]["laps"] = 1e12
         (d / "world.json").write_text(json.dumps(wj))
         return d, f"{d / 'world.json'}: the trajectory (1000000000000.0 laps) may have up to "
+    if fault == "edited_setting":  # noisier odometry and readings than the files were written with
+        wj = json.loads((d / "world.json").read_text())
+        wj["odom_noise"]["sigma_xy_per_m"], wj["propagation"]["noise_sigma_db"] = 0.5, 9.0
+        (d / "world.json").write_text(json.dumps(wj))
+        return d, f"{d / 'world.json'}: the settings differ from those the dataset was saved with"
     if fault in world_edits:
         key, edit = world_edits[fault]
         wj = json.loads((d / "world.json").read_text())
@@ -480,27 +489,27 @@ def _broken_dataset(gen_dir, root, fault):
             t, *rest = lines[k].split(",")
             lines[k] = ",".join([repr(float(t) - 1000.0), *rest])
         (d / "scans.csv").write_text("\n".join(lines))
-        return d, f"{d / 'scans.csv'}:{moved[0] + 1}: dwell 1 "
+        return d, f"{d / 'scans.csv'}:{moved[0] + 1}: {DIFFERS}"
     if fault == "unsorted_frames":  # frames 0 and 1 swap rows
         lines = (d / "frames.csv").read_text().split("\n")
         lines[1], lines[2] = lines[2], lines[1]
         (d / "frames.csv").write_text("\n".join(lines))
-        return d, f"{d / 'frames.csv'}:2: frame id 1 is not the row index 0"
-    scan_faults = {  # on a middle row, and a BSSID first seen there; fault -> (field, value, reason)
-        "bad_bssid": (1, "ZZ:00:00:00:00:01", "malformed MAC 'ZZ:00:00:00:00:01': bad octet 'ZZ'"),
-        "positive_rssi": (2, "5.0", "rssi must be <= 0 dBm, got 5.0"),
-        "nan_rssi": (2, "nan", "non-finite number 'nan'"),
-        "inf_timestamp": (0, "inf", "non-finite number 'inf'"),
+        return d, f"{d / 'frames.csv'}:2: {DIFFERS}"
+    scan_faults = {  # on a middle row; fault -> (field, value)
+        "bad_bssid": (1, "ZZ:00:00:00:00:01"),
+        "positive_rssi": (2, "5.0"),
+        "nan_rssi": (2, "nan"),
+        "inf_timestamp": (0, "inf"),
     }
     if fault in scan_faults:
-        field, value, reason = scan_faults[fault]
+        field, value = scan_faults[fault]
         lines = (d / "scans.csv").read_text().split("\n")
         k = len(lines) // 2
         row = lines[k].split(",")
         row[field] = value
         lines[k] = ",".join(row)
         (d / "scans.csv").write_text("\n".join(lines))
-        return d, f"{d / 'scans.csv'}:{k + 1}: {reason}"
+        return d, f"{d / 'scans.csv'}:{k + 1}: {DIFFERS}"
     name, edit = {
         "nan_odometry": ("frames.csv", lambda row: [*row[:5], "nan", *row[6:]]),
         "non_numeric_id": ("frames.csv", lambda row: ["x", *row[1:]]),
@@ -510,7 +519,7 @@ def _broken_dataset(gen_dir, root, fault):
     lines = (d / name).read_text().split("\n")
     lines[1] = ",".join(edit(lines[1].split(",")))
     (d / name).write_text("\n".join(lines))
-    return d, f"{d / name}:2: "
+    return d, f"{d / name}:2: {DIFFERS}"
 
 
 @pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
@@ -518,7 +527,7 @@ def _broken_dataset(gen_dir, root, fault):
     "fault",
     ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
      "unsorted_frames", "nan_odometry", "nan_rssi", "inf_timestamp", "reversed_loop_pair", "corridor_template_string",
-     "moved_ap", "endless_path"],
+     "moved_ap", "endless_path", "edited_setting"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)
@@ -529,7 +538,7 @@ def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
 
 @pytest.mark.parametrize("word", ["-5", "99999999999999999999999", "1_0", "٣"])
 def test_word_outside_the_domain_exit_3(gen_dir, tmp_path, capsys, word):
-    """int() accepts each of these words; the loader takes only ASCII decimal words below 2**31."""
+    """int() accepts each of these words, and no dataset holds them."""
     dataset = shutil.copytree(gen_dir, tmp_path / "d")
     path = dataset / "frames.csv"
     lines = path.read_text().split("\n")
@@ -537,14 +546,19 @@ def test_word_outside_the_domain_exit_3(gen_dir, tmp_path, capsys, word):
     path.write_text("\n".join(lines), encoding="utf-8")
     assert run_on_dataset("localize", dataset, tmp_path) == 3
     err = capsys.readouterr().err
-    assert f"{path}:2: word {word!r} is not a decimal integer in [0, 2147483648)" in err and "Traceback" not in err
+    assert f"{path}:2: {DIFFERS}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "curve", "localize", "sweep"])
 def test_no_signatures_exit_3(gen_dir, tmp_path, capsys, command):
+    """A dataset whose visibility floor no reading reaches holds no reading, so no signature."""
+    world = tmp_path / "silent.json"
+    wj = json.loads((gen_dir / "world.json").read_text())
+    wj["propagation"]["visibility_floor_dbm"] = 100.0
+    world.write_text(json.dumps(wj))
     dataset = tmp_path / "no_scans"
-    shutil.copytree(gen_dir, dataset)
-    (dataset / "scans.csv").write_text(simworld.SCANS_HEADER + "\n")
+    assert run_cli("gen", "--world", world, "--seed", "0", "--out", dataset) == 0
+    assert (dataset / "scans.csv").read_text() == simworld.SCANS_HEADER + "\n"
     assert run_on_dataset(command, dataset, tmp_path) == 3
     assert "signatures" in capsys.readouterr().err
 

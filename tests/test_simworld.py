@@ -5,6 +5,8 @@ import math
 import shutil
 import tempfile
 from dataclasses import fields, replace
+from io import BytesIO
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from wifislam import simworld
 from wifislam.posegraph import Pose2, between, compose, wrap_angle
-from wifislam.signature import mask_bssid
 from wifislam.simworld import (
     FRAME_RATE_HZ,
     LOOP_PAIR_GAP_S,
@@ -347,6 +348,7 @@ class TestSynthesize:
         assert floored and clipped  # the floor and the clip both act
         assert list(ds.scans.rows()) == expected
         assert ds.scans.t.dtype == ds.scans.rssi.dtype == np.float64
+        assert all(column.base is None for column in (ds.scans.dwell, ds.scans.t, ds.scans.bssid, ds.scans.rssi))
 
     def test_no_reading_below_floor(self, tiny_world):
         floor = tiny_world.propagation.visibility_floor_dbm
@@ -609,25 +611,23 @@ class TestSerialization:
 
 
 DATASET_FILES = ("frames.csv", "scans.csv", "loops_gt.csv", "world.json")
+DIFFERS = "differs from the dataset world.json's config and seed derive"
+BLOCK = 1024  # scans.csv rows; edits fall at and across multiples of it, in a file of several
+TINY = WorldConfig(name="tiny", trajectory=TrajectorySpec(shape="square_loop", scale=6.0),
+                   template_of={0: 0, 1: 1, 2: 0, 3: 2}, ap_count=4)
 
 
 @pytest.fixture(scope="module")
 def saved_tiny(tmp_path_factory):
     """A small saved dataset that tests copy before altering."""
-    config = WorldConfig(
-        name="tiny",
-        trajectory=TrajectorySpec(shape="square_loop", scale=6.0),
-        template_of={0: 0, 1: 1, 2: 0, 3: 2},
-        ap_count=4,
-    )
-    return save_dataset(synthesize(config, seed=3), tmp_path_factory.mktemp("saved") / "d")
+    return save_dataset(synthesize(TINY, seed=3), tmp_path_factory.mktemp("saved") / "d")
 
 
 @pytest.fixture(scope="module")
-def saved_b_hall(tmp_path_factory):
-    """A saved preset dataset whose scans.csv spans several of the reader's chunks."""
-    saved = save_dataset(synthesize(preset_worlds()["b_hall"], seed=0), tmp_path_factory.mktemp("saved") / "b")
-    assert len((saved / "scans.csv").read_text().split("\n")) > 3 * simworld._SCAN_ROWS
+def saved_b_hall(tmp_path_factory, dataset_cache):
+    """A saved preset dataset whose scans.csv spans several blocks of rows."""
+    saved = save_dataset(dataset_cache("b_hall", 0), tmp_path_factory.mktemp("saved") / "b")
+    assert len((saved / "scans.csv").read_text().split("\n")) > 3 * BLOCK
     return saved
 
 
@@ -636,101 +636,103 @@ def tiny_copy(saved_tiny, tmp_path):
     return Path(shutil.copytree(saved_tiny, tmp_path / "d"))
 
 
+def first_differing_line(saved: bytes, edited: bytes) -> int:
+    """Reference: the first line, counted from 1, at which two files differ, each line ending after its
+    newline byte; a line only one of them has counts."""
+    pairs = zip_longest(BytesIO(saved).readlines(), BytesIO(edited).readlines())
+    return next(k for k, (a, b) in enumerate(pairs, start=1) if a != b)
+
+
+def load_fault(d):
+    """The DataError message `load_dataset` raises on directory ``d``, or None if it loads."""
+    try:
+        load_dataset(d)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+def assert_first_difference_named(d, name, saved_dir, line=None):
+    """Loading ``d``, whose ``name`` was edited from ``saved_dir``'s, names the first line that differs,
+    as the reference finds it (and as ``line`` gives it), or loads if the file is unchanged."""
+    path, saved = d / name, (saved_dir / name).read_bytes()
+    if path.read_bytes() == saved:
+        assert line is None and load_fault(d) is None
+        return
+    expected = first_differing_line(saved, path.read_bytes())
+    assert load_fault(d) == f"{path}:{expected}: {DIFFERS}"
+    assert line in (None, expected)
+
+
 class TestLoadDataset:
-    def test_scan_rows_roundtrip(self, tiny_copy):
+    def test_scan_rows_roundtrip(self, tiny_copy, saved_tiny):
+        """The saved readings load as the synthesized ones. Readings written by hand are not the dataset's,
+        however well-formed: their first line is named."""
+        assert load_dataset(tiny_copy).scans == synthesize(TINY, seed=3).scans
         (tiny_copy / "scans.csv").write_text(
-            "timestamp_s,bssid,rssi_dbm,dwell_index\n"
+            f"{simworld.SCANS_HEADER}\n"
             "0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n1.5,AA:BB:CC:DD:EE:F4,-60,0\n2.5,AA:BB:CC:DD:EE:F4,-61,2\n"
         )
-        ds = load_dataset(tiny_copy)
-        assert list(ds.scans.rows()) == [
-            (0.5, "AA:BB:CC:DD:EE:F3", -55.5, 0), (1.5, "AA:BB:CC:DD:EE:F4", -60.0, 0),
-            (2.5, "AA:BB:CC:DD:EE:F4", -61.0, 2),
-        ]
+        assert_first_difference_named(tiny_copy, "scans.csv", saved_tiny, line=2)
 
-    def test_checks_each_distinct_bssid_once(self, monkeypatch, tiny_copy):
-        calls = []
-        monkeypatch.setattr(simworld, "mask_bssid", lambda b: calls.append(b) or mask_bssid(b))
-        ds = load_dataset(tiny_copy)
-        assert len(ds.scans.dwell) > len(calls) == len(set(calls)) == len(set(b for _, b, _, _ in ds.scans.rows()))
-
-    def test_interleaved_dwells_group_in_row_order(self, tiny_copy):
+    def test_interleaved_dwells_group_in_row_order(self, tiny_copy, saved_tiny):
+        """Readings whose dwells interleave are not regrouped into a dataset: their first line is named."""
         (tiny_copy / "scans.csv").write_text(
-            "timestamp_s,bssid,rssi_dbm,dwell_index\n"
+            f"{simworld.SCANS_HEADER}\n"
             "0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n9.0,aa:bb:cc:dd:ee:f4,-70,1\n1.5,AA:BB:CC:DD:EE:F4,-60,0\n"
         )
-        ds = load_dataset(tiny_copy)
-        assert list(ds.scans.rows()) == [
-            (0.5, "AA:BB:CC:DD:EE:F3", -55.5, 0), (1.5, "AA:BB:CC:DD:EE:F4", -60.0, 0),
-            (9.0, "aa:bb:cc:dd:ee:f4", -70.0, 1),
-        ]
-        assert [(s.pause_index, s.collected_at, dict(s.entries)) for s in ds.signatures] == [
-            (0, 1.0, {"AA:BB:CC:DD:EE:F0": 42.25}), (1, 9.0, {"AA:BB:CC:DD:EE:F0": 30.0}),
-        ]
+        assert_first_difference_named(tiny_copy, "scans.csv", saved_tiny, line=2)
 
-    @pytest.mark.parametrize("field, value, reason", [
-        (1, "ZZ:00:00:00:00:01", "malformed MAC 'ZZ:00:00:00:00:01': bad octet 'ZZ'"),
-        (2, "5.0", "rssi must be <= 0 dBm, got 5.0"),
-        (2, "nan", "non-finite number 'nan'"),
-        (2, "-", "could not convert string to float: '-'"),
-        (0, "inf", "non-finite number 'inf'"),
-        (3, "x", "invalid literal for int() with base 10: 'x'"),
+    @pytest.mark.parametrize("field, value", [
+        (1, "ZZ:00:00:00:00:01"), (2, "5.0"), (2, "nan"), (2, "-"), (0, "inf"), (3, "x"),
     ], ids=["bad_bssid", "positive_rssi", "nan_rssi", "non_numeric_rssi", "inf_timestamp", "non_numeric_dwell"])
-    @pytest.mark.parametrize("row", ["middle", 1024, 1025], ids=["middle", "last_of_a_chunk", "first_of_a_chunk"])
-    def test_bad_scan_row_names_its_line(self, saved_b_hall, tmp_path, row, field, value, reason):
-        """A fault on a data row, after a valid lower-case BSSID, is blamed on that row; a
-        later row with another fault does not move the blame. The reader checks
-        ``simworld._SCAN_ROWS`` = 1024 lines at a time."""
+    @pytest.mark.parametrize("row", ["middle", BLOCK, BLOCK + 1], ids=["middle", "last_of_a_chunk", "first_of_a_chunk"])
+    def test_bad_scan_row_names_its_line(self, saved_b_hall, tmp_path, row, field, value):
+        """A faulty value on a data row, rows 1,024 and 1,025 included, is named by its line; later rows
+        with other faults do not move the blame."""
         d = Path(shutil.copytree(saved_b_hall, tmp_path / "d"))
         path = d / "scans.csv"
         lines = path.read_text().split("\n")
         k = len(lines) // 2 if row == "middle" else row
-        lines[1] = lines[1].lower()
         fields = lines[k].split(",")
         fields[field] = value
         lines[k] = ",".join(fields)
         lines[k + 2] = lines[k + 2].replace(",-", ",5", 1)  # a positive RSSI, then a row of two fields
         lines[k + 3] = "broken,row"
         path.write_text("\n".join(lines))
-        with pytest.raises(DataError) as exc:
-            load_dataset(d)
-        assert str(exc.value) == f"{path}:{k + 1}: {reason}"
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=k + 1)
 
-    @pytest.mark.parametrize("fields, reason", [
-        (("x", "ZZ", "5.0", "-1"), "dwell index -1 outside [0, 1048576)"),
-        (("x", "ZZ", "5.0", "0"), "could not convert string to float: 'x'"),
-        (("0.5", "ZZ", "nan", "0"), "non-finite number 'nan'"),
-        (("0.5", "ZZ", "5.0", "0"), "rssi must be <= 0 dBm, got 5.0"),
+    @pytest.mark.parametrize("fields", [
+        ("x", "ZZ", "5.0", "-1"), ("x", "ZZ", "5.0", "0"), ("0.5", "ZZ", "nan", "0"), ("0.5", "ZZ", "5.0", "0"),
     ], ids=["dwell", "timestamp", "rssi", "positive_rssi"])
-    def test_row_faults_are_checked_in_field_order(self, tiny_copy, fields, reason):
-        path = tiny_copy / "scans.csv"
-        path.write_text(f"timestamp_s,bssid,rssi_dbm,dwell_index\n0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n{','.join(fields)}\n")
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value) == f"{path}:3: {reason}"
+    def test_row_faults_are_checked_in_field_order(self, tiny_copy, saved_tiny, fields):
+        """A row with several faulty fields is named by its line, whichever fields they are."""
+        lines = (saved_tiny / "scans.csv").read_text().split("\n")
+        (tiny_copy / "scans.csv").write_text(f"{lines[0]}\n{lines[1]}\n{','.join(fields)}\n")
+        assert_first_difference_named(tiny_copy, "scans.csv", saved_tiny, line=3)
 
-    def test_error_names_line(self, tiny_copy):
-        path = tiny_copy / "scans.csv"
-        path.write_text("timestamp_s,bssid,rssi_dbm,dwell_index\n0.5,AA:BB:CC:DD:EE:F3,-55.5,0\nbroken,row\n")
-        with pytest.raises(DataError, match="expected 4 fields, got 2") as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value).startswith(f"{path}:3: ")
+    def test_error_names_line(self, tiny_copy, saved_tiny):
+        lines = (saved_tiny / "scans.csv").read_text().split("\n")
+        (tiny_copy / "scans.csv").write_text(f"{lines[0]}\n{lines[1]}\nbroken,row\n")
+        assert_first_difference_named(tiny_copy, "scans.csv", saved_tiny, line=3)
 
     @pytest.mark.parametrize("dwell", [-1, 1 << 20, 10**18])
-    def test_dwell_index_out_of_range(self, tiny_copy, dwell):
-        path = tiny_copy / "scans.csv"
-        path.write_text(f"timestamp_s,bssid,rssi_dbm,dwell_index\n0.5,AA:BB:CC:DD:EE:F3,-55.5,{dwell}\n")
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value) == f"{path}:2: dwell index {dwell} outside [0, {1 << 20})"
+    def test_dwell_index_out_of_range(self, tiny_copy, saved_tiny, dwell):
+        (tiny_copy / "scans.csv").write_text(f"{simworld.SCANS_HEADER}\n0.5,AA:BB:CC:DD:EE:F3,-55.5,{dwell}\n")
+        assert_first_difference_named(tiny_copy, "scans.csv", saved_tiny, line=2)
 
     @pytest.mark.parametrize("name", ["frames.csv", "scans.csv", "loops_gt.csv"])
-    def test_bad_header(self, tiny_copy, name):
+    def test_bad_header(self, tiny_copy, saved_tiny, name):
         path = tiny_copy / name
         path.write_text("time,mac,power\n" + path.read_text().split("\n", 1)[1])
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value).startswith(f"{path}:1: expected header ")
+        assert_first_difference_named(tiny_copy, name, saved_tiny, line=1)
+
+    @pytest.mark.parametrize("name", ["frames.csv", "scans.csv", "loops_gt.csv"])
+    def test_missing_csv_names_it(self, tiny_copy, monkeypatch, name):
+        """A CSV that cannot be opened is named before anything is synthesized."""
+        monkeypatch.setattr(simworld, "synthesize", lambda *args: pytest.fail("synthesized without the CSVs"))
+        (tiny_copy / name).unlink()
+        assert load_fault(tiny_copy) == f"{tiny_copy / name}: No such file or directory"
 
     def test_absent_optional_key_takes_default(self, tiny_copy):
         path = tiny_copy / "world.json"
@@ -744,7 +746,7 @@ class TestLoadDataset:
             assert config.extra_walls == defaults.extra_walls
             assert config.appearance == defaults.appearance
 
-    @pytest.mark.parametrize("key", ["name", "trajectory", "template_of", "ap_count", "seed", "aps"])
+    @pytest.mark.parametrize("key", ["name", "trajectory", "template_of", "ap_count", "seed", "aps", "digests"])
     def test_missing_required_key(self, tiny_copy, key):
         path = tiny_copy / "world.json"
         wj = json.loads(path.read_text())
@@ -772,6 +774,49 @@ class TestLoadDataset:
             load_dataset(tiny_copy)
         assert str(exc.value) == f"{path}: {key!r} differs from the world its config and seed derive"
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("odom_noise", "sigma_xy_per_m", 0.5),
+        ("propagation", "noise_sigma_db", 9.0),
+        ("trajectory", "laps", 5000.0),  # within the limits, a long path to synthesize
+        (None, "scans_per_dwell", 6),
+        (None, "name", "other"),
+        (None, "margin", 4),  # the int of an equal float setting
+    ], ids=["odom_noise", "rssi_noise", "laps", "scans_per_dwell", "name", "int_margin"])
+    def test_edited_setting_is_named_before_synthesis(self, tiny_copy, monkeypatch, section, key, value):
+        """A setting that differs from the one the dataset was saved with fails the recorded settings digest
+        before anything is synthesized."""
+        monkeypatch.setattr(simworld, "synthesize", lambda *args: pytest.fail("synthesized an edited world"))
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        (wj[section] if section else wj)[key] = value
+        path.write_text(json.dumps(wj))
+        assert load_fault(tiny_copy) == f"{path}: the settings differ from those the dataset was saved with"
+
+    @pytest.mark.parametrize("key", ["frames.csv", "scans.csv", "loops_gt.csv", "columns", "settings"])
+    def test_edited_digest_names_world_json(self, tiny_copy, key):
+        """A recorded digest that no longer fits files that are the dataset's names world.json."""
+        path = tiny_copy / "world.json"
+        wj = json.loads(path.read_text())
+        wj["digests"][key] = "0" * 64
+        path.write_text(json.dumps(wj))
+        reason = ("the settings differ from those the dataset was saved with" if key == "settings"
+                  else "the dataset its config and seed derive differs from its 'digests'")
+        assert load_fault(tiny_copy) == f"{path}: {reason}"
+
+    def test_changed_synthesis_names_world_json(self, tiny_copy, monkeypatch):
+        """Unedited files whose config and seed now derive other data, as another numpy's streams might: one
+        reading 1 dB weaker fails the columns digest, and world.json is named."""
+        synthesize_as_saved = simworld.synthesize
+
+        def shifted(config, seed):
+            dataset = synthesize_as_saved(config, seed)
+            dataset.scans.rssi[0] -= 1.0
+            return dataset
+
+        monkeypatch.setattr(simworld, "synthesize", shifted)
+        path = tiny_copy / "world.json"
+        assert load_fault(tiny_copy) == f"{path}: the dataset its config and seed derive differs from its 'digests'"
+
     def test_ap_count_is_checked_before_any_ap_is_placed(self, tiny_copy, monkeypatch):
         """An ``ap_count`` other than the number of ``aps`` is rejected before the world is derived, so a
         corrupt count, however large, sizes no work: one past the MACs' room fails the config's own check,
@@ -798,49 +843,36 @@ class TestLoadDataset:
         assert str(exc.value) == f"{path}: seed must be an integer >= 0, got {seed!r}"
 
     @pytest.mark.parametrize("theta", ["inf", "nan"])
-    def test_non_finite_angle_names_line(self, tiny_copy, theta):
+    def test_non_finite_angle_names_line(self, tiny_copy, saved_tiny, theta):
         path = tiny_copy / "frames.csv"
         lines = path.read_text().split("\n")
         fields = lines[2].split(",")
         fields[4] = theta
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines))
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value).startswith(f"{path}:3: ")
+        assert_first_difference_named(tiny_copy, "frames.csv", saved_tiny, line=3)
 
-    @pytest.mark.parametrize("field, value, reason", [
-        (1, "-1.0", "timestamp -1.0 s is earlier than the previous frame's 0.0 s"),
-        (9, "", "empty word bag"),
-        (8, "7", "no corridor carries template 7"),
-    ], ids=["earlier_timestamp", "empty_words", "uncarried_template"])
-    def test_bad_frame_row_names_line(self, tiny_copy, field, value, reason):
+    @pytest.mark.parametrize("field, value", [(1, "-1.0"), (9, ""), (8, "7")],
+                             ids=["earlier_timestamp", "empty_words", "uncarried_template"])
+    def test_bad_frame_row_names_line(self, tiny_copy, saved_tiny, field, value):
         path = tiny_copy / "frames.csv"
         lines = path.read_text().split("\n")
         fields = lines[2].split(",")
         fields[field] = value
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines))
-        with pytest.raises(DataError) as exc:
-            load_dataset(tiny_copy)
-        assert str(exc.value) == f"{path}:3: {reason}"
+        assert_first_difference_named(tiny_copy, "frames.csv", saved_tiny, line=3)
 
     @pytest.mark.parametrize("row", ["7,5", "3,99999", "-4,2", "6,6"],
                              ids=["reversed", "past_last_frame", "negative", "self_pair"])
-    def test_bad_loop_pair_names_line(self, tiny_copy, monkeypatch, row):
-        """The row is named on a middle line; then, read 4 lines at a time, on the first and the last line
-        of the first chunk and on the first line of the second."""
+    def test_bad_loop_pair_names_line(self, tiny_copy, saved_tiny, row):
+        """The row is named on a middle line, on the first and the fourth data line and on the one after."""
         path = tiny_copy / "loops_gt.csv"
         saved = path.read_text().split("\n")
-        n_frames = len((tiny_copy / "frames.csv").read_text().split()) - 1
-        reason = f"loop pair {row} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count"
         assert len(saved) > 6  # the header, at least 5 pairs and the last line's end
-        for chunk_rows, k in ((simworld._SCAN_ROWS, 2), (4, 1), (4, 4), (4, 5)):  # the row goes on line k + 1
-            monkeypatch.setattr(simworld, "_SCAN_ROWS", chunk_rows)
+        for k in (2, 1, 4, 5):  # the row goes on line k + 1
             path.write_text("\n".join(saved[:k] + [row] + saved[k:]))
-            with pytest.raises(DataError) as exc:
-                load_dataset(tiny_copy)
-            assert str(exc.value) == f"{path}:{k + 1}: {reason}"
+            assert_first_difference_named(tiny_copy, "loops_gt.csv", saved_tiny, line=k + 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -854,6 +886,7 @@ class TestLoadDataset:
         data=st.data(),
     )
     def test_one_corrupted_field_loads_or_raises_data_error(self, saved_tiny, name, value, data):
+        """An edited CSV field names the first line that differs; an edited world.json loads or names itself."""
         lines = (saved_tiny / name).read_text().split("\n")
         k = data.draw(st.integers(0, len(lines) - 1), label="line")
         fields = lines[k].split(",")
@@ -862,118 +895,59 @@ class TestLoadDataset:
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(shutil.copytree(saved_tiny, Path(tmp) / "d"))
             (d / name).write_text("\n".join(lines), encoding="utf-8")
-            try:
-                load_dataset(d)
-            except DataError as exc:
-                assert str(exc).startswith(str(d / name))
+            if name != "world.json":
+                assert_first_difference_named(d, name, saved_tiny)
+            elif (fault := load_fault(d)) is not None:
+                assert fault.startswith(str(d / name))
 
 
-def reference_scans(path):
-    """The per-row reading of ``scans.csv`` that the chunked reader must equal: the same `Scans`,
-    or a DataError with the same message. Each non-blank line is stripped and split on its own;
-    a row's field count is checked first, then its dwell, timestamp, RSSI and BSSID."""
-
-    def finite(text):
-        if not math.isfinite(float(text)):
-            raise ValueError(f"non-finite number {text!r}")
-        return float(text)
-
-    readings, bssids = [], {}  # (dwell, t, code, rssi, line) per row; bssids in order of first use
-    with open(path, newline="") as fh:
-        if fh.readline().strip() != simworld.SCANS_HEADER:
-            raise DataError(f"{path}:1: expected header {simworld.SCANS_HEADER}")
-        for line, text in enumerate(fh, start=2):
-            text = text.strip()
-            if not text:
-                continue
-            try:
-                parts = text.split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(parts)}")
-                t_s, bssid, rssi, dwell = parts
-                if not 0 <= int(dwell) < simworld.MAX_DWELLS:
-                    raise ValueError(f"dwell index {int(dwell)} outside [0, {simworld.MAX_DWELLS})")
-                t = finite(t_s)
-                if finite(rssi) > 0:
-                    raise ValueError(f"rssi must be <= 0 dBm, got {float(rssi)}")
-                mask_bssid(bssid)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: {exc}") from exc
-            readings.append((int(dwell), t, bssids.setdefault(bssid, len(bssids)), float(rssi), line))
-    readings.sort(key=lambda r: r[0])  # stable: each dwell's readings stay in row order
-    by_dwell = {}
-    for r in readings:
-        by_dwell.setdefault(r[0], []).append(r)
-    means = [(d, sum(r[1] for r in rs) / len(rs), rs[0][4]) for d, rs in by_dwell.items()]
-    for (d0, m0, _), (d, m, line) in zip(means, means[1:]):
-        if m < m0:
-            raise DataError(f"{path}:{line}: dwell {d} (mean time {m!r} s) is earlier than dwell {d0} ({m0!r} s)")
-    d, t, code, rssi, _ = zip(*readings) if readings else ((),) * 5
-    return simworld.Scans(np.array(d, dtype=np.int64), np.array(t, dtype=float), np.array(code, dtype=np.int64),
-                          np.array(rssi, dtype=float), tuple(bssids))
-
-
-def scans_or_message(load, path):
-    """What a reader makes of ``path``: its Scans as comparable columns, or its DataError message."""
-    try:
-        s = load()
-    except DataError as exc:
-        return str(exc)
-    return [(c.dtype.str, c.tolist()) for c in (s.dwell, s.t, s.bssid, s.rssi)] + [s.bssids]
+def write_rows(d, saved_dir, name, kept, lines, newline):
+    """Write ``name`` in ``d`` as the saved file's header and first ``kept`` rows, then ``lines``, each
+    line ended by ``newline`` but the last."""
+    saved = (saved_dir / name).read_text().split("\n")
+    (d / name).write_bytes(newline.join([*saved[:kept + 1], *lines]).encode())
 
 
 class TestChunkedScans:
-    """`load_dataset` reads ``scans.csv`` ``simworld._SCAN_ROWS`` lines at a time and splits each
-    chunk in one pass; it must equal the per-row reading on every file."""
-
-    def assert_like_reference(self, d, expect_fault=None):
-        path = d / "scans.csv"
-        got = scans_or_message(lambda: load_dataset(d).scans, path)
-        assert got == scans_or_message(lambda: reference_scans(path), path)
-        if expect_fault is not None:
-            assert got == f"{path}:{expect_fault}"
+    """``scans.csv`` edited across blocks of rows: line ends, blank and padded lines, truncation, faults in
+    neighbouring rows and arbitrary rows; each load names the first line that differs from the saved file."""
 
     def b_hall_rows(self, saved_b_hall, tmp_path):
         d = Path(shutil.copytree(saved_b_hall, tmp_path / "d"))
         return d, (d / "scans.csv").read_text().split("\n")
 
-    def test_saved_file(self, saved_b_hall, tmp_path):
-        d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
-        assert len(lines) > 3 * simworld._SCAN_ROWS
-        self.assert_like_reference(d)
+    def test_saved_file(self, saved_b_hall, dataset_cache):
+        assert load_dataset(saved_b_hall).scans == dataset_cache("b_hall", 0).scans
 
     def test_crlf_line_ends(self, saved_b_hall, tmp_path):
         d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
         (d / "scans.csv").write_bytes("\r\n".join(lines).encode())
-        self.assert_like_reference(d)
-        assert load_dataset(d).scans == load_dataset(saved_b_hall).scans
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=1)
 
     def test_blank_and_padded_lines(self, saved_b_hall, tmp_path):
         d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
-        n = simworld._SCAN_ROWS
-        for k in (3, n - 1, n + 5):
+        for k in (3, BLOCK - 1, BLOCK + 5):
             lines[k] = f" \t{lines[k]}  "
-        lines[2 * n:2 * n] = ["", "   ", "\t"]  # blank lines that push later rows across a chunk boundary
-        lines[5:5] = [" "] * (n + 3)  # a whole chunk of blank lines
+        lines[2 * BLOCK:2 * BLOCK] = ["", "   ", "\t"]
+        lines[5:5] = [" "] * (BLOCK + 3)
         (d / "scans.csv").write_text("\n".join(lines))
-        self.assert_like_reference(d)
-        assert load_dataset(d).scans == load_dataset(saved_b_hall).scans
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=4)
+        lines[3] = lines[3].strip()
+        (d / "scans.csv").write_text("\n".join(lines))
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=6)
 
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_whole_chunks(self, saved_b_hall, tmp_path, chunks):
-        """A file of exactly whole chunks, so the last chunk read comes back empty."""
+        """A file cut after whole blocks of rows names the first line it lacks."""
         d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
-        rows = [line for line in lines[1:] if line]
-        (d / "scans.csv").write_text("\n".join([lines[0], *rows[:chunks * simworld._SCAN_ROWS]]) + "\n")
-        self.assert_like_reference(d)
-        assert len(load_dataset(d).scans.dwell) == chunks * simworld._SCAN_ROWS
+        (d / "scans.csv").write_text("\n".join(lines[:chunks * BLOCK + 1]) + "\n")
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=chunks * BLOCK + 2)
 
     def test_field_count_in_first_row_of_second_chunk(self, saved_b_hall, tmp_path):
         d, lines = self.b_hall_rows(saved_b_hall, tmp_path)
-        n = simworld._SCAN_ROWS
-        lines[n + 1] += ",0"  # data row n + 1, on line n + 2
+        lines[BLOCK + 1] += ",0"  # data row BLOCK + 1, on line BLOCK + 2
         (d / "scans.csv").write_text("\n".join(lines))
-        self.assert_like_reference(d, f"{n + 2}: expected 4 fields, got 5")
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=BLOCK + 2)
 
     @pytest.mark.parametrize("value_first", [True, False])
     def test_value_and_field_count_faults_in_one_chunk(self, saved_b_hall, tmp_path, value_first):
@@ -983,14 +957,13 @@ class TestChunkedScans:
         lines[value_row] = lines[value_row].rsplit(",", 2)[0] + ",nan," + lines[value_row].rsplit(",", 1)[1]
         lines[count_row] = "broken,row"
         (d / "scans.csv").write_text("\n".join(lines))
-        reason = "non-finite number 'nan'" if value_first else "expected 4 fields, got 2"
-        self.assert_like_reference(d, f"{min(value_row, count_row) + 1}: {reason}")
+        assert_first_difference_named(d, "scans.csv", saved_b_hall, line=min(value_row, count_row) + 1)
 
-    def test_short_row_then_long_row(self, tiny_copy):
-        """Rows of 3 and 5 fields whose commas add up to two rows' worth are still a fault."""
+    def test_short_row_then_long_row(self, tiny_copy, saved_tiny):
+        """Rows of 3 and 5 fields whose commas add up to two rows' worth."""
         (tiny_copy / "scans.csv").write_text(
             f"{simworld.SCANS_HEADER}\n0.5,AA:BB:CC:DD:EE:F3,-55.5\n0,0.5,AA:BB:CC:DD:EE:F3,-55.5,0\n")
-        self.assert_like_reference(tiny_copy, "2: expected 4 fields, got 3")
+        assert_first_difference_named(tiny_copy, "scans.csv", saved_tiny, line=2)
 
     rows = st.tuples(
         st.sampled_from(["0.5", "1.25", " 2.0", "1_0.5", "nan", "x", "-3.0"]),
@@ -1003,165 +976,50 @@ class TestChunkedScans:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(rows, max_size=14), st.sampled_from(["\n", "\r\n", "\r"]), st.integers(1, 4))
-    def test_equals_per_row_reading(self, tmp_path_factory, lines, newline, chunk_rows):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simworld, "_SCAN_ROWS", chunk_rows)
-            d = tmp_path_factory.mktemp("scans")
-            (d / "scans.csv").write_bytes(newline.join([simworld.SCANS_HEADER, *lines]).encode())
-            path = d / "scans.csv"
-            got = scans_or_message(lambda: simworld._read_csv(path, simworld.SCANS_HEADER, simworld._scans), path)
-            assert got == scans_or_message(lambda: reference_scans(path), path)
-
-
-def reference_loops(path, n_frames):
-    """The per-row reading of ``loops_gt.csv`` that the chunked reader must equal: the same pairs, or a
-    DataError with the same message. Each non-blank line is stripped and split on its own; a row's field
-    count is checked first, then its pair."""
-    pairs = set()
-    with open(path, newline="") as fh:
-        if fh.readline().strip() != simworld.LOOPS_HEADER:
-            raise DataError(f"{path}:1: expected header {simworld.LOOPS_HEADER}")
-        for line, text in enumerate(fh, start=2):
-            text = text.strip()
-            if not text:
-                continue
-            try:
-                parts = text.split(",")
-                if len(parts) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(parts)}")
-                a, b = int(parts[0]), int(parts[1])
-                if not 0 <= a < b < n_frames:
-                    raise ValueError(f"loop pair {a},{b} must satisfy 0 <= id_a < id_b < {n_frames}, the frame count")
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: {exc}") from exc
-            pairs.add((a, b))
-    return frozenset(pairs)
-
-
-def pairs_or_message(load):
-    """What a reader makes of a ``loops_gt.csv``: its pairs, or its DataError message."""
-    try:
-        return load()
-    except DataError as exc:
-        return str(exc)
+    def test_equals_per_row_reading(self, saved_tiny, tmp_path_factory, lines, newline, kept):
+        """After ``kept`` saved rows, arbitrary rows: the line named is the first a line-by-line reading finds."""
+        d = Path(shutil.copytree(saved_tiny, tmp_path_factory.mktemp("scans") / "d"))
+        write_rows(d, saved_tiny, "scans.csv", kept, lines, newline)
+        assert_first_difference_named(d, "scans.csv", saved_tiny)
 
 
 class TestChunkedLoops:
-    """`load_dataset` reads ``loops_gt.csv`` ``simworld._SCAN_ROWS`` lines at a time and splits each
-    chunk in one pass; it must equal the per-row reading on every file."""
-
-    N_FRAMES = 10
-
-    def read(self, path):
-        return simworld._read_csv(path, simworld.LOOPS_HEADER, lambda fh: simworld._loop_rows(fh, self.N_FRAMES))
+    """``loops_gt.csv`` holds the sorted ground-truth pairs; arbitrary rows after some of them name the
+    first line that differs."""
 
     def test_saved_file(self, tiny_copy):
-        path = tiny_copy / "loops_gt.csv"
-        n_frames = len((tiny_copy / "frames.csv").read_text().split()) - 1
-        assert load_dataset(tiny_copy).gt_loop_pairs == reference_loops(path, n_frames)
+        rows = (tiny_copy / "loops_gt.csv").read_text().split("\n")[1:-1]
+        assert load_dataset(tiny_copy).gt_loop_pairs == {tuple(map(int, row.split(","))) for row in rows}
 
     ids = st.sampled_from(["0", "3", "9", "10", " 5", "1_0", "-1", "x", "2.0", "99999999999999999999999"])
     rows = st.tuples(ids, ids).map(",".join) | st.sampled_from(["0,1", "2,9", "0,1", "", "  ", "1,2,3", "4"])
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+    @pytest.mark.parametrize("kept", [1, 2, 7])
     @settings(max_examples=100, deadline=None)
     @given(lines=st.lists(rows, max_size=16), newline=st.sampled_from(["\n", "\r\n", "\r"]))
-    def test_equals_per_row_reading(self, tmp_path_factory, chunk_rows, lines, newline):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simworld, "_SCAN_ROWS", chunk_rows)
-            path = tmp_path_factory.mktemp("loops") / "loops_gt.csv"
-            path.write_bytes(newline.join([simworld.LOOPS_HEADER, *lines]).encode())
-            assert pairs_or_message(lambda: self.read(path)) == pairs_or_message(
-                lambda: reference_loops(path, self.N_FRAMES))
+    def test_equals_per_row_reading(self, saved_tiny, tmp_path_factory, kept, lines, newline):
+        d = Path(shutil.copytree(saved_tiny, tmp_path_factory.mktemp("loops") / "d"))
+        write_rows(d, saved_tiny, "loops_gt.csv", kept, lines, newline)
+        assert_first_difference_named(d, "loops_gt.csv", saved_tiny)
 
 
-def reference_frames(path, templates):
-    """The per-row reading of ``frames.csv`` that the chunked reader must equal: its columns, or a
-    DataError with the same message. Each non-blank line is stripped and split on its own and its
-    fields are checked in the order id, timestamp, id against the row index, time order, bag
-    emptiness, poses, words and template. A word must be ASCII decimal digits for an integer
-    below 2**31, and a template must fit in 64 bits and be one of ``templates``, those the
-    corridors carry."""
-
-    def finite(text):
-        if not math.isfinite(float(text)):
-            raise ValueError(f"non-finite number {text!r}")
-        return float(text)
-
-    rows = []  # (t, gt pose, odometry pose, template, words) per row
-    with open(path, newline="") as fh:
-        if fh.readline().strip() != simworld.FRAMES_HEADER:
-            raise DataError(f"{path}:1: expected header {simworld.FRAMES_HEADER}")
-        for line, text in enumerate(fh, start=2):
-            text = text.strip()
-            if not text:
-                continue
-            try:
-                p = text.split(",")
-                if len(p) != 10:
-                    raise ValueError(f"expected 10 fields, got {len(p)}")
-                k, t = int(p[0]), finite(p[1])
-                if k != len(rows):
-                    raise ValueError(f"frame id {k} is not the row index {len(rows)}")
-                if rows and t < rows[-1][0]:
-                    raise ValueError(f"timestamp {t!r} s is earlier than the previous frame's {rows[-1][0]!r} s")
-                if not p[9]:
-                    raise ValueError("empty word bag")
-                gt, odom = Pose2(*map(finite, p[2:5])), Pose2(*map(finite, p[5:8]))
-                words = []
-                for w in p[9].split("|"):
-                    words.append(int(w))
-                    if not (w.isascii() and w.isdigit() and words[-1] < 2**31):
-                        raise ValueError(f"word {w!r} is not a decimal integer in [0, 2147483648)")
-                if not -(2**63) <= int(p[8]) < 2**63:
-                    raise ValueError(f"template id {int(p[8])} does not fit in 64 bits")
-                if int(p[8]) not in templates:
-                    raise ValueError(f"no corridor carries template {int(p[8])}")
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: {exc}") from exc
-            rows.append((t, gt, odom, int(p[8]), words))
-    return [[r[0] for r in rows], [[r[1].x, r[1].y, r[1].theta] for r in rows],
-            [[r[2].x, r[2].y, r[2].theta] for r in rows], [r[3] for r in rows], [w for r in rows for w in r[4]],
-            np.cumsum([0, *(len(r[4]) for r in rows)]).tolist()]
-
-
-def frames_or_message(load, path):
-    """What a reader makes of ``path``: its frame columns as Python values, or its DataError message."""
-    try:
-        f = load()
-    except DataError as exc:
-        return str(exc)
-    return f if isinstance(f, list) else [c.tolist() for c in (f.t, f.gt, f.odom, f.template, f.words, f.offsets)]
-
-
-def read_frames(path, templates):
-    return simworld._read_csv(path, simworld.FRAMES_HEADER, lambda fh: simworld._frames(fh, templates))
-
-
-B_HALL_TEMPLATES = sorted(set(preset_worlds()["b_hall"].template_of.values()))  # 0-6, one per corridor but 5
-
-
-FRAME_FAULTS = {  # fault -> (edit, reason), each of data row r's fields and the previous row's
-    "field_count": (lambda r, p, prev: [*p, "7"], lambda r, p, prev: "expected 10 fields, got 11"),
-    "non_numeric": (lambda r, p, prev: p[:2] + ["x"] + p[3:], lambda r, p, prev: "could not convert string to float: 'x'"),
-    "non_finite": (lambda r, p, prev: p[:6] + ["inf"] + p[7:], lambda r, p, prev: "non-finite number 'inf'"),
-    "id_not_index": (lambda r, p, prev: [str(r + 5)] + p[1:], lambda r, p, prev: f"frame id {r + 5} is not the row index {r}"),
-    "earlier_timestamp": (lambda r, p, prev: [p[0], repr(float(prev[1]) - 1.0)] + p[2:],
-                          lambda r, p, prev: f"timestamp {float(p[1])!r} s is earlier than the previous frame's "
-                                             f"{float(prev[1])!r} s"),
-    "empty_bag": (lambda r, p, prev: p[:9] + [""], lambda r, p, prev: "empty word bag"),
-    "non_numeric_word": (lambda r, p, prev: p[:9] + [p[9].replace("|", "|x|", 1)],
-                         lambda r, p, prev: "invalid literal for int() with base 10: 'x'"),
-    "negative_word": (lambda r, p, prev: p[:9] + ["-5|" + p[9]],
-                      lambda r, p, prev: "word '-5' is not a decimal integer in [0, 2147483648)"),
-    "uncarried_template": (lambda r, p, prev: p[:8] + ["7"] + p[9:],
-                           lambda r, p, prev: "no corridor carries template 7"),
+FRAME_ROWS = 128  # frames.csv rows; faults fall at the first, the last and either side of the 128th
+FRAME_FAULTS = {  # fault -> edit of data row r's fields, given the previous row's
+    "field_count": lambda r, p, prev: [*p, "7"],
+    "non_numeric": lambda r, p, prev: p[:2] + ["x"] + p[3:],
+    "non_finite": lambda r, p, prev: p[:6] + ["inf"] + p[7:],
+    "id_not_index": lambda r, p, prev: [str(r + 5)] + p[1:],
+    "earlier_timestamp": lambda r, p, prev: [p[0], repr(float(prev[1]) - 1.0)] + p[2:],
+    "empty_bag": lambda r, p, prev: p[:9] + [""],
+    "non_numeric_word": lambda r, p, prev: p[:9] + [p[9].replace("|", "|x|", 1)],
+    "negative_word": lambda r, p, prev: p[:9] + ["-5|" + p[9]],
+    "uncarried_template": lambda r, p, prev: p[:8] + ["7"] + p[9:],
 }
 
 
 class TestChunkedFrames:
-    """`load_dataset` reads ``frames.csv`` ``simworld._FRAME_ROWS`` lines at a time and checks each chunk
-    in bulk; every fault must name the line and reason that the per-row reading gives."""
+    """``frames.csv`` edited row by row, across blocks of rows and with arbitrary rows; each load names the
+    first line that differs from the saved file."""
 
     @pytest.mark.parametrize("where", ["first", "chunk_end", "chunk_start", "last"])
     @pytest.mark.parametrize("fault", FRAME_FAULTS)
@@ -1170,44 +1028,31 @@ class TestChunkedFrames:
         path = d / "frames.csv"
         lines = path.read_text().split("\n")
         n = len(lines) - 2  # data rows: less the header and the empty string after the last newline
-        assert n > simworld._FRAME_ROWS + 1
-        r = {"first": 0, "chunk_end": simworld._FRAME_ROWS - 1, "chunk_start": simworld._FRAME_ROWS, "last": n - 1}[where]
+        assert n > FRAME_ROWS + 1
+        r = {"first": 0, "chunk_end": FRAME_ROWS - 1, "chunk_start": FRAME_ROWS, "last": n - 1}[where]
         if fault == "earlier_timestamp":
             r = max(r, 1)  # the first row has no previous one
-        edit, reason = FRAME_FAULTS[fault]
-        lines[r + 1] = ",".join(edit(r, lines[r + 1].split(","), lines[r].split(",")))
+        lines[r + 1] = ",".join(FRAME_FAULTS[fault](r, lines[r + 1].split(","), lines[r].split(",")))
         path.write_text("\n".join(lines))
-        expected = f"{path}:{r + 2}: {reason(r, lines[r + 1].split(','), lines[r].split(','))}"
-        assert frames_or_message(lambda: load_dataset(d).frames, path) == expected
-        assert frames_or_message(lambda: reference_frames(path, B_HALL_TEMPLATES), path) == expected
+        assert_first_difference_named(d, "frames.csv", saved_b_hall, line=r + 2)
 
-    def test_saved_file(self, saved_b_hall):
-        path = saved_b_hall / "frames.csv"
-        got = frames_or_message(lambda: read_frames(path, B_HALL_TEMPLATES), path)
-        assert got == frames_or_message(lambda: reference_frames(path, B_HALL_TEMPLATES), path)
-        assert len(got[0]) > simworld._FRAME_ROWS
+    def test_saved_file(self, saved_b_hall, dataset_cache):
+        loaded = load_dataset(saved_b_hall)
+        assert loaded.frames == dataset_cache("b_hall", 0).frames and len(loaded.frames) > FRAME_ROWS
 
     @pytest.mark.parametrize("word", ["-5", "99999999999999999999999", "1_0", "٣"])
     def test_word_outside_the_domain_is_rejected(self, dataset_cache, tmp_path, word):
-        """Only ASCII decimal words below 2**31 load: not a sign, a number past 2**31, an underscore
-        or a non-ASCII digit, each of which int() accepts."""
-        d = save_dataset(dataset_cache("a_hall", 0), tmp_path / "d")
+        """A sign, a number past 2**31, an underscore or a non-ASCII digit, each of which int() accepts."""
+        saved = save_dataset(dataset_cache("a_hall", 0), tmp_path / "saved")
+        d = Path(shutil.copytree(saved, tmp_path / "d"))
         path = d / "frames.csv"
         lines = path.read_text().split("\n")
         p = lines[5].split(",")
         lines[5] = ",".join(p[:9] + [p[9] + "|" + word])
         path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(DataError) as exc:
-            load_dataset(d)
-        assert str(exc.value) == f"{path}:6: word {word!r} is not a decimal integer in [0, 2147483648)"
+        assert_first_difference_named(d, "frames.csv", saved, line=6)
 
-    def test_largest_word_loads(self, tmp_path):
-        path = tmp_path / "frames.csv"
-        path.write_text(f"{simworld.FRAMES_HEADER}\n0,0.0,0,0,0,0,0,0,0,2147483647|0|0007\n")
-        frames = read_frames(path, [0])
-        assert frames.words.tolist() == [2**31 - 1, 0, 7] and frames.offsets.tolist() == [0, 3]
-
-    # mostly valid values, so that faults come after valid rows of earlier chunks
+    # mostly valid values, so that faults come after valid rows
     rows = st.tuples(
         st.sampled_from(["index"] * 20 + ["index + 1", "x", " index", "1_0"]),
         st.sampled_from(["inc"] * 20 + ["dec", "nan", "x", "1_0.5"]),
@@ -1221,8 +1066,9 @@ class TestChunkedFrames:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(rows, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]), st.integers(1, 4),
            st.integers(2, 7))
-    def test_equals_per_row_reading(self, tmp_path_factory, rows, newline, chunk_rows, pose_field):
-        lines, k = [], 0
+    def test_equals_per_row_reading(self, saved_tiny, tmp_path_factory, rows, newline, kept, pose_field):
+        """After ``kept`` saved rows, arbitrary rows: the line named is the first a line-by-line reading finds."""
+        lines, k = [], kept
         for row in rows:
             if isinstance(row, str):
                 lines.append(row)
@@ -1234,10 +1080,6 @@ class TestChunkedFrames:
             fields[pose_field], fields[8], fields[9] = pose, template, bag
             lines.append(",".join(fields) + extra)
             k += 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simworld, "_FRAME_ROWS", chunk_rows)
-            path = tmp_path_factory.mktemp("frames") / "frames.csv"
-            path.write_bytes(newline.join([simworld.FRAMES_HEADER, *lines]).encode())
-            templates = [0, 1, 2**63 - 1]  # -1 is carried by no corridor
-            got = frames_or_message(lambda: read_frames(path, templates), path)
-            assert got == frames_or_message(lambda: reference_frames(path, templates), path)
+        d = Path(shutil.copytree(saved_tiny, tmp_path_factory.mktemp("frames") / "d"))
+        write_rows(d, saved_tiny, "frames.csv", kept, lines, newline)
+        assert_first_difference_named(d, "frames.csv", saved_tiny)

@@ -79,14 +79,11 @@ def score_loops(
     return LoopScore(tp, fp, fn, fp_pct, fn_pct)
 
 
-def trajectory_error(
-    est: Sequence[tuple[int, float, object]], gt: Sequence[tuple[int, float, object]]
-) -> float:
-    """Kabsch-align the estimate onto ground truth and return positional RMSE. The two pair up by
-    position, as a run's do (both hold its frame ids 0..n-1 in order); `kabsch_align` raises
+def trajectory_error(est: np.ndarray, gt: np.ndarray) -> float:
+    """Kabsch-align the (n, 3) estimated poses onto the (n, 3) ground truth and return positional
+    RMSE. The two pair up by row, as a run's do (row k is frame k in both); `kabsch_align` raises
     LengthMismatch when their lengths differ."""
-    p = [(pose.x, pose.y) for _kf, _t, pose in est]
-    q = [(pose.x, pose.y) for _kf, _t, pose in gt]
+    p, q = est[:, :2], gt[:, :2]
     rot, t = kabsch_align(p, q)
     return rmse(apply_rigid(rot, t, p), q)
 
@@ -216,7 +213,7 @@ class BadReport(DataError):
 
 def report_row(record: RunRecord, dataset: Dataset) -> dict[str, str]:
     score = score_loops(record.loop_edges, dataset.gt_loop_pairs)
-    err = trajectory_error(record.est, record.gt)
+    err = trajectory_error(record.graph.poses, dataset.frames.gt)
     return {
         **key_fields(record.dataset.name, record.params),
         "rmse_m": repr(float(err)),

@@ -52,7 +52,7 @@ import numpy as np
 from .clustering import ClusterStore, assign, members_of, similar_clusters, write_cluster_dump
 from .frontend import MATCH_INFORMATION, InvertedIndex, MatchResult, match_frames
 from .posegraph import Pose2, PoseGraph, compose, optimize, write_trajectory
-from .simworld import LOOP_PAIR_GAP_S, Dataset, check_setting_types
+from .simworld import LOOP_PAIR_GAP_S, Dataset, check_known_keys, check_setting_types
 
 VISUAL_COMPARE_COST = 1.0
 WIFI_COMPARE_COST = 0.02
@@ -166,13 +166,10 @@ class RunRecord:
 
     @property
     def est(self) -> list:
-        """(keyframe_id, t, Pose2) of the final graph, one per frame."""
-        return [(i, t, self.graph.nodes[i]) for i, t in enumerate(self.dataset.frames.t.tolist())]
-
-    @property
-    def gt(self) -> list:
-        frames = self.dataset.frames
-        return [(i, t, Pose2(*p)) for i, (t, p) in enumerate(zip(frames.t.tolist(), frames.gt.tolist()))]
+        """(keyframe_id, t, Pose2) of the final graph's ``poses``, one per frame: the view perfbench's
+        workloads read."""
+        t, poses = self.dataset.frames.t.tolist(), self.graph.poses.tolist()
+        return [(i, ti, Pose2(*p)) for i, (ti, p) in enumerate(zip(t, poses))]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def rgbd_candidates(
     The current keyframe must not be in the graph yet; candidates are
     returned sorted ascending.
     """
-    if current in graph.nodes:
+    if current in graph.ids:
         raise ValueError(f"keyframe {current} already in graph")
     if similar is not None:
         return sorted(base | similar)
@@ -253,7 +250,7 @@ def rtab_step(
 
     transferred: list[int] = []
     if step_cost > params.rtab.real_time_threshold:
-        sources = [n for n in recent_matches if n in graph.nodes]
+        sources = [n for n in recent_matches if n in graph.ids]
         if graph.ids:
             sources.append(graph.ids[-1])
         hops = _hops_from(graph, sources)
@@ -394,7 +391,7 @@ def run_pipeline(dataset: Dataset, params: PolicyParams) -> RunRecord:
             graph.add_node(0, Pose2(*frames.gt[0].tolist()))
         else:
             step = Pose2(*frames.odom[i])
-            graph.add_node(i, compose(graph.nodes[i - 1], step))
+            graph.add_node(i, compose(Pose2(*graph.poses[i - 1].tolist()), step))
             sxy, sth = onoise.sigmas(math.hypot(step.x, step.y))
             info = np.diag([1.0 / sxy**2, 1.0 / sxy**2, 1.0 / sth**2])
             graph.add_edge(i - 1, i, step, info)
@@ -490,25 +487,18 @@ def params_to_json(params: PolicyParams) -> dict:
     return d
 
 
-def _known_keys(d: dict, names: list[str], path: str = "") -> None:
-    """ValueError naming the first key of ``d`` not in ``names``, as ``path`` + key."""
-    unknown = [k for k in d if k not in names]
-    if unknown:
-        raise ValueError(f"unknown setting {path}{unknown[0]}; settings are {', '.join(names)}")
-
-
 def params_from_json(d: dict) -> PolicyParams:
     """The PolicyParams a JSON object describes. Absent settings, ``rtab`` included, take
     their defaults. ``real_time_threshold`` may also sit at the top level, where it
     overrides ``rtab``'s; a string value such as "inf" is parsed.
     Raises ValueError or TypeError for a bad object; the message for an unknown key
     names its path and the valid keys."""
-    _known_keys(d, [*(f.name for f in fields(PolicyParams)), "real_time_threshold"])
+    check_known_keys(d, [*(f.name for f in fields(PolicyParams)), "real_time_threshold"])
     d = dict(d)
     rtab = d.pop("rtab", {})
     if not isinstance(rtab, dict):
         raise ValueError(f"rtab must be a JSON object, got {rtab!r}")
-    _known_keys(rtab, [f.name for f in fields(RtabParams)], "rtab.")
+    check_known_keys(rtab, [f.name for f in fields(RtabParams)], "rtab.")
     rtab = dict(rtab)
     if "real_time_threshold" in d:
         rtab["real_time_threshold"] = d.pop("real_time_threshold")
@@ -537,8 +527,9 @@ def save_run(record: RunRecord, out_dir: str | Path) -> Path:
             sort_keys=True,
         )
         fh.write("\n")
-    write_trajectory(out / "trajectory_est.csv", record.est)
-    write_trajectory(out / "trajectory_gt.csv", record.gt)
+    frames = record.dataset.frames
+    write_trajectory(out / "trajectory_est.csv", frames.t, record.graph.poses)
+    write_trajectory(out / "trajectory_gt.csv", frames.t, frames.gt)
     store = record.store or ClusterStore()  # a vanilla run has no clusters
     with open(out / "frame_trace.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")  # None is written as an empty cell

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -104,30 +104,6 @@ def _wrap_angles(a: np.ndarray) -> np.ndarray:
     ``np.round`` keeps into the 0 that Python's ``round`` returns)."""
     r = a - math.tau * (np.round(a / math.tau) + 0.0)
     return np.where(r <= -math.pi, r + math.tau, r)
-
-
-class _NodeView(Mapping):
-    """Read-only ``node id -> Pose2`` view of a graph's node-state array."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "PoseGraph") -> None:
-        self._graph = graph
-
-    def __getitem__(self, node_id: int) -> Pose2:
-        if node_id not in self:
-            raise KeyError(node_id)
-        x, y, theta = self._graph._x[node_id].tolist()
-        return Pose2(x, y, theta)
-
-    def __contains__(self, node_id: object) -> bool:
-        return node_id in self._graph.ids
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._graph.ids)
-
-    def __len__(self) -> int:
-        return len(self._graph.ids)
 
 
 _OFF3 = np.arange(3)
@@ -212,9 +188,10 @@ class PoseGraph:
     optimizer's state and grows it in `add_node` and `add_edge`: an (n, 3)
     node-state array; one row per edge, in insertion order, of its end ids,
     measurement and information matrix; neighbour lists in edge order and a
-    union-find of the connected components. ``nodes`` (id -> pose) is a
-    read-only view, ``ids`` is ``range(n)`` and ``edges`` is a read-only
-    (m, 2) array view of the edges' (from, to) ids; `neighbors` returns the
+    union-find of the connected components. ``ids`` is ``range(n)``, and
+    ``poses`` and ``edges`` are read-only array views: row i of the (n, 3)
+    ``poses`` is node i's (x, y, theta), and each row of the (m, 2) ``edges``
+    is an edge's (from, to) ids; `neighbors` returns the
     graph's own lists, which callers must not modify. Every id argument
     outside ``ids`` is rejected, negative ones included.
     """
@@ -229,15 +206,16 @@ class PoseGraph:
         self._z = np.empty((16, 3))
         self._omega = np.empty((16, 3, 3))
         self._validated = 0  # edges [0, _validated) passed `_check_information`
-        self._nodes = _NodeView(self)
-
-    @property
-    def nodes(self) -> Mapping[int, Pose2]:
-        return self._nodes
 
     @property
     def ids(self) -> range:
         return range(len(self._parent))
+
+    @property
+    def poses(self) -> np.ndarray:
+        view = self._x[: len(self._parent)]
+        view.flags.writeable = False
+        return view
 
     @property
     def edges(self) -> np.ndarray:
@@ -542,10 +520,10 @@ def rmse(est: Sequence[Sequence[float]], gt: Sequence[Sequence[float]]) -> float
     return float(np.sqrt(d2.mean()))
 
 
-def write_trajectory(path: str | Path, rows: Iterable[tuple[int, float, Pose2]]) -> None:
-    """CSV `keyframe_id,t_s,x_m,y_m,theta_rad`; shared by estimates and ground truth."""
+def write_trajectory(path: str | Path, t: np.ndarray, poses: np.ndarray) -> None:
+    """CSV `keyframe_id,t_s,x_m,y_m,theta_rad`, row k holding k, ``t[k]`` and the
+    (n, 3) ``poses[k]``, each float as its `repr`; shared by estimates and ground truth."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["keyframe_id", "t_s", "x_m", "y_m", "theta_rad"])
-        for kf, t, pose in rows:
-            w.writerow([kf, repr(float(t)), repr(pose.x), repr(pose.y), repr(pose.theta)])
+        w.writerows(zip(range(len(t)), t.tolist(), *poses.T.tolist()))

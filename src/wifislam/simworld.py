@@ -70,6 +70,13 @@ def check_setting_types(settings, finite: bool = False) -> None:
             raise ValueError(f"{f.name} must be >= 0")
 
 
+def check_known_keys(d: dict, names: list[str], path: str = "") -> None:
+    """ValueError naming the first key of ``d`` not in ``names``, as ``path`` + key."""
+    unknown = [k for k in d if k not in names]
+    if unknown:
+        raise ValueError(f"unknown setting {path}{unknown[0]}; settings are {', '.join(names)}")
+
+
 @dataclass(frozen=True)
 class Wall:
     x1: float
@@ -151,6 +158,12 @@ class OdomNoise:
     sigma_xy_per_m: float = 0.01
     sigma_theta_per_m: float = 0.002
 
+    def __post_init__(self) -> None:
+        check_setting_types(self, finite=True)
+        if min(self.sigma_xy_per_m, self.sigma_theta_per_m) <= 0:
+            raise BadWorld(f"odometry noise sigmas must be positive, got {self.sigma_xy_per_m!r} and "
+                           f"{self.sigma_theta_per_m!r}")
+
     def sigmas(self, step: float) -> tuple[float, float]:
         """Standard deviations of the xy and theta odometry error over a ``step`` metres long."""
         root = math.sqrt(max(step, 1e-6))
@@ -177,8 +190,9 @@ class WorldConfig:
         ``bin_meters`` <= 0, word counts that leave every word bag empty, a non-int template or
         a word count, template or corridor's number of bins past its field of the word ids;
         BadWorld for more APs than their MACs can number, or a path that may hold more frames
-        than the word ids or more dwells than the dwell indices have room for, or more route
-        legs than `_ROUTE_LEGS`. The path is measured from its lap length, so no route is built."""
+        than the word ids or more dwells than the dwell indices have room for, more route legs
+        than `_ROUTE_LEGS` or more scan draws than `_SCAN_DRAWS`. The path is measured from its
+        lap length, so no route is built."""
         check_setting_types(self, finite=True)  # each Wall has checked itself
         if self.bssids_per_ap > 15:  # the radio number is the BSSID's last hex digit
             raise BadWorld(f"bssids_per_ap must be at most 15, got {self.bssids_per_ap}")
@@ -217,6 +231,10 @@ class WorldConfig:
         if legs > _ROUTE_LEGS:
             raise BadWorld(f"the trajectory ({spec.laps!r} laps) has up to {legs} route legs; "
                            f"at most {_ROUTE_LEGS} are built")
+        draws = path / spec.pause_every * self.scans_per_dwell * self.ap_count * self.bssids_per_ap
+        if draws > _SCAN_DRAWS:  # `synthesize`'s (dwells, scans, APs, radios) array of readings
+            raise BadWorld(f"the world needs up to {draws:.0f} scan draws (dwells x scans_per_dwell x ap_count x "
+                           f"bssids_per_ap); at most {_SCAN_DRAWS} are drawn")
 
 
 @dataclass(frozen=True)
@@ -439,6 +457,7 @@ def _shape_corridors(spec: TrajectorySpec, template_of: dict[int, int]) -> tuple
 
 
 _ROUTE_LEGS = 1 << 22  # legs `_route` may build, one per corridor per lap; bounds its memory (about 0.5 GB)
+_SCAN_DRAWS = 1 << 25  # readings `synthesize` may draw; bounds its memory (about 0.27 GB per float64 array)
 
 
 def _route(laps: float, corridors: Sequence[Corridor], loop: Sequence[int],
@@ -849,8 +868,10 @@ def _config_from_json(wj: dict) -> WorldConfig:
     """The WorldConfig a world-file object describes: ``name``, ``trajectory``, ``template_of``
     and ``ap_count`` are required, absent settings take the dataclass defaults, and the keys
     only a saved dataset has (``seed``, ``bounds``, ``aps``, ``corridors``, ``digests``) are not read,
-    so ``gen --world`` on a saved world.json writes that dataset again.
-    The settings are checked by `WorldConfig` itself."""
+    so ``gen --world`` on a saved world.json writes that dataset again. Any other key raises
+    ValueError; the settings are checked by `WorldConfig` itself."""
+    settings = [f.name for f in fields(WorldConfig) if f.name != "extra_walls"]
+    check_known_keys(wj, [*settings, "walls", "seed", "bounds", "aps", "corridors", "digests"])
     scalars = ("tx_power_at_1m", "margin", "scans_per_dwell", "bssids_per_ap")
     return WorldConfig(
         name=wj["name"],

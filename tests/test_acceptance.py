@@ -214,15 +214,16 @@ def test_criterion_07_numerical_oracles():
     for _ in range(50):
         g = _random_graph(rng)
         m = len(g.edges)
+        poses = [Pose2(*row) for row in g.poses.tolist()]
         for (a, b), z in zip(g.edges.tolist(), g._z[:m].tolist()):
             z = Pose2(*z)
-            _r0, ja, jb = residual_jacobians(g.nodes[a], g.nodes[b], z)
+            _r0, ja, jb = residual_jacobians(poses[a], poses[b], z)
             for node_id, jan in ((a, ja), (b, jb)):
                 fd = np.zeros((3, 3))
                 for col in range(3):
                     plus, minus = [], []
                     for sign in (+1, -1):
-                        nodes = dict(g.nodes)
+                        nodes = dict(enumerate(poses))
                         p = nodes[node_id]
                         vals = [p.x, p.y, p.theta]
                         vals[col] += sign * h
@@ -264,7 +265,7 @@ def _random_graph(rng, n_nodes=6, n_loops=3):
         g.add_edge(k - 1, k, noisy, np.diag(rng.uniform(0.5, 4.0, size=3)))
     for _ in range(n_loops):
         a, b = rng.choice(n_nodes, size=2, replace=False)
-        rel = between(g.nodes[int(a)], g.nodes[int(b)])
+        rel = between(*(Pose2(*g.poses[k].tolist()) for k in (int(a), int(b))))
         g.add_edge(int(a), int(b), rel, np.diag(rng.uniform(0.5, 4.0, size=3)))
     return g
 

@@ -55,6 +55,17 @@ BAD_WORLD_SETTINGS = {  # test id -> (world-file setting, message)
     "template_negative": ('"template_of": {"0": -1}', "{world}: template_of values must be in 0..511, got -1"),
     "corridor_bins_2500": ('"appearance": {"bin_meters": 0.002}',
                            "{world}: bin_meters 0.002 gives a corridor 2500 word bins; at most 2048 fit"),
+    # odometry noise divides the odometry edges' information, so it must not be 0
+    "sigma_xy_0": ('"odom_noise": {"sigma_xy_per_m": 0.0}',
+                   "{world}: odometry noise sigmas must be positive, got 0.0 and 0.002"),
+    "sigma_theta_negative": ('"odom_noise": {"sigma_theta_per_m": -0.5}',
+                             "{world}: odometry noise sigmas must be positive, got 0.01 and -0.5"),
+    # readings `synthesize` would draw at once, refused before any is
+    "scans_per_dwell_1e13": ('"scans_per_dwell": 10000000000000',
+                             "{world}: the world needs up to 457142857142857 scan draws"),
+    # a misspelled key would otherwise leave its setting at the default
+    "misspelled_key": ('"scans_per_dwel": 50', "{world}: unknown setting scans_per_dwel; settings are name, "),
+    "misspelled_section": ('"propagaton": {"noise_sigma_db": 9.0}', "{world}: unknown setting propagaton; "),
 }
 
 
@@ -471,6 +482,11 @@ def _broken_dataset(gen_dir, root, fault):
         wj["trajectory"]["laps"] = 1e12
         (d / "world.json").write_text(json.dumps(wj))
         return d, f"{d / 'world.json'}: the trajectory (1000000000000.0 laps) may have up to "
+    if fault == "misspelled_key":
+        wj = json.loads((d / "world.json").read_text())
+        wj["scans_per_dwel"] = 50
+        (d / "world.json").write_text(json.dumps(wj))
+        return d, f"{d / 'world.json'}: unknown setting scans_per_dwel; settings are "
     if fault == "edited_setting":  # noisier odometry and readings than the files were written with
         wj = json.loads((d / "world.json").read_text())
         wj["odom_noise"]["sigma_xy_per_m"], wj["propagation"]["noise_sigma_db"] = 0.5, 9.0
@@ -527,7 +543,7 @@ def _broken_dataset(gen_dir, root, fault):
     "fault",
     ["bad_bssid", "positive_rssi", "non_numeric_id", "extra_field", "missing_key", "absent_dir", "unsorted_dwells",
      "unsorted_frames", "nan_odometry", "nan_rssi", "inf_timestamp", "reversed_loop_pair", "corridor_template_string",
-     "moved_ap", "endless_path", "edited_setting"],
+     "moved_ap", "endless_path", "edited_setting", "misspelled_key"],
 )
 def test_data_fault_exit_3(gen_dir, tmp_path, capsys, fault, command):
     dataset, named = _broken_dataset(gen_dir, tmp_path, fault)

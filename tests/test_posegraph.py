@@ -65,6 +65,11 @@ class TestGroupOps:
         assert -math.pi < Pose2(0, 0, -math.pi).theta <= math.pi
 
 
+def node_pose(g: PoseGraph, k: int) -> Pose2:
+    """Node ``k``'s row of ``g.poses`` as a `Pose2`, for the scalar oracles."""
+    return Pose2(*g.poses[k].tolist())
+
+
 def edge_rows(g: PoseGraph) -> list[tuple[int, int, Pose2, np.ndarray]]:
     """Each edge as (from id, to id, measurement, information), read from the graph's rows."""
     m = len(g.edges)
@@ -83,7 +88,7 @@ class TestResiduals:
     def test_consistent_edge_zero(self):
         g = two_node_graph(Pose2(), Pose2(1, 0, 0), Pose2(1, 0, 0))
         [(a, b, z, _info)] = edge_rows(g)
-        assert residual(g.nodes[a], g.nodes[b], z) == pytest.approx(np.zeros(3), abs=1e-15)
+        assert residual(node_pose(g, a), node_pose(g, b), z) == pytest.approx(np.zeros(3), abs=1e-15)
 
     def test_empty_graph_zero_error(self):
         g = PoseGraph()
@@ -108,7 +113,7 @@ def random_graph(rng, n_nodes=6, n_loops=3):
         g.add_edge(k - 1, k, noisy, info)
     for _ in range(n_loops):
         a, b = rng.choice(n_nodes, size=2, replace=False)
-        rel = between(g.nodes[int(a)], g.nodes[int(b)])
+        rel = between(node_pose(g, int(a)), node_pose(g, int(b)))
         g.add_edge(int(a), int(b), rel, np.diag(rng.uniform(0.5, 4.0, size=3)))
     return g
 
@@ -132,12 +137,12 @@ class TestJacobians:
         for _ in range(50):
             g = random_graph(rng)
             for a, b, z, _info in edge_rows(g):
-                r0, ja, jb = residual_jacobians(g.nodes[a], g.nodes[b], z)
+                r0, ja, jb = residual_jacobians(node_pose(g, a), node_pose(g, b), z)
                 for which, node_id, jan in ((0, a, ja), (1, b, jb)):
                     fd = np.zeros((3, 3))
                     for col in range(3):
                         for sign, out in ((+1, 0), (-1, 1)):
-                            nodes = dict(g.nodes)
+                            nodes = {k: node_pose(g, k) for k in g.ids}
                             p = nodes[node_id]
                             vals = [p.x, p.y, p.theta]
                             vals[col] += sign * h
@@ -162,12 +167,11 @@ class TestOptimize:
             g.add_node(k, p)
             g.add_edge(k - 1, k, step, I3)
         assert total_error(g) == pytest.approx(0.0, abs=1e-20)
-        before = dict(g.nodes)
+        before = g.poses.copy()
         out = optimize(g)
         assert out is g  # optimized in place
         assert total_error(out) == pytest.approx(0.0, abs=1e-18)
-        for k in before:
-            assert before[k].x == pytest.approx(out.nodes[k].x, abs=1e-12)
+        assert out.poses[:, 0] == pytest.approx(before[:, 0], abs=1e-12)
 
     def test_square_with_loop_edge_improves_10x(self):
         rng = np.random.default_rng(3)
@@ -204,10 +208,11 @@ class TestOptimize:
     def test_anchor_unchanged(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng)
-        before = g.nodes[0]
+        before = g.poses[0].tolist()
         out = optimize(g, max_iters=30)
-        assert out.nodes[0] == before
-        assert out.nodes[1] != random_graph(np.random.default_rng(5)).nodes[1]  # free nodes moved, in place
+        assert out.poses[0].tolist() == before
+        fresh = random_graph(np.random.default_rng(5))
+        assert out.poses[1].tolist() != fresh.poses[1].tolist()  # free nodes moved, in place
 
     def test_disconnected_graph(self):
         g = PoseGraph()
@@ -248,8 +253,7 @@ class TestOptimize:
         perturb = {k: rng.normal(0, 0.05, size=3) for k in range(len(true))}
         base = optimize(build(Pose2()), max_iters=200)
         moved = optimize(build(Pose2(3.0, -2.0, 0.8)), max_iters=200)
-        p = [(base.nodes[k].x, base.nodes[k].y) for k in sorted(base.nodes)]
-        q = [(moved.nodes[k].x, moved.nodes[k].y) for k in sorted(moved.nodes)]
+        p, q = base.poses[:, :2], moved.poses[:, :2]
         rot, t = kabsch_align(p, q)
         assert rmse(apply_rigid(rot, t, p), q) < 1e-9
 
@@ -257,8 +261,8 @@ class TestOptimize:
 def cold_copy(g: PoseGraph) -> PoseGraph:
     """The same nodes and edges in a new graph, nodes added in id order: no cached state."""
     out = PoseGraph()
-    for k in sorted(g.nodes):
-        out.add_node(k, g.nodes[k])
+    for k in g.ids:
+        out.add_node(k, node_pose(g, k))
     for a, b, z, info in edge_rows(g):
         out.add_edge(a, b, z, info)
     return out
@@ -266,8 +270,7 @@ def cold_copy(g: PoseGraph) -> PoseGraph:
 
 def bits(graph: PoseGraph, stats: dict) -> tuple:
     """Poses and stats in a form that tells -0.0 from 0.0."""
-    poses = sorted((k, p.x, p.y, p.theta) for k, p in graph.nodes.items())
-    return repr(poses), repr(sorted(stats.items()))
+    return repr(graph.poses.tolist()), repr(sorted(stats.items()))
 
 
 @st.composite
@@ -298,13 +301,13 @@ class TestIncrementalState:
         for new_ids, loops, max_iters in steps:
             for k in new_ids:
                 g.add_node(k, Pose2(*rng.uniform(-5, 5, size=2), rng.uniform(-3.2, 3.2)))
-                if len(g.nodes) > 1:  # join each node to an earlier one, keeping the graph connected
-                    prev = list(g.nodes)[int(rng.integers(len(g.nodes) - 1))]
+                if len(g.ids) > 1:  # join each node to an earlier one, keeping the graph connected
+                    prev = g.ids[int(rng.integers(len(g.ids) - 1))]
                     rel = Pose2(*rng.normal(0, 1, size=2), rng.uniform(-3.2, 3.2))
                     g.add_edge(prev, k, rel, np.diag(rng.uniform(0.5, 4.0, size=3)))
             for a, b in loops:
                 info = np.diag(rng.uniform(0.5, 40.0, size=3))
-                g.add_edge(a, b, between(g.nodes[a], g.nodes[b]), info)
+                g.add_edge(a, b, between(node_pose(g, a), node_pose(g, b)), info)
             cold = cold_copy(g)
             warm_stats, cold_stats = {}, {}
             assert optimize(g, max_iters=max_iters, stats=warm_stats) is g
@@ -340,13 +343,14 @@ class TestIncrementalState:
         optimize(g, max_iters=20, stats=stats)
         assert stats["error_final"] < stats["error_initial"]
 
-    def test_nodes_view_is_read_only(self):
+    def test_poses_view_is_read_only(self):
         g = two_node_graph(Pose2(), Pose2(1, 0, 0), Pose2(1, 0, 0))
-        with pytest.raises(TypeError):
-            g.nodes[0] = Pose2(5, 5, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            g.poses[0] = (5, 5, 0)
         with pytest.raises(TypeError):
             g.ids[0] = 5
-        assert dict(g.nodes) == {0: Pose2(), 1: Pose2(1, 0, 0)}
+        assert g.poses.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert g.poses.shape == (len(g.ids), 3)
         assert list(g.ids) == [0, 1] and g.ids[-1] == 1
         assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
         assert g.edges.tolist() == [[0, 1]]
@@ -370,9 +374,7 @@ class TestIncrementalState:
     def test_an_id_outside_the_graph_is_rejected_everywhere(self, bad):
         g = _loop_graph()
         before = _state(g)
-        assert bad not in g.nodes and bad not in g.ids
-        with pytest.raises(KeyError):
-            g.nodes[bad]
+        assert bad not in g.ids and len(g.poses) == len(g.ids)
         with pytest.raises(KeyError):
             g.neighbors(bad)
         for a, b in ((bad, 1), (1, bad)):
@@ -427,7 +429,7 @@ def _loop_graph() -> PoseGraph:
 
 def _state(g: PoseGraph) -> tuple:
     """Nodes, ids, edges and neighbour lists, in a comparable form."""
-    return (repr(sorted(g.nodes.items())), list(g.ids), g.edges.tolist(),
+    return (repr(g.poses.tolist()), list(g.ids), g.edges.tolist(),
             [list(g.neighbors(k)) for k in g.ids])
 
 def _run_recording(monkeypatch, dataset, params, cold: bool):
@@ -550,15 +552,15 @@ class TestWindow:
         g = random_graph(rng, n_nodes=int(rng.integers(3, 14)), n_loops=int(rng.integers(0, 6)))
         ids = list(g.ids)
         free = {k for k in ids[1:] if rng.random() < 0.5} or {ids[-1]}
-        before = {k: repr(g.nodes[k]) for k in ids}
+        before = {k: repr(g.poses[k].tolist()) for k in ids}
         stats = {}
         optimize(g, max_iters=max_iters, stats=stats, free=free)
-        assert {k: repr(g.nodes[k]) for k in ids if k not in free} == {k: v for k, v in before.items() if k not in free}
+        assert {k: repr(g.poses[k].tolist()) for k in ids if k not in free} == {k: v for k, v in before.items() if k not in free}
         errs = stats["accepted_errors"]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[0] == stats["error_initial"] and errs[-1] == stats["error_final"]
         if len(errs) > 1:
-            assert any(repr(g.nodes[k]) != before[k] for k in free)
+            assert any(repr(g.poses[k].tolist()) != before[k] for k in free)
 
     def test_window_joined_to_the_anchor_only_through_fixed_nodes_converges(self):
         g, true = _chain(8, moved=(5, 6, 7))
@@ -568,8 +570,7 @@ class TestWindow:
         assert stats["error_initial"] > 0.1 and stats["error_final"] < 1e-18
         assert total_error(g) < 1e-18
         for k in range(8):
-            p = g.nodes[k]
-            assert (p.x, p.y, p.theta) == pytest.approx((true[k].x, true[k].y, true[k].theta), abs=1e-9)
+            assert g.poses[k].tolist() == pytest.approx([true[k].x, true[k].y, true[k].theta], abs=1e-9)
 
     @pytest.mark.parametrize(
         "free, message",
@@ -578,23 +579,23 @@ class TestWindow:
     )
     def test_bad_free_raises_and_leaves_the_graph(self, free, message):
         g, _ = _chain(4, moved=(2,))
-        before = repr(sorted(g.nodes.items()))
+        before = repr(g.poses.tolist())
         with pytest.raises(ValueError, match=message):
             optimize(g, free=free)
-        assert repr(sorted(g.nodes.items())) == before
+        assert repr(g.poses.tolist()) == before
 
 
 class TestErrorFloor:
     def test_consistent_chain_makes_no_solve_and_keeps_its_bytes(self, monkeypatch):
         g, _ = _chain(40)
         solved = _count_solves(monkeypatch)
-        before = repr(sorted(g.nodes.items()))
+        before = repr(g.poses.tolist())
         stats = {}
         assert optimize(g, stats=stats) is g
         assert stats["error_initial"] <= ERROR_FLOOR
         assert stats["iterations"] == 0 and stats["accepted_errors"] == [stats["error_initial"]]
         assert solved == []
-        assert repr(sorted(g.nodes.items())) == before
+        assert repr(g.poses.tolist()) == before
 
     def test_chain_with_one_node_moved_still_iterates_and_converges(self, monkeypatch):
         g, true = _chain(40, moved=(20,))
@@ -605,8 +606,7 @@ class TestErrorFloor:
         assert stats["iterations"] > 0 and len(solved) >= stats["iterations"]
         assert stats["error_final"] < 1e-18
         for k, p in enumerate(true):
-            q = g.nodes[k]
-            assert (q.x, q.y, q.theta) == pytest.approx((p.x, p.y, p.theta), abs=1e-9)
+            assert g.poses[k].tolist() == pytest.approx([p.x, p.y, p.theta], abs=1e-9)
 
 
 def _random_info(rng) -> np.ndarray:

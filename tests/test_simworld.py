@@ -291,7 +291,8 @@ class TestTrajectory:
 
 class TestSynthesize:
     def test_zero_noise_odometry_composes_to_gt(self, tiny_world):
-        cfg = replace(tiny_world, odom_noise=replace(tiny_world.odom_noise, sigma_xy_per_m=0.0, sigma_theta_per_m=0.0))
+        # the sigmas must be positive; noise of 1e-30 is below the rounding of every nonzero step
+        cfg = replace(tiny_world, odom_noise=replace(tiny_world.odom_noise, sigma_xy_per_m=1e-30, sigma_theta_per_m=1e-30))
         ds = synthesize(cfg, seed=0)
         gt, odom = ds.frames.gt.tolist(), ds.frames.odom.tolist()
         pose = Pose2(*gt[0])
@@ -527,20 +528,28 @@ class TestPresets:
         # a short path of very many laps: few frames and dwells, but one route leg per corridor per lap
         ({"trajectory": TrajectorySpec("figure_eight", 1e-6, laps=1e9)},
          r"\(1000000000.0 laps\) has up to 8000000000 route legs; at most 4194304 are built"),
+        # a path of few dwells but very many readings per dwell
+        ({"scans_per_dwell": (1 << 20) + 1, "ap_count": 4, "bssids_per_ap": 2,
+          "trajectory": TrajectorySpec("figure_eight", 12.0, pause_every=96 / 4)},
+         r"the world needs up to 33554464 scan draws \(dwells x scans_per_dwell x ap_count x bssids_per_ap\); "
+         r"at most 33554432 are drawn"),
     ], ids=["no_words", "unique_words_257", "template_512", "corridor_bins_2400", "ap_count_65537", "dwells_1097143",
-            "frames_25371431", "legs_8000000000"])
+            "frames_25371431", "legs_8000000000", "scan_draws_33554464"])
     def test_replaced_preset_checks_itself(self, change, reason):
         with pytest.raises(ValueError, match=reason):
             replace(preset_worlds()["b_hall"], **change)
 
     def test_id_fields_admit_the_largest_worlds(self):
         """Just inside each limit a world is accepted: 65,536 APs, with distinct MACs; a path of 1,042,286
-        dwells; one of 24,685,716 frames, whose last jitter words still fit below `MAX_WORD_ID`; one of
-        4,194,304 route legs."""
+        dwells, with one reading per dwell; one of 24,685,716 frames, whose last jitter words still fit below
+        `MAX_WORD_ID`; one of 4,194,304 route legs; one of 33,554,432 scan draws."""
         config = preset_worlds()["b_hall"]  # 96 m laps, a frame every 0.7 m, a dwell every 3.5 m
         assert replace(config, ap_count=65536).ap_count == 65536
         assert len({simworld._ap_mac(i) for i in range(65536)}) == 65536
-        replace(config, trajectory=replace(config.trajectory, laps=38_000))
+        trajectory = replace(config.trajectory, laps=38_000)
+        replace(config, trajectory=trajectory, ap_count=1, bssids_per_ap=1, scans_per_dwell=1)
+        replace(config, trajectory=replace(config.trajectory, pause_every=96 / 4), scans_per_dwell=1 << 20,
+                ap_count=4, bssids_per_ap=2)  # 4 dwells a lap
         replace(config, trajectory=replace(config.trajectory, laps=180_000, pause_every=1e9))
         replace(config, trajectory=replace(config.trajectory, scale=1e-3, laps=(1 << 22) // 8))  # 8 legs a lap
         assert simworld._JITTER_WORD_BASE + simworld._FRAMES * simworld._JITTER_WORDS_PER_FRAME == MAX_WORD_ID
